@@ -23,7 +23,6 @@ and carries the only timestamp, which is excluded from hashing.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import hashlib
 import json
@@ -36,7 +35,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .estimates import absorbing_time, compute_estimates, verify_far_field
+from .estimates import absorbing_time, compute_estimates, far_field_radii, verify_far_field
 from .model import (
     ConfigError,
     Grid,
@@ -51,11 +50,13 @@ from .solver import (
     CutoffRadius,
     DivergenceError,
     HistorySegment,
-    far_field_mass,
+    far_field_masses,
     integrate,
-    segment_at,
     segment_norm,
+    segment_sups,
 )
+# Not called here, but perfbench/tracing.py patches these names in this module.
+from .solver import far_field_mass, segment_at  # noqa: F401
 from .spectrum import dichotomy_constant, spectral_partition, with_dichotomy
 from .squeezing import make_projections, measure_contraction
 from .dimension import optimize_certificate
@@ -380,31 +381,23 @@ def cmd_simulate(config_path: str, seed: int, out_dir: str, parallel: int = 1,
     rng = np.random.default_rng(np.random.PCG64(seed))
     phi = random_history(rng, grid, p.tau, run.steps_per_delay, run.history_norm)
 
-    try:
-        traj = integrate(phi, run.horizon, p)
-    except DivergenceError as exc:
-        print(f"divergence at step {exc.step}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    traj = integrate(phi, run.horizon, p)
 
-    K = run.cutoff_radius
-    rows = []
-    for n in range(traj.steps + 1):
-        t = n * traj.dt
-        seg = segment_at(traj, t)
-        rows.append((t, field_norm(traj.field(n)), far_field_mass(seg, K)))
+    def tail_sups(K):
+        return segment_sups(far_field_masses(traj.history.samples, grid, K),
+                            far_field_masses(traj.values, grid, K))
+
+    tail = tail_sups(run.cutoff_radius)
+    rows = [(n * traj.dt, field_norm(traj.field(n)), tail[n])
+            for n in range(traj.steps + 1)]
     norms_path = os.path.join(out_dir, "norms.csv")
     write_csv(norms_path, ("t", "norm_u", "farfield_mass"), rows)
     manifest.record(norms_path)
 
-    radii = []
-    radius = grid.half_length / 32.0
-    while radius <= grid.half_length / 2.0 + 1e-12:
-        radii.append(radius)
-        radius *= 2.0
-    ff_rows = []
-    for n in range(0, traj.steps + 1, max(1, run.steps_per_delay // 2)):
-        seg = segment_at(traj, n * traj.dt)
-        ff_rows.append((n * traj.dt, *(far_field_mass(seg, K_i) for K_i in radii)))
+    radii = far_field_radii(grid.half_length)
+    every_n = range(0, traj.steps + 1, max(1, run.steps_per_delay // 2))
+    columns = [tail_sups(K_i)[every_n] for K_i in radii]
+    ff_rows = [(n * traj.dt, *masses) for n, *masses in zip(every_n, *columns)]
     ff_path = os.path.join(out_dir, "farfield.csv")
     write_csv(ff_path, ("t", *(f"mass_K={K_i!r}" for K_i in radii)), ff_rows)
     manifest.record(ff_path)
@@ -461,17 +454,8 @@ def cmd_squeeze(config_path: str, seed: int, out_dir: str, parallel: int = 1) ->
                             separation=0.3 * run.history_norm)
              for _ in range(run.ensemble)]
 
-    jobs = [(phi, psi, t) for phi, psi in pairs for t in run.contraction_times]
-
-    def job(args):
-        phi, psi, t = args
-        return measure_contraction(phi, psi, t, p, ps, spectral=spectral, est=est)
-
-    if parallel > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as pool:
-            reports = list(pool.map(job, jobs))
-    else:
-        reports = [job(item) for item in jobs]
+    reports = [measure_contraction(phi, psi, t, p, ps, spectral=spectral, est=est)
+               for phi, psi in pairs for t in run.contraction_times]
 
     rows = []
     worst = {"P": 0.0, "Q": 0.0, "R": 0.0}
@@ -581,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="PCG64 seed (overrides run.seed from the config)")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--parallel", type=int, default=1,
-                        help="worker threads for ensemble members")
+                        help="accepted and ignored: every subcommand runs serially")
 
     add_common(sub.add_parser("certify", help="compute constants and dimension bounds"))
     simulate = sub.add_parser("simulate", help="integrate one seeded trajectory")
@@ -596,13 +580,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    try:
-        _, _, run = _load_config(args.config)
-        return run.seed
-    except ConfigError:
-        raise
+    if args.seed is None:
+        return _load_config(args.config)[2].seed
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
+    return args.seed
 
 
 def main(argv=None) -> int:

@@ -32,12 +32,15 @@ import numpy as np
 
 from .model import ProblemParameters, check_dissipativity
 from .semigroup import Field, gradient_norm
-from .solver import HistorySegment, Trajectory, far_field_mass, segment_at, segment_norm
+from .solver import Trajectory, far_field_masses, row_norms, segment_sups
+# Not called here, but perfbench/tracing.py patches these names in this module.
+from .solver import far_field_mass, segment_at, segment_norm  # noqa: F401
 
 __all__ = [
     "EstimateSet",
     "absorbing_time",
     "compute_estimates",
+    "far_field_radii",
     "verify_absorption",
     "verify_energy_integral",
     "verify_far_field",
@@ -206,16 +209,13 @@ def verify_absorption(traj: Trajectory, est: EstimateSet, T: float) -> dict:
     verdict flag.
     """
     dt = traj.dt
-    S = traj.history.steps_per_delay
     n0 = max(0, int(math.ceil(T / dt - 1e-9)))
     if n0 > traj.steps:
         raise ValueError("trajectory horizon is shorter than the requested T")
-    worst_t = n0 * dt
-    worst = -math.inf
-    for n in range(n0, traj.steps + 1):
-        value = segment_norm(segment_at(traj, n * dt))
-        if value > worst:
-            worst, worst_t = value, n * dt
+    sups = segment_sups(row_norms(traj.history.samples, traj.grid),
+                        row_norms(traj.values, traj.grid))[n0:]
+    i = int(np.argmax(sups))  # the first maximum on ties
+    worst, worst_t = float(sups[i]), (n0 + i) * dt
     threshold = est.c3 * (1.0 + CERTIFICATE_TOLERANCE)
     return {
         "max_segment_norm": worst,
@@ -226,12 +226,6 @@ def verify_absorption(traj: Trajectory, est: EstimateSet, T: float) -> dict:
         "from_time": n0 * dt,
         "samples": traj.steps + 1 - n0,
     }
-
-
-def _segment_gradient_sup(traj: Trajectory, n: int) -> float:
-    """Sup over the segment at step n of the gradient seminorm."""
-    seg = segment_at(traj, n * traj.dt)
-    return max(gradient_norm(Field(values=row, grid=traj.grid)) for row in seg.samples)
 
 
 def verify_energy_integral(traj: Trajectory, est: EstimateSet, t_start: float = 0.0) -> dict:
@@ -248,7 +242,10 @@ def verify_energy_integral(traj: Trajectory, est: EstimateSet, t_start: float = 
     if traj.horizon < 1.0 - 1e-12:
         raise ValueError("horizon too short for a unit window")
 
-    sups = np.array([_segment_gradient_sup(traj, n) for n in range(traj.steps + 1)])
+    def gradient_norms(rows):
+        return np.array([gradient_norm(Field(values=row, grid=traj.grid)) for row in rows])
+
+    sups = segment_sups(gradient_norms(traj.history.samples), gradient_norms(traj.values))
     squared = sups * sups
     n_first = max(0, int(math.ceil(t_start / dt - 1e-9)))
     worst = -math.inf
@@ -266,6 +263,11 @@ def verify_energy_integral(traj: Trajectory, est: EstimateSet, t_start: float = 
         "threshold": threshold,
         "ok": bool(worst <= threshold),
     }
+
+
+def far_field_radii(half_length: float) -> list:
+    """The doubling grid of far-field radii L/32, L/16, ..., L/2."""
+    return [half_length / 2.0 ** k for k in range(5, 0, -1)]
 
 
 def verify_far_field(traj: Trajectory, eps: float, radii=None, time_stride: int = 1) -> dict:
@@ -292,29 +294,21 @@ def verify_far_field(traj: Trajectory, eps: float, radii=None, time_stride: int 
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    L = traj.grid.half_length
     if radii is None:
-        radii = []
-        K = L / 32.0
-        while K <= L / 2.0 + 1e-12:
-            radii.append(K)
-            K *= 2.0
+        radii = far_field_radii(traj.grid.half_length)
     steps = list(range(0, traj.steps + 1, max(1, time_stride)))
     if steps[-1] != traj.steps:
         steps.append(traj.steps)
-    segments = [segment_at(traj, n * traj.dt) for n in steps]
 
     for K in radii:
-        masses = np.array([far_field_mass(seg, K) for seg in segments])
+        masses = segment_sups(far_field_masses(traj.history.samples, traj.grid, K),
+                              far_field_masses(traj.values, traj.grid, K))[steps]
         ok = masses <= eps
         if not ok[-1]:
             continue
         # smallest sampled T with all later samples below eps
-        idx = len(ok)
-        for i in range(len(ok) - 1, -1, -1):
-            if not ok[i]:
-                break
-            idx = i
+        bad = np.flatnonzero(~ok)
+        idx = bad[-1] + 1 if bad.size else 0
         T_emp = steps[idx] * traj.dt
         return {
             "status": "ok",

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -186,6 +187,10 @@ class RunOptions:
             raise ConfigError("run.modes >= run.m_cut >= 1 required")
         if self.ensemble < 1:
             raise ConfigError("run.ensemble must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("run.seed must be nonnegative")
+        if self.dichotomy_samples < 1:
+            raise ConfigError("run.dichotomy_samples must be at least 1")
         if self.eps <= 0:
             raise ConfigError("run.eps must be positive")
 
@@ -248,20 +253,8 @@ _REQUIRED_KEYS = ("mu", "sigma", "tau", "lf")
 _NONLIN_KEYS = {"kind", "scale"}
 _FORCING_KEYS = {"kind", "amplitude", "center", "width"}
 _GRID_KEYS = {"half_length", "points"}
-_RUN_KEYS = {
-    "horizon",
-    "steps_per_delay",
-    "cutoff_radius",
-    "modes",
-    "m_cut",
-    "seed",
-    "ensemble",
-    "snapshot_every",
-    "eps",
-    "contraction_times",
-    "dichotomy_samples",
-    "history_norm",
-}
+_RUN_KEYS = {f.name for f in fields(RunOptions)}
+_RUN_INT_KEYS = {f.name for f in fields(RunOptions) if f.type == "int"}
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -270,13 +263,30 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
+def _finite_float(token: str) -> float:
+    """JSON float and NaN/Infinity hook: only finite floats pass."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
+def _number(value, what: str):
+    """``value`` unchanged if it is a number (not a bool) that fits a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or abs(value) > sys.float_info.max:
+        raise ConfigError(f"{what} must be a finite number")
+    return value
+
+
+def _optional_number(section: dict, key: str, default, where: str):
+    return _number(section.get(key, default), f"key {key!r} in {where}")
+
+
 def _require_number(section: dict, key: str, where: str) -> float:
     if key not in section:
         raise ConfigError(f"missing required key {key!r} in {where}")
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key {key!r} in {where} must be a number")
-    return float(value)
+    return float(_number(section[key], f"key {key!r} in {where}"))
 
 
 def parse_config(text: str):
@@ -297,12 +307,13 @@ def parse_config(text: str):
     Raises
     ------
     ConfigError
-        On malformed JSON, unknown/missing keys, or non-positive
-        mu/sigma/tau.
+        On malformed JSON (including NaN/Infinity and numbers that overflow
+        a float), unknown/missing keys, non-numeric values for numeric
+        keys, or non-positive mu/sigma/tau.
     """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+    except ValueError as exc:  # JSONDecodeError or a rejected number
         raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top-level document must be a JSON object")
@@ -322,7 +333,8 @@ def parse_config(text: str):
     nl_kind = nl_doc.get("kind", "zero")
     # By default the scale is the declared Lipschitz constant, so that f
     # realizes lf exactly.
-    nl_scale = nl_doc.get("scale", values["lf"] if nl_kind != "zero" else 0.0)
+    nl_scale = _optional_number(nl_doc, "scale", values["lf"] if nl_kind != "zero" else 0.0,
+                                "nonlinearity")
     nonlinearity = NonlinearitySpec(kind=nl_kind, scale=float(nl_scale))
 
     f_doc = doc.get("forcing", {"kind": "zero"})
@@ -331,9 +343,9 @@ def parse_config(text: str):
     _reject_unknown(f_doc, _FORCING_KEYS, "forcing")
     forcing = ForcingSpec(
         kind=f_doc.get("kind", "zero"),
-        amplitude=float(f_doc.get("amplitude", 0.0)),
-        center=float(f_doc.get("center", 0.0)),
-        width=float(f_doc.get("width", 1.0)),
+        amplitude=float(_optional_number(f_doc, "amplitude", 0.0, "forcing")),
+        center=float(_optional_number(f_doc, "center", 0.0, "forcing")),
+        width=float(_optional_number(f_doc, "width", 1.0, "forcing")),
     )
 
     g_doc = doc.get("grid", {})
@@ -341,24 +353,25 @@ def parse_config(text: str):
         raise ConfigError("grid must be an object")
     _reject_unknown(g_doc, _GRID_KEYS, "grid")
     grid = Grid(
-        half_length=float(g_doc.get("half_length", 16.0)),
-        points=int(g_doc.get("points", 512)),
+        half_length=float(_optional_number(g_doc, "half_length", 16.0, "grid")),
+        points=int(_optional_number(g_doc, "points", 512, "grid")),
     )
 
     r_doc = doc.get("run", {})
     if not isinstance(r_doc, dict):
         raise ConfigError("run must be an object")
     _reject_unknown(r_doc, _RUN_KEYS, "run")
-    run_kwargs = dict(r_doc)
-    if "contraction_times" in run_kwargs:
-        times = run_kwargs["contraction_times"]
-        if not isinstance(times, list) or not times:
-            raise ConfigError("run.contraction_times must be a nonempty list")
-        run_kwargs["contraction_times"] = tuple(float(t) for t in times)
-    for key in ("steps_per_delay", "modes", "m_cut", "seed", "ensemble",
-                "snapshot_every", "dichotomy_samples"):
-        if key in run_kwargs:
-            run_kwargs[key] = int(run_kwargs[key])
+    run_kwargs = {}
+    for key, value in r_doc.items():
+        if key == "contraction_times":
+            if not isinstance(value, list) or not value:
+                raise ConfigError("run.contraction_times must be a nonempty list")
+            value = tuple(float(_number(t, "run.contraction_times entry")) for t in value)
+        else:
+            value = _number(value, f"key {key!r} in run")
+            if key in _RUN_INT_KEYS:
+                value = int(value)
+        run_kwargs[key] = value
     run = RunOptions(**run_kwargs)
 
     params = ProblemParameters(
@@ -374,32 +387,7 @@ def parse_config(text: str):
 
 def serialize_config(p: ProblemParameters, grid: Grid, run: RunOptions) -> str:
     """Serialize parameters back to the JSON schema (round-trip safe)."""
-    doc = {
-        "mu": p.mu,
-        "sigma": p.sigma,
-        "tau": p.tau,
-        "lf": p.lf,
-        "nonlinearity": {"kind": p.nonlinearity.kind, "scale": p.nonlinearity.scale},
-        "forcing": {
-            "kind": p.forcing.kind,
-            "amplitude": p.forcing.amplitude,
-            "center": p.forcing.center,
-            "width": p.forcing.width,
-        },
-        "grid": {"half_length": grid.half_length, "points": grid.points},
-        "run": {
-            "horizon": run.horizon,
-            "steps_per_delay": run.steps_per_delay,
-            "cutoff_radius": run.cutoff_radius,
-            "modes": run.modes,
-            "m_cut": run.m_cut,
-            "seed": run.seed,
-            "ensemble": run.ensemble,
-            "snapshot_every": run.snapshot_every,
-            "eps": run.eps,
-            "contraction_times": list(run.contraction_times),
-            "dichotomy_samples": run.dichotomy_samples,
-            "history_norm": run.history_norm,
-        },
-    }
+    doc = {"mu": p.mu, "sigma": p.sigma, "tau": p.tau, "lf": p.lf,
+           "nonlinearity": asdict(p.nonlinearity), "forcing": asdict(p.forcing),
+           "grid": asdict(grid), "run": asdict(run)}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -16,8 +16,11 @@ delayed read lands on a stored sample and the method of steps introduces no
 interpolation error.  The scheme is second order in dt (the linear part is
 exact; only the quadrature is approximate).
 
-The module also houses the segment bookkeeping (u_t windows, sup-norms) and
-the domain-splitting operators used throughout the certificates.
+The module also houses the segment bookkeeping and the domain-splitting
+operators used throughout the certificates.  A segment u_t is a window of
+S + 1 consecutive history/solution rows, so every segment sup (norm,
+far-field mass, gradient sup) is a per-row quantity reduced by one
+sliding-window max, `segment_sups`; `segment_at` copies out one segment.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ProblemParameters, Grid, evaluate_forcing, evaluate_nonlinearity
 from .semigroup import Field, SemigroupStepper, field_norm
@@ -38,10 +42,13 @@ __all__ = [
     "CUTOFF_DERIVATIVE_BOUND",
     "constant_history",
     "far_field_mass",
+    "far_field_masses",
     "history_from_function",
     "integrate",
+    "row_norms",
     "segment_at",
     "segment_norm",
+    "segment_sups",
     "smooth_cutoff",
     "split_fields",
 ]
@@ -212,18 +219,32 @@ def segment_at(traj: Trajectory, t: float) -> HistorySegment:
     if n < 0 or n > traj.steps:
         raise ValueError(f"time {t} outside the trajectory range")
     S = traj.history.steps_per_delay
-    rows = np.empty((S + 1, traj.grid.points))
-    for j in range(S + 1):
-        k = n - S + j
-        rows[j] = traj.values[k] if k >= 0 else traj.history.samples[k + S]
+    # rows n .. n + S of concat(history[:-1], values), copied
+    rows = np.concatenate([traj.history.samples[min(n, S):S], traj.values[max(0, n - S):n + 1]])
     return HistorySegment(rows, traj.grid, traj.history.tau, S)
+
+
+def segment_sups(hist_q, traj_q) -> np.ndarray:
+    """Sup of a per-row quantity over every segment of a trajectory.
+
+    ``hist_q`` holds the quantity on the S + 1 history rows and ``traj_q``
+    on the N + 1 trajectory rows (rows on the leading axis; trailing axes
+    are kept).  Entry n is the max over the segment at step n, i.e. over
+    rows n .. n + S of concat(hist_q[:-1], traj_q): the last history row
+    is the first trajectory row, so it is counted once.
+    """
+    rows = np.concatenate([hist_q[:-1], traj_q])
+    return sliding_window_view(rows, len(hist_q), axis=0).max(axis=-1)
+
+
+def row_norms(samples: np.ndarray, grid: Grid) -> np.ndarray:
+    """Grid L2 norm of each row of ``samples``."""
+    return np.sqrt(grid.spacing * np.sum(samples * samples, axis=1))
 
 
 def segment_norm(seg: HistorySegment) -> float:
     """Segment sup-norm: max over sample times of the grid L2 norm."""
-    h = seg.grid.spacing
-    norms = np.sqrt(h * np.sum(seg.samples * seg.samples, axis=1))
-    return float(np.max(norms))
+    return float(np.max(row_norms(seg.samples, seg.grid)))
 
 
 @dataclass(frozen=True)
@@ -258,11 +279,15 @@ def split_fields(u: Field, K) -> dict:
     }
 
 
+def far_field_masses(samples: np.ndarray, grid: Grid, K: float) -> np.ndarray:
+    """Tail mass integral_{|x| >= K} u^2 dx of each row of ``samples``."""
+    outside = np.abs(grid.nodes) >= K
+    return grid.spacing * np.sum(samples[:, outside] ** 2, axis=1)
+
+
 def far_field_mass(seg: HistorySegment, K: float) -> float:
     """Largest tail mass over the segment: sup_j integral_{|x| >= K} u(theta_j)^2 dx."""
-    outside = np.abs(seg.grid.nodes) >= K
-    masses = seg.grid.spacing * np.sum(seg.samples[:, outside] ** 2, axis=1)
-    return float(np.max(masses)) if masses.size else 0.0
+    return float(np.max(far_field_masses(seg.samples, seg.grid, K)))
 
 
 def smooth_cutoff(x, K: float):

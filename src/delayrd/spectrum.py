@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ProblemParameters
+from .solver import segment_sups
 
 __all__ = [
     "ModeRoots",
@@ -520,29 +521,21 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
                 envelope = np.exp(root.real * thetas)
                 hist += envelope * (c1 * np.cos(root.imag * thetas)
                                     + c2 * np.sin(root.imag * thetas))
-        evolved = {}
-        for (mode, eig), hist in by_mode.items():
+        # squared amplitudes summed over modes, row by row; the segment
+        # norm is the square root of their window max
+        hist_sq, traj_sq = 0.0, 0.0
+        for (_, eig), hist in by_mode.items():
             _, values = linear_delay_evolve(hist, p, eig, horizon)
-            evolved[(mode, eig)] = (hist, values)
+            hist_sq = hist_sq + hist * hist
+            traj_sq = traj_sq + values * values
+        seg_norms = np.sqrt(segment_sups(hist_sq, traj_sq)).tolist()
 
-        def seg_value(n: int, j: int, hist, values) -> float:
-            k = n - steps_per_delay + j
-            return values[k] if k >= 0 else hist[k + steps_per_delay]
-
-        def seg_norm(n: int) -> float:
-            worst = 0.0
-            for j in range(steps_per_delay + 1):
-                total = sum(seg_value(n, j, hist, values) ** 2
-                            for hist, values in evolved.values())
-                worst = max(worst, total)
-            return math.sqrt(worst)
-
-        base = seg_norm(0)
+        base = seg_norms[0]
         if base == 0.0:
             continue
         for n in t_grid:
             t = n * dt
-            ratio = seg_norm(n) / (math.exp(rho_m * t) * base)
+            ratio = seg_norms[n] / (math.exp(rho_m * t) * base)
             sample_max = max(sample_max, ratio)
 
     return {

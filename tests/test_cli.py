@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import delayrd
 from delayrd.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -104,6 +108,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
     missing = str(tmp_path / "nope.json")
     assert main(["certify", "--config", missing, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["certify", "--config", cfg, "--seed", "-1",
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
 def test_simulate_outputs_and_determinism(tmp_path):
@@ -256,3 +264,81 @@ def test_report_missing_artifacts_exits_2(tmp_path, capsys):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+# payload_sha256 of each run at the config seed, generated with the segment
+# loops (one materialized segment per step) and the squeeze thread pool, on
+# x86-64 Linux with Python 3.11 and numpy 2.4; FFT rounding on another
+# platform or numpy build may legitimately move them.
+GOLDEN = {
+    ("simulate", "base"): (EXIT_OK, {
+        "farfield.csv": "ff7542332be4f15b98baa3f3cf8ebb0b18b884c4202bc44299da014d6571ad43",
+        "farfield_check.json": "0ed13c1bc6884ed8f8f378e14a4dc14a95f07a690e5a336a3639adefae1cc457",
+        "norms.csv": "f96f9f7df66a950d21d751d8fc9a4c8c6f321802f25ccbf4897239facb0ca1c0",
+    }),
+    ("simulate", "certify"): (EXIT_OK, {
+        "farfield.csv": "857d87c078556fd9ecf14a9ba0f4618d56a060b42290625984db5d24f2b6c4ba",
+        "farfield_check.json": "82fcfbc97aeebc9cec0504b6034eb58ad8a73f909a3502efde414345b9443a8b",
+        "norms.csv": "197aa23ede11939a0645279e798b7f1c7862e170739781552c6ada53fddba857",
+    }),
+    ("certify", "base"): (EXIT_INFEASIBLE, {
+        "certificate.json": "5832ac9c450fd391b7c0ee64d9f16adf22632d87774037ba8464ab3ad7489394",
+        "estimates.json": "e37ce4de7c507efd98c85eccd325ae9fa7e74b233e4d39a2355abf0d66d89376",
+        "spectrum.json": "ec0ac202926f107b284dee50f791fea1eee6be5796014fd27737d515950b8dc3",
+    }),
+    ("certify", "certify"): (EXIT_OK, {
+        "certificate.json": "753b64d3bffca41181e23fb2701d9c60d9b2434c6856713a3ea4cc9b11c51c38",
+        "estimates.json": "87edeb7cc97fb0af199dc4121c936e76a24ba987f57185cb01344aecc1feb756",
+        "spectrum.json": "6cfcd3e1095a9d2fcb635e03f7fe5b6d3ef2280f9f9c68c0fca95779d141e819",
+    }),
+    ("squeeze", "base"): (EXIT_OK, {
+        "contraction.csv": "f52de95be7d2b8e5328b287034309b482339af28a04955cfff61a17e22ad9fc6",
+        "squeeze.json": "98b00dab44c33c6635f636f2ad3dd2bc3ed892f1917b10bbb767456a33ce8da6",
+    }),
+    ("squeeze", "certify"): (EXIT_OK, {
+        "contraction.csv": "25f6e2ee845e3eb324bf91638751a67b51be829fba9174d7955896641c6bd1da",
+        "squeeze.json": "debdc5fce22f84b2d2298c7b94def3a527064e7143c93ec4fd4354e1d7460a6c",
+    }),
+}
+
+
+@pytest.mark.parametrize("subcommand,config", sorted(GOLDEN), ids="-".join)
+def test_golden_payload_hashes(tmp_path, subcommand, config):
+    exit_code, payload = GOLDEN[subcommand, config]
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(CONFIGS / f"{config}.json"),
+                 "--out", str(out)]) == exit_code
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["payload_sha256"] == payload
+
+
+@pytest.mark.parametrize("old,new", [
+    ('"mu": 2.0', '"mu": NaN'),
+    ('"mu": 2.0', '"mu": Infinity'),
+    ('"mu": 2.0', '"mu": 1e999'),
+    ('"mu": 2.0', '"mu": 1' + "0" * 400),
+    ('"horizon": 3.0', '"horizon": "x"'),
+    ('"seed": 11', '"seed": "abc"'),
+    ('"seed": 11', '"seed": -1'),
+    ('"dichotomy_samples": 8', '"dichotomy_samples": 0'),
+    ('"amplitude": 0.75', '"amplitude": "big"'),
+], ids=["nan", "infinity", "float-overflow", "int-overflow", "horizon-type",
+        "seed-type", "seed-negative", "no-dichotomy-samples", "amplitude-type"])
+def test_bad_config_exits_2_without_hanging(tmp_path, old, new):
+    """Run in a subprocess with a timeout, so an input that makes the
+    pipeline spin fails the test instead of hanging the suite."""
+    cfg = tmp_path / "cfg.json"
+    text = pathlib.Path(write_config(cfg)).read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(delayrd.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "delayrd.cli", "certify", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error:")

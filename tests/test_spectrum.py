@@ -241,3 +241,73 @@ def test_dichotomy_requires_negative_cut(rng):
         dichotomy_constant(p, positive, samples=2, rng=rng)
     with pytest.raises(ValueError, match="samples"):
         dichotomy_constant(p, spectral, samples=0, rng=rng)
+
+
+def loop_dichotomy_constant(p, spectral, samples, rng, steps_per_delay=64,
+                            t_points=12, safety=1.25):
+    """`dichotomy_constant` with per-step segment norms from a pure-Python
+    loop over the segment rows (the reference for the window reduction)."""
+    from delayrd.spectrum import _q_side_profiles
+
+    profiles = _q_side_profiles(spectral, spectral.rho_m)
+    rho_m = spectral.rho_m
+    t_max = min(20.0, max(1.0, 8.0 / abs(rho_m)))
+    dt = p.tau / steps_per_delay
+    raw = np.geomspace(max(dt, t_max / 256.0), t_max, t_points)
+    t_grid = sorted({0} | {int(round(t / dt)) for t in raw})
+    horizon = t_grid[-1] * dt
+    thetas = np.linspace(-p.tau, 0.0, steps_per_delay + 1)
+    sample_max = 0.0
+    for _ in range(samples):
+        chosen = rng.choice(len(profiles), size=min(len(profiles), 4), replace=False)
+        by_mode = {}
+        for idx in chosen:
+            mode, eig, root = profiles[idx]
+            hist = by_mode.setdefault((mode, eig), np.zeros(steps_per_delay + 1))
+            c1, c2 = rng.standard_normal(2)
+            if root.imag == 0:
+                hist += c1 * np.exp(root.real * thetas)
+            else:
+                hist += np.exp(root.real * thetas) * (c1 * np.cos(root.imag * thetas)
+                                                      + c2 * np.sin(root.imag * thetas))
+        evolved = [(hist, linear_delay_evolve(hist, p, eig, horizon)[1])
+                   for (_, eig), hist in by_mode.items()]
+
+        def seg_norm(n):
+            worst = 0.0
+            for j in range(steps_per_delay + 1):
+                k = n - steps_per_delay + j
+                total = sum((values[k] if k >= 0 else hist[k + steps_per_delay]) ** 2
+                            for hist, values in evolved)
+                worst = max(worst, total)
+            return math.sqrt(worst)
+
+        base = seg_norm(0)
+        if base == 0.0:
+            continue
+        for n in t_grid:
+            ratio = seg_norm(n) / (math.exp(rho_m * (n * dt)) * base)
+            sample_max = max(sample_max, ratio)
+    return {"K_m": safety * sample_max, "sample_max": sample_max,
+            "times": [n * dt for n in t_grid]}
+
+
+@pytest.mark.parametrize("config", ["base", "certify"])
+def test_dichotomy_window_norms_match_loop(config):
+    """The window reduction squares with x*x where the loop squared numpy
+    scalars with pow, which can differ in the last ulp: rtol is a few
+    float64 ulp, fixed in advance."""
+    import pathlib
+
+    from delayrd.model import parse_config
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+    p, _, run = parse_config(path.read_text())
+    spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)
+    report = dichotomy_constant(p, spectral, run.dichotomy_samples,
+                                rng=np.random.default_rng(np.random.PCG64(run.seed)))
+    ref = loop_dichotomy_constant(p, spectral, run.dichotomy_samples,
+                                  rng=np.random.default_rng(np.random.PCG64(run.seed)))
+    assert report["times"] == ref["times"]
+    for key in ("K_m", "sample_max"):
+        np.testing.assert_allclose(report[key], ref[key], rtol=1e-15, atol=0.0)
