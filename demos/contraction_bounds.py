@@ -5,13 +5,15 @@ complementary inside part, and the outside remainder, and compares the decay
 of each piece against its analytic envelope.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from delayrd.cli import eigenmode_pair
 from delayrd.estimates import compute_estimates
 from delayrd.model import ForcingSpec, Grid, NonlinearitySpec, ProblemParameters, evaluate_forcing
 from delayrd.semigroup import Field, field_norm
-from delayrd.spectrum import dichotomy_constant, spectral_partition, with_dichotomy
+from delayrd.spectrum import dichotomy_constant, spectral_partition
 from delayrd.squeezing import make_projections, measure_contraction
 
 grid = Grid(half_length=16.0, points=512)
@@ -26,7 +28,7 @@ est = compute_estimates(p, norm_g=1.0, norm_phi0=1.0)
 spectral = spectral_partition(p, K=3.0, m_cut=3, modes=8)
 rng = np.random.default_rng(np.random.PCG64(2024))
 report = dichotomy_constant(p, spectral, samples=16, rng=rng)
-spectral = with_dichotomy(spectral, report["K_m"])
+spectral = replace(spectral, K_m=report["K_m"])
 print(f"kept modes k_m = {spectral.k_m}, rates rho_1 = {spectral.rho1:.4f}, "
       f"rho_m = {spectral.rho_m:.4f}, K_m = {spectral.K_m:.4f}")
 

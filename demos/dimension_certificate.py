@@ -5,12 +5,14 @@ dichotomy constant, then the grid search over the free parameters of the
 Hausdorff and fractal bounds.  Finishes with a covering-count sanity check.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from delayrd.dimension import covering_bound, covering_bruteforce, optimize_certificate
 from delayrd.estimates import compute_estimates
 from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters
-from delayrd.spectrum import dichotomy_constant, spectral_partition, with_dichotomy
+from delayrd.spectrum import dichotomy_constant, spectral_partition
 
 p = ProblemParameters(
     mu=6.0, sigma=0.1, tau=0.1, lf=0.5,
@@ -25,7 +27,7 @@ candidates = []
 for m_cut in (1, 2, 3):
     spectral = spectral_partition(p, K=3.0, m_cut=m_cut, modes=8)
     rng = np.random.default_rng(np.random.PCG64(11))
-    spectral = with_dichotomy(spectral, dichotomy_constant(p, spectral, samples=12, rng=rng)["K_m"])
+    spectral = replace(spectral, K_m=dichotomy_constant(p, spectral, samples=12, rng=rng)["K_m"])
     candidates.append(spectral)
     print(f"m_cut={m_cut}: k_m={spectral.k_m}, rho_1={spectral.rho1:.4f}, "
           f"rho_m={spectral.rho_m:.4f}, K_m={spectral.K_m:.4f}")

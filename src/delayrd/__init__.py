@@ -64,7 +64,6 @@ from .spectrum import (
     dirichlet_eigenvalues,
     linear_delay_evolve,
     spectral_partition,
-    with_dichotomy,
 )
 from .squeezing import (
     ProjectionSet,
@@ -146,6 +145,5 @@ __all__ = [
     "verify_absorption",
     "verify_energy_integral",
     "verify_far_field",
-    "with_dichotomy",
     "zeta",
 ]

@@ -23,6 +23,7 @@ and carries the only timestamp, which is excluded from hashing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -57,7 +58,7 @@ from .solver import (
 )
 # Not called here, but perfbench/tracing.py patches these names in this module.
 from .solver import far_field_mass, segment_at  # noqa: F401
-from .spectrum import dichotomy_constant, spectral_partition, with_dichotomy
+from .spectrum import dichotomy_constant, spectral_partition
 from .squeezing import make_projections, measure_contraction
 from .dimension import optimize_certificate
 
@@ -303,7 +304,7 @@ def _spectral_bundle(p: ProblemParameters, grid: Grid, run: RunOptions, seed: in
     if spectral.rho_m < 0:
         rng = np.random.default_rng(np.random.PCG64(seed))
         dichotomy = dichotomy_constant(p, spectral, run.dichotomy_samples, rng=rng)
-        spectral = with_dichotomy(spectral, dichotomy["K_m"])
+        spectral = dataclasses.replace(spectral, K_m=dichotomy["K_m"])
     return spectral, dichotomy
 
 

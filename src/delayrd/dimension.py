@@ -45,15 +45,15 @@ __all__ = [
 
 def _squeeze_terms(t0: float, p: ProblemParameters, spectral: SpectralData,
                    est: EstimateSet):
-    """(K_m e^{rho_m t0}, K_m lf/gap e^{(lf+rho1) t0}, sqrt(c2) e^{rate t0 / 2},
-    e^{(lf+rho1) t0}); inf marks a vanishing gap."""
+    """(K_m e^{rho_m t0}, K_m lf/gap, sqrt(c2) e^{rate t0 / 2}, e^{(lf+rho1) t0});
+    inf marks a vanishing gap."""
     if spectral.K_m is None:
         raise ValueError("spectral data has no dichotomy constant")
     K_m, rho1, rho_m = spectral.K_m, spectral.rho1, spectral.rho_m
     gap = rho1 + p.lf - rho_m
     growth = math.exp((p.lf + rho1) * t0)
     head = K_m * math.exp(rho_m * t0)
-    coupling = math.inf if gap == 0.0 else K_m * p.lf / gap * growth
+    coupling = math.inf if gap == 0.0 else K_m * p.lf / gap
     rate = est.c2 * (p.sigma + p.lf * p.lf) - (p.mu - p.sigma - 1.0)
     tail = math.sqrt(est.c2) * math.exp(0.5 * rate * t0)
     return head, coupling, tail, growth
@@ -73,7 +73,7 @@ def eta(t0: float, alpha: float, p: ProblemParameters, spectral: SpectralData,
     head, coupling, tail, growth = _squeeze_terms(t0, p, spectral, est)
     if math.isinf(coupling):
         return math.inf
-    return 2.0 * head + (alpha + 2.0 * coupling / growth) * growth + 2.0 * tail
+    return 2.0 * head + (alpha + 2.0 * coupling) * growth + 2.0 * tail
 
 
 def hausdorff_bound(t0: float, alpha: float, k_m: int, eta_val: float) -> float:
@@ -105,7 +105,7 @@ def zeta(beta_free: float, p: ProblemParameters, spectral: SpectralData,
     head, coupling, tail, growth = _squeeze_terms(t0, p, spectral, est)
     if math.isinf(coupling):
         return math.inf
-    return beta_free * growth + head + coupling + tail
+    return beta_free * growth + head + coupling * growth + tail
 
 
 def fractal_bound(beta_free: float, k_m: int, zeta_val: float) -> float:

@@ -142,7 +142,6 @@ class ProblemParameters:
     lf: float
     forcing: ForcingSpec = field(default_factory=ForcingSpec)
     nonlinearity: NonlinearitySpec = field(default_factory=NonlinearitySpec)
-    spatial_dim_n: int = 1
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -309,7 +308,8 @@ def parse_config(text: str):
     ConfigError
         On malformed JSON (including NaN/Infinity and numbers that overflow
         a float), unknown/missing keys, non-numeric values for numeric
-        keys, or non-positive mu/sigma/tau.
+        keys, non-positive mu/sigma/tau, or mu*tau so large that exp(mu*tau)
+        overflows a float.
     """
     try:
         doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
@@ -325,6 +325,9 @@ def parse_config(text: str):
             raise ConfigError(f"{key} must be positive")
     if values["lf"] < 0:
         raise ConfigError("lf must be nonnegative")
+    # exp(mu*tau) enters the dissipativity gate and the constants
+    if values["mu"] * values["tau"] > math.log(sys.float_info.max):
+        raise ConfigError("mu*tau must not exceed log of the largest float (about 709.78)")
 
     nl_doc = doc.get("nonlinearity", {"kind": "zero"})
     if not isinstance(nl_doc, dict):

@@ -15,9 +15,8 @@ For sigma > 0 each mode carries one real root plus an infinite chain of
 conjugate complex pairs marching left; the rightmost roots across all
 retained modes are merged into the splitting data (rho_1 > rho_2 > ...,
 multiplicities n_j, cut index k_m) that feeds the squeezing bounds and the
-dimension certificates.  Complex roots are located by the argument
-principle on adaptively bisected rectangles and polished by Newton; every
-returned root is residual-checked.
+dimension certificates.  Every root is a Lambert W branch in closed form,
+polished by Newton on the characteristic equation and residual-checked.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "dirichlet_eigenvalues",
     "linear_delay_evolve",
     "spectral_partition",
-    "with_dichotomy",
 ]
 
 #: Residual gate applied to every returned characteristic root.
@@ -64,14 +62,12 @@ PROJECTION_NOTE = (
 )
 
 
-def dirichlet_eigenvalues(K: float, count: int, n_dim: int = 1) -> list:
+def dirichlet_eigenvalues(K: float, count: int) -> list:
     """Eigenvalues of -Laplacian on Omega_K with Dirichlet boundary.
 
     In one dimension Omega_K is the interval (-K, K) of length 2K, so
     mu_{m,K} = (m pi / (2K))^2, m = 1..count, strictly increasing.
     """
-    if n_dim != 1:
-        raise ValueError(f"unsupported spatial dimension {n_dim}; only n_dim=1 is implemented")
     if count < 1:
         raise ValueError("count must be at least 1")
     if K <= 0:
@@ -83,76 +79,11 @@ def dirichlet_eigenvalues(K: float, count: int, n_dim: int = 1) -> list:
 
 
 def _char(lam, a: float, sigma: float, tau: float):
-    return lam + a - sigma * np.exp(-lam * tau)
+    return lam + a - sigma * cmath.exp(-lam * tau)
 
 
 def _char_prime(lam, sigma: float, tau: float):
-    return 1.0 + sigma * tau * np.exp(-lam * tau)
-
-
-def _real_root(a: float, sigma: float, tau: float) -> float:
-    """The unique real root of lambda + a = sigma exp(-lambda tau), sigma > 0.
-
-    The left side is increasing, the right side decreasing in lambda, and
-    they cross exactly once; safeguarded bisection brackets the crossing,
-    Newton finishes.
-    """
-    lo = -a  # h(-a) = -sigma e^{a tau} < 0
-    # h(hi) = hi + a - sigma e^{-hi tau} > 0: for sigma <= a take hi = 1,
-    # else hi = sigma - a + 1 (then e^{-hi tau} < 1 and hi + a = sigma + 1).
-    hi = max(1.0, sigma - a + 1.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _char(mid, a, sigma, tau) > 0:
-            hi = mid
-        else:
-            lo = mid
-    lam = 0.5 * (lo + hi)
-    for _ in range(60):
-        step = _char(lam, a, sigma, tau) / _char_prime(lam, sigma, tau)
-        lam -= step
-        if abs(step) < 1e-15 * max(1.0, abs(lam)):
-            break
-    return float(lam)
-
-
-def _edge_arg_change(f, za: complex, zb: complex, tau: float) -> float:
-    """Total argument change of f along the straight edge za -> zb.
-
-    Subdivides until each sub-step turns the phase by less than pi/2, so
-    the principal-value increments sum to the true continuous change.
-    The exp(-i y tau) factor spins a full turn every 2 pi / tau of height,
-    which can alias the coarse phase test to near zero; edges are therefore
-    always split until their vertical extent is below pi / (2 tau).
-    """
-    total = 0.0
-    stack = [(za, f(za), zb, f(zb), 0)]
-    while stack:
-        z0, f0, z1, f1, depth = stack.pop()
-        if f0 == 0 or f1 == 0:
-            raise ArithmeticError("zero of f on the contour")
-        d = cmath.phase(f1 / f0)
-        resolved = abs((z1 - z0).imag) * tau < 0.5 * math.pi
-        if (resolved and abs(d) < 0.5 * math.pi) or depth > 48:
-            total += d
-            continue
-        zm = 0.5 * (z0 + z1)
-        fm = f(zm)
-        stack.append((z0, f0, zm, fm, depth + 1))
-        stack.append((zm, fm, z1, f1, depth + 1))
-    return total
-
-
-def _winding(f, x0: float, x1: float, y0: float, y1: float, tau: float) -> int:
-    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    total = 0.0
-    for i in range(4):
-        total += _edge_arg_change(f, corners[i], corners[(i + 1) % 4], tau)
-    w = total / (2.0 * math.pi)
-    n = round(w)
-    if abs(w - n) > 0.25:
-        raise ArithmeticError(f"ambiguous winding number {w}")
-    return int(n)
+    return 1.0 + sigma * tau * cmath.exp(-lam * tau)
 
 
 def _newton_polish(lam: complex, a: float, sigma: float, tau: float) -> complex:
@@ -164,67 +95,37 @@ def _newton_polish(lam: complex, a: float, sigma: float, tau: float) -> complex:
     return lam
 
 
-def _roots_in_rectangle(a: float, sigma: float, tau: float,
-                        x0: float, x1: float, y0: float, y1: float) -> list:
-    """Locate all zeros inside an open rectangle via winding + bisection.
+def _lambert_w(log_z: float, k: int) -> complex:
+    """Branch k of the Lambert W function at z = exp(log_z) > 0.
 
-    Returns a list of (root, multiplicity).  Rectangles are bisected until
-    they hold a single zero (then Newton from the center) or shrink to a
-    speck (reported with the residual winding as multiplicity — a
-    numerically multiple root).
+    Newton on w + log w = log z + 2 pi i k (Corless et al., Adv. Comput.
+    Math. 5, 1996), so z itself is never formed and a huge z cannot
+    overflow.  The start is the asymptotic L - log L, except on the
+    principal branch below z = e, where W_0(z) is close to z.
     """
-
-    def f(z):
-        return _char(z, a, sigma, tau)
-
-    def count(bx0, bx1, by0, by1, jitter=0.0):
-        try:
-            return _winding(f, bx0 - jitter, bx1 + jitter, by0 - jitter, by1 + jitter, tau)
-        except ArithmeticError:
-            # a zero (almost) on the contour: nudge the box outward a touch
-            if jitter == 0.0:
-                return count(bx0, bx1, by0, by1, 1e-7 * max(1.0, abs(bx1 - bx0)))
-            raise
-
-    found = []
-    stack = [(x0, x1, y0, y1)]
-    while stack:
-        bx0, bx1, by0, by1 = stack.pop()
-        w = count(bx0, bx1, by0, by1)
-        if w == 0:
-            continue
-        small = (bx1 - bx0) < 1e-8 and (by1 - by0) < 1e-8
-        if w == 1 or small:
-            center = complex(0.5 * (bx0 + bx1), 0.5 * (by0 + by1))
-            root = _newton_polish(center, a, sigma, tau)
-            inside = (bx0 - 1e-6 <= root.real <= bx1 + 1e-6
-                      and by0 - 1e-6 <= root.imag <= by1 + 1e-6)
-            if w == 1 and inside and abs(f(root)) <= ROOT_RESIDUAL_TOL:
-                found.append((root, 1))
-                continue
-            if small:
-                found.append((root if inside else center, max(w, 1)))
-                continue
-        # bisect the longer side
-        if (bx1 - bx0) >= (by1 - by0):
-            xm = 0.5 * (bx0 + bx1)
-            stack.append((bx0, xm, by0, by1))
-            stack.append((xm, bx1, by0, by1))
-        else:
-            ym = 0.5 * (by0 + by1)
-            stack.append((bx0, bx1, by0, ym))
-            stack.append((bx0, bx1, ym, by1))
-    return found
+    target = complex(log_z, 2.0 * math.pi * k)
+    if k == 0 and log_z < 1.0:
+        w = cmath.exp(target)
+        if w == 0:  # z underflows, and W_0(z) = z to double precision
+            return w
+    else:
+        w = target - cmath.log(target)
+    for _ in range(100):
+        step = w * (w + cmath.log(w) - target) / (1.0 + w)
+        w -= step
+        if abs(step) <= 1e-15 * abs(w):
+            break
+    return w
 
 
 @dataclass(frozen=True)
 class ModeRoots:
-    """All window roots for one spatial mode (conjugates included)."""
+    """All window roots for one spatial mode (conjugates included); every
+    root is simple."""
 
     mode: int
     eigenvalue: float
     roots: tuple
-    multiplicities: tuple
     residuals: tuple
     complete: bool
 
@@ -241,51 +142,46 @@ def characteristic_roots(mode_eig: float, p: ProblemParameters, count: int) -> l
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    detail = _mode_root_search(mode_eig, p)
-    flat = []
-    for root, mult in zip(detail.roots, detail.multiplicities):
-        flat.extend([root] * mult)
-    return flat[:count]
+    return list(_mode_root_search(mode_eig, p).roots[:count])
 
 
 def _mode_root_search(mode_eig: float, p: ProblemParameters) -> ModeRoots:
+    """Every root with Re >= -50/tau and |Im| <= 20 pi/tau, by Lambert W.
+
+    With a = mu + mu_{m,K}, the roots are lambda_k = -a + W_k(z)/tau for
+    z = sigma tau e^{a tau} > 0.  On branch k >= 1, Im W_k(z) lies in
+    ((2k - 1) pi, 2k pi), so branches 1..10 give the upper half of the
+    window and branch 0 the real root, which is the rightmost one
+    (Shinozaki & Mori, Automatica 42, 2006).  z never reaches the branch
+    point -1/e, so every root is simple.  Each root in the window is
+    polished by Newton on the characteristic equation itself.
+    """
     a = p.mu + mode_eig
     sigma, tau = p.sigma, p.tau
     if sigma == 0.0:
         return ModeRoots(mode=0, eigenvalue=mode_eig, roots=(complex(-a, 0.0),),
-                         multiplicities=(1,), residuals=(0.0,), complete=True)
+                         residuals=(0.0,), complete=True)
 
-    x_lo, x_hi = -50.0 / tau, 5.0
-    y_hi = 20.0 * math.pi / tau
-
+    log_z = math.log(sigma) + math.log(tau) + a * tau
     roots = []
-    real_root = _real_root(a, sigma, tau)
-    if x_lo <= real_root <= x_hi:
-        roots.append((complex(real_root, 0.0), 1))
+    for k in range(11):
+        lam = -a + _lambert_w(log_z, k) / tau
+        if lam.real < -50.0 / tau:  # out of the window; exp(-lam tau) may overflow
+            continue
+        lam = _newton_polish(lam, a, sigma, tau)
+        if k == 0:
+            roots.append(complex(lam.real, 0.0))
+        else:
+            roots.extend((lam, lam.conjugate()))
 
-    # Complex roots in the upper half window.  Any root with Im > 0 must
-    # satisfy Im = -sigma exp(-Re tau) sin(Im tau), impossible for
-    # 0 < Im tau < pi, so the strip below pi/tau is root free and the lower
-    # edge can sit safely in its middle, away from the real root on the axis.
-    upper = _roots_in_rectangle(a, sigma, tau, x_lo, x_hi, 0.5 * math.pi / tau, y_hi)
-
-    expanded = []
-    for root, mult in roots:
-        expanded.append((root, mult))
-    for root, mult in upper:
-        expanded.append((root, mult))
-        expanded.append((root.conjugate(), mult))
-
-    expanded.sort(key=lambda rm: (-rm[0].real, -rm[0].imag))
-    residuals = tuple(float(abs(_char(r, a, sigma, tau))) for r, _ in expanded)
-    complete = all(res <= ROOT_RESIDUAL_TOL for res in residuals)
+    roots.sort(key=lambda r: (-r.real, -r.imag))
+    residuals = tuple(abs(_char(r, a, sigma, tau)) for r in roots)
     return ModeRoots(
         mode=0,
         eigenvalue=mode_eig,
-        roots=tuple(r for r, _ in expanded),
-        multiplicities=tuple(m for _, m in expanded),
+        roots=tuple(roots),
         residuals=residuals,
-        complete=complete,
+        complete=all(res <= ROOT_RESIDUAL_TOL for res in residuals),
     )
 
 
@@ -299,7 +195,8 @@ class SpectralData:
     ``root_groups`` lists the distinct real parts descending with their
     total multiplicities (a conjugate pair counts two); k_m accumulates
     the first m_cut groups.  ``K_m`` is the dichotomy constant, attached
-    by `dichotomy_constant` / `with_dichotomy` (None until estimated).
+    with ``dataclasses.replace`` from `dichotomy_constant` (None until
+    estimated).
     """
 
     K: float
@@ -333,8 +230,8 @@ class SpectralData:
                     "mode": mr.mode,
                     "eigenvalue": mr.eigenvalue,
                     "roots": [
-                        {"re": r.real, "im": r.imag, "multiplicity": m, "residual": res}
-                        for r, m, res in zip(mr.roots, mr.multiplicities, mr.residuals)
+                        {"re": r.real, "im": r.imag, "multiplicity": 1, "residual": res}
+                        for r, res in zip(mr.roots, mr.residuals)
                     ],
                     "complete": mr.complete,
                 }
@@ -359,15 +256,11 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
     details = []
     entries = []  # (real part, multiplicity counting conjugates)
     for idx, mu_m in enumerate(eigs, start=1):
-        mr = _mode_root_search(mu_m, p)
-        mr = replace(mr, mode=idx)
+        mr = replace(_mode_root_search(mu_m, p), mode=idx)
         details.append(mr)
-        for root, mult in zip(mr.roots, mr.multiplicities):
-            if root.imag > 0:
-                entries.append((root.real, 2 * mult))
-            elif root.imag == 0:
-                entries.append((root.real, mult))
-            # conjugates (imag < 0) are counted with their partners
+        # conjugates (imag < 0) are counted with their partners
+        entries.extend((root.real, 2 if root.imag > 0 else 1)
+                       for root in mr.roots if root.imag >= 0)
 
     if not entries:
         raise ValueError("no characteristic roots found in the search window")
@@ -403,11 +296,6 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
         status=status,
         mode_roots=tuple(details),
     )
-
-
-def with_dichotomy(spectral: SpectralData, K_m: float) -> SpectralData:
-    """Return a copy of the spectral data with the dichotomy constant set."""
-    return replace(spectral, K_m=K_m)
 
 
 # --- per-mode linear evolution ---------------------------------------------
@@ -465,7 +353,7 @@ def _q_side_profiles(spectral: SpectralData, rho_cut: float) -> list:
     """(mode index, eigenvalue, root) triples strictly below the cut."""
     out = []
     for mr in spectral.mode_roots:
-        for root, mult in zip(mr.roots, mr.multiplicities):
+        for root in mr.roots:
             if root.imag < 0:
                 continue  # conjugate handled with its partner
             if root.real < rho_cut - 1e-9:

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ from delayrd.spectrum import (
     dirichlet_eigenvalues,
     linear_delay_evolve,
     spectral_partition,
-    with_dichotomy,
 )
 from delayrd.squeezing import make_projections, measure_contraction
 
@@ -267,7 +267,7 @@ def test_criterion_7_squeezing():
     spectral = spectral_partition(p, K=3.0, m_cut=3, modes=8)
     rng = np.random.default_rng(np.random.PCG64(2024))
     report = dichotomy_constant(p, spectral, samples=16, rng=rng)
-    spectral = with_dichotomy(spectral, report["K_m"])
+    spectral = replace(spectral, K_m=report["K_m"])
     ps = make_projections(grid, K=spectral.K, k_m=spectral.k_m)
 
     for _ in range(20):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -268,10 +269,10 @@ def test_parser_requires_subcommand():
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
-# payload_sha256 of each run at the config seed, generated with the segment
-# loops (one materialized segment per step) and the squeeze thread pool, on
-# x86-64 Linux with Python 3.11 and numpy 2.4; FFT rounding on another
-# platform or numpy build may legitimately move them.
+# payload_sha256 of each run at the config seed, on x86-64 Linux with
+# Python 3.11 and numpy 2.4; FFT rounding on another platform or numpy build
+# may legitimately move them.  The two spectrum.json hashes date from the
+# switch to Lambert W roots, which moved root values in the last ulp.
 GOLDEN = {
     ("simulate", "base"): (EXIT_OK, {
         "farfield.csv": "ff7542332be4f15b98baa3f3cf8ebb0b18b884c4202bc44299da014d6571ad43",
@@ -286,12 +287,12 @@ GOLDEN = {
     ("certify", "base"): (EXIT_INFEASIBLE, {
         "certificate.json": "5832ac9c450fd391b7c0ee64d9f16adf22632d87774037ba8464ab3ad7489394",
         "estimates.json": "e37ce4de7c507efd98c85eccd325ae9fa7e74b233e4d39a2355abf0d66d89376",
-        "spectrum.json": "ec0ac202926f107b284dee50f791fea1eee6be5796014fd27737d515950b8dc3",
+        "spectrum.json": "49794655476ff65820a2b854195bb576aec42488698c6e3b6e9d51138e334315",
     }),
     ("certify", "certify"): (EXIT_OK, {
         "certificate.json": "753b64d3bffca41181e23fb2701d9c60d9b2434c6856713a3ea4cc9b11c51c38",
         "estimates.json": "87edeb7cc97fb0af199dc4121c936e76a24ba987f57185cb01344aecc1feb756",
-        "spectrum.json": "6cfcd3e1095a9d2fcb635e03f7fe5b6d3ef2280f9f9c68c0fca95779d141e819",
+        "spectrum.json": "a8af2dab7ae964e3e6c7d4015f123b819634ba54166275860c2f0f3524746dbb",
     }),
     ("squeeze", "base"): (EXIT_OK, {
         "contraction.csv": "f52de95be7d2b8e5328b287034309b482339af28a04955cfff61a17e22ad9fc6",
@@ -324,8 +325,11 @@ def test_golden_payload_hashes(tmp_path, subcommand, config):
     ('"seed": 11', '"seed": -1'),
     ('"dichotomy_samples": 8', '"dichotomy_samples": 0'),
     ('"amplitude": 0.75', '"amplitude": "big"'),
+    ('"mu": 2.0', '"mu": 1e300'),
+    ('"tau": 0.5', '"tau": 1e300'),
 ], ids=["nan", "infinity", "float-overflow", "int-overflow", "horizon-type",
-        "seed-type", "seed-negative", "no-dichotomy-samples", "amplitude-type"])
+        "seed-type", "seed-negative", "no-dichotomy-samples", "amplitude-type",
+        "mu-tau-overflow-mu", "mu-tau-overflow-tau"])
 def test_bad_config_exits_2_without_hanging(tmp_path, old, new):
     """Run in a subprocess with a timeout, so an input that makes the
     pipeline spin fails the test instead of hanging the suite."""
@@ -333,12 +337,72 @@ def test_bad_config_exits_2_without_hanging(tmp_path, old, new):
     text = pathlib.Path(write_config(cfg)).read_text()
     assert old in text
     cfg.write_text(text.replace(old, new))
+    proc = run_cli_subprocess("certify", cfg, tmp_path / "out")
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error:")
+
+
+def run_cli_subprocess(subcommand, cfg, out):
+    """The CLI in a fresh interpreter, killed after 60 s."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(delayrd.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "delayrd.cli", "certify", "--config", str(cfg),
-         "--out", str(tmp_path / "out")],
+    return subprocess.run(
+        [sys.executable, "-m", "delayrd.cli", subcommand, "--config", str(cfg),
+         "--out", str(out)],
         capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == EXIT_CONFIG, proc.stderr
-    assert proc.stderr.startswith("config error:")
+
+
+def certify_config_with(path, old, new):
+    text = (CONFIGS / "certify.json").read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+@pytest.mark.parametrize("sigma", ["50", "1e300"])
+@pytest.mark.parametrize("subcommand", ["certify", "spectrum", "squeeze"])
+def test_huge_sigma_exits_3_without_hanging(tmp_path, subcommand, sigma):
+    """The root search once looped without end on sigma = 1e300."""
+    cfg = certify_config_with(tmp_path / "cfg.json", '"sigma": 0.1', f'"sigma": {sigma}')
+    proc = run_cli_subprocess(subcommand, cfg, tmp_path / "out")
+    assert proc.returncode == EXIT_INFEASIBLE, proc.stderr
+
+
+def test_dominant_root_right_of_old_window(tmp_path):
+    """With sigma = 50 the real root of mode 1 is about 10.77, right of the
+    Re <= 5 edge the root search once had; it must still be rho1."""
+    cfg = certify_config_with(tmp_path / "cfg.json", '"sigma": 0.1', '"sigma": 50')
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_INFEASIBLE
+    doc = json.loads((out / "spectrum.json").read_text())
+    # bisection on h(x) = x + a - sigma e^{-x tau}, with h(-a) < 0 < h(sigma)
+    a, sigma, tau = 6.0 + (math.pi / 6.0) ** 2, 50.0, 0.1
+    lo, hi = -a, sigma
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid + a - sigma * math.exp(-mid * tau) > 0:
+            hi = mid
+        else:
+            lo = mid
+    assert doc["rho1"] == pytest.approx(0.5 * (lo + hi), rel=1e-12)
+    assert doc["rho1"] > 10.0
+    assert doc["certificate_ok"] is False
+
+
+@pytest.mark.parametrize("old,new,codes", [
+    ('"mu": 6.0', '"mu": 50', (EXIT_OK, EXIT_OK, EXIT_INFEASIBLE)),
+    ('"mu": 6.0', '"mu": 700', (EXIT_INFEASIBLE, EXIT_OK, EXIT_INFEASIBLE)),
+    ('"mu": 6.0,\n  "sigma": 0.1,\n  "tau": 0.1', '"mu": 700,\n  "sigma": 0.1,\n  "tau": 1',
+     (EXIT_INFEASIBLE, EXIT_OK, EXIT_INFEASIBLE)),
+], ids=["mu-50", "mu-700", "mu-700-tau-1"])
+def test_large_mu_exits_cleanly(tmp_path, old, new, codes):
+    """mu = 50 once divided by an underflowed exponential in eta, and a
+    complex root at the cut once made certificate_ok a numpy bool that the
+    JSON writer rejected."""
+    cfg = certify_config_with(tmp_path / "cfg.json", old, new)
+    for subcommand, code in zip(("certify", "spectrum", "squeeze"), codes):
+        out = tmp_path / subcommand
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == code, subcommand
+        for artifact in out.glob("*.json"):
+            json.loads(artifact.read_text())

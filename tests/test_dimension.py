@@ -70,6 +70,19 @@ def test_eta_and_hausdorff_against_inline_formulas():
     assert bound == pytest.approx(10.296418812804783, rel=1e-12)
 
 
+def test_eta_survives_underflowing_growth():
+    """At large t0 the factor exp((lf + rho1) t0) underflows to 0; eta
+    then reduces to its tail and must not divide by that factor."""
+    p = stiff_problem()
+    est = compute_estimates(p, norm_g=1.0)
+    sp = synthetic_spectral(rho1=-40.0, rho_m=-45.0)
+    t0 = 50.0
+    assert math.exp((p.lf + sp.rho1) * t0) == 0.0
+    got = eta(t0, 0.5, p, sp, est)
+    rate = est.c2 * (p.sigma + p.lf**2) - (p.mu - p.sigma - 1.0)
+    assert got == 2.0 * math.sqrt(est.c2) * math.exp(0.5 * rate * t0)
+
+
 def test_eta_validation_and_infeasible_values():
     p = stiff_problem()
     est = compute_estimates(p, norm_g=1.0)

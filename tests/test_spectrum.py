@@ -1,11 +1,12 @@
 import cmath
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy.special import lambertw
 
-from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters
+from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters, parse_config
 from delayrd.semigroup import Field
 from delayrd.solver import history_from_function, integrate
 from delayrd.spectrum import (
@@ -15,7 +16,6 @@ from delayrd.spectrum import (
     dirichlet_eigenvalues,
     linear_delay_evolve,
     spectral_partition,
-    with_dichotomy,
 )
 
 from conftest import heat_only_params
@@ -50,8 +50,6 @@ def test_dirichlet_eigenvalues():
         dirichlet_eigenvalues(0.0, 3)
     with pytest.raises(ValueError):
         dirichlet_eigenvalues(3.0, 0)
-    with pytest.raises(ValueError, match="dimension"):
-        dirichlet_eigenvalues(3.0, 3, n_dim=2)
 
 
 def test_sigma_zero_roots_are_explicit():
@@ -61,21 +59,36 @@ def test_sigma_zero_roots_are_explicit():
         assert roots == [complex(-2.0 - mu_m, 0.0)]
 
 
+def _lambert_cases():
+    """(name, mu, sigma, tau, eigenvalue): the first and last mode of every
+    checked-in config, plus a tiny sigma, a real root far right, and
+    a*tau near the float exponent limit."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cases = []
+    for path in sorted(root.glob("configs/*.json")) + sorted(root.glob("perfbench/configs/*.json")):
+        p, _, run = parse_config(path.read_text())
+        eigs = dirichlet_eigenvalues(run.cutoff_radius, run.modes)
+        for m in (1, run.modes):
+            cases.append((f"{path.relative_to(root)} mode {m}", p.mu, p.sigma, p.tau, eigs[m - 1]))
+    return cases + [
+        ("sigma 1e-4", 2.0, 1e-4, 1.0, 0.0),
+        ("sigma 50", 6.0, 50.0, 0.1, (math.pi / 6.0) ** 2),
+        ("a*tau 700", 699.0, 0.1, 1.0, 1.0),
+    ]
+
+
 def test_roots_match_lambert_branches():
-    """Cross-check the argument-principle search against the closed form
-    on every branch that lands inside the search window."""
-    p = linear_problem()
-    a = p.mu  # flat mode
-    found = characteristic_roots(0.0, p, 50)
-    upper = sorted((r for r in found if r.imag >= 0), key=lambda r: r.imag)
-
-    expected = [lam for lam in lambert_roots(a, p.sigma, p.tau)
-                if 0 <= lam.imag < 20 * math.pi / p.tau and lam.real >= -50.0 / p.tau]
-    expected.sort(key=lambda r: r.imag)
-
-    assert len(upper) == len(expected)
-    for got, ref in zip(upper, expected):
-        assert abs(got - ref) < 1e-9
+    """The whole window root set, count and values, equals scipy's
+    lambertw branches for every case; rtol 1e-13 is fixed in advance."""
+    for name, mu, sigma, tau, mode_eig in _lambert_cases():
+        p = linear_problem(mu=mu, sigma=sigma, tau=tau)
+        found = sorted(characteristic_roots(mode_eig, p, 1000), key=lambda r: r.imag)
+        expected = sorted((lam for lam in lambert_roots(mu + mode_eig, sigma, tau)
+                           if lam.real >= -50.0 / tau and abs(lam.imag) <= 20 * math.pi / tau),
+                          key=lambda r: r.imag)
+        assert len(found) == len(expected), name
+        np.testing.assert_allclose(found, expected, rtol=1e-13, atol=0.0, err_msg=name)
+        assert all(type(r) is complex for r in found), name
 
 
 def test_aliasing_regression_full_window_count():
@@ -117,6 +130,14 @@ def test_small_sigma_perturbation():
     assert root == pytest.approx(first_order, abs=5e-6)
 
 
+def test_subnormal_sigma_keeps_the_real_root():
+    """sigma tau e^{a tau} underflows to 0 here, and the complex roots lie
+    so far left that exp(-lambda tau) would overflow at them."""
+    for sigma in (5e-324, 1e-320):
+        p = linear_problem(mu=6.0, sigma=sigma, tau=0.1)
+        assert characteristic_roots(0.0, p, 5) == [complex(-6.0, 0.0)]
+
+
 def test_root_list_contract():
     p = linear_problem()
     roots = characteristic_roots(0.3, p, 7)
@@ -148,8 +169,6 @@ def test_partition_bookkeeping():
     assert spectral.certificate_ok
     assert spectral.status == "ok"
     assert spectral.K_m is None
-    tagged = with_dichotomy(spectral, 1.25)
-    assert tagged.K_m == 1.25 and tagged.k_m == spectral.k_m
 
     with pytest.raises(ValueError):
         spectral_partition(p, K=3.0, m_cut=0, modes=6)

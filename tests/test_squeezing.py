@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from delayrd.spectrum import (
     characteristic_roots,
     dichotomy_constant,
     spectral_partition,
-    with_dichotomy,
 )
 from delayrd.squeezing import (
     analytic_bounds,
@@ -111,7 +111,7 @@ def _certified_spectral(p, K=3.0, m_cut=3, modes=8, rng=None):
     spectral = spectral_partition(p, K=K, m_cut=m_cut, modes=modes)
     report = dichotomy_constant(p, spectral, samples=20,
                                 rng=rng or np.random.default_rng(5))
-    return with_dichotomy(spectral, report["K_m"])
+    return replace(spectral, K_m=report["K_m"])
 
 
 def test_analytic_bounds_at_time_zero(grid, dissipative):
