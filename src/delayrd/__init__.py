@@ -35,7 +35,6 @@ from .semigroup import (
     semigroup_decay_check,
 )
 from .solver import (
-    CutoffRadius,
     DivergenceError,
     HistorySegment,
     Trajectory,
@@ -45,8 +44,6 @@ from .solver import (
     integrate,
     segment_at,
     segment_norm,
-    smooth_cutoff,
-    split_fields,
 )
 from .estimates import (
     EstimateSet,
@@ -89,7 +86,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "CutoffRadius",
     "DimensionCertificate",
     "DissipativityReport",
     "DivergenceError",
@@ -139,9 +135,7 @@ __all__ = [
     "segment_norm",
     "semigroup_decay_check",
     "serialize_config",
-    "smooth_cutoff",
     "spectral_partition",
-    "split_fields",
     "verify_absorption",
     "verify_energy_integral",
     "verify_far_field",

@@ -48,7 +48,6 @@ from .model import (
 )
 from .semigroup import Field, field_norm
 from .solver import (
-    CutoffRadius,
     DivergenceError,
     HistorySegment,
     far_field_masses,
@@ -58,7 +57,7 @@ from .solver import (
 )
 # Not called here, but perfbench/tracing.py patches these names in this module.
 from .solver import far_field_mass, segment_at  # noqa: F401
-from .spectrum import dichotomy_constant, spectral_partition
+from .spectrum import SplittingError, dichotomy_constant, spectral_partition
 from .squeezing import make_projections, measure_contraction
 from .dimension import optimize_certificate
 
@@ -180,6 +179,12 @@ class RunManifest:
     def record(self, path: str) -> None:
         self.payloads[os.path.basename(path)] = _sha256(path)
 
+    def save(self, name: str, writer, *args) -> None:
+        """Write artifact ``name`` into the run directory and record it."""
+        path = os.path.join(self.out_dir, name)
+        writer(path, *args)
+        self.record(path)
+
     def write(self) -> None:
         doc = {
             "config_path": self.config_path,
@@ -298,7 +303,8 @@ def _forcing_norm(p: ProblemParameters, grid: Grid) -> float:
 
 
 def _spectral_bundle(p: ProblemParameters, grid: Grid, run: RunOptions, seed: int):
-    CutoffRadius(run.cutoff_radius).validate(grid)
+    if run.cutoff_radius >= grid.half_length / 4:
+        raise ConfigError("run.cutoff_radius must satisfy K < L/4 (grid half_length L)")
     spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)
     dichotomy = None
     if spectral.rho_m < 0:
@@ -331,17 +337,13 @@ def cmd_certify(config_path: str, seed: int, out_dir: str, parallel: int = 1) ->
     est_doc = est.as_dict()
     est_doc.update(T_D=T_D, norm_D=run.history_norm,
                    dissipativity_condition=DISSIPATIVITY_CONDITION)
-    est_path = os.path.join(out_dir, "estimates.json")
-    write_json(est_path, est_doc)
-    manifest.record(est_path)
+    manifest.save("estimates.json", write_json, est_doc)
 
     spectral, dichotomy = _spectral_bundle(p, grid, run, seed)
     spec_doc = spectral.as_dict()
     if dichotomy is not None:
         spec_doc["dichotomy"] = dichotomy
-    spec_path = os.path.join(out_dir, "spectrum.json")
-    write_json(spec_path, spec_doc)
-    manifest.record(spec_path)
+    manifest.save("spectrum.json", write_json, spec_doc)
 
     cert_doc = {}
     if spectral.K_m is not None and est.energy_feasible and est.dissipative:
@@ -360,9 +362,7 @@ def cmd_certify(config_path: str, seed: int, out_dir: str, parallel: int = 1) ->
             diagnostics.append("energy gap mu - sigma - 1 <= 0: c1/c4/c5 infeasible")
     cert_doc["diagnostics"] = diagnostics
     cert_doc["feasible"] = not diagnostics
-    cert_path = os.path.join(out_dir, "certificate.json")
-    write_json(cert_path, cert_doc)
-    manifest.record(cert_path)
+    manifest.save("certificate.json", write_json, cert_doc)
     manifest.write()
 
     if diagnostics:
@@ -391,28 +391,22 @@ def cmd_simulate(config_path: str, seed: int, out_dir: str, parallel: int = 1,
     tail = tail_sups(run.cutoff_radius)
     rows = [(n * traj.dt, field_norm(traj.field(n)), tail[n])
             for n in range(traj.steps + 1)]
-    norms_path = os.path.join(out_dir, "norms.csv")
-    write_csv(norms_path, ("t", "norm_u", "farfield_mass"), rows)
-    manifest.record(norms_path)
+    manifest.save("norms.csv", write_csv, ("t", "norm_u", "farfield_mass"), rows)
 
     radii = far_field_radii(grid.half_length)
     every_n = range(0, traj.steps + 1, max(1, run.steps_per_delay // 2))
     columns = [tail_sups(K_i)[every_n] for K_i in radii]
     ff_rows = [(n * traj.dt, *masses) for n, *masses in zip(every_n, *columns)]
-    ff_path = os.path.join(out_dir, "farfield.csv")
-    write_csv(ff_path, ("t", *(f"mass_K={K_i!r}" for K_i in radii)), ff_rows)
-    manifest.record(ff_path)
+    manifest.save("farfield.csv", write_csv,
+                  ("t", *(f"mass_K={K_i!r}" for K_i in radii)), ff_rows)
 
-    check_path = os.path.join(out_dir, "farfield_check.json")
-    write_json(check_path, verify_far_field(traj, run.eps))
-    manifest.record(check_path)
+    manifest.save("farfield_check.json", write_json, verify_far_field(traj, run.eps))
 
     every = run.snapshot_every if snapshot_every is None else snapshot_every
     if every and every > 0:
         for n in range(0, traj.steps + 1, every):
-            snap_path = os.path.join(out_dir, f"field_{n:08d}.bin")
-            write_snapshot(snap_path, traj.values[n], grid.half_length, n * traj.dt)
-            manifest.record(snap_path)
+            manifest.save(f"field_{n:08d}.bin", write_snapshot,
+                          traj.values[n], grid.half_length, n * traj.dt)
 
     manifest.write()
     return EXIT_OK
@@ -427,9 +421,7 @@ def cmd_spectrum(config_path: str, seed: int, out_dir: str, parallel: int = 1) -
     doc = spectral.as_dict()
     if dichotomy is not None:
         doc["dichotomy"] = dichotomy
-    path = os.path.join(out_dir, "spectrum.json")
-    write_json(path, doc)
-    manifest.record(path)
+    manifest.save("spectrum.json", write_json, doc)
     manifest.write()
     return EXIT_OK if spectral.certificate_ok else EXIT_INFEASIBLE
 
@@ -437,6 +429,10 @@ def cmd_spectrum(config_path: str, seed: int, out_dir: str, parallel: int = 1) -
 def cmd_squeeze(config_path: str, seed: int, out_dir: str, parallel: int = 1) -> int:
     """Measure P/Q/R contraction on seeded trajectory pairs."""
     p, grid, run = _load_config(config_path)
+    dt = p.tau / run.steps_per_delay
+    if any(not 0 <= t / dt < math.inf or abs(t / dt - round(t / dt)) > 1e-9
+           for t in run.contraction_times):  # segment_at's grid rule
+        raise ConfigError(f"run.contraction_times must be nonnegative multiples of dt = {dt!r}")
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(config_path, seed, "squeeze", out_dir)
 
@@ -455,8 +451,9 @@ def cmd_squeeze(config_path: str, seed: int, out_dir: str, parallel: int = 1) ->
                             separation=0.3 * run.history_norm)
              for _ in range(run.ensemble)]
 
-    reports = [measure_contraction(phi, psi, t, p, ps, spectral=spectral, est=est)
-               for phi, psi in pairs for t in run.contraction_times]
+    reports = [report for phi, psi in pairs
+               for report in measure_contraction(phi, psi, run.contraction_times, p, ps,
+                                                 spectral=spectral, est=est)]
 
     rows = []
     worst = {"P": 0.0, "Q": 0.0, "R": 0.0}
@@ -471,10 +468,8 @@ def cmd_squeeze(config_path: str, seed: int, out_dir: str, parallel: int = 1) ->
         for part in ("P", "Q", "R"):
             ratio = rep[f"measured_{part}"] / rep[f"bound_{part}"]
             worst[part] = max(worst[part], ratio)
-    csv_path = os.path.join(out_dir, "contraction.csv")
-    write_csv(csv_path, ("t", "measured_P", "bound_P", "measured_Q", "bound_Q",
-                         "measured_R", "bound_R"), rows)
-    manifest.record(csv_path)
+    manifest.save("contraction.csv", write_csv, ("t", "measured_P", "bound_P", "measured_Q",
+                                                 "bound_Q", "measured_R", "bound_R"), rows)
 
     summary = {
         "pairs": run.ensemble,
@@ -485,9 +480,7 @@ def cmd_squeeze(config_path: str, seed: int, out_dir: str, parallel: int = 1) ->
         "worst_ratio_R": worst["R"],
         "within_bounds": all(v <= 1.05 for v in worst.values()),
     }
-    sq_path = os.path.join(out_dir, "squeeze.json")
-    write_json(sq_path, summary)
-    manifest.record(sq_path)
+    manifest.save("squeeze.json", write_json, summary)
     manifest.write()
     return EXIT_OK if summary["within_bounds"] else EXIT_INFEASIBLE
 
@@ -607,6 +600,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SplittingError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except DivergenceError as exc:
         print(f"divergence at step {exc.step}", file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -16,45 +16,44 @@ delayed read lands on a stored sample and the method of steps introduces no
 interpolation error.  The scheme is second order in dt (the linear part is
 exact; only the quadrature is approximate).
 
-The module also houses the segment bookkeeping and the domain-splitting
-operators used throughout the certificates.  A segment u_t is a window of
-S + 1 consecutive history/solution rows, so every segment sup (norm,
-far-field mass, gradient sup) is a per-row quantity reduced by one
-sliding-window max, `segment_sups`; `segment_at` copies out one segment.
+`march` is the one implementation of this recurrence, with the propagator
+and the load as arguments: `integrate` passes the FFT semigroup step on
+fields, `spectrum` a scalar decay per Dirichlet mode.  Rows may carry a
+batch axis, so a pair of histories or a set of modes advances as one array.
+
+A segment u_t is a window of S + 1 consecutive history/solution rows, so
+every segment sup (norm, far-field mass, gradient sup) is a per-row quantity
+reduced by one sliding-window max, `segment_sups`; `segment_at` copies out
+one segment.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ProblemParameters, Grid, evaluate_forcing, evaluate_nonlinearity
-from .semigroup import Field, SemigroupStepper, field_norm
+from .semigroup import Field, SemigroupStepper
 
 __all__ = [
-    "CutoffRadius",
     "DivergenceError",
     "HistorySegment",
     "Trajectory",
-    "CUTOFF_DERIVATIVE_BOUND",
     "constant_history",
     "far_field_mass",
     "far_field_masses",
     "history_from_function",
     "integrate",
+    "march",
     "row_norms",
     "segment_at",
     "segment_norm",
     "segment_sups",
-    "smooth_cutoff",
-    "split_fields",
 ]
-
-#: sup |chi'| for the cubic ramp used in `smooth_cutoff` (attained at s = 1.5).
-CUTOFF_DERIVATIVE_BOUND = 1.5
 
 
 class DivergenceError(RuntimeError):
@@ -71,7 +70,8 @@ class HistorySegment:
 
     Samples sit at uniform times theta_j = -tau + j * dt with
     dt = tau / steps_per_delay; between samples the segment is understood
-    as piecewise linear.  Row j of ``samples`` is the field at theta_j.
+    as piecewise linear.  Row j of ``samples`` is the field at theta_j,
+    shaped (P,), or (B, P) for a batch of B segments advanced together.
     """
 
     samples: np.ndarray
@@ -81,10 +81,10 @@ class HistorySegment:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
-        expected = (self.steps_per_delay + 1, self.grid.points)
-        if samples.shape != expected:
+        rows, points = self.steps_per_delay + 1, self.grid.points
+        if samples.ndim not in (2, 3) or (samples.shape[0], samples.shape[-1]) != (rows, points):
             raise ValueError(
-                f"segment shape {samples.shape}, expected {expected}"
+                f"segment shape {samples.shape}, expected ({rows}, [B,] {points})"
             )
         if self.tau <= 0:
             raise ValueError("tau must be positive")
@@ -151,6 +151,31 @@ class Trajectory:
         return Field(values=self.values[n], grid=self.grid)
 
 
+def march(hist, n_steps: int, dt: float, propagate, load):
+    """Step the trapezoid recurrence from a history, yielding its window.
+
+    ``hist`` holds the history rows u_{-S} .. u_0 on its leading axis.
+    Step n computes
+
+        u_n = propagate(u_{n-1} + dt/2 * load(u_{n-1-S})) + dt/2 * load(u_{n-S})
+
+    and yields the window, a deque of the S + 1 rows u_{n-S} .. u_n, the
+    only ones held.  ``propagate`` (S(dt)) and ``load`` (the delayed terms)
+    act on whole rows, so trailing batch axes pass through.  A non-finite
+    entry raises `DivergenceError` with the step index.
+    """
+    rows = deque(hist, maxlen=len(hist))
+    h_prev = load(rows[0])
+    for n in range(1, n_steps + 1):
+        h_next = load(rows[1])
+        u = propagate(rows[-1] + 0.5 * dt * h_prev) + 0.5 * dt * h_next
+        if not np.all(np.isfinite(u)):
+            raise DivergenceError(n)
+        rows.append(u)
+        h_prev = h_next
+        yield rows
+
+
 def integrate(phi: HistorySegment, horizon: float, p: ProblemParameters) -> Trajectory:
     """Integrate the equation from a history segment.
 
@@ -158,7 +183,8 @@ def integrate(phi: HistorySegment, horizon: float, p: ProblemParameters) -> Traj
     ----------
     phi : HistorySegment
         Initial history on [-tau, 0]; fixes the grid and the step
-        dt = tau / steps_per_delay.
+        dt = tau / steps_per_delay.  Batched samples (S + 1, B, P) advance
+        together into values shaped (N + 1, B, P).
     horizon : float
         Final time (>= 0).  Rounded up to a whole number of steps.
     p : ProblemParameters
@@ -177,30 +203,20 @@ def integrate(phi: HistorySegment, horizon: float, p: ProblemParameters) -> Traj
         raise ValueError("horizon must be nonnegative")
     if abs(phi.tau - p.tau) > 1e-12 * max(1.0, p.tau):
         raise ValueError("history tau does not match problem tau")
-    S = phi.steps_per_delay
     dt = phi.dt
     n_steps = max(0, int(math.ceil(horizon / dt - 1e-9)))
     grid = phi.grid
 
     g = evaluate_forcing(p.forcing, grid.nodes)
     stepper = SemigroupStepper(grid, p.mu, dt)
-    values = np.empty((n_steps + 1, grid.points))
-    values[0] = phi.samples[-1]
 
-    def delayed(n: int) -> np.ndarray:
-        return values[n - S] if n >= S else phi.samples[n]
-
-    def load(n: int) -> np.ndarray:
-        d = delayed(n)
+    def load(d: np.ndarray) -> np.ndarray:
         return p.sigma * d + evaluate_nonlinearity(p.nonlinearity, d) + g
 
-    h_prev = load(0)
-    for n in range(n_steps):
-        h_next = load(n + 1)
-        values[n + 1] = stepper.step(values[n] + 0.5 * dt * h_prev) + 0.5 * dt * h_next
-        if not np.all(np.isfinite(values[n + 1])):
-            raise DivergenceError(n + 1)
-        h_prev = h_next
+    values = np.empty((n_steps + 1, *phi.samples.shape[1:]))
+    values[0] = phi.samples[-1]
+    for n, rows in enumerate(march(phi.samples, n_steps, dt, stepper.step, load), start=1):
+        values[n] = rows[-1]
     return Trajectory(values=values, grid=grid, dt=dt, history=phi)
 
 
@@ -247,38 +263,6 @@ def segment_norm(seg: HistorySegment) -> float:
     return float(np.max(row_norms(seg.samples, seg.grid)))
 
 
-@dataclass(frozen=True)
-class CutoffRadius:
-    """Radius K of the ball Omega_K, with a flag selecting the sharp
-    characteristic-function split or the smooth ramp."""
-
-    K: float
-    smooth: bool = False
-
-    def __post_init__(self):
-        if self.K <= 0:
-            raise ValueError("cutoff radius must be positive")
-
-    def validate(self, grid: Grid) -> None:
-        if self.K >= grid.half_length / 4:
-            raise ValueError("cutoff radius must satisfy K < L/4")
-
-
-def split_fields(u: Field, K) -> dict:
-    """Split u = v + w into inside/outside parts about the ball |x| < K.
-
-    Supports are disjoint and the split is exact on the grid:
-    v = u * indicator(|x| < K), w = u - v.
-    """
-    radius = K.K if isinstance(K, CutoffRadius) else float(K)
-    inside = np.abs(u.grid.nodes) < radius
-    v = np.where(inside, u.values, 0.0)
-    return {
-        "v": Field(values=v, grid=u.grid),
-        "w": Field(values=u.values - v, grid=u.grid),
-    }
-
-
 def far_field_masses(samples: np.ndarray, grid: Grid, K: float) -> np.ndarray:
     """Tail mass integral_{|x| >= K} u^2 dx of each row of ``samples``."""
     outside = np.abs(grid.nodes) >= K
@@ -288,18 +272,3 @@ def far_field_masses(samples: np.ndarray, grid: Grid, K: float) -> np.ndarray:
 def far_field_mass(seg: HistorySegment, K: float) -> float:
     """Largest tail mass over the segment: sup_j integral_{|x| >= K} u(theta_j)^2 dx."""
     return float(np.max(far_field_masses(seg.samples, seg.grid, K)))
-
-
-def smooth_cutoff(x, K: float):
-    """Smooth ramp chi(|x|^2 / K^2) used in the tail energy estimates.
-
-    chi(s) = 0 for s <= 1, 1 for s >= 2, with a C^1 cubic Hermite ramp
-    3 r^2 - 2 r^3 (r = s - 1) in between; sup |chi'| = 1.5 is exported as
-    `CUTOFF_DERIVATIVE_BOUND`.
-    """
-    if K <= 0:
-        raise ValueError("cutoff radius must be positive")
-    s = np.asarray(x, dtype=float) ** 2 / (K * K)
-    r = np.clip(s - 1.0, 0.0, 1.0)
-    out = r * r * (3.0 - 2.0 * r)
-    return out if out.ndim else float(out)

@@ -17,22 +17,28 @@ retained modes are merged into the splitting data (rho_1 > rho_2 > ...,
 multiplicities n_j, cut index k_m) that feeds the squeezing bounds and the
 dimension certificates.  Every root is a Lambert W branch in closed form,
 polished by Newton on the characteristic equation and residual-checked.
+
+The per-mode equation is stepped by the PDE integrator's `solver.march`
+with the scalar decay exp(-(mu + mu_{m,K}) dt) as propagator: one mode in
+`linear_delay_evolve`, all sampled modes as one batch in the dichotomy.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import ProblemParameters
-from .solver import segment_sups
+from .solver import march
 
 __all__ = [
     "ModeRoots",
     "SpectralData",
+    "SplittingError",
     "characteristic_roots",
     "dichotomy_constant",
     "dirichlet_eigenvalues",
@@ -188,6 +194,10 @@ def _mode_root_search(mode_eig: float, p: ProblemParameters) -> ModeRoots:
 # --- spectral splitting ----------------------------------------------------
 
 
+class SplittingError(ValueError):
+    """The search window holds too few roots to split the spectrum."""
+
+
 @dataclass(frozen=True)
 class SpectralData:
     """Merged spectral picture for a cutoff radius K and cut index m_cut.
@@ -263,7 +273,7 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
                        for root in mr.roots if root.imag >= 0)
 
     if not entries:
-        raise ValueError("no characteristic roots found in the search window")
+        raise SplittingError("no characteristic roots found in the search window")
 
     entries.sort(key=lambda e: -e[0])
     groups = []
@@ -274,7 +284,7 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
             groups.append([rho, mult])
 
     if len(groups) < m_cut:
-        raise ValueError(
+        raise SplittingError(
             f"only {len(groups)} distinct real parts in the window; m_cut={m_cut}"
         )
     k_m = sum(mult for _, mult in groups[:m_cut])
@@ -305,9 +315,10 @@ def linear_delay_evolve(mode_history, p: ProblemParameters, mode_eig: float,
                         horizon: float):
     """Evolve one spatial mode amplitude by the linear delay equation.
 
-    a' = -(mu + mu_{m,K}) a(t) + sigma a(t - tau), discretized with the
-    same exact-semigroup + trapezoidal-quadrature stepping as the PDE
-    integrator (so the two agree to machine precision on shared modes).
+    a' = -(mu + mu_{m,K}) a(t) + sigma a(t - tau), stepped by the PDE
+    integrator's own recurrence, `solver.march`, with the exact scalar
+    decay in place of the semigroup (so the two agree to machine precision
+    on shared modes).
 
     Parameters
     ----------
@@ -328,22 +339,11 @@ def linear_delay_evolve(mode_history, p: ProblemParameters, mode_eig: float,
     hist = np.asarray(mode_history, dtype=float)
     if hist.ndim != 1 or hist.size < 2:
         raise ValueError("mode history must be a 1-D array of >= 2 samples")
-    S = hist.size - 1
-    dt = p.tau / S
+    dt = p.tau / (hist.size - 1)
     decay = math.exp(-(p.mu + mode_eig) * dt)
     n_steps = max(0, int(math.ceil(horizon / dt - 1e-9)))
-    values = np.empty(n_steps + 1)
-    values[0] = hist[-1]
-
-    def delayed(n: int) -> float:
-        return values[n - S] if n >= S else hist[n]
-
-    h_prev = p.sigma * delayed(0)
-    for n in range(n_steps):
-        h_next = p.sigma * delayed(n + 1)
-        values[n + 1] = decay * (values[n] + 0.5 * dt * h_prev) + 0.5 * dt * h_next
-        h_prev = h_next
-    return dt * np.arange(n_steps + 1), values
+    steps = march(hist, n_steps, dt, lambda v: decay * v, lambda d: p.sigma * d)
+    return dt * np.arange(n_steps + 1), np.array([hist[-1], *(rows[-1] for rows in steps)])
 
 
 # --- dichotomy constant ----------------------------------------------------
@@ -368,9 +368,10 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
 
     Random unit histories are synthesized from characteristic-mode
     profiles xi * exp(lambda theta) on the root set beyond the cut (the
-    invariant complement), evolved per mode by `linear_delay_evolve`, and
-    the overshoot max_t ||U(t) x||_C / (exp(rho_m t) ||x||_C) is recorded
-    over a log-spaced time grid including t = 0.  The returned estimate
+    invariant complement).  The mode histories of all samples are evolved
+    together, one mode per column of a single `solver.march` batch, and the
+    overshoot max_t ||U(t) x||_C / (exp(rho_m t) ||x||_C) is recorded over
+    a log-spaced time grid including t = 0.  The returned estimate
     is the sample maximum times a declared safety factor (default 1.25).
 
     Returns a dict with ``K_m`` (the estimate), ``sample_max``,
@@ -383,7 +384,7 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
     rng = np.random.default_rng(0) if rng is None else rng
     profiles = _q_side_profiles(spectral, spectral.rho_m)
     if not profiles:
-        raise ValueError("no roots beyond the cut inside the search window")
+        raise SplittingError("no roots beyond the cut inside the search window")
 
     rho_m = spectral.rho_m
     t_max = min(20.0, max(1.0, 8.0 / abs(rho_m)))
@@ -391,11 +392,11 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
     # log-spaced targets snapped to the step grid, always containing t=0
     raw = np.geomspace(max(dt, t_max / 256.0), t_max, t_points)
     t_grid = sorted({0} | {int(round(t / dt)) for t in raw})
-    horizon = t_grid[-1] * dt
     thetas = np.linspace(-p.tau, 0.0, steps_per_delay + 1)
 
-    sample_max = 0.0
-    for _ in range(samples):
+    # every sample's mode histories, as the columns of one batch
+    draws = []  # (sample, mode eigenvalue, mode history)
+    for sample in range(samples):
         take = min(len(profiles), 4)
         chosen = rng.choice(len(profiles), size=take, replace=False)
         by_mode: dict = {}
@@ -409,22 +410,29 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
                 envelope = np.exp(root.real * thetas)
                 hist += envelope * (c1 * np.cos(root.imag * thetas)
                                     + c2 * np.sin(root.imag * thetas))
-        # squared amplitudes summed over modes, row by row; the segment
-        # norm is the square root of their window max
-        hist_sq, traj_sq = 0.0, 0.0
-        for (_, eig), hist in by_mode.items():
-            _, values = linear_delay_evolve(hist, p, eig, horizon)
-            hist_sq = hist_sq + hist * hist
-            traj_sq = traj_sq + values * values
-        seg_norms = np.sqrt(segment_sups(hist_sq, traj_sq)).tolist()
+        draws.extend((sample, eig, hist) for (_, eig), hist in by_mode.items())
+    owners, eigs, columns = zip(*draws)
+    batch = np.stack(columns, axis=1)
+    decay = np.array([math.exp(-(p.mu + eig) * dt) for eig in eigs])
 
-        base = seg_norms[0]
-        if base == 0.0:
-            continue
-        for n in t_grid:
+    def seg_norms(window) -> np.ndarray:
+        # squared amplitudes summed over each sample's modes in draw order,
+        # row by row; the segment norm is the square root of their max
+        rows = np.asarray(window)
+        sums = np.zeros((len(rows), samples))
+        np.add.at(sums, (slice(None), owners), rows * rows)
+        return np.sqrt(sums.max(axis=0))
+
+    base = seg_norms(batch)
+    live = base != 0.0
+    marks = set(t_grid)
+    steps = march(batch, t_grid[-1], dt, lambda v: decay * v, lambda d: p.sigma * d)
+    sample_max = 0.0
+    for n, window in enumerate(itertools.chain([batch], steps)):
+        if n in marks:
             t = n * dt
-            ratio = seg_norms[n] / (math.exp(rho_m * t) * base)
-            sample_max = max(sample_max, ratio)
+            ratios = seg_norms(window)[live] / (math.exp(rho_m * t) * base[live])
+            sample_max = max([sample_max, *ratios.tolist()])
 
     return {
         "K_m": safety * sample_max,

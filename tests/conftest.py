@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from delayrd.model import (
     NonlinearitySpec,
     ProblemParameters,
 )
-from delayrd.model import evaluate_forcing
+from delayrd.model import evaluate_forcing, evaluate_nonlinearity
 from delayrd.semigroup import Field, field_norm
 
 
@@ -55,3 +57,28 @@ def dissipative(grid):
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+def loop_integrate(phi, horizon, p):
+    """Reference trajectory values: the trapezoid method-of-steps loop on
+    a full (N + 1)-row array with its own delayed-index bookkeeping, one
+    unbatched (S + 1, P) history at a time.  Shares no stepping code with
+    `delayrd.solver`."""
+    S = phi.steps_per_delay
+    dt = phi.tau / S
+    n_steps = max(0, int(math.ceil(horizon / dt - 1e-9)))
+    g = evaluate_forcing(p.forcing, phi.grid.nodes)
+    xi = phi.grid.frequencies
+    multiplier = np.exp(-(p.mu + xi * xi) * dt)
+    values = np.empty((n_steps + 1, phi.grid.points))
+    values[0] = phi.samples[-1]
+
+    def load(n):
+        d = values[n - S] if n >= S else phi.samples[n]
+        return p.sigma * d + evaluate_nonlinearity(p.nonlinearity, d) + g
+
+    for n in range(n_steps):
+        stepped = np.fft.irfft(multiplier * np.fft.rfft(values[n] + 0.5 * dt * load(n)),
+                               n=phi.grid.points)
+        values[n + 1] = stepped + 0.5 * dt * load(n + 1)
+    return values

@@ -273,13 +273,12 @@ def test_criterion_7_squeezing():
     for _ in range(20):
         phi, psi = eigenmode_pair(rng, grid, p, spectral, 32,
                                   norm=1.0, separation=0.3)
-        for t in (0.5, 1.0):
-            r = measure_contraction(phi, psi, t, p, ps, spectral=spectral, est=est)
+        for r in measure_contraction(phi, psi, (0.5, 1.0), p, ps, spectral=spectral, est=est):
             assert r["status"] == "ok"
             for part in ("P", "Q", "R"):
                 measured, bound = r[f"measured_{part}"], r[f"bound_{part}"]
                 assert measured <= bound * 1.05, (
-                    f"{part} ratio {measured / bound:.3f} above 1.05 at t={t}")
+                    f"{part} ratio {measured / bound:.3f} above 1.05 at t={r['t']}")
 
 
 @criterion(8, "far-field thresholds", 60.0)

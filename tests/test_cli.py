@@ -305,7 +305,8 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("subcommand,config", sorted(GOLDEN), ids="-".join)
+@pytest.mark.parametrize("subcommand,config", sorted(GOLDEN),
+                         ids=["-".join(key) for key in sorted(GOLDEN)])
 def test_golden_payload_hashes(tmp_path, subcommand, config):
     exit_code, payload = GOLDEN[subcommand, config]
     out = tmp_path / "out"
@@ -327,9 +328,10 @@ def test_golden_payload_hashes(tmp_path, subcommand, config):
     ('"amplitude": 0.75', '"amplitude": "big"'),
     ('"mu": 2.0', '"mu": 1e300'),
     ('"tau": 0.5', '"tau": 1e300'),
+    ('"cutoff_radius": 3.0', '"cutoff_radius": 4.0'),
 ], ids=["nan", "infinity", "float-overflow", "int-overflow", "horizon-type",
         "seed-type", "seed-negative", "no-dichotomy-samples", "amplitude-type",
-        "mu-tau-overflow-mu", "mu-tau-overflow-tau"])
+        "mu-tau-overflow-mu", "mu-tau-overflow-tau", "cutoff-radius-L/4"])
 def test_bad_config_exits_2_without_hanging(tmp_path, old, new):
     """Run in a subprocess with a timeout, so an input that makes the
     pipeline spin fails the test instead of hanging the suite."""
@@ -367,6 +369,44 @@ def test_huge_sigma_exits_3_without_hanging(tmp_path, subcommand, sigma):
     cfg = certify_config_with(tmp_path / "cfg.json", '"sigma": 0.1', f'"sigma": {sigma}')
     proc = run_cli_subprocess(subcommand, cfg, tmp_path / "out")
     assert proc.returncode == EXIT_INFEASIBLE, proc.stderr
+
+
+@pytest.mark.parametrize("edits", [
+    (('"mu": 2.0', '"mu": 70'), ('"tau": 0.5', '"tau": 10'), ('"sigma": 0.1', '"sigma": 1e-300'),
+     ('"contraction_times": [0.5, 1.0]', '"contraction_times": [10.0]')),
+    (('"sigma": 0.1', '"sigma": 1e-30'), ('"modes": 8', '"modes": 3')),
+], ids=["no-root", "none-beyond-cut"])
+@pytest.mark.parametrize("subcommand", ["certify", "spectrum", "squeeze"])
+def test_no_root_in_window_exits_3(tmp_path, subcommand, edits):
+    """Too few roots in the window to split the spectrum is infeasible, not
+    a crash.  With mu = 70, tau = 10 and a tiny sigma every real root lies
+    left of Re = -50/tau (the contraction time moves onto the new dt =
+    10/16 grid); with sigma = 1e-30 only the real roots stay in the
+    window, and with modes = m_cut = 3 none lies beyond the cut."""
+    text = (CONFIGS / "base.json").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    proc = run_cli_subprocess(subcommand, cfg, tmp_path / "out")
+    assert proc.returncode == EXIT_INFEASIBLE, proc.stderr
+    assert proc.stderr.startswith("infeasible:"), proc.stderr
+
+
+@pytest.mark.parametrize("times", ["[0.3]", "[-0.5]", "[0.5, 0.3]"])
+def test_squeeze_rejects_bad_contraction_times(tmp_path, times):
+    """dt = 0.5 / 16 on configs/base.json: 0.3 is off the grid, -0.5 is
+    negative; both are configuration errors found before integrating."""
+    text = (CONFIGS / "base.json").read_text()
+    assert '"contraction_times": [0.5, 1.0]' in text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace('"contraction_times": [0.5, 1.0]',
+                                f'"contraction_times": {times}'))
+    proc = run_cli_subprocess("squeeze", cfg, tmp_path / "out")
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "contraction_times" in proc.stderr
 
 
 def test_dominant_root_right_of_old_window(tmp_path):

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from delayrd.cli import _spectral_bundle, random_history
 from delayrd.model import (
+    ConfigError,
     ForcingSpec,
     Grid,
     NonlinearitySpec,
     ProblemParameters,
+    RunOptions,
 )
 from delayrd.semigroup import Field, apply_semigroup
 from delayrd.solver import (
-    CutoffRadius,
     DivergenceError,
     HistorySegment,
     constant_history,
@@ -21,11 +23,9 @@ from delayrd.solver import (
     integrate,
     segment_at,
     segment_norm,
-    smooth_cutoff,
-    split_fields,
 )
 
-from conftest import heat_only_params
+from conftest import heat_only_params, loop_integrate
 
 
 def scalar_dde_oracle(history, horizon, mu, sigma, tau, f, g):
@@ -130,6 +130,25 @@ def test_divergence_raises_with_step_index(grid):
     assert info.value.step >= 1
 
 
+@pytest.mark.parametrize("horizon", [0.25, 1.5])  # below and above tau = 0.5
+@pytest.mark.parametrize("batch", [2, 3])
+def test_batched_integrate_matches_loop_reference(rng, grid, dissipative, horizon, batch):
+    """Each column of a batched run, and each run of one history alone,
+    equals the reference loop exactly (nonlinearity and forcing on)."""
+    S = 8
+    hists = [random_history(rng, grid, dissipative.tau, S, 1.0) for _ in range(batch)]
+    stacked = HistorySegment(np.stack([h.samples for h in hists], axis=1),
+                             grid, dissipative.tau, S)
+    traj = integrate(stacked, horizon, dissipative)
+    assert traj.values.shape == (traj.steps + 1, batch, grid.points)
+    for b, hist in enumerate(hists):
+        ref = loop_integrate(hist, horizon, dissipative)
+        assert np.array_equal(traj.values[:, b], ref)
+        assert np.array_equal(integrate(hist, horizon, dissipative).values, ref)
+    seg = segment_at(traj, horizon)
+    assert seg.samples.shape == (S + 1, batch, grid.points)
+
+
 def test_segment_shape_and_interpolation(grid):
     samples = np.outer(np.arange(5.0), np.ones(grid.points))
     seg = HistorySegment(samples, grid, tau=1.0, steps_per_delay=4)
@@ -174,24 +193,14 @@ def test_segment_norm_is_sup_of_field_norms(grid):
     assert segment_norm(seg) == pytest.approx(3.0 * math.sqrt(2 * grid.half_length))
 
 
-def test_cutoff_radius_validation(grid):
-    with pytest.raises(ValueError):
-        CutoffRadius(K=-1.0)
-    CutoffRadius(K=3.9).validate(grid)          # 3.9 < 16/4, fine
-    with pytest.raises(ValueError, match="L/4"):
-        CutoffRadius(K=4.0).validate(grid)      # boundary is excluded
-
-
-def test_split_fields_partition(rng, grid):
-    u = Field(rng.standard_normal(grid.points), grid)
-    parts = split_fields(u, CutoffRadius(K=3.0))
-    v, w = parts["v"].values, parts["w"].values
-    np.testing.assert_array_equal(v + w, u.values)
-    assert np.all(v[np.abs(grid.nodes) >= 3.0] == 0)
-    assert np.all(w[np.abs(grid.nodes) < 3.0] == 0)
-    # plain float radius accepted too
-    parts2 = split_fields(u, 3.0)
-    np.testing.assert_array_equal(parts2["v"].values, v)
+def test_cutoff_radius_validation(grid, dissipative):
+    """The K < L/4 check now sits where the radius is consumed, in the
+    CLI's spectral stage, and fails as a configuration error."""
+    with pytest.raises(ConfigError, match="positive"):
+        RunOptions(cutoff_radius=-1.0)
+    _spectral_bundle(dissipative, grid, RunOptions(cutoff_radius=3.9), 0)  # 3.9 < 16/4
+    with pytest.raises(ConfigError, match="L/4"):  # the boundary is excluded
+        _spectral_bundle(dissipative, grid, RunOptions(cutoff_radius=4.0), 0)
 
 
 def test_far_field_mass(grid):
@@ -202,22 +211,6 @@ def test_far_field_mass(grid):
     expected = grid.spacing * 4.0 * int(np.count_nonzero(outside))
     assert far_field_mass(seg, 4.0) == pytest.approx(expected)
     assert far_field_mass(seg, grid.half_length + 1.0) == 0.0
-
-
-def test_smooth_cutoff_profile():
-    K = 2.0
-    x = np.linspace(-4 * K, 4 * K, 2001)
-    chi = smooth_cutoff(x, K)
-    assert np.all(chi[np.abs(x) <= K] == 0.0)
-    assert np.all(chi[x * x >= 2 * K * K] == 1.0)
-    assert np.all((chi >= 0) & (chi <= 1))
-    # C^1 ramp: finite differences of chi(s) stay below the stated bound
-    s = np.linspace(0.5, 2.5, 40001)
-    vals = smooth_cutoff(np.sqrt(s) * K, K)
-    deriv = np.abs(np.diff(vals) / np.diff(s))
-    assert deriv.max() == pytest.approx(1.5, abs=1e-3)
-    with pytest.raises(ValueError):
-        smooth_cutoff(x, -1.0)
 
 
 def test_history_constructors(grid):

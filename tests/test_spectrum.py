@@ -222,6 +222,38 @@ def test_linear_evolve_matches_pde_mode(grid):
     np.testing.assert_allclose(amps, ref, atol=1e-8)
 
 
+def loop_linear_delay_evolve(hist, p, mode_eig, horizon):
+    """Reference per-mode evolution: the scalar trapezoid loop on a full
+    array with its own delayed-index bookkeeping (shares no stepping code
+    with `delayrd.solver`)."""
+    S = hist.size - 1
+    dt = p.tau / S
+    decay = math.exp(-(p.mu + mode_eig) * dt)
+    n_steps = max(0, int(math.ceil(horizon / dt - 1e-9)))
+    values = np.empty(n_steps + 1)
+    values[0] = hist[-1]
+
+    def delayed(n):
+        return values[n - S] if n >= S else hist[n]
+
+    h_prev = p.sigma * delayed(0)
+    for n in range(n_steps):
+        h_next = p.sigma * delayed(n + 1)
+        values[n + 1] = decay * (values[n] + 0.5 * dt * h_prev) + 0.5 * dt * h_next
+        h_prev = h_next
+    return values
+
+
+@pytest.mark.parametrize("horizon", [0.3, 4.0])  # below and above tau = 1
+def test_linear_evolve_matches_loop_reference(horizon):
+    p = linear_problem(mu=1.5, sigma=0.7, tau=1.0)
+    hist = np.cos(3.0 * np.linspace(-1.0, 0.0, 33)) + 0.2
+    for eig in (0.0, 2.3):
+        times, values = linear_delay_evolve(hist, p, eig, horizon)
+        assert np.array_equal(values, loop_linear_delay_evolve(hist, p, eig, horizon))
+        assert np.array_equal(times, p.tau / 32 * np.arange(values.size))
+
+
 def test_linear_evolve_validation():
     p = linear_problem()
     with pytest.raises(ValueError):
@@ -264,8 +296,10 @@ def test_dichotomy_requires_negative_cut(rng):
 
 def loop_dichotomy_constant(p, spectral, samples, rng, steps_per_delay=64,
                             t_points=12, safety=1.25):
-    """`dichotomy_constant` with per-step segment norms from a pure-Python
-    loop over the segment rows (the reference for the window reduction)."""
+    """`dichotomy_constant` one sample at a time, each mode evolved by the
+    reference loop, with per-step segment norms from a pure-Python loop
+    over the segment rows (the reference for the batched evolution and the
+    window reduction)."""
     from delayrd.spectrum import _q_side_profiles
 
     profiles = _q_side_profiles(spectral, spectral.rho_m)
@@ -289,7 +323,7 @@ def loop_dichotomy_constant(p, spectral, samples, rng, steps_per_delay=64,
             else:
                 hist += np.exp(root.real * thetas) * (c1 * np.cos(root.imag * thetas)
                                                       + c2 * np.sin(root.imag * thetas))
-        evolved = [(hist, linear_delay_evolve(hist, p, eig, horizon)[1])
+        evolved = [(hist, loop_linear_delay_evolve(hist, p, eig, horizon))
                    for (_, eig), hist in by_mode.items()]
 
         def seg_norm(n):
@@ -330,3 +364,18 @@ def test_dichotomy_window_norms_match_loop(config):
     assert report["times"] == ref["times"]
     for key in ("K_m", "sample_max"):
         np.testing.assert_allclose(report[key], ref[key], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("seed,samples", [(1, 32), (2, 16)])
+def test_dichotomy_batch_matches_per_sample_loop(seed, samples):
+    """The batch sums each sample's modes only with each other: over many
+    samples of differing mode counts the estimate equals the per-sample
+    reference loop exactly."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "base.json"
+    p, _, run = parse_config(path.read_text())
+    spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)
+    report = dichotomy_constant(p, spectral, samples, rng=np.random.default_rng(seed))
+    ref = loop_dichotomy_constant(p, spectral, samples, rng=np.random.default_rng(seed))
+    assert report["sample_max"] == ref["sample_max"]
+    assert report["K_m"] == ref["K_m"]
+    assert report["times"] == ref["times"]

@@ -23,7 +23,7 @@ from delayrd.squeezing import (
     project_R,
 )
 
-from conftest import dissipative_params, unit_forcing_amplitude
+from conftest import dissipative_params, loop_integrate, unit_forcing_amplitude
 
 
 def test_projections_reassemble_and_idempotent(rng, grid):
@@ -84,8 +84,7 @@ def test_modal_difference_contracts_at_its_own_rate(rng, grid):
     pert = HistorySegment(base.samples + bump, grid, p.tau, S)
 
     ps = make_projections(grid, K=K, k_m=3)
-    for t in (0.5, 1.0):
-        report = measure_contraction(base, pert, t, p, ps)
+    for t, report in zip((0.5, 1.0), measure_contraction(base, pert, (0.5, 1.0), p, ps)):
         assert report["status"] == "ok"
         # the difference never leaves the mode, which Q annihilates
         assert report["measured_Q"] < 1e-10
@@ -100,11 +99,39 @@ def test_modal_difference_contracts_at_its_own_rate(rng, grid):
         assert report["measured_R"] == pytest.approx(expected_R, rel=5e-4)
 
 
+def test_pair_batch_matches_separate_integrations(grid, dissipative):
+    """One batched run of the pair, read at several times, equals
+    integrating phi and psi separately to each time (reference loop)."""
+    p = dissipative
+    rng = np.random.default_rng(77)
+    spectral = _certified_spectral(p, rng=rng)
+    est = compute_estimates(p, norm_g=1.0)
+    ps = make_projections(grid, K=spectral.K, k_m=spectral.k_m)
+    S = 16
+    phi, psi = eigenmode_pair(rng, grid, p, spectral, S, norm=1.0, separation=0.3)
+    times = (1.0, 0.25, 0.5)  # out of order, one below tau
+    reports = measure_contraction(phi, psi, times, p, ps, spectral, est)
+    assert [r["t"] for r in reports] == list(times)
+    denom = segment_norm(HistorySegment(phi.samples - psi.samples, grid, p.tau, S))
+    for t, report in zip(times, reports):
+        n = round(t * S / p.tau)
+        rows = [np.concatenate([h.samples[:-1], loop_integrate(h, t, p)])[n:]
+                for h in (phi, psi)]
+        diff = HistorySegment(rows[0] - rows[1], grid, p.tau, S)
+        assert report["denominator"] == denom
+        assert report["measured_P"] == segment_norm(project_P(diff, ps)) / denom
+        assert report["measured_Q"] == segment_norm(project_Q(diff, ps)) / denom
+        assert report["measured_R"] == segment_norm(project_R(diff, ps)) / denom
+        bounds = analytic_bounds(t, p, spectral, est)
+        assert (report["bound_P"], report["bound_Q"], report["bound_R"]) == (
+            bounds["bP"], bounds["bQ"], bounds["bR"])
+
+
 def test_zero_difference_status(grid, dissipative):
     phi = constant_history(Field(np.cos(grid.nodes), grid), dissipative.tau, 8)
     ps = make_projections(grid, K=3.0, k_m=2)
-    report = measure_contraction(phi, phi, 0.5, dissipative, ps)
-    assert report == {"status": "zero-difference", "t": 0.5}
+    reports = measure_contraction(phi, phi, (0.5,), dissipative, ps)
+    assert reports == [{"status": "zero-difference", "t": 0.5}]
 
 
 def _certified_spectral(p, K=3.0, m_cut=3, modes=8, rng=None):
@@ -164,8 +191,7 @@ def test_eigenmode_pairs_stay_within_bounds(grid):
         pair_rng = np.random.default_rng(1000 + seed)
         phi, psi = eigenmode_pair(pair_rng, grid, p, spectral,
                                   steps_per_delay=32, norm=1.0, separation=0.3)
-        for t in (0.5, 1.0):
-            r = measure_contraction(phi, psi, t, p, ps, spectral, est)
+        for r in measure_contraction(phi, psi, (0.5, 1.0), p, ps, spectral, est):
             assert r["status"] == "ok"
             assert r["measured_P"] <= r["bound_P"] * 1.05
             assert r["measured_Q"] <= r["bound_Q"] * 1.05
