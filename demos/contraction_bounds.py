@@ -36,7 +36,7 @@ ps = make_projections(grid, K=spectral.K, k_m=spectral.k_m)
 phi, psi = eigenmode_pair(rng, grid, p, spectral, 32, norm=1.0, separation=0.3)
 
 print(f"\n{'t':>5} {'part':>5} {'measured':>12} {'bound':>12} {'ratio':>8}")
-for r in measure_contraction(phi, psi, (0.25, 0.5, 1.0, 1.5), p, ps,
+for r in measure_contraction([(phi, psi)], (0.25, 0.5, 1.0, 1.5), p, ps,
                              spectral=spectral, est=est):
     t = r["t"]
     for part in ("P", "Q", "R"):

@@ -81,6 +81,8 @@ EXIT_DIVERGENCE = 4
 
 SNAPSHOT_MAGIC = b"DRDF"
 SNAPSHOT_VERSION = 1
+# Largest contraction time of squeeze, in steps; nothing caps a march itself.
+MAX_CONTRACTION_STEPS = 2**20
 
 DISSIPATIVITY_CONDITION = "sigma*(L_f+1)*exp(mu*tau) - mu < 0"
 
@@ -430,9 +432,10 @@ def cmd_squeeze(config_path: str, seed: int, out_dir: str, parallel: int = 1) ->
     """Measure P/Q/R contraction on seeded trajectory pairs."""
     p, grid, run = _load_config(config_path)
     dt = p.tau / run.steps_per_delay
-    if any(not 0 <= t / dt < math.inf or abs(t / dt - round(t / dt)) > 1e-9
-           for t in run.contraction_times):  # segment_at's grid rule
-        raise ConfigError(f"run.contraction_times must be nonnegative multiples of dt = {dt!r}")
+    if any(not 0 <= t / dt <= MAX_CONTRACTION_STEPS or abs(t / dt - round(t / dt)) > 1e-9
+           for t in run.contraction_times):  # measure_contraction's grid rule
+        raise ConfigError(f"run.contraction_times must be multiples n * dt of dt = {dt!r} "
+                          f"with 0 <= n <= {MAX_CONTRACTION_STEPS}")
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(config_path, seed, "squeeze", out_dir)
 
@@ -445,15 +448,14 @@ def cmd_squeeze(config_path: str, seed: int, out_dir: str, parallel: int = 1) ->
         return EXIT_INFEASIBLE
     ps = make_projections(grid, run.cutoff_radius, spectral.k_m)
 
+    # drawn lazily, a group at a time; integrating draws nothing from rng
     rng = np.random.default_rng(np.random.PCG64(seed))
-    pairs = [eigenmode_pair(rng, grid, p, spectral, run.steps_per_delay,
+    pairs = (eigenmode_pair(rng, grid, p, spectral, run.steps_per_delay,
                             norm=run.history_norm,
                             separation=0.3 * run.history_norm)
-             for _ in range(run.ensemble)]
-
-    reports = [report for phi, psi in pairs
-               for report in measure_contraction(phi, psi, run.contraction_times, p, ps,
-                                                 spectral=spectral, est=est)]
+             for _ in range(run.ensemble))
+    reports = measure_contraction(pairs, run.contraction_times, p, ps,
+                                  spectral=spectral, est=est)
 
     rows = []
     worst = {"P": 0.0, "Q": 0.0, "R": 0.0}

@@ -17,9 +17,12 @@ interpolation error.  The scheme is second order in dt (the linear part is
 exact; only the quadrature is approximate).
 
 `march` is the one implementation of this recurrence, with the propagator
-and the load as arguments: `integrate` passes the FFT semigroup step on
-fields, `spectrum` a scalar decay per Dirichlet mode.  Rows may carry a
-batch axis, so a pair of histories or a set of modes advances as one array.
+and the load as arguments.  `evolve` is the equation's march: the FFT
+semigroup step on fields and the delayed load above, the only place that
+load is written; `integrate` stores its rows, `squeezing` reads its windows
+only at the contraction steps.  `spectrum` marches a scalar decay per
+Dirichlet mode.  Rows may carry a batch axis, so several histories or a set
+of modes advance as one array.
 
 A segment u_t is a window of S + 1 consecutive history/solution rows, so
 every segment sup (norm, far-field mass, gradient sup) is a per-row quantity
@@ -44,8 +47,10 @@ __all__ = [
     "HistorySegment",
     "Trajectory",
     "constant_history",
+    "evolve",
     "far_field_mass",
     "far_field_masses",
+    "grid_step",
     "history_from_function",
     "integrate",
     "march",
@@ -176,48 +181,44 @@ def march(hist, n_steps: int, dt: float, propagate, load):
         yield rows
 
 
-def integrate(phi: HistorySegment, horizon: float, p: ProblemParameters) -> Trajectory:
-    """Integrate the equation from a history segment.
-
-    Parameters
-    ----------
-    phi : HistorySegment
-        Initial history on [-tau, 0]; fixes the grid and the step
-        dt = tau / steps_per_delay.  Batched samples (S + 1, B, P) advance
-        together into values shaped (N + 1, B, P).
-    horizon : float
-        Final time (>= 0).  Rounded up to a whole number of steps.
-    p : ProblemParameters
-        Equation constants; ``p.tau`` must equal ``phi.tau``.
-
-    Returns
-    -------
-    Trajectory
-
-    Raises
-    ------
-    DivergenceError
-        If a non-finite field appears; carries the offending step index.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+def evolve(phi: HistorySegment, n_steps: int, p: ProblemParameters):
+    """`march` of the equation from ``phi``: S(dt) on fields and the delayed
+    load sigma u + f(u) + g.  ``p.tau`` must equal ``phi.tau``; batched
+    samples (S + 1, B, P) advance as B independent solutions."""
     if abs(phi.tau - p.tau) > 1e-12 * max(1.0, p.tau):
         raise ValueError("history tau does not match problem tau")
-    dt = phi.dt
-    n_steps = max(0, int(math.ceil(horizon / dt - 1e-9)))
-    grid = phi.grid
-
-    g = evaluate_forcing(p.forcing, grid.nodes)
-    stepper = SemigroupStepper(grid, p.mu, dt)
+    g = evaluate_forcing(p.forcing, phi.grid.nodes)
+    stepper = SemigroupStepper(phi.grid, p.mu, phi.dt)
 
     def load(d: np.ndarray) -> np.ndarray:
         return p.sigma * d + evaluate_nonlinearity(p.nonlinearity, d) + g
 
+    return march(phi.samples, n_steps, phi.dt, stepper.step, load)
+
+
+def integrate(phi: HistorySegment, horizon: float, p: ProblemParameters) -> Trajectory:
+    """Integrate the equation from ``phi`` to ``horizon`` (>= 0, rounded up
+    to whole steps dt = tau / steps_per_delay), storing every row.
+
+    Batched samples (S + 1, B, P) give values shaped (N + 1, B, P).  A
+    non-finite field raises `DivergenceError` with the step index.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    n_steps = max(0, int(math.ceil(horizon / phi.dt - 1e-9)))
     values = np.empty((n_steps + 1, *phi.samples.shape[1:]))
     values[0] = phi.samples[-1]
-    for n, rows in enumerate(march(phi.samples, n_steps, dt, stepper.step, load), start=1):
+    for n, rows in enumerate(evolve(phi, n_steps, p), start=1):
         values[n] = rows[-1]
-    return Trajectory(values=values, grid=grid, dt=dt, history=phi)
+    return Trajectory(values=values, grid=phi.grid, dt=phi.dt, history=phi)
+
+
+def grid_step(t: float, dt: float) -> int:
+    """The step n >= 0 with t = n dt (to 1e-9 steps); ValueError otherwise."""
+    n = int(round(t / dt))
+    if abs(t / dt - n) > 1e-9 or n < 0:
+        raise ValueError(f"time {t} is not aligned to the dt grid at or after 0")
+    return n
 
 
 def segment_at(traj: Trajectory, t: float) -> HistorySegment:
@@ -227,12 +228,8 @@ def segment_at(traj: Trajectory, t: float) -> HistorySegment:
     for t < tau the segment mixes initial-history samples with computed
     ones.
     """
-    dt = traj.dt
-    pos = t / dt
-    n = int(round(pos))
-    if abs(pos - n) > 1e-9:
-        raise ValueError(f"time {t} is not aligned to the dt grid")
-    if n < 0 or n > traj.steps:
+    n = grid_step(t, traj.dt)
+    if n > traj.steps:
         raise ValueError(f"time {t} outside the trajectory range")
     S = traj.history.steps_per_delay
     # rows n .. n + S of concat(history[:-1], values), copied
@@ -254,8 +251,8 @@ def segment_sups(hist_q, traj_q) -> np.ndarray:
 
 
 def row_norms(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Grid L2 norm of each row of ``samples``."""
-    return np.sqrt(grid.spacing * np.sum(samples * samples, axis=1))
+    """Grid L2 norm of each row of ``samples`` (the grid on the last axis)."""
+    return np.sqrt(grid.spacing * np.sum(samples * samples, axis=-1))
 
 
 def segment_norm(seg: HistorySegment) -> float:
@@ -266,7 +263,9 @@ def segment_norm(seg: HistorySegment) -> float:
 def far_field_masses(samples: np.ndarray, grid: Grid, K: float) -> np.ndarray:
     """Tail mass integral_{|x| >= K} u^2 dx of each row of ``samples``."""
     outside = np.abs(grid.nodes) >= K
-    return grid.spacing * np.sum(samples[:, outside] ** 2, axis=1)
+    tail = samples[:, outside]
+    np.square(tail, out=tail)
+    return grid.spacing * np.sum(tail, axis=1)
 
 
 def far_field_mass(seg: HistorySegment, K: float) -> float:

@@ -17,21 +17,23 @@ with
          + K_m lf / (rho1 + lf - rho_m) * exp((lf + rho1) t),
     bR = sqrt(c2) exp([c2 (sigma + lf^2) - (mu - sigma - 1)] t / 2).
 
-`measure_contraction` integrates a pair of histories once, as a batch of
-two, and reports the measured ratios next to the bounds at each of the
-requested times.
+`measure_contraction` marches its pairs in groups, stacked as one batch,
+and stores no trajectory: the march window at step n is the segment at
+t = n dt, reduced to its P/Q/R sups only at the contraction steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
 from .estimates import EstimateSet
 from .model import Grid, ProblemParameters
-from .solver import HistorySegment, integrate, segment_at, segment_norm
+from .solver import HistorySegment, evolve, grid_step, row_norms, segment_norm
+from .solver import integrate, segment_at  # noqa: F401  (names looked up by perfbench/tracing.py)
 from .spectrum import SpectralData
 
 __all__ = [
@@ -61,8 +63,10 @@ class ProjectionSet:
     basis: np.ndarray
     inside: np.ndarray
 
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        return self.grid.spacing * (self.basis.T @ values)
+    def modes(self, rows: np.ndarray) -> np.ndarray:
+        """P part of each row (grid on the last axis): stacked matrix-vector products."""
+        coeff = self.grid.spacing * np.matmul(self.basis.T, rows[..., None])
+        return np.matmul(self.basis, coeff)[..., 0]
 
 
 def make_projections(grid: Grid, K: float, k_m: int) -> ProjectionSet:
@@ -94,31 +98,20 @@ def make_projections(grid: Grid, K: float, k_m: int) -> ProjectionSet:
     return ProjectionSet(grid=grid, K=K, k_m=k_m, basis=basis, inside=inside)
 
 
-def _apply_rows(seg: HistorySegment, transform) -> HistorySegment:
-    rows = np.stack([transform(row) for row in seg.samples])
-    return HistorySegment(rows, seg.grid, seg.tau, seg.steps_per_delay)
-
-
 def project_P(seg: HistorySegment, ps: ProjectionSet) -> HistorySegment:
     """Restrict to Omega_K, expand in the sine basis, keep modes 1..k_m."""
-    def transform(row):
-        return ps.basis @ ps.coefficients(np.where(ps.inside, row, 0.0))
-    return _apply_rows(seg, transform)
+    return replace(seg, samples=ps.modes(np.where(ps.inside, seg.samples, 0.0)))
 
 
 def project_Q(seg: HistorySegment, ps: ProjectionSet) -> HistorySegment:
     """Inside complement: restriction to Omega_K minus the P part."""
-    def transform(row):
-        restricted = np.where(ps.inside, row, 0.0)
-        return restricted - ps.basis @ ps.coefficients(restricted)
-    return _apply_rows(seg, transform)
+    restricted = np.where(ps.inside, seg.samples, 0.0)
+    return replace(seg, samples=restricted - ps.modes(restricted))
 
 
 def project_R(seg: HistorySegment, ps: ProjectionSet) -> HistorySegment:
     """Outside restriction: multiply by the indicator of Omega_K^C."""
-    def transform(row):
-        return np.where(ps.inside, 0.0, row)
-    return _apply_rows(seg, transform)
+    return replace(seg, samples=np.where(ps.inside, 0.0, seg.samples))
 
 
 def analytic_bounds(t: float, p: ProblemParameters, spectral: SpectralData,
@@ -151,42 +144,66 @@ def analytic_bounds(t: float, p: ProblemParameters, spectral: SpectralData,
     return {"bP": bP, "bQ": bQ, "bR": bR, "feasible": feasible, "which": which}
 
 
-def measure_contraction(phi: HistorySegment, psi: HistorySegment, times,
-                        p: ProblemParameters, ps: ProjectionSet,
+# Pairs marched as one batch.  squeeze on perfbench/configs/squeeze-pairs.json
+# (16 pairs, P = 1024, S = 64; fresh process, 2 vCPU x86-64, numpy 2.4) at
+# 1/2/4/8/16 pairs per group: peak RSS 43/49/60/83/128 MB, wall 0.81/0.65/
+# 0.55/0.50/0.52 s (stored per-pair trajectories: 67 MB, 0.90 s).  Four pairs
+# buy most of the speed of larger batches while the RSS stays below that.
+_GROUP_PAIRS = 4
+
+
+def _window_sups(hist: HistorySegment, steps, p: ProblemParameters, ps: ProjectionSet) -> dict:
+    """March ``hist`` to max(steps); at each step n in ``steps`` map n to the
+    P, Q, R segment sups of the column differences 0 - 1, 2 - 3, ... (arrays
+    over the column pairs).  Only the march window is kept, and it is freed
+    on return, before the next group is stacked."""
+    sups = {}
+    windows = chain([(0, hist.samples)], enumerate(evolve(hist, max(steps), p), start=1))
+    for n, rows in windows:
+        if n in steps:
+            diff = replace(hist, samples=np.stack([r[0::2] - r[1::2] for r in rows]))
+            sups[n] = [row_norms(project(diff, ps).samples, ps.grid).max(axis=0)
+                       for project in (project_P, project_Q, project_R)]
+    return sups
+
+
+def measure_contraction(pairs, times, p: ProblemParameters, ps: ProjectionSet,
                         spectral: SpectralData = None, est: EstimateSet = None,
                         which: str = "bound_63") -> list:
-    """Integrate a pair of histories and measure projected contraction.
+    """Integrate pairs of histories and measure projected contraction.
 
-    The pair advances as one batch of two, once, to ``max(times)``.  For
-    each t in ``times``, in order, the report holds the measured
-    ||P d_t||_C, ||Q d_t||_C, ||R d_t||_C, each divided by
-    ||phi - psi||_C (d_t is the difference segment at time t), plus the
-    analytic bounds when spectral/estimate data is supplied.  Identical
-    inputs are not integrated and yield "zero-difference" reports.
+    ``pairs`` yields (phi, psi) history pairs, taken `_GROUP_PAIRS` at a
+    time; each group marches as one batch, once, to its largest step in
+    ``times``.  Reports come pair by pair, each pair's in ``times`` order:
+    the measured ||P d_t||_C, ||Q d_t||_C, ||R d_t||_C over ||phi - psi||_C
+    (d_t is the difference segment at time t), plus the analytic bounds
+    when spectral/estimate data is supplied.  Identical inputs are not
+    integrated and yield "zero-difference" reports.
     """
-    S = phi.steps_per_delay
-    denom = segment_norm(HistorySegment(phi.samples - psi.samples, phi.grid, phi.tau, S))
-    if denom == 0.0:
-        return [{"status": "zero-difference", "t": t} for t in times]
-    pair = HistorySegment(np.stack([phi.samples, psi.samples], axis=1), phi.grid, phi.tau, S)
-    traj = integrate(pair, max(times), p)
-    reports = []
-    for t in times:
-        rows = segment_at(traj, t).samples
-        diff = HistorySegment(rows[:, 0] - rows[:, 1], phi.grid, phi.tau, S)
-        report = {
-            "status": "ok",
-            "t": t,
-            "denominator": denom,
-            "measured_P": segment_norm(project_P(diff, ps)) / denom,
-            "measured_Q": segment_norm(project_Q(diff, ps)) / denom,
-            "measured_R": segment_norm(project_R(diff, ps)) / denom,
-        }
-        if spectral is not None and est is not None:
-            bounds = analytic_bounds(t, p, spectral, est, which=which)
-            report.update(
-                bound_P=bounds["bP"], bound_Q=bounds["bQ"], bound_R=bounds["bR"],
-                bounds_feasible=bounds["feasible"], which=which,
-            )
-        reports.append(report)
+    pairs, reports = iter(pairs), []
+    while group := list(islice(pairs, _GROUP_PAIRS)):
+        first = group[0][0]
+        steps = [grid_step(t, first.dt) for t in times]
+        denoms = [segment_norm(replace(phi, samples=phi.samples - psi.samples))
+                  for phi, psi in group]
+        # columns phi0, psi0, phi1, psi1, ... of the pairs that differ
+        live = [h.samples for pair, denom in zip(group, denoms) if denom != 0.0 for h in pair]
+        sups = {}
+        if live:
+            sups = _window_sups(replace(first, samples=np.stack(live, axis=1)), steps, p, ps)
+        column = 0
+        for denom in denoms:
+            if denom == 0.0:
+                reports += [{"status": "zero-difference", "t": t} for t in times]
+                continue
+            for t, n in zip(times, steps):
+                report = {"status": "ok", "t": t, "denominator": denom}
+                report.update({f"measured_{part}": float(sup[column]) / denom
+                               for part, sup in zip("PQR", sups[n])})
+                if spectral is not None and est is not None:
+                    b = analytic_bounds(t, p, spectral, est, which=which)
+                    report.update(bound_P=b["bP"], bound_Q=b["bQ"], bound_R=b["bR"],
+                                  bounds_feasible=b["feasible"], which=which)
+                reports.append(report)
+            column += 1
     return reports

@@ -273,7 +273,7 @@ def test_criterion_7_squeezing():
     for _ in range(20):
         phi, psi = eigenmode_pair(rng, grid, p, spectral, 32,
                                   norm=1.0, separation=0.3)
-        for r in measure_contraction(phi, psi, (0.5, 1.0), p, ps, spectral=spectral, est=est):
+        for r in measure_contraction([(phi, psi)], (0.5, 1.0), p, ps, spectral=spectral, est=est):
             assert r["status"] == "ok"
             for part in ("P", "Q", "R"):
                 measured, bound = r[f"measured_{part}"], r[f"bound_{part}"]

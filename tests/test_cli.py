@@ -15,6 +15,7 @@ from delayrd.cli import (
     EXIT_DIVERGENCE,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    MAX_CONTRACTION_STEPS,
     main,
     read_snapshot,
     write_snapshot,
@@ -316,6 +317,23 @@ def test_golden_payload_hashes(tmp_path, subcommand, config):
     assert manifest["payload_sha256"] == payload
 
 
+def test_golden_squeeze_across_groups(tmp_path):
+    """configs/base.json with ensemble 9: two full groups of pairs plus a
+    partial one.  Hashes made before squeeze marched pairs in groups, when
+    each pair was integrated on its own, on the platform noted at GOLDEN."""
+    text = (CONFIGS / "base.json").read_text()
+    assert '"ensemble": 3' in text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace('"ensemble": 3', '"ensemble": 9'))
+    out = tmp_path / "out"
+    assert main(["squeeze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["payload_sha256"] == {
+        "contraction.csv": "d1067d5aca9399f8b0f024529a99ba6b27266ddaf96309ed95edb2284ea51364",
+        "squeeze.json": "6747c844361ba3fc17abb907b81cf8bc7c6ce8db1861cb3394b60d45e99e7e0f",
+    }
+
+
 @pytest.mark.parametrize("old,new", [
     ('"mu": 2.0', '"mu": NaN'),
     ('"mu": 2.0', '"mu": Infinity'),
@@ -394,10 +412,12 @@ def test_no_root_in_window_exits_3(tmp_path, subcommand, edits):
     assert proc.stderr.startswith("infeasible:"), proc.stderr
 
 
-@pytest.mark.parametrize("times", ["[0.3]", "[-0.5]", "[0.5, 0.3]"])
+@pytest.mark.parametrize("times", ["[0.3]", "[-0.5]", "[0.5, 0.3]", "[1e300]",
+                                   repr([(MAX_CONTRACTION_STEPS + 1) * 0.5 / 16])])
 def test_squeeze_rejects_bad_contraction_times(tmp_path, times):
     """dt = 0.5 / 16 on configs/base.json: 0.3 is off the grid, -0.5 is
-    negative; both are configuration errors found before integrating."""
+    negative, 1e300 and one step past the cap are too far; all are
+    configuration errors found before integrating."""
     text = (CONFIGS / "base.json").read_text()
     assert '"contraction_times": [0.5, 1.0]' in text
     cfg = tmp_path / "cfg.json"

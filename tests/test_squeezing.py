@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from delayrd.cli import eigenmode_pair, random_history
+from delayrd.cli import eigenmode_pair, random_history, random_pair
 from delayrd.estimates import compute_estimates
 from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters
 from delayrd.semigroup import Field
@@ -46,6 +47,32 @@ def test_projections_reassemble_and_idempotent(rng, grid):
         assert np.all(R.samples[:, ps.inside] == 0)
 
 
+def loop_projections(rows, ps):
+    """Reference P, Q, R of an (S + 1, P) array, one row at a time."""
+    h = ps.grid.spacing
+    P, Q, R = [], [], []
+    for row in rows:
+        restricted = np.where(ps.inside, row, 0.0)
+        P.append(ps.basis @ (h * (ps.basis.T @ restricted)))
+        Q.append(restricted - P[-1])
+        R.append(np.where(ps.inside, 0.0, row))
+    return np.array(P), np.array(Q), np.array(R)
+
+
+def test_projections_match_per_row_loop(rng, grid):
+    """The stacked projections give the per-row products' bytes, for one
+    segment and for a batch of segments."""
+    ps = make_projections(grid, K=3.0, k_m=5)
+    samples = rng.standard_normal((9, 3, grid.points))
+    batch = HistorySegment(samples, grid, 0.5, 8)
+    for j in range(3):
+        seg = HistorySegment(samples[:, j], grid, 0.5, 8)
+        for project, expected in zip((project_P, project_Q, project_R),
+                                     loop_projections(samples[:, j], ps)):
+            assert np.array_equal(project(seg, ps).samples, expected)
+            assert np.array_equal(project(batch, ps).samples[:, j], expected)
+
+
 def test_projection_basis_is_orthonormal(grid):
     ps = make_projections(grid, K=3.0, k_m=5)
     gram = grid.spacing * (ps.basis.T @ ps.basis)
@@ -84,7 +111,7 @@ def test_modal_difference_contracts_at_its_own_rate(rng, grid):
     pert = HistorySegment(base.samples + bump, grid, p.tau, S)
 
     ps = make_projections(grid, K=K, k_m=3)
-    for t, report in zip((0.5, 1.0), measure_contraction(base, pert, (0.5, 1.0), p, ps)):
+    for t, report in zip((0.5, 1.0), measure_contraction([(base, pert)], (0.5, 1.0), p, ps)):
         assert report["status"] == "ok"
         # the difference never leaves the mode, which Q annihilates
         assert report["measured_Q"] < 1e-10
@@ -110,7 +137,7 @@ def test_pair_batch_matches_separate_integrations(grid, dissipative):
     S = 16
     phi, psi = eigenmode_pair(rng, grid, p, spectral, S, norm=1.0, separation=0.3)
     times = (1.0, 0.25, 0.5)  # out of order, one below tau
-    reports = measure_contraction(phi, psi, times, p, ps, spectral, est)
+    reports = measure_contraction([(phi, psi)], times, p, ps, spectral, est)
     assert [r["t"] for r in reports] == list(times)
     denom = segment_norm(HistorySegment(phi.samples - psi.samples, grid, p.tau, S))
     for t, report in zip(times, reports):
@@ -127,10 +154,70 @@ def test_pair_batch_matches_separate_integrations(grid, dissipative):
             bounds["bP"], bounds["bQ"], bounds["bR"])
 
 
+def test_groups_of_pairs_match_separate_integrations(grid, dissipative):
+    """Six pairs, one full group and one partial, with a zero-difference
+    pair inside the first: every report equals the per-pair reference
+    integrations, and the reports come pair by pair in times order
+    (out of order, t = 0, below tau, repeated)."""
+    p = dissipative
+    rng = np.random.default_rng(78)
+    spectral = _certified_spectral(p, rng=rng)
+    est = compute_estimates(p, norm_g=1.0)
+    ps = make_projections(grid, K=spectral.K, k_m=spectral.k_m)
+    S = 16
+    pairs = [eigenmode_pair(rng, grid, p, spectral, S, norm=1.0, separation=0.3)
+             for _ in range(6)]
+    pairs[1] = (pairs[1][0], pairs[1][0])
+    times = (1.0, 0.0, 0.25, 0.5, 0.25)
+    reports = measure_contraction(iter(pairs), times, p, ps, spectral, est)
+    assert len(reports) == len(pairs) * len(times)
+    for i, (phi, psi) in enumerate(pairs):
+        pair_reports = reports[i * len(times):(i + 1) * len(times)]
+        assert [r["t"] for r in pair_reports] == list(times)
+        if i == 1:
+            assert all(r == {"status": "zero-difference", "t": t}
+                       for r, t in zip(pair_reports, times))
+            continue
+        rows = [np.concatenate([h.samples[:-1], loop_integrate(h, max(times), p)])
+                for h in (phi, psi)]
+        denom = segment_norm(HistorySegment(phi.samples - psi.samples, grid, p.tau, S))
+        for t, report in zip(times, pair_reports):
+            n = round(t * S / p.tau)
+            diff = rows[0][n:n + S + 1] - rows[1][n:n + S + 1]
+            parts = [np.max(np.sqrt(grid.spacing * np.sum(part * part, axis=1)))
+                     for part in loop_projections(diff, ps)]
+            bounds = analytic_bounds(t, p, spectral, est)
+            assert report == {
+                "status": "ok", "t": t, "denominator": denom,
+                "measured_P": parts[0] / denom, "measured_Q": parts[1] / denom,
+                "measured_R": parts[2] / denom, "bound_P": bounds["bP"],
+                "bound_Q": bounds["bQ"], "bound_R": bounds["bR"],
+                "bounds_feasible": bounds["feasible"], "which": "bound_63"}
+
+
+def test_contraction_memory_does_not_grow_with_ensemble(grid, dissipative):
+    """Pairs are drawn lazily and marched a group at a time, so 16 pairs
+    peak no higher than 4 (a small margin for the reports)."""
+    ps = make_projections(grid, K=3.0, k_m=4)
+
+    def peak(count):
+        rng = np.random.default_rng(3)
+        pairs = (random_pair(rng, grid, dissipative.tau, 16, norm=1.0, separation=0.3)
+                 for _ in range(count))
+        tracemalloc.start()
+        try:
+            measure_contraction(pairs, (0.25,), dissipative, ps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) <= 1.1 * peak(4)
+
+
 def test_zero_difference_status(grid, dissipative):
     phi = constant_history(Field(np.cos(grid.nodes), grid), dissipative.tau, 8)
     ps = make_projections(grid, K=3.0, k_m=2)
-    reports = measure_contraction(phi, phi, (0.5,), dissipative, ps)
+    reports = measure_contraction([(phi, phi)], (0.5,), dissipative, ps)
     assert reports == [{"status": "zero-difference", "t": 0.5}]
 
 
@@ -191,7 +278,7 @@ def test_eigenmode_pairs_stay_within_bounds(grid):
         pair_rng = np.random.default_rng(1000 + seed)
         phi, psi = eigenmode_pair(pair_rng, grid, p, spectral,
                                   steps_per_delay=32, norm=1.0, separation=0.3)
-        for r in measure_contraction(phi, psi, (0.5, 1.0), p, ps, spectral, est):
+        for r in measure_contraction([(phi, psi)], (0.5, 1.0), p, ps, spectral, est):
             assert r["status"] == "ok"
             assert r["measured_P"] <= r["bound_P"] * 1.05
             assert r["measured_Q"] <= r["bound_Q"] * 1.05
