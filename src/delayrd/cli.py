@@ -32,6 +32,7 @@ import os
 import struct
 import sys
 import tempfile
+from itertools import chain, islice
 
 import numpy as np
 
@@ -50,13 +51,13 @@ from .semigroup import Field, field_norm
 from .solver import (
     DivergenceError,
     HistorySegment,
+    evolve,
     far_field_masses,
-    integrate,
     segment_norm,
     segment_sups,
 )
 # Not called here, but perfbench/tracing.py patches these names in this module.
-from .solver import far_field_mass, segment_at  # noqa: F401
+from .solver import far_field_mass, integrate, segment_at  # noqa: F401
 from .spectrum import SplittingError, dichotomy_constant, spectral_partition
 from .squeezing import make_projections, measure_contraction
 from .dimension import optimize_certificate
@@ -81,8 +82,8 @@ EXIT_DIVERGENCE = 4
 
 SNAPSHOT_MAGIC = b"DRDF"
 SNAPSHOT_VERSION = 1
-# Largest contraction time of squeeze, in steps; nothing caps a march itself.
-MAX_CONTRACTION_STEPS = 2**20
+# Longest march, in steps: simulate's horizon, squeeze's contraction times.
+MAX_MARCH_STEPS = 2**20
 
 DISSIPATIVITY_CONDITION = "sigma*(L_f+1)*exp(mu*tau) - mu < 0"
 
@@ -377,39 +378,41 @@ def cmd_certify(config_path: str, seed: int, out_dir: str, parallel: int = 1) ->
 def cmd_simulate(config_path: str, seed: int, out_dir: str, parallel: int = 1,
                  snapshot_every: int = None) -> int:
     """Integrate one seeded trajectory and export norm/far-field CSVs plus
-    the far-field threshold verdict at the configured tolerance."""
+    the far-field threshold verdict at the configured tolerance.  Rows are
+    reduced S = steps_per_delay at a time as `evolve` yields them, so memory
+    is O(S P) plus O(N) scalars."""
     p, grid, run = _load_config(config_path)
+    S, dt = run.steps_per_delay, p.tau / run.steps_per_delay
+    steps = run.horizon / dt - 1e-9  # rounded up to whole steps, as `integrate` does
+    if steps > MAX_MARCH_STEPS:
+        raise ConfigError(f"run.horizon must be at most {MAX_MARCH_STEPS} steps of dt = {dt!r}")
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(config_path, seed, "simulate", out_dir)
     rng = np.random.default_rng(np.random.PCG64(seed))
-    phi = random_history(rng, grid, p.tau, run.steps_per_delay, run.history_norm)
-
-    traj = integrate(phi, run.horizon, p)
-
-    def tail_sups(K):
-        return segment_sups(far_field_masses(traj.history.samples, grid, K),
-                            far_field_masses(traj.values, grid, K))
-
-    tail = tail_sups(run.cutoff_radius)
-    rows = [(n * traj.dt, field_norm(traj.field(n)), tail[n])
-            for n in range(traj.steps + 1)]
-    manifest.save("norms.csv", write_csv, ("t", "norm_u", "farfield_mass"), rows)
-
-    radii = far_field_radii(grid.half_length)
-    every_n = range(0, traj.steps + 1, max(1, run.steps_per_delay // 2))
-    columns = [tail_sups(K_i)[every_n] for K_i in radii]
-    ff_rows = [(n * traj.dt, *masses) for n, *masses in zip(every_n, *columns)]
-    manifest.save("farfield.csv", write_csv,
-                  ("t", *(f"mass_K={K_i!r}" for K_i in radii)), ff_rows)
-
-    manifest.save("farfield_check.json", write_json, verify_far_field(traj, run.eps))
-
+    phi = random_history(rng, grid, p.tau, S, run.history_norm)
     every = run.snapshot_every if snapshot_every is None else snapshot_every
-    if every and every > 0:
-        for n in range(0, traj.steps + 1, every):
-            manifest.save(f"field_{n:08d}.bin", write_snapshot,
-                          traj.values[n], grid.half_length, n * traj.dt)
+    radii = far_field_radii(grid.half_length)
 
+    def tails(rows):  # one column per radius: the cutoff, then `radii`
+        return np.stack([far_field_masses(rows, grid, K)
+                         for K in (run.cutoff_radius, *radii)], axis=-1)
+
+    rows = chain([phi.samples[-1]], (w[-1] for w in evolve(phi, max(0, math.ceil(steps)), p)))
+    norms, masses = [], []
+    while block := list(islice(rows, S)):
+        for n, row in enumerate(block, start=len(norms)):
+            norms.append(field_norm(Field(values=row, grid=grid)))
+            if every > 0 and n % every == 0:
+                manifest.save(f"field_{n:08d}.bin", write_snapshot, row, grid.half_length, n * dt)
+        masses.append(tails(np.stack(block)))
+    sups = segment_sups(tails(phi.samples), np.concatenate(masses))
+
+    manifest.save("norms.csv", write_csv, ("t", "norm_u", "farfield_mass"),
+                  [(n * dt, norm, sups[n, 0]) for n, norm in enumerate(norms)])
+    manifest.save("farfield.csv", write_csv, ("t", *(f"mass_K={K!r}" for K in radii)),
+                  [(n * dt, *sups[n, 1:]) for n in range(0, len(norms), max(1, S // 2))])
+    manifest.save("farfield_check.json", write_json,
+                  verify_far_field(sups[:, 1:], dt, run.eps, radii))
     manifest.write()
     return EXIT_OK
 
@@ -432,10 +435,10 @@ def cmd_squeeze(config_path: str, seed: int, out_dir: str, parallel: int = 1) ->
     """Measure P/Q/R contraction on seeded trajectory pairs."""
     p, grid, run = _load_config(config_path)
     dt = p.tau / run.steps_per_delay
-    if any(not 0 <= t / dt <= MAX_CONTRACTION_STEPS or abs(t / dt - round(t / dt)) > 1e-9
+    if any(not 0 <= t / dt <= MAX_MARCH_STEPS or abs(t / dt - round(t / dt)) > 1e-9
            for t in run.contraction_times):  # measure_contraction's grid rule
         raise ConfigError(f"run.contraction_times must be multiples n * dt of dt = {dt!r} "
-                          f"with 0 <= n <= {MAX_CONTRACTION_STEPS}")
+                          f"with 0 <= n <= {MAX_MARCH_STEPS}")
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(config_path, seed, "squeeze", out_dir)
 

@@ -21,6 +21,10 @@ is data, not an error.
 
 All catalog nonlinearities satisfy f(0) = 0, so the ||f(0)|| terms vanish;
 they are kept in the formulas for fidelity.
+
+`verify_absorption` and `verify_energy_integral` reduce a stored
+`Trajectory`; `verify_far_field` takes the segment tail-mass sups that
+``simulate`` gathers as it streams the rows, with no trajectory stored.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from .model import ProblemParameters, check_dissipativity
 from .semigroup import Field, gradient_norm
-from .solver import Trajectory, far_field_masses, row_norms, segment_sups
+from .solver import Trajectory, row_norms, segment_sups
 # Not called here, but perfbench/tracing.py patches these names in this module.
 from .solver import far_field_mass, segment_at, segment_norm  # noqa: F401
 
@@ -270,49 +274,31 @@ def far_field_radii(half_length: float) -> list:
     return [half_length / 2.0 ** k for k in range(5, 0, -1)]
 
 
-def verify_far_field(traj: Trajectory, eps: float, radii=None, time_stride: int = 1) -> dict:
+def verify_far_field(sups, dt: float, eps: float, radii) -> dict:
     """Find empirical far-field thresholds (T_emp, R_emp) for a tolerance.
 
-    Scans a doubling grid of radii K (ascending); for each K finds the
-    smallest sampled T such that the segment tail mass beyond K stays
-    below eps for every sampled t >= T, and returns the first success.
-
-    Parameters
-    ----------
-    traj : Trajectory
-    eps : float
-        Tail-mass tolerance (> 0).
-    radii : sequence of float, optional
-        Ascending radii to scan; default doubles from L/32 to L/2.
-    time_stride : int, optional
-        Sample every ``time_stride``-th step when scanning t.
-
-    Returns
-    -------
-    dict with keys ``status`` ("ok" or "inconclusive"), ``T_emp``,
-    ``R_emp``, and ``tail_at_result``.
+    ``sups`` is (N + 1, len(radii)): entry (n, j) is the segment tail mass
+    sup_theta integral_{|x| >= radii[j]} u(n dt + theta)^2 dx, i.e. the
+    `segment_sups` of `far_field_masses`.  For each radius K, in the given
+    (ascending) order, finds the smallest step time T such that the tail
+    mass stays below ``eps`` (> 0) at every step t >= T, and returns the
+    first success: a dict with keys ``status`` ("ok" or "inconclusive"),
+    ``T_emp``, ``R_emp``, ``tail_at_result`` and ``eps``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if radii is None:
-        radii = far_field_radii(traj.grid.half_length)
-    steps = list(range(0, traj.steps + 1, max(1, time_stride)))
-    if steps[-1] != traj.steps:
-        steps.append(traj.steps)
-
-    for K in radii:
-        masses = segment_sups(far_field_masses(traj.history.samples, traj.grid, K),
-                              far_field_masses(traj.values, traj.grid, K))[steps]
+    if np.ndim(sups) != 2 or np.shape(sups)[1] != len(radii):
+        raise ValueError(f"sups shape {np.shape(sups)}, expected (N + 1, {len(radii)})")
+    for K, masses in zip(radii, np.transpose(sups)):
         ok = masses <= eps
         if not ok[-1]:
             continue
-        # smallest sampled T with all later samples below eps
+        # smallest step with all later steps below eps
         bad = np.flatnonzero(~ok)
-        idx = bad[-1] + 1 if bad.size else 0
-        T_emp = steps[idx] * traj.dt
+        idx = int(bad[-1]) + 1 if bad.size else 0
         return {
             "status": "ok",
-            "T_emp": T_emp,
+            "T_emp": idx * dt,
             "R_emp": float(K),
             "tail_at_result": float(np.max(masses[idx:])),
             "eps": eps,

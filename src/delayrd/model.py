@@ -192,6 +192,8 @@ class RunOptions:
             raise ConfigError("run.dichotomy_samples must be at least 1")
         if self.eps <= 0:
             raise ConfigError("run.eps must be positive")
+        if self.history_norm < 0:
+            raise ConfigError("run.history_norm must be nonnegative")
 
 
 def evaluate_nonlinearity(spec: NonlinearitySpec, value):
@@ -278,6 +280,13 @@ def _number(value, what: str):
     return value
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int if it is a whole number (not a bool)."""
+    if _number(value, what) != int(value):
+        raise ConfigError(f"{what} must be an integer")
+    return int(value)
+
+
 def _optional_number(section: dict, key: str, default, where: str):
     return _number(section.get(key, default), f"key {key!r} in {where}")
 
@@ -357,7 +366,7 @@ def parse_config(text: str):
     _reject_unknown(g_doc, _GRID_KEYS, "grid")
     grid = Grid(
         half_length=float(_optional_number(g_doc, "half_length", 16.0, "grid")),
-        points=int(_optional_number(g_doc, "points", 512, "grid")),
+        points=_integer(g_doc.get("points", 512), "key 'points' in grid"),
     )
 
     r_doc = doc.get("run", {})
@@ -371,9 +380,7 @@ def parse_config(text: str):
                 raise ConfigError("run.contraction_times must be a nonempty list")
             value = tuple(float(_number(t, "run.contraction_times entry")) for t in value)
         else:
-            value = _number(value, f"key {key!r} in run")
-            if key in _RUN_INT_KEYS:
-                value = int(value)
+            value = (_integer if key in _RUN_INT_KEYS else _number)(value, f"key {key!r} in run")
         run_kwargs[key] = value
     run = RunOptions(**run_kwargs)
 

@@ -19,15 +19,18 @@ exact; only the quadrature is approximate).
 `march` is the one implementation of this recurrence, with the propagator
 and the load as arguments.  `evolve` is the equation's march: the FFT
 semigroup step on fields and the delayed load above, the only place that
-load is written; `integrate` stores its rows, `squeezing` reads its windows
-only at the contraction steps.  `spectrum` marches a scalar decay per
+load is written.  The CLI stores no trajectory: `simulate` reduces the rows
+of `evolve` S at a time and `squeezing` reads its windows only at the
+contraction steps.  `integrate` stores every row, for tests, demos and the
+trajectory checks of `estimates`.  `spectrum` marches a scalar decay per
 Dirichlet mode.  Rows may carry a batch axis, so several histories or a set
 of modes advance as one array.
 
 A segment u_t is a window of S + 1 consecutive history/solution rows, so
 every segment sup (norm, far-field mass, gradient sup) is a per-row quantity
 reduced by one sliding-window max, `segment_sups`; `segment_at` copies out
-one segment.
+one segment.  Per-row quantities reduce each row on its own, so a row gives
+the same bytes alone, in a block of rows or in a batch.
 """
 
 from __future__ import annotations
@@ -152,9 +155,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.values.shape[0])
 
-    def field(self, n: int) -> Field:
-        return Field(values=self.values[n], grid=self.grid)
-
 
 def march(hist, n_steps: int, dt: float, propagate, load):
     """Step the trapezoid recurrence from a history, yielding its window.
@@ -261,11 +261,12 @@ def segment_norm(seg: HistorySegment) -> float:
 
 
 def far_field_masses(samples: np.ndarray, grid: Grid, K: float) -> np.ndarray:
-    """Tail mass integral_{|x| >= K} u^2 dx of each row of ``samples``."""
-    outside = np.abs(grid.nodes) >= K
-    tail = samples[:, outside]
+    """Tail mass integral_{|x| >= K} u^2 dx of each row of ``samples`` (the
+    grid on the last axis).  The tail is a C-ordered copy summed along its
+    rows, so every row is summed pairwise whatever the leading axes are."""
+    tail = np.compress(np.abs(grid.nodes) >= K, samples, axis=-1)
     np.square(tail, out=tail)
-    return grid.spacing * np.sum(tail, axis=1)
+    return grid.spacing * np.sum(tail, axis=-1)
 
 
 def far_field_mass(seg: HistorySegment, K: float) -> float:

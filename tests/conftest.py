@@ -11,6 +11,7 @@ from delayrd.model import (
 )
 from delayrd.model import evaluate_forcing, evaluate_nonlinearity
 from delayrd.semigroup import Field, field_norm
+from delayrd.solver import far_field_masses, segment_sups
 
 
 @pytest.fixture
@@ -82,3 +83,11 @@ def loop_integrate(phi, horizon, p):
                                n=phi.grid.points)
         values[n + 1] = stepped + 0.5 * dt * load(n + 1)
     return values
+
+
+def far_field_sups(traj, radii):
+    """Segment tail-mass sups of a stored trajectory, one column per radius:
+    the array `verify_far_field` takes."""
+    def tails(rows):
+        return np.stack([far_field_masses(rows, traj.grid, K) for K in radii], axis=-1)
+    return segment_sups(tails(traj.history.samples), tails(traj.values))

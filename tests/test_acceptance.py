@@ -24,7 +24,7 @@ from scipy.integrate import solve_ivp
 
 from delayrd.cli import eigenmode_pair, main, random_history
 from delayrd.dimension import covering_bound, covering_bruteforce, eta, hausdorff_bound
-from delayrd.estimates import absorbing_time, compute_estimates, verify_far_field
+from delayrd.estimates import absorbing_time, compute_estimates, far_field_radii, verify_far_field
 from delayrd.model import (
     ForcingSpec,
     Grid,
@@ -43,6 +43,8 @@ from delayrd.spectrum import (
     spectral_partition,
 )
 from delayrd.squeezing import make_projections, measure_contraction
+
+from conftest import far_field_sups
 
 
 _live_capture = None
@@ -296,14 +298,17 @@ def test_criterion_8_far_field():
             lambda x, th: np.where(np.abs(x) < 4.0,
                                    np.cos(math.pi * x / 8.0) ** 2, 0.0),
             grid, p.tau, 32)
-        return integrate(phi, horizon=8.0, p=p)
+        traj = integrate(phi, horizon=8.0, p=p)
+        return far_field_sups(traj, radii), traj.dt
+
+    radii = far_field_radii(grid.half_length)
 
     # weak forcing: every radius drains, T(eps) climbs while R holds
-    traj = run(1e-3)
+    sups, dt = run(1e-3)
     prev_T, prev_R = -math.inf, 0.0
     for k in range(10):
         eps = 0.1 * 2.0 ** -k
-        r = verify_far_field(traj, eps)
+        r = verify_far_field(sups, dt, eps, radii)
         assert r["status"] == "ok"
         assert r["tail_at_result"] <= eps
         assert r["T_emp"] >= prev_T and r["R_emp"] >= prev_R
@@ -311,11 +316,11 @@ def test_criterion_8_far_field():
 
     # strong forcing: sustained tails push the radius outward instead;
     # T stays comparable (nondecreasing) whenever the radius holds still
-    traj = run(0.5)
+    sups, dt = run(0.5)
     prev = None
     for k in range(10):
         eps = 0.1 * 2.0 ** -k
-        r = verify_far_field(traj, eps)
+        r = verify_far_field(sups, dt, eps, radii)
         assert r["status"] == "ok"
         assert r["tail_at_result"] <= eps
         if prev is not None:

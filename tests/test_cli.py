@@ -1,10 +1,12 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from delayrd.cli import (
     EXIT_DIVERGENCE,
     EXIT_INFEASIBLE,
     EXIT_OK,
-    MAX_CONTRACTION_STEPS,
+    MAX_MARCH_STEPS,
+    cmd_simulate,
     main,
     read_snapshot,
     write_snapshot,
@@ -269,21 +272,24 @@ def test_parser_requires_subcommand():
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+PERFBENCH_CONFIGS = CONFIGS.parent / "perfbench" / "configs"
 
 # payload_sha256 of each run at the config seed, on x86-64 Linux with
 # Python 3.11 and numpy 2.4; FFT rounding on another platform or numpy build
 # may legitimately move them.  The two spectrum.json hashes date from the
-# switch to Lambert W roots, which moved root values in the last ulp.
+# switch to Lambert W roots, which moved root values in the last ulp; the
+# simulate hashes from the pairwise (layout-independent) tail-mass sum, which
+# moved the far-field masses by at most 4e-15 relative.
 GOLDEN = {
     ("simulate", "base"): (EXIT_OK, {
-        "farfield.csv": "ff7542332be4f15b98baa3f3cf8ebb0b18b884c4202bc44299da014d6571ad43",
-        "farfield_check.json": "0ed13c1bc6884ed8f8f378e14a4dc14a95f07a690e5a336a3639adefae1cc457",
-        "norms.csv": "f96f9f7df66a950d21d751d8fc9a4c8c6f321802f25ccbf4897239facb0ca1c0",
+        "farfield.csv": "5291a61eb1c9cb9cc6006e026aa9c52c1702942781649ebf9591b6249d20b269",
+        "farfield_check.json": "06fda6ba88cb7d31dfba31740500f4c467daea1e1852df4dc536a681cba79b75",
+        "norms.csv": "ee5dd9c5d7fd00fbecf633e6f2e09295be9f9f3171cc21f4c547cce64f508f98",
     }),
     ("simulate", "certify"): (EXIT_OK, {
-        "farfield.csv": "857d87c078556fd9ecf14a9ba0f4618d56a060b42290625984db5d24f2b6c4ba",
-        "farfield_check.json": "82fcfbc97aeebc9cec0504b6034eb58ad8a73f909a3502efde414345b9443a8b",
-        "norms.csv": "197aa23ede11939a0645279e798b7f1c7862e170739781552c6ada53fddba857",
+        "farfield.csv": "9effbb74b16df95f6906d779780acfc041df0120523b6b79e42c0e352cc479aa",
+        "farfield_check.json": "81584f4eae972430f0b6417eedfef5bd7c9ec0f2462f24a9311c6524823c963a",
+        "norms.csv": "2adf632666f97988d5a5778a0380f282f50959cb527c9c6eed5cc534b48e14fd",
     }),
     ("certify", "base"): (EXIT_INFEASIBLE, {
         "certificate.json": "5832ac9c450fd391b7c0ee64d9f16adf22632d87774037ba8464ab3ad7489394",
@@ -347,9 +353,15 @@ def test_golden_squeeze_across_groups(tmp_path):
     ('"mu": 2.0', '"mu": 1e300'),
     ('"tau": 0.5', '"tau": 1e300'),
     ('"cutoff_radius": 3.0', '"cutoff_radius": 4.0'),
+    ('"steps_per_delay": 16', '"steps_per_delay": 16.7'),
+    ('"ensemble": 3', '"ensemble": 2.5'),
+    ('"points": 512', '"points": 512.5'),
+    ('"history_norm": 1.0', '"history_norm": -1'),
 ], ids=["nan", "infinity", "float-overflow", "int-overflow", "horizon-type",
         "seed-type", "seed-negative", "no-dichotomy-samples", "amplitude-type",
-        "mu-tau-overflow-mu", "mu-tau-overflow-tau", "cutoff-radius-L/4"])
+        "mu-tau-overflow-mu", "mu-tau-overflow-tau", "cutoff-radius-L/4",
+        "steps-per-delay-fraction", "ensemble-fraction", "points-fraction",
+        "history-norm-negative"])
 def test_bad_config_exits_2_without_hanging(tmp_path, old, new):
     """Run in a subprocess with a timeout, so an input that makes the
     pipeline spin fails the test instead of hanging the suite."""
@@ -413,7 +425,7 @@ def test_no_root_in_window_exits_3(tmp_path, subcommand, edits):
 
 
 @pytest.mark.parametrize("times", ["[0.3]", "[-0.5]", "[0.5, 0.3]", "[1e300]",
-                                   repr([(MAX_CONTRACTION_STEPS + 1) * 0.5 / 16])])
+                                   repr([(MAX_MARCH_STEPS + 1) * 0.5 / 16])])
 def test_squeeze_rejects_bad_contraction_times(tmp_path, times):
     """dt = 0.5 / 16 on configs/base.json: 0.3 is off the grid, -0.5 is
     negative, 1e300 and one step past the cap are too far; all are
@@ -427,6 +439,73 @@ def test_squeeze_rejects_bad_contraction_times(tmp_path, times):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert proc.stderr.startswith("config error:"), proc.stderr
     assert "contraction_times" in proc.stderr
+
+
+@pytest.mark.parametrize("horizon", ["1e9", "1e300", repr((MAX_MARCH_STEPS + 1) * 0.5 / 16)],
+                         ids=["1e9", "1e300", "cap-plus-one-step"])
+def test_simulate_rejects_horizon_beyond_cap(tmp_path, horizon):
+    """dt = 0.5 / 16 on configs/base.json.  simulate keeps no trajectory, so
+    only the step cap stops these from marching for days; they are
+    configuration errors found before the output directory is made."""
+    text = (CONFIGS / "base.json").read_text()
+    assert '"horizon": 3.0' in text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace('"horizon": 3.0', f'"horizon": {horizon}'))
+    proc = run_cli_subprocess("simulate", cfg, tmp_path / "out")
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "horizon" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_memory_does_not_grow_with_horizon(tmp_path):
+    """simulate reduces the rows of the march S at a time, so its traced
+    peak holds O(S P) floats plus O(N) scalars, not the (N + 1) x P
+    trajectory: ten times the horizon may cost at most a quarter more."""
+    doc = json.loads((PERFBENCH_CONFIGS / "simulate-farfield.json").read_text())
+    doc["run"]["snapshot_every"] = 0
+
+    def peak(horizon):
+        doc["run"]["horizon"] = horizon
+        cfg = tmp_path / f"cfg-{horizon}.json"
+        cfg.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            assert cmd_simulate(str(cfg), 0, str(tmp_path / f"out-{horizon}")) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2.0)  # warm-up: first-call caches are not part of the trend
+    assert peak(20.0) <= 1.25 * peak(2.0)
+
+
+def test_tracer_finds_every_name_it_patches():
+    """perfbench/tracing.py patches module names by lookup, some of them
+    imported only for it (``# noqa: F401``); dropping one would break
+    ``--trace 1`` with an AttributeError.  Install and uninstall the tracer
+    and check that every name is back afterwards."""
+    path = CONFIGS.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def lookup(module, attr):
+        owner = importlib.import_module(f"delayrd.{module}")
+        if "." in attr:
+            cls, attr = attr.split(".")
+            return getattr(owner, cls).__dict__[attr]
+        return getattr(owner, attr)
+
+    places = [place for _, places, _ in tracing.TARGETS for place in places]
+    before = {place: lookup(*place) for place in places}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert all(lookup(*place) is not before[place] for place in places)
+    finally:
+        tracer.uninstall()
+    assert {place: lookup(*place) for place in places} == before
 
 
 def test_dominant_root_right_of_old_window(tmp_path):

@@ -9,12 +9,13 @@ from delayrd.solver import constant_history, history_from_function, integrate
 from delayrd.estimates import (
     absorbing_time,
     compute_estimates,
+    far_field_radii,
     verify_absorption,
     verify_energy_integral,
     verify_far_field,
 )
 
-from conftest import dissipative_params, heat_only_params
+from conftest import dissipative_params, far_field_sups, heat_only_params
 
 
 def test_constants_against_hand_formulas(dissipative):
@@ -201,21 +202,23 @@ def test_far_field_thresholds(grid):
         lambda x, th: np.where(np.abs(x) < 1.0, np.cos(0.5 * math.pi * x) ** 2, 0.0),
         grid, p.tau, 16)
     traj = integrate(phi, horizon=4.0, p=p)
+    radii = far_field_radii(grid.half_length)
+    sups = far_field_sups(traj, radii)
 
-    report = verify_far_field(traj, eps=1e-3)
+    report = verify_far_field(sups, traj.dt, 1e-3, radii)
     assert report["status"] == "ok"
     assert report["tail_at_result"] <= 1e-3
     assert report["R_emp"] in (0.5, 1.0, 2.0, 4.0, 8.0)
 
     # tighter tolerance can only push the thresholds up
-    tight = verify_far_field(traj, eps=1e-6)
+    tight = verify_far_field(sups, traj.dt, 1e-6, radii)
     assert tight["R_emp"] >= report["R_emp"]
     if tight["R_emp"] == report["R_emp"]:
         assert tight["T_emp"] >= report["T_emp"]
 
-    hopeless = verify_far_field(traj, eps=1e-300)
+    hopeless = verify_far_field(sups, traj.dt, 1e-300, radii)
     assert hopeless["status"] == "inconclusive"
     assert math.isinf(hopeless["T_emp"]) and math.isinf(hopeless["R_emp"])
 
     with pytest.raises(ValueError):
-        verify_far_field(traj, eps=0.0)
+        verify_far_field(sups, traj.dt, 0.0, radii)
