@@ -13,8 +13,9 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible certificate,
 
 Reproducibility contract: all randomness flows through a single
 ``numpy.random.Generator`` seeded with PCG64 (documented, counter-based,
-cross-platform stable); JSON is emitted with sorted keys, CSV uses repr
-floats with '.' decimals and LF line endings; files are written atomically
+cross-platform stable); JSON is the text of ``json.dumps(sort_keys=True,
+indent=2)``, built in one pass by ``_json_text``; CSV uses repr floats with
+'.' decimals and LF line endings; files are written atomically
 (temp file + rename).  Rerunning a subcommand with the same manifest
 produces byte-identical payloads; the manifest records their sha256 hashes
 and carries the only timestamp, which is excluded from hashing.
@@ -33,12 +34,14 @@ import struct
 import sys
 import tempfile
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__
 from .estimates import absorbing_time, compute_estimates, far_field_radii, verify_far_field
 from .model import (
+    MAX_MARCH_STEPS,
     ConfigError,
     Grid,
     ProblemParameters,
@@ -82,8 +85,6 @@ EXIT_DIVERGENCE = 4
 
 SNAPSHOT_MAGIC = b"DRDF"
 SNAPSHOT_VERSION = 1
-# Longest march, in steps: simulate's horizon, squeeze's contraction times.
-MAX_MARCH_STEPS = 2**20
 
 DISSIPATIVITY_CONDITION = "sigma*(L_f+1)*exp(mu*tau) - mu < 0"
 
@@ -104,26 +105,41 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
         raise
 
 
-def _sanitize(obj):
-    """Replace non-finite floats so the JSON stays standard and stable."""
-    if isinstance(obj, dict):
-        return {key: _sanitize(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(value) for value in obj]
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        if math.isnan(obj):
-            return "nan"
-        return "inf" if obj > 0 else "-inf"
-    return obj
+def _json_text(obj, pad: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` built in one pass, with
+    non-finite floats as "nan"/"inf"/"-inf" and numpy scalars as floats and
+    ints; ``pad`` indents its line.  Exact-type dispatch, hot cases first."""
+    kind = type(obj)
+    if kind is float:
+        if math.isfinite(obj):
+            return repr(obj)
+        return '"nan"' if obj != obj else '"inf"' if obj > 0 else '"-inf"'
+    if kind is dict or kind is list or kind is tuple:
+        if not obj:
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        if kind is dict:
+            items = [f"{encode_basestring_ascii(key)}: {_json_text(obj[key], inner)}"
+                     for key in sorted(obj)]
+            return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
+        return "[\n" + inner + f",\n{inner}".join([_json_text(v, inner) for v in obj]) + f"\n{pad}]"
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return repr(obj)
+    if isinstance(obj, np.floating):
+        return _json_text(float(obj))
+    if isinstance(obj, np.integer):
+        return repr(int(obj))
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def write_json(path: str, obj) -> None:
-    text = json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n"
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    _atomic_write_bytes(path, (_json_text(obj) + "\n").encode("utf-8"))
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -292,13 +308,15 @@ def eigenmode_pair(rng: np.random.Generator, grid: Grid, p: ProblemParameters,
 # --- shared pipeline pieces ---------------------------------------------------
 
 
-def _load_config(path: str):
+def _load_config(path: str, seed: int | None):
+    """(params, grid, run, seed); a ``seed`` of None means ``run.seed``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    return parse_config(text)
+    p, grid, run = parse_config(text)
+    return p, grid, run, run.seed if seed is None else seed
 
 
 def _forcing_norm(p: ProblemParameters, grid: Grid) -> float:
@@ -320,9 +338,9 @@ def _spectral_bundle(p: ProblemParameters, grid: Grid, run: RunOptions, seed: in
 # --- subcommands --------------------------------------------------------------
 
 
-def cmd_certify(config_path: str, seed: int, out_dir: str, parallel: int = 1) -> int:
+def cmd_certify(config_path: str, seed: int | None, out_dir: str, parallel: int = 1) -> int:
     """Full certification pipeline: estimates, spectrum, dimension bounds."""
-    p, grid, run = _load_config(config_path)
+    p, grid, run, seed = _load_config(config_path, seed)
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(config_path, seed, "certify", out_dir)
 
@@ -375,13 +393,13 @@ def cmd_certify(config_path: str, seed: int, out_dir: str, parallel: int = 1) ->
     return EXIT_OK
 
 
-def cmd_simulate(config_path: str, seed: int, out_dir: str, parallel: int = 1,
+def cmd_simulate(config_path: str, seed: int | None, out_dir: str, parallel: int = 1,
                  snapshot_every: int = None) -> int:
     """Integrate one seeded trajectory and export norm/far-field CSVs plus
     the far-field threshold verdict at the configured tolerance.  Rows are
     reduced S = steps_per_delay at a time as `evolve` yields them, so memory
     is O(S P) plus O(N) scalars."""
-    p, grid, run = _load_config(config_path)
+    p, grid, run, seed = _load_config(config_path, seed)
     S, dt = run.steps_per_delay, p.tau / run.steps_per_delay
     steps = run.horizon / dt - 1e-9  # rounded up to whole steps, as `integrate` does
     if steps > MAX_MARCH_STEPS:
@@ -417,9 +435,9 @@ def cmd_simulate(config_path: str, seed: int, out_dir: str, parallel: int = 1,
     return EXIT_OK
 
 
-def cmd_spectrum(config_path: str, seed: int, out_dir: str, parallel: int = 1) -> int:
+def cmd_spectrum(config_path: str, seed: int | None, out_dir: str, parallel: int = 1) -> int:
     """Spectral data only: eigenvalues, roots, splitting, dichotomy."""
-    p, grid, run = _load_config(config_path)
+    p, grid, run, seed = _load_config(config_path, seed)
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(config_path, seed, "spectrum", out_dir)
     spectral, dichotomy = _spectral_bundle(p, grid, run, seed)
@@ -431,9 +449,9 @@ def cmd_spectrum(config_path: str, seed: int, out_dir: str, parallel: int = 1) -
     return EXIT_OK if spectral.certificate_ok else EXIT_INFEASIBLE
 
 
-def cmd_squeeze(config_path: str, seed: int, out_dir: str, parallel: int = 1) -> int:
+def cmd_squeeze(config_path: str, seed: int | None, out_dir: str, parallel: int = 1) -> int:
     """Measure P/Q/R contraction on seeded trajectory pairs."""
-    p, grid, run = _load_config(config_path)
+    p, grid, run, seed = _load_config(config_path, seed)
     dt = p.tau / run.steps_per_delay
     if any(not 0 <= t / dt <= MAX_MARCH_STEPS or abs(t / dt - round(t / dt)) > 1e-9
            for t in run.contraction_times):  # measure_contraction's grid rule
@@ -578,29 +596,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is None:
-        return _load_config(args.config)[2].seed
-    if args.seed < 0:
-        raise ConfigError("--seed must be nonnegative")
-    return args.seed
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.subcommand == "report":
             return cmd_report(args.dir)
-        seed = _resolve_seed(args)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be nonnegative")
         if args.subcommand == "certify":
-            return cmd_certify(args.config, seed, args.out, args.parallel)
+            return cmd_certify(args.config, args.seed, args.out, args.parallel)
         if args.subcommand == "simulate":
-            return cmd_simulate(args.config, seed, args.out, args.parallel,
+            return cmd_simulate(args.config, args.seed, args.out, args.parallel,
                                 snapshot_every=args.snapshot_every)
         if args.subcommand == "spectrum":
-            return cmd_spectrum(args.config, seed, args.out, args.parallel)
+            return cmd_spectrum(args.config, args.seed, args.out, args.parallel)
         if args.subcommand == "squeeze":
-            return cmd_squeeze(args.config, seed, args.out, args.parallel)
+            return cmd_squeeze(args.config, args.seed, args.out, args.parallel)
         raise AssertionError(f"unhandled subcommand {args.subcommand}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

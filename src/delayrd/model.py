@@ -39,6 +39,8 @@ __all__ = [
 
 NONLINEARITY_KINDS = ("zero", "scaled_tanh", "scaled_sin", "saturating_linear")
 FORCING_KINDS = ("zero", "gaussian_bump", "compact_bump")
+# Longest march, in steps, and the largest loop count a config may set.
+MAX_MARCH_STEPS = 2**20
 
 
 class ConfigError(ValueError):
@@ -190,6 +192,9 @@ class RunOptions:
             raise ConfigError("run.seed must be nonnegative")
         if self.dichotomy_samples < 1:
             raise ConfigError("run.dichotomy_samples must be at least 1")
+        for key in ("modes", "ensemble", "dichotomy_samples"):
+            if getattr(self, key) > MAX_MARCH_STEPS:
+                raise ConfigError(f"run.{key} must be at most {MAX_MARCH_STEPS}")
         if self.eps <= 0:
             raise ConfigError("run.eps must be positive")
         if self.history_norm < 0:

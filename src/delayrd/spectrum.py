@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ProblemParameters
+from .model import MAX_MARCH_STEPS, ConfigError, ProblemParameters
 from .solver import march
 
 __all__ = [
@@ -375,7 +375,8 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
     is the sample maximum times a declared safety factor (default 1.25).
 
     Returns a dict with ``K_m`` (the estimate), ``sample_max``,
-    ``safety``, ``times``, and ``samples``.
+    ``safety``, ``times``, and ``samples``.  A march of more than
+    ``MAX_MARCH_STEPS`` steps (a tiny tau) raises ConfigError instead.
     """
     if spectral.rho_m >= 0:
         raise ValueError("dichotomy estimate requires rho_m < 0")
@@ -392,6 +393,8 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
     # log-spaced targets snapped to the step grid, always containing t=0
     raw = np.geomspace(max(dt, t_max / 256.0), t_max, t_points)
     t_grid = sorted({0} | {int(round(t / dt)) for t in raw})
+    if t_grid[-1] > MAX_MARCH_STEPS:
+        raise ConfigError(f"tau = {p.tau!r} needs more than {MAX_MARCH_STEPS} dichotomy steps")
     thetas = np.linspace(-p.tau, 0.0, steps_per_delay + 1)
 
     # every sample's mode histories, as the columns of one batch

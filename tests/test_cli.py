@@ -23,6 +23,7 @@ from delayrd.cli import (
     read_snapshot,
     write_snapshot,
 )
+from delayrd.model import parse_config
 
 
 def write_config(path, **overrides):
@@ -279,7 +280,10 @@ PERFBENCH_CONFIGS = CONFIGS.parent / "perfbench" / "configs"
 # may legitimately move them.  The two spectrum.json hashes date from the
 # switch to Lambert W roots, which moved root values in the last ulp; the
 # simulate hashes from the pairwise (layout-independent) tail-mass sum, which
-# moved the far-field masses by at most 4e-15 relative.
+# moved the far-field masses by at most 4e-15 relative.  The certify-sweep-0
+# entry (perfbench/configs, 48 modes, a 212 kB spectrum.json) was hashed with
+# the two-pass JSON writer (sanitize, then json.dumps) before the one-pass
+# writer replaced it.
 GOLDEN = {
     ("simulate", "base"): (EXIT_OK, {
         "farfield.csv": "5291a61eb1c9cb9cc6006e026aa9c52c1702942781649ebf9591b6249d20b269",
@@ -309,6 +313,11 @@ GOLDEN = {
         "contraction.csv": "25f6e2ee845e3eb324bf91638751a67b51be829fba9174d7955896641c6bd1da",
         "squeeze.json": "debdc5fce22f84b2d2298c7b94def3a527064e7143c93ec4fd4354e1d7460a6c",
     }),
+    ("certify", "certify-sweep-0"): (EXIT_OK, {
+        "certificate.json": "753b64d3bffca41181e23fb2701d9c60d9b2434c6856713a3ea4cc9b11c51c38",
+        "estimates.json": "87edeb7cc97fb0af199dc4121c936e76a24ba987f57185cb01344aecc1feb756",
+        "spectrum.json": "6a24729a2f1a74fdb913218262d4951a99e7f3c6002cf0647f2c3da93a7730f3",
+    }),
 }
 
 
@@ -317,8 +326,10 @@ GOLDEN = {
 def test_golden_payload_hashes(tmp_path, subcommand, config):
     exit_code, payload = GOLDEN[subcommand, config]
     out = tmp_path / "out"
-    assert main([subcommand, "--config", str(CONFIGS / f"{config}.json"),
-                 "--out", str(out)]) == exit_code
+    path = CONFIGS / f"{config}.json"
+    if not path.exists():
+        path = PERFBENCH_CONFIGS / f"{config}.json"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == exit_code
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["payload_sha256"] == payload
 
@@ -383,6 +394,48 @@ def run_cli_subprocess(subcommand, cfg, out):
         [sys.executable, "-m", "delayrd.cli", subcommand, "--config", str(cfg),
          "--out", str(out)],
         capture_output=True, text=True, timeout=60, env=env)
+
+
+@pytest.mark.parametrize("subcommand,old,new", [
+    ("certify", '"tau": 0.5', '"tau": 1e-300'),
+    ("spectrum", '"tau": 0.5', '"tau": 1e-300'),
+    ("certify", '"modes": 8', f'"modes": {10**30}'),
+    ("spectrum", '"modes": 8', f'"modes": {10**30}'),
+    ("squeeze", '"modes": 8', f'"modes": {10**30}'),
+    ("certify", '"dichotomy_samples": 8', f'"dichotomy_samples": {10**30}'),
+    ("spectrum", '"dichotomy_samples": 8', f'"dichotomy_samples": {10**30}'),
+    ("squeeze", '"ensemble": 3', f'"ensemble": {10**30}'),
+], ids=["certify-tau-1e-300", "spectrum-tau-1e-300", "certify-modes", "spectrum-modes",
+        "squeeze-modes", "certify-dichotomy-samples", "spectrum-dichotomy-samples",
+        "squeeze-ensemble"])
+def test_loop_sizes_beyond_cap_exit_2(tmp_path, subcommand, old, new):
+    """configs/base.json with a loop the config sizes set far past
+    MAX_MARCH_STEPS: tau = 1e-300 asks for about 1e302 dichotomy steps, and
+    10**30 modes, dichotomy samples or pairs once grew a Python list until
+    memory ran out.  All are configuration errors found before the work."""
+    text = (CONFIGS / "base.json").read_text()
+    assert old in text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace(old, new))
+    proc = run_cli_subprocess(subcommand, cfg, tmp_path / "out")
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert str(MAX_MARCH_STEPS) in proc.stderr
+
+
+def test_config_parsed_once_per_call(tmp_path, monkeypatch):
+    """Without --seed the seed comes from the config parse the subcommand
+    makes anyway, not from a second one."""
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_config(text)
+
+    monkeypatch.setattr("delayrd.cli.parse_config", counting_parse)
+    assert main(["certify", "--config", str(CONFIGS / "certify.json"),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def certify_config_with(path, old, new):

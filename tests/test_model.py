@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from delayrd.model import (
+    MAX_MARCH_STEPS,
     ConfigError,
     ForcingSpec,
     Grid,
@@ -95,6 +96,16 @@ def test_run_options_validation():
         RunOptions(m_cut=4, modes=3)
     with pytest.raises(ConfigError):
         RunOptions(eps=0.0)
+
+
+@pytest.mark.parametrize("key", ["modes", "ensemble", "dichotomy_samples"])
+def test_run_options_cap_loop_counts(key):
+    """Each of these sizes a loop or a list; the step cap bounds them."""
+    assert getattr(RunOptions(**{key: MAX_MARCH_STEPS}), key) == MAX_MARCH_STEPS
+    with pytest.raises(ConfigError, match=key):
+        RunOptions(**{key: MAX_MARCH_STEPS + 1})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(make_config(run={key: 10**30}))
 
 
 # --- catalog evaluation ------------------------------------------------------
