@@ -338,7 +338,7 @@ def _spectral_bundle(p: ProblemParameters, grid: Grid, run: RunOptions, seed: in
 # --- subcommands --------------------------------------------------------------
 
 
-def cmd_certify(config_path: str, seed: int | None, out_dir: str, parallel: int = 1) -> int:
+def cmd_certify(config_path: str, seed: int | None, out_dir: str) -> int:
     """Full certification pipeline: estimates, spectrum, dimension bounds."""
     p, grid, run, seed = _load_config(config_path, seed)
     os.makedirs(out_dir, exist_ok=True)
@@ -393,7 +393,7 @@ def cmd_certify(config_path: str, seed: int | None, out_dir: str, parallel: int 
     return EXIT_OK
 
 
-def cmd_simulate(config_path: str, seed: int | None, out_dir: str, parallel: int = 1,
+def cmd_simulate(config_path: str, seed: int | None, out_dir: str,
                  snapshot_every: int = None) -> int:
     """Integrate one seeded trajectory and export norm/far-field CSVs plus
     the far-field threshold verdict at the configured tolerance.  Rows are
@@ -435,7 +435,7 @@ def cmd_simulate(config_path: str, seed: int | None, out_dir: str, parallel: int
     return EXIT_OK
 
 
-def cmd_spectrum(config_path: str, seed: int | None, out_dir: str, parallel: int = 1) -> int:
+def cmd_spectrum(config_path: str, seed: int | None, out_dir: str) -> int:
     """Spectral data only: eigenvalues, roots, splitting, dichotomy."""
     p, grid, run, seed = _load_config(config_path, seed)
     os.makedirs(out_dir, exist_ok=True)
@@ -449,7 +449,7 @@ def cmd_spectrum(config_path: str, seed: int | None, out_dir: str, parallel: int
     return EXIT_OK if spectral.certificate_ok else EXIT_INFEASIBLE
 
 
-def cmd_squeeze(config_path: str, seed: int | None, out_dir: str, parallel: int = 1) -> int:
+def cmd_squeeze(config_path: str, seed: int | None, out_dir: str) -> int:
     """Measure P/Q/R contraction on seeded trajectory pairs."""
     p, grid, run, seed = _load_config(config_path, seed)
     dt = p.tau / run.steps_per_delay
@@ -604,14 +604,16 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed must be nonnegative")
         if args.subcommand == "certify":
-            return cmd_certify(args.config, args.seed, args.out, args.parallel)
+            return cmd_certify(args.config, args.seed, args.out)
         if args.subcommand == "simulate":
-            return cmd_simulate(args.config, args.seed, args.out, args.parallel,
+            if args.snapshot_every is not None and args.snapshot_every < 0:
+                raise ConfigError("--snapshot-every must be nonnegative")
+            return cmd_simulate(args.config, args.seed, args.out,
                                 snapshot_every=args.snapshot_every)
         if args.subcommand == "spectrum":
-            return cmd_spectrum(args.config, args.seed, args.out, args.parallel)
+            return cmd_spectrum(args.config, args.seed, args.out)
         if args.subcommand == "squeeze":
-            return cmd_squeeze(args.config, args.seed, args.out, args.parallel)
+            return cmd_squeeze(args.config, args.seed, args.out)
         raise AssertionError(f"unhandled subcommand {args.subcommand}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,12 +39,52 @@ __all__ = [
 
 NONLINEARITY_KINDS = ("zero", "scaled_tanh", "scaled_sin", "saturating_linear")
 FORCING_KINDS = ("zero", "gaussian_bump", "compact_bump")
-# Longest march, in steps, and the largest loop count a config may set.
+# Longest march, in steps, and the largest count or size a config may set.
 MAX_MARCH_STEPS = 2**20
+# Most floats in one history segment, (steps_per_delay + 1) * points.
+MAX_SEGMENT_FLOATS = 2**24
 
 
 class ConfigError(ValueError):
     """Raised when a configuration document violates the schema."""
+
+
+# --- configuration schema -------------------------------------------------
+# Each section's dataclass is its schema table: field name = JSON key,
+# annotation = type, default = default, ``rule`` metadata = the predicate a
+# value must pass.  Only rules tying several fields together are hand-written.
+
+
+def _rule(test, rule: str, **kwargs):
+    """A field whose values must pass ``test``; ``rule`` completes the error."""
+    return field(metadata={"rule": (test, rule)}, **kwargs)
+
+
+def _positive(**kwargs):
+    return _rule(lambda v: v > 0, "must be positive", **kwargs)
+
+
+def _nonnegative(**kwargs):
+    return _rule(lambda v: v >= 0, "must be nonnegative", **kwargs)
+
+
+def _count(default: int):
+    """A loop count or array length, capped like the march."""
+    return _rule(lambda n: 1 <= n <= MAX_MARCH_STEPS,
+                 f"must be from 1 to {MAX_MARCH_STEPS}", default=default)
+
+
+def _kind(catalog: tuple):
+    return _rule(lambda k: k in catalog, "must be one of " + ", ".join(catalog), default="zero")
+
+
+def _check_rules(obj, where: str = "") -> None:
+    """Raise ConfigError for the first field of ``obj`` that breaks its rule."""
+    for f in fields(obj):
+        if "rule" in f.metadata:
+            test, rule = f.metadata["rule"]
+            if not test(getattr(obj, f.name)):
+                raise ConfigError(f"{where}{f.name} {rule}")
 
 
 @dataclass(frozen=True)
@@ -56,14 +96,11 @@ class NonlinearitySpec:
     saturation all have maximal slope 1, attained at the origin).
     """
 
-    kind: str = "zero"
-    scale: float = 0.0
+    kind: str = _kind(NONLINEARITY_KINDS)
+    scale: float = _nonnegative(default=0.0)
 
     def __post_init__(self):
-        if self.kind not in NONLINEARITY_KINDS:
-            raise ConfigError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.scale < 0:
-            raise ConfigError("nonlinearity scale must be nonnegative")
+        _check_rules(self, "nonlinearity.")
 
     @property
     def lipschitz(self) -> float:
@@ -78,16 +115,15 @@ class ForcingSpec:
     ``center``; ``width`` is the length scale (standard deviation for the
     Gaussian, support half-width for the compact bump)."""
 
-    kind: str = "zero"
+    kind: str = _kind(FORCING_KINDS)
     amplitude: float = 0.0
     center: float = 0.0
     width: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in FORCING_KINDS:
-            raise ConfigError(f"unknown forcing kind {self.kind!r}")
+        _check_rules(self, "forcing.")
         if self.kind != "zero" and self.width <= 0:
-            raise ConfigError("forcing width must be positive")
+            raise ConfigError("forcing.width must be positive for a nonzero kind")
 
 
 @dataclass(frozen=True)
@@ -105,14 +141,12 @@ class Grid:
         transform space).
     """
 
-    half_length: float
-    points: int
+    half_length: float = _positive(default=16.0)
+    points: int = _rule(lambda n: 2 <= n <= MAX_MARCH_STEPS and not n & (n - 1),
+                        f"must be a power of two from 2 to {MAX_MARCH_STEPS}", default=512)
 
     def __post_init__(self):
-        if self.half_length <= 0:
-            raise ConfigError("grid half_length must be positive")
-        if self.points < 2 or self.points & (self.points - 1):
-            raise ConfigError("grid points must be a power of two")
+        _check_rules(self, "grid.")
 
     @property
     def spacing(self) -> float:
@@ -138,22 +172,15 @@ class ProblemParameters:
     external input.
     """
 
-    mu: float
-    sigma: float
-    tau: float
-    lf: float
+    mu: float = _positive()
+    sigma: float = _nonnegative()
+    tau: float = _positive()
+    lf: float = _nonnegative()
     forcing: ForcingSpec = field(default_factory=ForcingSpec)
     nonlinearity: NonlinearitySpec = field(default_factory=NonlinearitySpec)
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ConfigError("mu must be positive")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
-        if self.lf < 0:
-            raise ConfigError("lf must be nonnegative")
+        _check_rules(self)
         if self.nonlinearity.lipschitz > self.lf + 1e-12:
             raise ConfigError(
                 "nonlinearity Lipschitz constant exceeds declared lf"
@@ -164,41 +191,23 @@ class ProblemParameters:
 class RunOptions:
     """Knobs that shape a batch run but not the equation itself."""
 
-    horizon: float = 10.0
-    steps_per_delay: int = 32
-    cutoff_radius: float = 3.0
-    modes: int = 8
-    m_cut: int = 3
-    seed: int = 0
-    ensemble: int = 20
-    snapshot_every: int = 0
-    eps: float = 1e-3
+    horizon: float = _nonnegative(default=10.0)
+    steps_per_delay: int = _count(32)
+    cutoff_radius: float = _positive(default=3.0)
+    modes: int = _count(8)
+    m_cut: int = _count(3)
+    seed: int = _nonnegative(default=0)
+    ensemble: int = _count(20)
+    snapshot_every: int = _nonnegative(default=0)
+    eps: float = _positive(default=1e-3)
     contraction_times: tuple[float, ...] = (1.0,)
-    dichotomy_samples: int = 16
-    history_norm: float = 1.0
+    dichotomy_samples: int = _count(16)
+    history_norm: float = _nonnegative(default=1.0)
 
     def __post_init__(self):
-        if self.horizon < 0:
-            raise ConfigError("run.horizon must be nonnegative")
-        if self.steps_per_delay < 1:
-            raise ConfigError("run.steps_per_delay must be at least 1")
-        if self.cutoff_radius <= 0:
-            raise ConfigError("run.cutoff_radius must be positive")
-        if self.modes < 1 or self.m_cut < 1 or self.m_cut > self.modes:
+        _check_rules(self, "run.")
+        if self.m_cut > self.modes:
             raise ConfigError("run.modes >= run.m_cut >= 1 required")
-        if self.ensemble < 1:
-            raise ConfigError("run.ensemble must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("run.seed must be nonnegative")
-        if self.dichotomy_samples < 1:
-            raise ConfigError("run.dichotomy_samples must be at least 1")
-        for key in ("modes", "ensemble", "dichotomy_samples"):
-            if getattr(self, key) > MAX_MARCH_STEPS:
-                raise ConfigError(f"run.{key} must be at most {MAX_MARCH_STEPS}")
-        if self.eps <= 0:
-            raise ConfigError("run.eps must be positive")
-        if self.history_norm < 0:
-            raise ConfigError("run.history_norm must be nonnegative")
 
 
 def evaluate_nonlinearity(spec: NonlinearitySpec, value):
@@ -252,21 +261,10 @@ def check_dissipativity(p: ProblemParameters) -> DissipativityReport:
     return DissipativityReport(beta=beta, holds=beta < p.mu)
 
 
-# --- configuration schema -------------------------------------------------
+# --- configuration parsing ------------------------------------------------
 
-_TOP_KEYS = {"mu", "sigma", "tau", "lf", "nonlinearity", "forcing", "grid", "run"}
-_REQUIRED_KEYS = ("mu", "sigma", "tau", "lf")
-_NONLIN_KEYS = {"kind", "scale"}
-_FORCING_KEYS = {"kind", "amplitude", "center", "width"}
-_GRID_KEYS = {"half_length", "points"}
-_RUN_KEYS = {f.name for f in fields(RunOptions)}
-_RUN_INT_KEYS = {f.name for f in fields(RunOptions) if f.type == "int"}
-
-
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
+_SECTIONS = {"nonlinearity": NonlinearitySpec, "forcing": ForcingSpec, "grid": Grid,
+             "run": RunOptions}
 
 
 def _finite_float(token: str) -> float:
@@ -292,14 +290,38 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _optional_number(section: dict, key: str, default, where: str):
-    return _number(section.get(key, default), f"key {key!r} in {where}")
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string")
+    return value
 
 
-def _require_number(section: dict, key: str, where: str) -> float:
-    if key not in section:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return float(_number(section[key], f"key {key!r} in {where}"))
+def _floats(value, what: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a nonempty list")
+    return tuple(float(_number(t, f"{what} entry")) for t in value)
+
+
+# field annotation -> coercion of a JSON value to it
+_COERCE = {"float": lambda v, what: float(_number(v, what)), "int": _integer, "str": _string,
+           "tuple[float, ...]": _floats}
+
+
+def _section(cls, doc, where: str):
+    """Build dataclass ``cls`` from the JSON object ``doc``: every key must
+    name a field, each value is coerced by the field's annotation, and an
+    absent field takes its dataclass default."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object")
+    schema = {f.name: f for f in fields(cls)}
+    for key in doc:
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    for f in schema.values():
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key {f.name!r} in {where}")
+    return cls(**{key: _COERCE[schema[key].type](value, f"key {key!r} in {where}")
+                  for key, value in doc.items()})
 
 
 def parse_config(text: str):
@@ -310,8 +332,10 @@ def parse_config(text: str):
     text : str
         UTF-8 JSON.  Top-level keys: ``mu``, ``sigma``, ``tau``, ``lf``
         (required numbers), and optional objects ``nonlinearity``,
-        ``forcing``, ``grid``, ``run``.  Unknown keys anywhere are
-        rejected with an error naming the offending key.
+        ``forcing``, ``grid``, ``run``, whose keys, types and defaults are
+        the fields of NonlinearitySpec, ForcingSpec, Grid and RunOptions.
+        Unknown keys anywhere are rejected with an error naming the
+        offending key.
 
     Returns
     -------
@@ -321,9 +345,10 @@ def parse_config(text: str):
     ------
     ConfigError
         On malformed JSON (including NaN/Infinity and numbers that overflow
-        a float), unknown/missing keys, non-numeric values for numeric
-        keys, non-positive mu/sigma/tau, or mu*tau so large that exp(mu*tau)
-        overflows a float.
+        a float), unknown/missing keys, values of the wrong type, values
+        that break a field's rule, sigma <= 0, mu*tau so large that
+        exp(mu*tau) overflows a float, or a history segment of more than
+        MAX_SEGMENT_FLOATS floats.
     """
     try:
         doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
@@ -331,73 +356,23 @@ def parse_config(text: str):
         raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top-level document must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "top level")
-
-    values = {key: _require_number(doc, key, "top level") for key in _REQUIRED_KEYS}
-    for key in ("mu", "sigma", "tau"):
-        if values[key] <= 0:
-            raise ConfigError(f"{key} must be positive")
-    if values["lf"] < 0:
-        raise ConfigError("lf must be nonnegative")
+    top = {key: value for key, value in doc.items() if key not in _SECTIONS}
+    params = _section(ProblemParameters, top, "top level")
+    if params.sigma == 0:
+        raise ConfigError("sigma must be positive")
     # exp(mu*tau) enters the dissipativity gate and the constants
-    if values["mu"] * values["tau"] > math.log(sys.float_info.max):
+    if params.mu * params.tau > math.log(sys.float_info.max):
         raise ConfigError("mu*tau must not exceed log of the largest float (about 709.78)")
 
-    nl_doc = doc.get("nonlinearity", {"kind": "zero"})
-    if not isinstance(nl_doc, dict):
-        raise ConfigError("nonlinearity must be an object")
-    _reject_unknown(nl_doc, _NONLIN_KEYS, "nonlinearity")
-    nl_kind = nl_doc.get("kind", "zero")
-    # By default the scale is the declared Lipschitz constant, so that f
-    # realizes lf exactly.
-    nl_scale = _optional_number(nl_doc, "scale", values["lf"] if nl_kind != "zero" else 0.0,
-                                "nonlinearity")
-    nonlinearity = NonlinearitySpec(kind=nl_kind, scale=float(nl_scale))
-
-    f_doc = doc.get("forcing", {"kind": "zero"})
-    if not isinstance(f_doc, dict):
-        raise ConfigError("forcing must be an object")
-    _reject_unknown(f_doc, _FORCING_KEYS, "forcing")
-    forcing = ForcingSpec(
-        kind=f_doc.get("kind", "zero"),
-        amplitude=float(_optional_number(f_doc, "amplitude", 0.0, "forcing")),
-        center=float(_optional_number(f_doc, "center", 0.0, "forcing")),
-        width=float(_optional_number(f_doc, "width", 1.0, "forcing")),
-    )
-
-    g_doc = doc.get("grid", {})
-    if not isinstance(g_doc, dict):
-        raise ConfigError("grid must be an object")
-    _reject_unknown(g_doc, _GRID_KEYS, "grid")
-    grid = Grid(
-        half_length=float(_optional_number(g_doc, "half_length", 16.0, "grid")),
-        points=_integer(g_doc.get("points", 512), "key 'points' in grid"),
-    )
-
-    r_doc = doc.get("run", {})
-    if not isinstance(r_doc, dict):
-        raise ConfigError("run must be an object")
-    _reject_unknown(r_doc, _RUN_KEYS, "run")
-    run_kwargs = {}
-    for key, value in r_doc.items():
-        if key == "contraction_times":
-            if not isinstance(value, list) or not value:
-                raise ConfigError("run.contraction_times must be a nonempty list")
-            value = tuple(float(_number(t, "run.contraction_times entry")) for t in value)
-        else:
-            value = (_integer if key in _RUN_INT_KEYS else _number)(value, f"key {key!r} in run")
-        run_kwargs[key] = value
-    run = RunOptions(**run_kwargs)
-
-    params = ProblemParameters(
-        mu=values["mu"],
-        sigma=values["sigma"],
-        tau=values["tau"],
-        lf=values["lf"],
-        forcing=forcing,
-        nonlinearity=nonlinearity,
-    )
-    return params, grid, run
+    nonlinearity, forcing, grid, run = (_section(cls, doc.get(key, {}), key)
+                                        for key, cls in _SECTIONS.items())
+    if nonlinearity.kind != "zero" and "scale" not in doc["nonlinearity"]:
+        # by default f realizes the declared Lipschitz constant exactly
+        nonlinearity = replace(nonlinearity, scale=params.lf)
+    if (run.steps_per_delay + 1) * grid.points > MAX_SEGMENT_FLOATS:
+        raise ConfigError(f"(run.steps_per_delay + 1) * grid.points must be at most "
+                          f"{MAX_SEGMENT_FLOATS}")
+    return replace(params, forcing=forcing, nonlinearity=nonlinearity), grid, run
 
 
 def serialize_config(p: ProblemParameters, grid: Grid, run: RunOptions) -> str:

@@ -259,14 +259,24 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
     ``m_cut`` groups.  rho_m < 0 is required for certificate use; when it
     fails the data is still returned with ``certificate_ok`` False, and
     ``status`` is "no_splitting" when no negative real part exists at all.
+    A mode whose eigenvalue or roots overflow a float (a tiny K) raises
+    SplittingError naming the mode.
     """
     if not 1 <= m_cut <= modes:
         raise ValueError("need modes >= m_cut >= 1")
-    eigs = dirichlet_eigenvalues(K, modes)
+    try:
+        eigs = dirichlet_eigenvalues(K, modes)
+    except OverflowError as exc:  # the last mode's eigenvalue is the largest
+        raise SplittingError(f"mode {modes}: eigenvalue (m pi/(2K))^2 overflows a float "
+                             f"at K = {K!r}") from exc
     details = []
     entries = []  # (real part, multiplicity counting conjugates)
     for idx, mu_m in enumerate(eigs, start=1):
-        mr = replace(_mode_root_search(mu_m, p), mode=idx)
+        try:
+            mr = replace(_mode_root_search(mu_m, p), mode=idx)
+        except OverflowError as exc:  # exp(-lambda tau) in the Newton polish
+            raise SplittingError(f"mode {idx}: characteristic-root search overflows a float "
+                                 f"(eigenvalue {mu_m!r})") from exc
         details.append(mr)
         # conjugates (imag < 0) are counted with their partners
         entries.extend((root.real, 2 if root.imag > 0 else 1)

@@ -31,7 +31,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .estimates import EstimateSet
-from .model import Grid, ProblemParameters
+from .model import ConfigError, Grid, ProblemParameters
 from .solver import HistorySegment, evolve, grid_step, row_norms, segment_norm
 from .solver import integrate, segment_at  # noqa: F401  (names looked up by perfbench/tracing.py)
 from .spectrum import SpectralData
@@ -75,7 +75,8 @@ def make_projections(grid: Grid, K: float, k_m: int) -> ProjectionSet:
     The raw sine modes sin(j pi (x + K) / (2K)) are sampled on the grid
     nodes inside |x| < K and re-orthonormalized by QR so that the discrete
     projection is exactly idempotent even when K is not commensurate with
-    the grid spacing.
+    the grid spacing.  Fewer than ``k_m`` nodes inside is a ConfigError:
+    the grid is too coarse, or the box too large, for the cut.
     """
     if K <= 0:
         raise ValueError("K must be positive")
@@ -85,7 +86,7 @@ def make_projections(grid: Grid, K: float, k_m: int) -> ProjectionSet:
     inside = np.abs(x) < K
     n_inside = int(np.sum(inside))
     if n_inside < k_m:
-        raise ValueError(
+        raise ConfigError(
             f"only {n_inside} grid nodes inside Omega_K; cannot hold {k_m} modes"
         )
     columns = np.zeros((grid.points, k_m))

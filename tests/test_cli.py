@@ -23,7 +23,7 @@ from delayrd.cli import (
     read_snapshot,
     write_snapshot,
 )
-from delayrd.model import parse_config
+from delayrd.model import MAX_SEGMENT_FLOATS, parse_config
 
 
 def write_config(path, **overrides):
@@ -368,11 +368,19 @@ def test_golden_squeeze_across_groups(tmp_path):
     ('"ensemble": 3', '"ensemble": 2.5'),
     ('"points": 512', '"points": 512.5'),
     ('"history_norm": 1.0', '"history_norm": -1'),
+    ('"points": 512', f'"points": {2**60}'),
+    ('"steps_per_delay": 16', f'"steps_per_delay": {2**20}'),
+    ('"seed": 11', '"seed": 11, "snapshot_every": -5'),
+    ('"steps_per_delay": 16', '"steps_per_delay": true'),
+    ('"kind": "scaled_tanh"', '"kind": ["scaled_tanh"]'),
+    ('"contraction_times": [0.5, 1.0]', '"contraction_times": []'),
 ], ids=["nan", "infinity", "float-overflow", "int-overflow", "horizon-type",
         "seed-type", "seed-negative", "no-dichotomy-samples", "amplitude-type",
         "mu-tau-overflow-mu", "mu-tau-overflow-tau", "cutoff-radius-L/4",
         "steps-per-delay-fraction", "ensemble-fraction", "points-fraction",
-        "history-norm-negative"])
+        "history-norm-negative", "points-2^60", "segment-beyond-cap",
+        "snapshot-every-negative", "steps-per-delay-bool", "kind-type",
+        "contraction-times-empty"])
 def test_bad_config_exits_2_without_hanging(tmp_path, old, new):
     """Run in a subprocess with a timeout, so an input that makes the
     pipeline spin fails the test instead of hanging the suite."""
@@ -396,23 +404,34 @@ def run_cli_subprocess(subcommand, cfg, out):
         capture_output=True, text=True, timeout=60, env=env)
 
 
-@pytest.mark.parametrize("subcommand,old,new", [
-    ("certify", '"tau": 0.5', '"tau": 1e-300'),
-    ("spectrum", '"tau": 0.5', '"tau": 1e-300'),
-    ("certify", '"modes": 8', f'"modes": {10**30}'),
-    ("spectrum", '"modes": 8', f'"modes": {10**30}'),
-    ("squeeze", '"modes": 8', f'"modes": {10**30}'),
-    ("certify", '"dichotomy_samples": 8', f'"dichotomy_samples": {10**30}'),
-    ("spectrum", '"dichotomy_samples": 8', f'"dichotomy_samples": {10**30}'),
-    ("squeeze", '"ensemble": 3', f'"ensemble": {10**30}'),
+@pytest.mark.parametrize("subcommand,old,new,cap", [
+    ("certify", '"tau": 0.5', '"tau": 1e-300', MAX_MARCH_STEPS),
+    ("spectrum", '"tau": 0.5', '"tau": 1e-300', MAX_MARCH_STEPS),
+    ("certify", '"modes": 8', f'"modes": {10**30}', MAX_MARCH_STEPS),
+    ("spectrum", '"modes": 8', f'"modes": {10**30}', MAX_MARCH_STEPS),
+    ("squeeze", '"modes": 8', f'"modes": {10**30}', MAX_MARCH_STEPS),
+    ("certify", '"dichotomy_samples": 8', f'"dichotomy_samples": {10**30}', MAX_MARCH_STEPS),
+    ("spectrum", '"dichotomy_samples": 8', f'"dichotomy_samples": {10**30}', MAX_MARCH_STEPS),
+    ("squeeze", '"ensemble": 3', f'"ensemble": {10**30}', MAX_MARCH_STEPS),
+    ("simulate", '"points": 512', f'"points": {2**60}', MAX_MARCH_STEPS),
+    ("certify", '"points": 512', f'"points": {2**60}', MAX_MARCH_STEPS),
+    ("simulate", '"steps_per_delay": 16', f'"steps_per_delay": {2**60}', MAX_MARCH_STEPS),
+    ("simulate", '"horizon": 3.0,\n    "steps_per_delay": 16',
+     f'"horizon": 0,\n    "steps_per_delay": {2**20}', MAX_SEGMENT_FLOATS),
+    ("simulate", '"points": 512', f'"points": {2**20}', MAX_SEGMENT_FLOATS),
 ], ids=["certify-tau-1e-300", "spectrum-tau-1e-300", "certify-modes", "spectrum-modes",
         "squeeze-modes", "certify-dichotomy-samples", "spectrum-dichotomy-samples",
-        "squeeze-ensemble"])
-def test_loop_sizes_beyond_cap_exit_2(tmp_path, subcommand, old, new):
+        "squeeze-ensemble", "simulate-points-2^60", "certify-points-2^60",
+        "simulate-steps-per-delay-2^60", "simulate-segment-steps", "simulate-segment-points"])
+def test_loop_sizes_beyond_cap_exit_2(tmp_path, subcommand, old, new, cap):
     """configs/base.json with a loop the config sizes set far past
     MAX_MARCH_STEPS: tau = 1e-300 asks for about 1e302 dichotomy steps, and
     10**30 modes, dichotomy samples or pairs once grew a Python list until
-    memory ran out.  All are configuration errors found before the work."""
+    memory ran out; 2**60 points asked numpy for an array it refuses.  A
+    history segment of (steps_per_delay + 1) * points floats is capped at
+    MAX_SEGMENT_FLOATS: 2**20 steps per delay on 512 points once asked for
+    4 GiB with a zero horizon.  All are configuration errors found before
+    the work."""
     text = (CONFIGS / "base.json").read_text()
     assert old in text
     cfg = tmp_path / "cfg.json"
@@ -420,7 +439,7 @@ def test_loop_sizes_beyond_cap_exit_2(tmp_path, subcommand, old, new):
     proc = run_cli_subprocess(subcommand, cfg, tmp_path / "out")
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert proc.stderr.startswith("config error:"), proc.stderr
-    assert str(MAX_MARCH_STEPS) in proc.stderr
+    assert str(cap) in proc.stderr
 
 
 def test_config_parsed_once_per_call(tmp_path, monkeypatch):
@@ -598,3 +617,55 @@ def test_large_mu_exits_cleanly(tmp_path, old, new, codes):
         assert main([subcommand, "--config", cfg, "--out", str(out)]) == code, subcommand
         for artifact in out.glob("*.json"):
             json.loads(artifact.read_text())
+
+
+@pytest.mark.parametrize("old,new", [('"points": 512', '"points": 8'),
+                                     ('"half_length": 16.0', '"half_length": 1e300')],
+                         ids=["points-8", "half-length-1e300"])
+def test_squeeze_too_few_nodes_inside_exits_2(tmp_path, capsys, old, new):
+    """k_m = 3 sine modes need 3 grid nodes inside (-K, K); a coarse grid
+    or a huge box leaves one.  k_m is known only after the spectrum, so this
+    is found in squeeze, not at parse time."""
+    text = (CONFIGS / "base.json").read_text()
+    assert old in text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace(old, new))
+    assert main(["squeeze", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "nodes inside" in err, err
+
+
+@pytest.mark.parametrize("radius", ["1e-8", "1e-200"])
+@pytest.mark.parametrize("subcommand", ["certify", "spectrum", "squeeze"])
+def test_tiny_cutoff_radius_exits_3(tmp_path, capsys, subcommand, radius):
+    """K = 1e-8 makes exp(-lambda tau) overflow while a root of mode 3 is
+    polished; K = 1e-200 overflows the eigenvalue (m pi/(2K))^2 itself.
+    Either is infeasible, with the mode named."""
+    text = (CONFIGS / "base.json").read_text()
+    assert '"cutoff_radius": 3.0' in text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace('"cutoff_radius": 3.0', f'"cutoff_radius": {radius}'))
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) \
+        == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: mode "), err
+
+
+def test_negative_snapshot_every_flag_exits_2(tmp_path, capsys):
+    """A negative stride once wrote no snapshots and exited 0."""
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(CONFIGS / "base.json"), "--out", str(out),
+                 "--snapshot-every", "-5"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --snapshot-every")
+    assert not out.exists()
+
+
+def test_integer_literal_in_float_key_is_stored_as_float(tmp_path):
+    """Float keys store float(v): "history_norm": 1 writes "norm_D": 1.0,
+    so estimates.json is the golden one written from "history_norm": 1.0."""
+    cfg = certify_config_with(tmp_path / "cfg.json", '"history_norm": 1.0', '"history_norm": 1')
+    out = tmp_path / "out"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert '"norm_D": 1.0,' in (out / "estimates.json").read_text()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["payload_sha256"] == GOLDEN["certify", "certify"][1]

@@ -1,11 +1,13 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from delayrd.model import (
     MAX_MARCH_STEPS,
+    MAX_SEGMENT_FLOATS,
     ConfigError,
     ForcingSpec,
     Grid,
@@ -21,6 +23,8 @@ from delayrd.model import (
 
 
 MINIMAL = {"mu": 2.0, "sigma": 0.1, "tau": 0.5, "lf": 1.0}
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted([*ROOT.glob("configs/*.json"), *ROOT.glob("perfbench/configs/*.json")])
 
 
 def make_config(**overrides):
@@ -238,3 +242,45 @@ def test_serialize_round_trip():
     assert p2 == p
     assert grid2 == grid
     assert run2 == run
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS,
+                         ids=[str(p.relative_to(ROOT)) for p in SHIPPED_CONFIGS])
+def test_serialize_round_trip_shipped_config(path):
+    p, grid, run = parse_config(path.read_text())
+    assert parse_config(serialize_config(p, grid, run)) == (p, grid, run)
+
+
+def test_schema_is_the_dataclass_fields():
+    """Keys, types and defaults come from the dataclasses: an empty grid or
+    run section is the dataclass default, and float keys store floats."""
+    _, grid, run = parse_config(make_config(grid={}, run={}))
+    assert grid == Grid() == Grid(half_length=16.0, points=512)
+    assert run == RunOptions()
+    _, _, run = parse_config(make_config(run={"history_norm": 1, "horizon": 3}))
+    assert type(run.history_norm) is float and type(run.horizon) is float
+    with pytest.raises(ConfigError, match="'kind' in nonlinearity must be a string"):
+        parse_config(make_config(nonlinearity={"kind": ["scaled_tanh"]}))
+    with pytest.raises(ConfigError, match="'points' in grid must be a finite number"):
+        parse_config(make_config(grid={"points": True}))
+    with pytest.raises(ConfigError, match="grid must be an object"):
+        parse_config(make_config(grid=[]))
+
+
+@pytest.mark.parametrize("section,key", [("grid", "points"), ("run", "steps_per_delay")])
+def test_parse_caps_points_and_steps_per_delay(section, key):
+    with pytest.raises(ConfigError, match=f"{section}.{key} .*{MAX_MARCH_STEPS}"):
+        parse_config(make_config(**{section: {key: 2**60}}))
+
+
+def test_parse_caps_segment_floats():
+    """(steps_per_delay + 1) * points floats per history segment."""
+    parse_config(make_config(grid={"points": 1024}, run={"steps_per_delay": 2**14 - 1}))
+    with pytest.raises(ConfigError, match=str(MAX_SEGMENT_FLOATS)):
+        parse_config(make_config(grid={"points": 1024}, run={"steps_per_delay": 2**14}))
+
+
+def test_snapshot_every_nonnegative():
+    assert RunOptions(snapshot_every=0).snapshot_every == 0
+    with pytest.raises(ConfigError, match="run.snapshot_every must be nonnegative"):
+        parse_config(make_config(run={"snapshot_every": -5}))
