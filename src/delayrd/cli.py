@@ -339,11 +339,10 @@ def _spectral_bundle(p: ProblemParameters, grid: Grid, run: RunOptions, seed: in
 
 
 def cmd_certify(config_path: str, seed: int | None, out_dir: str) -> int:
-    """Full certification pipeline: estimates, spectrum, dimension bounds."""
+    """Full certification pipeline: estimates, spectrum, dimension bounds.
+    Both stages that can fail run before anything is written, so a failed
+    run leaves no unhashed artifact."""
     p, grid, run, seed = _load_config(config_path, seed)
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = RunManifest(config_path, seed, "certify", out_dir)
-
     norm_g = _forcing_norm(p, grid)
     est = compute_estimates(p, norm_g, norm_phi0=run.history_norm)
     T_D = absorbing_time(p, est, norm_D=run.history_norm)
@@ -355,12 +354,14 @@ def cmd_certify(config_path: str, seed: int | None, out_dir: str) -> int:
             f"beta={gate.beta!r} >= mu={p.mu!r}"
         )
 
+    spectral, dichotomy = _spectral_bundle(p, grid, run, seed)
+
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = RunManifest(config_path, seed, "certify", out_dir)
     est_doc = est.as_dict()
     est_doc.update(T_D=T_D, norm_D=run.history_norm,
                    dissipativity_condition=DISSIPATIVITY_CONDITION)
     manifest.save("estimates.json", write_json, est_doc)
-
-    spectral, dichotomy = _spectral_bundle(p, grid, run, seed)
     spec_doc = spectral.as_dict()
     if dichotomy is not None:
         spec_doc["dichotomy"] = dichotomy

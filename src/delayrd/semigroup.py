@@ -135,4 +135,6 @@ class SemigroupStepper:
 
     def step(self, values: np.ndarray) -> np.ndarray:
         """Apply S(dt) to raw node values."""
-        return np.fft.irfft(self._multiplier * np.fft.rfft(values), n=self.grid.points)
+        c = np.fft.rfft(values)
+        c *= self._multiplier
+        return np.fft.irfft(c, n=self.grid.points)

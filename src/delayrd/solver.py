@@ -20,11 +20,11 @@ exact; only the quadrature is approximate).
 and the load as arguments.  `evolve` is the equation's march: the FFT
 semigroup step on fields and the delayed load above, the only place that
 load is written.  The CLI stores no trajectory: `simulate` reduces the rows
-of `evolve` S at a time and `squeezing` reads its windows only at the
-contraction steps.  `integrate` stores every row, for tests, demos and the
-trajectory checks of `estimates`.  `spectrum` marches a scalar decay per
-Dirichlet mode.  Rows may carry a batch axis, so several histories or a set
-of modes advance as one array.
+of `evolve` S at a time and `squeezing` takes the P/Q/R norms of the rows
+its contraction windows hold.  `integrate` stores every row, for tests,
+demos and the trajectory checks of `estimates`.  `spectrum` marches a
+scalar decay per Dirichlet mode.  Rows may carry a batch axis, so several
+histories or a set of modes advance as one array.
 
 A segment u_t is a window of S + 1 consecutive history/solution rows, so
 every segment sup (norm, far-field mass, gradient sup) is a per-row quantity
@@ -166,18 +166,22 @@ def march(hist, n_steps: int, dt: float, propagate, load):
 
     and yields the window, a deque of the S + 1 rows u_{n-S} .. u_n, the
     only ones held.  ``propagate`` (S(dt)) and ``load`` (the delayed terms)
-    act on whole rows, so trailing batch axes pass through.  A non-finite
-    entry raises `DivergenceError` with the step index.
+    act on whole rows, so trailing batch axes pass through; ``propagate``
+    must return a fresh array, since the step adds to it in place.  Each
+    row's scaled load dt/2 * load(u_{n-S}) is computed once and serves two
+    steps.  A non-finite entry raises `DivergenceError` with the step index.
     """
     rows = deque(hist, maxlen=len(hist))
-    h_prev = load(rows[0])
+    half = 0.5 * dt
+    k_prev = half * load(rows[0])
     for n in range(1, n_steps + 1):
-        h_next = load(rows[1])
-        u = propagate(rows[-1] + 0.5 * dt * h_prev) + 0.5 * dt * h_next
-        if not np.all(np.isfinite(u)):
+        k_next = half * load(rows[1])
+        u = propagate(rows[-1] + k_prev)
+        u += k_next
+        if not np.isfinite(u).all():
             raise DivergenceError(n)
         rows.append(u)
-        h_prev = h_next
+        k_prev = k_next
         yield rows
 
 
@@ -191,7 +195,10 @@ def evolve(phi: HistorySegment, n_steps: int, p: ProblemParameters):
     stepper = SemigroupStepper(phi.grid, p.mu, phi.dt)
 
     def load(d: np.ndarray) -> np.ndarray:
-        return p.sigma * d + evaluate_nonlinearity(p.nonlinearity, d) + g
+        h = p.sigma * d
+        h += evaluate_nonlinearity(p.nonlinearity, d)
+        h += g
+        return h
 
     return march(phi.samples, n_steps, phi.dt, stepper.step, load)
 

@@ -17,14 +17,17 @@ with
          + K_m lf / (rho1 + lf - rho_m) * exp((lf + rho1) t),
     bR = sqrt(c2) exp([c2 (sigma + lf^2) - (mu - sigma - 1)] t / 2).
 
-`measure_contraction` marches its pairs in groups, stacked as one batch,
-and stores no trajectory: the march window at step n is the segment at
-t = n dt, reduced to its P/Q/R sups only at the contraction steps.
+`measure_contraction` marches its pairs in groups, written into one batch,
+and materializes no segment: each difference row gets its P, Q and R norms
+once, as it arrives (only rows inside some measured window), and the sup
+at a contraction step n is the max of those row norms over the window of
+rows n - S .. n.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 
@@ -63,10 +66,14 @@ class ProjectionSet:
     basis: np.ndarray
     inside: np.ndarray
 
-    def modes(self, rows: np.ndarray) -> np.ndarray:
-        """P part of each row (grid on the last axis): stacked matrix-vector products."""
-        coeff = self.grid.spacing * np.matmul(self.basis.T, rows[..., None])
-        return np.matmul(self.basis, coeff)[..., 0]
+    def parts(self, rows: np.ndarray) -> np.ndarray:
+        """P, Q and R parts of each row (grid on the last axis), stacked on a
+        new leading axis of length 3.  P comes from stacked matrix-vector
+        products, so a row gives the same bytes alone as in a segment."""
+        restricted = np.where(self.inside, rows, 0.0)
+        coeff = self.grid.spacing * np.matmul(self.basis.T, restricted[..., None])
+        p_part = np.matmul(self.basis, coeff)[..., 0]
+        return np.stack([p_part, restricted - p_part, np.where(self.inside, 0.0, rows)])
 
 
 def make_projections(grid: Grid, K: float, k_m: int) -> ProjectionSet:
@@ -101,18 +108,17 @@ def make_projections(grid: Grid, K: float, k_m: int) -> ProjectionSet:
 
 def project_P(seg: HistorySegment, ps: ProjectionSet) -> HistorySegment:
     """Restrict to Omega_K, expand in the sine basis, keep modes 1..k_m."""
-    return replace(seg, samples=ps.modes(np.where(ps.inside, seg.samples, 0.0)))
+    return replace(seg, samples=ps.parts(seg.samples)[0])
 
 
 def project_Q(seg: HistorySegment, ps: ProjectionSet) -> HistorySegment:
     """Inside complement: restriction to Omega_K minus the P part."""
-    restricted = np.where(ps.inside, seg.samples, 0.0)
-    return replace(seg, samples=restricted - ps.modes(restricted))
+    return replace(seg, samples=ps.parts(seg.samples)[1])
 
 
 def project_R(seg: HistorySegment, ps: ProjectionSet) -> HistorySegment:
     """Outside restriction: multiply by the indicator of Omega_K^C."""
-    return replace(seg, samples=np.where(ps.inside, 0.0, seg.samples))
+    return replace(seg, samples=ps.parts(seg.samples)[2])
 
 
 def analytic_bounds(t: float, p: ProblemParameters, spectral: SpectralData,
@@ -147,25 +153,52 @@ def analytic_bounds(t: float, p: ProblemParameters, spectral: SpectralData,
 
 # Pairs marched as one batch.  squeeze on perfbench/configs/squeeze-pairs.json
 # (16 pairs, P = 1024, S = 64; fresh process, 2 vCPU x86-64, numpy 2.4) at
-# 1/2/4/8/16 pairs per group: peak RSS 43/49/60/83/128 MB, wall 0.81/0.65/
-# 0.55/0.50/0.52 s (stored per-pair trajectories: 67 MB, 0.90 s).  Four pairs
-# buy most of the speed of larger batches while the RSS stays below that.
+# 1/2/4/8/16 pairs per group, median of 3: peak RSS 41/44/47/55/73 MB, wall
+# 0.85/0.60/0.47/0.41/0.56 s.  Four pairs take about half the time of one
+# for 5 MB more; eight save a further 0.06 s for 9 MB more.
 _GROUP_PAIRS = 4
 
 
-def _window_sups(hist: HistorySegment, steps, p: ProblemParameters, ps: ProjectionSet) -> dict:
-    """March ``hist`` to max(steps); at each step n in ``steps`` map n to the
-    P, Q, R segment sups of the column differences 0 - 1, 2 - 3, ... (arrays
-    over the column pairs).  Only the march window is kept, and it is freed
-    on return, before the next group is stacked."""
+def _stack_pairs(group):
+    """Draw ``group``'s pairs into one (S + 1, 2 _GROUP_PAIRS, P) batch, the
+    pairs that differ as columns phi0, psi0, phi1, psi1, ...  Returns the
+    denominators ||phi - psi||_C of all pairs and the history of the filled
+    columns (None for an empty group).  No pair outlives its iteration."""
+    denoms, batch, filled = [], None, 0
+    for phi, psi in group:
+        if batch is None:
+            batch = np.empty((len(phi.samples), 2 * _GROUP_PAIRS, phi.grid.points))
+            like = (phi.grid, phi.tau, phi.steps_per_delay)
+        denoms.append(segment_norm(replace(phi, samples=phi.samples - psi.samples)))
+        if denoms[-1] != 0.0:
+            batch[:, filled], batch[:, filled + 1] = phi.samples, psi.samples
+            filled += 2
+    return denoms, None if batch is None else HistorySegment(batch[:, :filled], *like)
+
+
+def _group_sups(group, times, p: ProblemParameters, ps: ProjectionSet):
+    """Measure one group of pairs: the denominators, ``times`` as steps n,
+    and a map from each n to the P, Q, R segment sups (3, differing pairs)
+    of the differences at t = n dt.  The batch marches once, to the last
+    step; a difference row gets its part norms as it arrives if a measured
+    window n - S .. n holds it, and a step's sups are the max over its
+    window.  Nothing of the group outlives the call."""
+    denoms, hist = _stack_pairs(group)
+    if hist is None:
+        return [], [], {}
+    S = hist.steps_per_delay
+    steps = [grid_step(t, hist.dt) for t in times]
     sups = {}
-    windows = chain([(0, hist.samples)], enumerate(evolve(hist, max(steps), p), start=1))
-    for n, rows in windows:
-        if n in steps:
-            diff = replace(hist, samples=np.stack([r[0::2] - r[1::2] for r in rows]))
-            sups[n] = [row_norms(project(diff, ps).samples, ps.grid).max(axis=0)
-                       for project in (project_P, project_Q, project_R)]
-    return sups
+    if hist.samples.shape[1]:
+        measured = {r for n in steps for r in range(n - S, n + 1)}
+        norms = deque(maxlen=S + 1)
+        rows = chain(hist.samples, (w[-1] for w in evolve(hist, max(steps), p)))
+        for r, row in enumerate(rows, start=-S):
+            norms.append(row_norms(ps.parts(row[0::2] - row[1::2]), ps.grid)
+                         if r in measured else None)
+            if r in steps:
+                sups[r] = np.max(norms, axis=0)
+    return denoms, steps, sups
 
 
 def measure_contraction(pairs, times, p: ProblemParameters, ps: ProjectionSet,
@@ -182,16 +215,10 @@ def measure_contraction(pairs, times, p: ProblemParameters, ps: ProjectionSet,
     integrated and yield "zero-difference" reports.
     """
     pairs, reports = iter(pairs), []
-    while group := list(islice(pairs, _GROUP_PAIRS)):
-        first = group[0][0]
-        steps = [grid_step(t, first.dt) for t in times]
-        denoms = [segment_norm(replace(phi, samples=phi.samples - psi.samples))
-                  for phi, psi in group]
-        # columns phi0, psi0, phi1, psi1, ... of the pairs that differ
-        live = [h.samples for pair, denom in zip(group, denoms) if denom != 0.0 for h in pair]
-        sups = {}
-        if live:
-            sups = _window_sups(replace(first, samples=np.stack(live, axis=1)), steps, p, ps)
+    while True:
+        denoms, steps, sups = _group_sups(islice(pairs, _GROUP_PAIRS), times, p, ps)
+        if not denoms:
+            return reports
         column = 0
         for denom in denoms:
             if denom == 0.0:
@@ -207,4 +234,3 @@ def measure_contraction(pairs, times, p: ProblemParameters, ps: ProjectionSet,
                                   bounds_feasible=b["feasible"], which=which)
                 reports.append(report)
             column += 1
-    return reports

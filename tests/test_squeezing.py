@@ -7,7 +7,7 @@ import pytest
 
 from delayrd.cli import eigenmode_pair, random_history, random_pair
 from delayrd.estimates import compute_estimates
-from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters
+from delayrd.model import ForcingSpec, Grid, NonlinearitySpec, ProblemParameters
 from delayrd.semigroup import Field
 from delayrd.solver import HistorySegment, constant_history, segment_norm
 from delayrd.spectrum import (
@@ -212,6 +212,28 @@ def test_contraction_memory_does_not_grow_with_ensemble(grid, dissipative):
             tracemalloc.stop()
 
     assert peak(16) <= 1.1 * peak(4)
+
+
+def test_contraction_peak_is_about_two_batches():
+    """One group of 4 pairs at P = 1024, S = 64: the pairs go into one
+    (S + 1, 8, P) batch, the march holds about one batch of new rows, and
+    the P/Q/R sups come from per-row norms, so the traced peak stays within
+    3 batches (measured 2.1; a stacked difference segment with its three
+    projections and temporaries at each contraction step reached 4.1)."""
+    grid = Grid(half_length=16.0, points=1024)
+    p = dissipative_params(grid)
+    S = 64
+    ps = make_projections(grid, K=3.0, k_m=4)
+    rng = np.random.default_rng(5)
+    pairs = [random_pair(rng, grid, p.tau, S, norm=1.0, separation=0.3) for _ in range(4)]
+    batch_bytes = (S + 1) * 8 * grid.points * 8
+    tracemalloc.start()
+    try:
+        measure_contraction(iter(pairs), (0.5, 4.0), p, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * batch_bytes
 
 
 def test_zero_difference_status(grid, dissipative):
