@@ -58,6 +58,7 @@ from .solver import (
     far_field_masses,
     segment_norm,
     segment_sups,
+    step_count,
 )
 # Not called here, but perfbench/tracing.py patches these names in this module.
 from .solver import far_field_mass, integrate, segment_at  # noqa: F401
@@ -402,7 +403,7 @@ def cmd_simulate(config_path: str, seed: int | None, out_dir: str,
     is O(S P) plus O(N) scalars."""
     p, grid, run, seed = _load_config(config_path, seed)
     S, dt = run.steps_per_delay, p.tau / run.steps_per_delay
-    steps = run.horizon / dt - 1e-9  # rounded up to whole steps, as `integrate` does
+    steps = step_count(run.horizon, dt)
     if steps > MAX_MARCH_STEPS:
         raise ConfigError(f"run.horizon must be at most {MAX_MARCH_STEPS} steps of dt = {dt!r}")
     os.makedirs(out_dir, exist_ok=True)
@@ -416,7 +417,7 @@ def cmd_simulate(config_path: str, seed: int | None, out_dir: str,
         return np.stack([far_field_masses(rows, grid, K)
                          for K in (run.cutoff_radius, *radii)], axis=-1)
 
-    rows = chain([phi.samples[-1]], (w[-1] for w in evolve(phi, max(0, math.ceil(steps)), p)))
+    rows = chain([phi.samples[-1]], (w[-1] for w in evolve(phi, steps, p)))
     norms, masses = [], []
     while block := list(islice(rows, S)):
         for n, row in enumerate(block, start=len(norms)):
@@ -437,11 +438,12 @@ def cmd_simulate(config_path: str, seed: int | None, out_dir: str,
 
 
 def cmd_spectrum(config_path: str, seed: int | None, out_dir: str) -> int:
-    """Spectral data only: eigenvalues, roots, splitting, dichotomy."""
+    """Spectral data only: eigenvalues, roots, splitting, dichotomy.  The
+    spectral stage runs before the output directory is made."""
     p, grid, run, seed = _load_config(config_path, seed)
+    spectral, dichotomy = _spectral_bundle(p, grid, run, seed)
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(config_path, seed, "spectrum", out_dir)
-    spectral, dichotomy = _spectral_bundle(p, grid, run, seed)
     doc = spectral.as_dict()
     if dichotomy is not None:
         doc["dichotomy"] = dichotomy
@@ -451,16 +453,15 @@ def cmd_spectrum(config_path: str, seed: int | None, out_dir: str) -> int:
 
 
 def cmd_squeeze(config_path: str, seed: int | None, out_dir: str) -> int:
-    """Measure P/Q/R contraction on seeded trajectory pairs."""
+    """Measure P/Q/R contraction on seeded trajectory pairs.  The output
+    directory is made only once every stage that can fail before the
+    march has passed."""
     p, grid, run, seed = _load_config(config_path, seed)
     dt = p.tau / run.steps_per_delay
     if any(not 0 <= t / dt <= MAX_MARCH_STEPS or abs(t / dt - round(t / dt)) > 1e-9
            for t in run.contraction_times):  # measure_contraction's grid rule
         raise ConfigError(f"run.contraction_times must be multiples n * dt of dt = {dt!r} "
                           f"with 0 <= n <= {MAX_MARCH_STEPS}")
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = RunManifest(config_path, seed, "squeeze", out_dir)
-
     norm_g = _forcing_norm(p, grid)
     est = compute_estimates(p, norm_g, norm_phi0=run.history_norm)
     spectral, _ = _spectral_bundle(p, grid, run, seed)
@@ -469,6 +470,8 @@ def cmd_squeeze(config_path: str, seed: int | None, out_dir: str) -> int:
               "and mu - sigma - 1 > 0", file=sys.stderr)
         return EXIT_INFEASIBLE
     ps = make_projections(grid, run.cutoff_radius, spectral.k_m)
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = RunManifest(config_path, seed, "squeeze", out_dir)
 
     # drawn lazily, a group at a time; integrating draws nothing from rng
     rng = np.random.default_rng(np.random.PCG64(seed))

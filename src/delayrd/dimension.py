@@ -1,20 +1,21 @@
 """Attractor-dimension certificates.
 
-The squeezing factors assemble into the contraction number
+The squeezing factors of `squeezing.analytic_bounds` (bound_63 form: bP,
+bQ, bR at elapsed time t0, all from `squeezing.contraction_terms`)
+assemble into the contraction number
 
-    eta(t0, alpha) = 2 K_m exp(rho_m t0)
-                     + (alpha + 2 K_m lf / (rho1 + lf - rho_m)) exp((lf + rho1) t0)
-                     + 2 sqrt(c2) exp([c2 (sigma + lf^2) - (mu - sigma - 1)] t0 / 2),
+    eta(t0, alpha) = 2 bQ + alpha bP + 2 bR,
 
 and eta < 1 certifies the Hausdorff dimension bound
 
     dim_H <= (-ln k_m - k_m ln(2 + 4/alpha)) / ln(eta).
 
-The fractal companion uses zeta(beta) (same exponentials, unit elapsed time,
-free parameter beta > 0) and dim_f <= (ln k_m + k_m ln(2 + 2/beta)) / (-ln zeta).
+The fractal companion is zeta(beta) = beta bP + bQ + bR (stated at unit
+elapsed time; a general t0 is an extension, labeled as such), free
+parameter beta > 0, and dim_f <= (ln k_m + k_m ln(2 + 2/beta)) / (-ln zeta).
 
 `optimize_certificate` grid-searches the free parameters (and the cut index)
-deterministically and refines by coordinate halving; infeasibility is
+deterministically and refines coordinate by coordinate; infeasibility is
 returned as data with the best margin found, never raised.  The covering
 calculators provide the combinatorial ingredient m 2^m (1 + r1/r2)^m and a
 constructive lattice covering to check it against.
@@ -30,6 +31,7 @@ import numpy as np
 from .estimates import EstimateSet
 from .model import ProblemParameters
 from .spectrum import SpectralData
+from .squeezing import contraction_terms
 
 __all__ = [
     "DimensionCertificate",
@@ -43,22 +45,6 @@ __all__ = [
 ]
 
 
-def _squeeze_terms(t0: float, p: ProblemParameters, spectral: SpectralData,
-                   est: EstimateSet):
-    """(K_m e^{rho_m t0}, K_m lf/gap, sqrt(c2) e^{rate t0 / 2}, e^{(lf+rho1) t0});
-    inf marks a vanishing gap."""
-    if spectral.K_m is None:
-        raise ValueError("spectral data has no dichotomy constant")
-    K_m, rho1, rho_m = spectral.K_m, spectral.rho1, spectral.rho_m
-    gap = rho1 + p.lf - rho_m
-    growth = math.exp((p.lf + rho1) * t0)
-    head = K_m * math.exp(rho_m * t0)
-    coupling = math.inf if gap == 0.0 else K_m * p.lf / gap
-    rate = est.c2 * (p.sigma + p.lf * p.lf) - (p.mu - p.sigma - 1.0)
-    tail = math.sqrt(est.c2) * math.exp(0.5 * rate * t0)
-    return head, coupling, tail, growth
-
-
 def eta(t0: float, alpha: float, p: ProblemParameters, spectral: SpectralData,
         est: EstimateSet) -> float:
     """The Hausdorff contraction number; certificates need eta < 1.
@@ -70,13 +56,13 @@ def eta(t0: float, alpha: float, p: ProblemParameters, spectral: SpectralData,
         raise ValueError("alpha must lie in (0, 2)")
     if t0 <= 0:
         raise ValueError("t0 must be positive")
-    head, coupling, tail, growth = _squeeze_terms(t0, p, spectral, est)
+    head, coupling, tail, growth = contraction_terms(t0, p, spectral, est)
     if math.isinf(coupling):
         return math.inf
     return 2.0 * head + (alpha + 2.0 * coupling) * growth + 2.0 * tail
 
 
-def hausdorff_bound(t0: float, alpha: float, k_m: int, eta_val: float) -> float:
+def hausdorff_bound(alpha: float, k_m: int, eta_val: float) -> float:
     """Dimension bound from an eta value; inf when eta >= 1."""
     if k_m < 1:
         raise ValueError("k_m must be at least 1")
@@ -86,23 +72,18 @@ def hausdorff_bound(t0: float, alpha: float, k_m: int, eta_val: float) -> float:
 
 
 def zeta(beta_free: float, p: ProblemParameters, spectral: SpectralData,
-         est: EstimateSet, t0: float = 1.0, t0_mode: str = "fixed") -> float:
-    """The fractal contraction number, evaluated at unit elapsed time.
+         est: EstimateSet, t0: float = 1.0) -> float:
+    """The fractal contraction number at elapsed time ``t0``.
 
-    ``t0`` is fixed to 1 (the value the closed-form bound is stated at);
-    pass ``t0_mode="extended"`` to evaluate the same exponentials at a
-    general t0 — an extension beyond the stated form, labeled as such.
+    The closed-form bound is stated at t0 = 1, the default; other t0 > 0
+    evaluate the same exponentials there, an extension beyond the stated
+    form.  A vanishing spectral gap makes the value inf.
     """
     if beta_free <= 0:
         raise ValueError("beta_free must be positive")
-    if t0_mode == "fixed":
-        if t0 != 1.0:
-            raise ValueError("t0 is fixed to 1; use t0_mode='extended' for general t0")
-    elif t0_mode != "extended":
-        raise ValueError("t0_mode must be 'fixed' or 'extended'")
     if t0 <= 0:
         raise ValueError("t0 must be positive")
-    head, coupling, tail, growth = _squeeze_terms(t0, p, spectral, est)
+    head, coupling, tail, growth = contraction_terms(t0, p, spectral, est)
     if math.isinf(coupling):
         return math.inf
     return beta_free * growth + head + coupling * growth + tail
@@ -156,6 +137,16 @@ ALPHA_GRID = tuple(0.1 * k for k in range(1, 20))
 BETA_GRID = tuple(np.geomspace(1e-3, 1e2, 25))
 
 
+def _shifted(x: float, step: float):
+    """Neighbours x -/+ step, and the next (halved) step."""
+    return (x - step, x + step), step / 2.0
+
+
+def _scaled(x: float, step: float):
+    """Neighbours x /* step, and the next (square-rooted) step."""
+    return (x / step, x * step), math.sqrt(step)
+
+
 def optimize_certificate(p: ProblemParameters, spectral, est: EstimateSet,
                          mode: str = "hausdorff") -> DimensionCertificate:
     """Search the free parameters for the smallest finite dimension bound.
@@ -171,28 +162,30 @@ def optimize_certificate(p: ProblemParameters, spectral, est: EstimateSet,
         with the general-t0 extension of zeta.
 
     The grid search (log t0 grid, linear alpha grid / log beta grid, all
-    cut indices) is followed by three rounds of coordinate halving around
-    the best point.  Everything is deterministic; ties are broken by grid
-    order.  When no parameter choice is feasible the certificate reports
-    the smallest contraction number reached and infinite bounds.
+    cut indices) is followed by three rounds of coordinate refinement
+    around the best point: t0 and beta step by a factor that is
+    square-rooted each round, alpha by a shift that is halved.  Everything
+    is deterministic; ties are broken by grid order.  When no parameter
+    choice is feasible the certificate reports the smallest contraction
+    number reached and infinite bounds.
     """
-    if mode not in ("hausdorff", "fractal"):
+    # eta and zeta are looked up at call time: perfbench/tracing.py wraps them
+    if mode == "hausdorff":
+        contraction = lambda sp, t0, free: eta(t0, free, p, sp, est)
+        bound, free_grid, free_rule = hausdorff_bound, ALPHA_GRID, _shifted
+        free_step = (ALPHA_GRID[1] - ALPHA_GRID[0]) / 2.0
+        names, note = ("alpha", "eta", "hausdorff_bound"), ""
+    elif mode == "fractal":
+        contraction = lambda sp, t0, free: zeta(free, p, sp, est, t0)
+        bound, free_grid, free_rule = fractal_bound, BETA_GRID, _scaled
+        free_step = math.sqrt(BETA_GRID[1] / BETA_GRID[0])
+        names = ("beta_free", "zeta", "fractal_bound")
+        note = "general-t0 extension of the unit-time contraction number"
+    else:
         raise ValueError("mode must be 'hausdorff' or 'fractal'")
     spectrals = [spectral] if isinstance(spectral, SpectralData) else list(spectral)
     if not spectrals:
         raise ValueError("at least one spectral partition is required")
-
-    def contraction(sp, t0, free):
-        if mode == "hausdorff":
-            return eta(t0, free, p, sp, est)
-        return zeta(free, p, sp, est, t0=t0, t0_mode="extended")
-
-    def bound_of(sp, t0, free, c_val):
-        if mode == "hausdorff":
-            return hausdorff_bound(t0, free, sp.k_m, c_val)
-        return fractal_bound(free, sp.k_m, c_val)
-
-    free_grid = ALPHA_GRID if mode == "hausdorff" else BETA_GRID
 
     best = None  # (bound, sp, t0, free, c_val)
     best_c = (math.inf, None)
@@ -204,69 +197,36 @@ def optimize_certificate(p: ProblemParameters, spectral, est: EstimateSet,
                 c_val = contraction(sp, t0, free)
                 if c_val < best_c[0]:
                     best_c = (c_val, (sp, t0, free))
-                b = bound_of(sp, t0, free, c_val)
+                b = bound(free, sp.k_m, c_val)
                 if math.isfinite(b) and (best is None or b < best[0]):
                     best = (b, sp, t0, free, c_val)
 
-    note = "" if mode == "hausdorff" else "general-t0 extension of the unit-time contraction number"
     if best is None:
-        sp, t0, free = best_c[1] if best_c[1] is not None else (spectrals[0], 1.0, free_grid[0])
-        c_val = best_c[0]
-        return DimensionCertificate(
-            mode=mode, feasible=False, k_m=sp.k_m, t0=t0,
-            alpha=free if mode == "hausdorff" else None,
-            beta_free=free if mode == "fractal" else None,
-            eta=c_val if mode == "hausdorff" else None,
-            zeta=c_val if mode == "fractal" else None,
-            hausdorff_bound=math.inf, fractal_bound=math.inf,
-            best_contraction=c_val,
-            note=note or "no feasible contraction number below 1",
-        )
+        b, c_val = math.inf, best_c[0]
+        sp, t0, free = best_c[1] or (spectrals[0], 1.0, free_grid[0])
+        note = note or "no feasible contraction number below 1"
+    else:
+        b, sp, t0, free, c_val = best
+        point, steps = [t0, free], [math.sqrt(T0_GRID[1] / T0_GRID[0]), free_step]
+        for _ in range(3):
+            for axis, grid, rule in ((0, T0_GRID, _scaled), (1, free_grid, free_rule)):
+                neighbours, steps[axis] = rule(point[axis], steps[axis])
+                for x in neighbours:
+                    if not grid[0] <= x <= grid[-1]:
+                        continue
+                    trial = point.copy()
+                    trial[axis] = x
+                    c_new = contraction(sp, *trial)
+                    b_new = bound(trial[1], sp.k_m, c_new)
+                    if b_new < b:
+                        b, point, c_val = b_new, trial, c_new
+        t0, free = point
 
-    _, sp, t0, free, c_val = best
-    b = best[0]
-    # coordinate halving around the grid optimum
-    t0_step = math.sqrt(T0_GRID[1] / T0_GRID[0])
-    free_step = (ALPHA_GRID[1] - ALPHA_GRID[0]) / 2.0 if mode == "hausdorff" \
-        else math.sqrt(BETA_GRID[1] / BETA_GRID[0])
-    for _ in range(3):
-        for candidate_t0 in (t0 / t0_step, t0 * t0_step):
-            if not T0_GRID[0] <= candidate_t0 <= T0_GRID[-1]:
-                continue
-            c_new = contraction(sp, candidate_t0, free)
-            b_new = bound_of(sp, candidate_t0, free, c_new)
-            if b_new < b:
-                b, t0, c_val = b_new, candidate_t0, c_new
-        if mode == "hausdorff":
-            candidates = [free - free_step, free + free_step]
-            candidates = [f for f in candidates
-                          if ALPHA_GRID[0] <= f <= ALPHA_GRID[-1]]
-        else:
-            candidates = [free / free_step, free * free_step]
-            candidates = [f for f in candidates
-                          if BETA_GRID[0] <= f <= BETA_GRID[-1]]
-        for candidate in candidates:
-            c_new = contraction(sp, t0, candidate)
-            b_new = bound_of(sp, t0, candidate, c_new)
-            if b_new < b:
-                b, free, c_val = b_new, candidate, c_new
-        t0_step = math.sqrt(t0_step)
-        if mode == "hausdorff":
-            free_step /= 2.0
-        else:
-            free_step = math.sqrt(free_step)
-
-    return DimensionCertificate(
-        mode=mode, feasible=True, k_m=sp.k_m, t0=t0,
-        alpha=free if mode == "hausdorff" else None,
-        beta_free=free if mode == "fractal" else None,
-        eta=c_val if mode == "hausdorff" else None,
-        zeta=c_val if mode == "fractal" else None,
-        hausdorff_bound=b if mode == "hausdorff" else math.inf,
-        fractal_bound=b if mode == "fractal" else math.inf,
-        best_contraction=c_val,
-        note=note,
-    )
+    fields = dict.fromkeys(("alpha", "beta_free", "eta", "zeta"))
+    fields.update(hausdorff_bound=math.inf, fractal_bound=math.inf)
+    fields.update(zip(names, (free, c_val, b)))
+    return DimensionCertificate(mode=mode, feasible=best is not None, k_m=sp.k_m, t0=t0,
+                                best_contraction=c_val, note=note, **fields)
 
 
 def covering_bound(m: int, r1: float, r2: float) -> int:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .model import ProblemParameters, check_dissipativity
 from .semigroup import Field, gradient_norm
-from .solver import Trajectory, row_norms, segment_sups
+from .solver import Trajectory, row_norms, segment_sups, step_count
 # Not called here, but perfbench/tracing.py patches these names in this module.
 from .solver import far_field_mass, segment_at, segment_norm  # noqa: F401
 
@@ -213,7 +213,7 @@ def verify_absorption(traj: Trajectory, est: EstimateSet, T: float) -> dict:
     verdict flag.
     """
     dt = traj.dt
-    n0 = max(0, int(math.ceil(T / dt - 1e-9)))
+    n0 = step_count(T, dt)
     if n0 > traj.steps:
         raise ValueError("trajectory horizon is shorter than the requested T")
     sups = segment_sups(row_norms(traj.history.samples, traj.grid),
@@ -251,7 +251,7 @@ def verify_energy_integral(traj: Trajectory, est: EstimateSet, t_start: float = 
 
     sups = segment_sups(gradient_norms(traj.history.samples), gradient_norms(traj.values))
     squared = sups * sups
-    n_first = max(0, int(math.ceil(t_start / dt - 1e-9)))
+    n_first = step_count(t_start, dt)
     worst = -math.inf
     worst_t = n_first * dt
     for n in range(n_first, traj.steps - per_unit + 1):

@@ -233,9 +233,10 @@ def evaluate_forcing(spec: ForcingSpec, x):
     x = np.asarray(x, dtype=float)
     if spec.kind == "zero" or spec.amplitude == 0.0:
         return np.zeros_like(x)
-    r = (x - spec.center) / spec.width
-    if spec.kind == "gaussian_bump":
-        return spec.amplitude * np.exp(-0.5 * r * r)
+    with np.errstate(over="ignore"):  # far nodes: r or r * r is inf, exp(-inf) = 0
+        r = (x - spec.center) / spec.width
+        if spec.kind == "gaussian_bump":
+            return spec.amplitude * np.exp(-0.5 * r * r)
     # compact_bump: smooth mollifier supported on |x - center| < width,
     # normalized to peak value `amplitude` at the center.
     out = np.zeros_like(x)

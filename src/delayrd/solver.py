@@ -36,6 +36,7 @@ the same bytes alone, in a block of rows or in a batch.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -61,6 +62,7 @@ __all__ = [
     "segment_at",
     "segment_norm",
     "segment_sups",
+    "step_count",
 ]
 
 
@@ -212,12 +214,20 @@ def integrate(phi: HistorySegment, horizon: float, p: ProblemParameters) -> Traj
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    n_steps = max(0, int(math.ceil(horizon / phi.dt - 1e-9)))
+    n_steps = step_count(horizon, phi.dt)
     values = np.empty((n_steps + 1, *phi.samples.shape[1:]))
     values[0] = phi.samples[-1]
     for n, rows in enumerate(evolve(phi, n_steps, p), start=1):
         values[n] = rows[-1]
     return Trajectory(values=values, grid=phi.grid, dt=phi.dt, history=phi)
+
+
+def step_count(t: float, dt: float) -> int:
+    """The whole steps of ``dt`` that cover ``t``: ceil(t / dt), forgiving
+    1e-9 of a step of rounding, and 0 for t <= 0.  A count past sys.maxsize
+    (t / dt may be inf) saturates there, beyond any step cap."""
+    x = t / dt - 1e-9
+    return max(0, math.ceil(x)) if x < sys.maxsize else sys.maxsize
 
 
 def grid_step(t: float, dt: float) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import MAX_MARCH_STEPS, ConfigError, ProblemParameters
-from .solver import march
+from .solver import march, step_count
 
 __all__ = [
     "ModeRoots",
@@ -351,7 +351,7 @@ def linear_delay_evolve(mode_history, p: ProblemParameters, mode_eig: float,
         raise ValueError("mode history must be a 1-D array of >= 2 samples")
     dt = p.tau / (hist.size - 1)
     decay = math.exp(-(p.mu + mode_eig) * dt)
-    n_steps = max(0, int(math.ceil(horizon / dt - 1e-9)))
+    n_steps = step_count(horizon, dt)
     steps = march(hist, n_steps, dt, lambda v: decay * v, lambda d: p.sigma * d)
     return dt * np.arange(n_steps + 1), np.array([hist[-1], *(rows[-1] for rows in steps)])
 

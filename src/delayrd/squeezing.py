@@ -17,6 +17,11 @@ with
          + K_m lf / (rho1 + lf - rho_m) * exp((lf + rho1) t),
     bR = sqrt(c2) exp([c2 (sigma + lf^2) - (mu - sigma - 1)] t / 2).
 
+`contraction_terms` is the one place these exponentials are written:
+`analytic_bounds` assembles bP, bQ and bR from its four factors, and
+`dimension.eta` and `dimension.zeta` assemble the contraction numbers from
+the same four.
+
 `measure_contraction` marches its pairs in groups, written into one batch,
 and materializes no segment: each difference row gets its P, Q and R norms
 once, as it arrives (only rows inside some measured window), and the sup
@@ -42,6 +47,7 @@ from .spectrum import SpectralData
 __all__ = [
     "ProjectionSet",
     "analytic_bounds",
+    "contraction_terms",
     "make_projections",
     "measure_contraction",
     "project_P",
@@ -121,9 +127,30 @@ def project_R(seg: HistorySegment, ps: ProjectionSet) -> HistorySegment:
     return replace(seg, samples=ps.parts(seg.samples)[2])
 
 
+def contraction_terms(t: float, p: ProblemParameters, spectral: SpectralData,
+                      est: EstimateSet) -> tuple:
+    """The four factors every contraction bound is assembled from, at
+    elapsed time t: (K_m e^{rho_m t}, K_m lf / (rho1 + lf - rho_m),
+    sqrt(c2) e^{rate t / 2}, e^{(lf + rho1) t}) with
+    rate = c2 (sigma + lf^2) - (mu - sigma - 1).  A vanishing gap makes
+    the coupling inf.  Requires the dichotomy constant on ``spectral``."""
+    if spectral.K_m is None:
+        raise ValueError("spectral data has no dichotomy constant (run dichotomy_constant)")
+    K_m, rho1, rho_m = spectral.K_m, spectral.rho1, spectral.rho_m
+    gap = rho1 + p.lf - rho_m
+    head = K_m * math.exp(rho_m * t)
+    coupling = math.inf if gap == 0.0 else K_m * p.lf / gap
+    rate = est.c2 * (p.sigma + p.lf * p.lf) - (p.mu - p.sigma - 1.0)
+    tail = math.sqrt(est.c2) * math.exp(0.5 * rate * t)
+    growth = math.exp((p.lf + rho1) * t)
+    return head, coupling, tail, growth
+
+
 def analytic_bounds(t: float, p: ProblemParameters, spectral: SpectralData,
                     est: EstimateSet, which: str = "bound_63") -> dict:
-    """The three contraction factors at elapsed time t.
+    """The three contraction factors at elapsed time t, from
+    `contraction_terms`: bP = coefficient growth, bQ = head + coupling
+    growth, bR = tail.
 
     ``which`` selects the P coefficient: "bound_63" (coefficient 1,
     default) or "bound_316" (coefficient 2).  Requires the dichotomy
@@ -132,23 +159,14 @@ def analytic_bounds(t: float, p: ProblemParameters, spectral: SpectralData,
     """
     if which not in ("bound_63", "bound_316"):
         raise ValueError("which must be 'bound_63' or 'bound_316'")
-    if spectral.K_m is None:
-        raise ValueError("spectral data has no dichotomy constant (run dichotomy_constant)")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    K_m, rho1, rho_m = spectral.K_m, spectral.rho1, spectral.rho_m
+    head, coupling, tail, growth = contraction_terms(t, p, spectral, est)
     coefficient = 1.0 if which == "bound_63" else 2.0
-    bP = coefficient * math.exp((p.lf + rho1) * t)
-    gap = rho1 + p.lf - rho_m
-    if gap == 0.0:
-        bQ = math.inf
-        feasible = False
-    else:
-        bQ = K_m * math.exp(rho_m * t) + K_m * p.lf / gap * math.exp((p.lf + rho1) * t)
-        feasible = True
-    rate = est.c2 * (p.sigma + p.lf * p.lf) - (p.mu - p.sigma - 1.0)
-    bR = math.sqrt(est.c2) * math.exp(0.5 * rate * t)
-    return {"bP": bP, "bQ": bQ, "bR": bR, "feasible": feasible, "which": which}
+    feasible = not math.isinf(coupling)
+    bQ = head + coupling * growth if feasible else math.inf
+    return {"bP": coefficient * growth, "bQ": bQ, "bR": tail,
+            "feasible": feasible, "which": which}
 
 
 # Pairs marched as one batch.  squeeze on perfbench/configs/squeeze-pairs.json

@@ -229,7 +229,7 @@ def test_criterion_5_dimension():
     )
     t0, alpha = 1.0, 0.5
     eta_val = eta(t0, alpha, p, spectral, est)
-    bound = hausdorff_bound(t0, alpha, spectral.k_m, eta_val)
+    bound = hausdorff_bound(alpha, spectral.k_m, eta_val)
 
     # independent re-evaluation straight from the exponentials
     gap = spectral.rho1 + p.lf - spectral.rho_m

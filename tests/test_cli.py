@@ -651,19 +651,22 @@ def test_tiny_cutoff_radius_exits_3(tmp_path, capsys, subcommand, radius):
     assert err.startswith("infeasible: mode "), err
 
 
-@pytest.mark.parametrize("radius,code", [("1e-8", EXIT_INFEASIBLE), ("4.0", EXIT_CONFIG)],
-                         ids=["root-overflow-exit-3", "cut-at-L/4-exit-2"])
-def test_certify_spectral_failure_writes_nothing(tmp_path, radius, code):
+@pytest.mark.parametrize("subcommand,radius,code", [
+    pytest.param(subcommand, radius, code, id=f"{prefix}{case}")
+    for subcommand, prefix in (("certify", ""), ("spectrum", "spectrum-"), ("squeeze", "squeeze-"))
+    for radius, code, case in (("1e-8", EXIT_INFEASIBLE, "root-overflow-exit-3"),
+                               ("4.0", EXIT_CONFIG, "cut-at-L/4-exit-2"))])
+def test_certify_spectral_failure_writes_nothing(tmp_path, subcommand, radius, code):
     """A certify run that fails in its spectral stage once left an
     estimates.json with no manifest to hash it, which `report` then
-    refused; the spectral stage now runs before the output directory is
-    made."""
+    refused, and spectrum and squeeze left an empty output directory; the
+    spectral stage now runs before the output directory is made."""
     text = (CONFIGS / "base.json").read_text()
     assert '"cutoff_radius": 3.0' in text
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text.replace('"cutoff_radius": 3.0', f'"cutoff_radius": {radius}'))
     out = tmp_path / "out"
-    proc = run_cli_subprocess("certify", cfg, out)
+    proc = run_cli_subprocess(subcommand, cfg, out)
     assert proc.returncode == code, proc.stderr
     assert not (out / "estimates.json").exists()
     assert not out.exists()

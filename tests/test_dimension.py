@@ -18,6 +18,7 @@ from delayrd.dimension import (
 from delayrd.estimates import compute_estimates
 from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters
 from delayrd.spectrum import SpectralData
+from delayrd.squeezing import analytic_bounds
 
 from conftest import dissipative_params
 
@@ -64,7 +65,7 @@ def test_eta_and_hausdorff_against_inline_formulas():
     assert got == pytest.approx(0.4595132060690810, rel=1e-13)
     assert got < 1.0
 
-    bound = hausdorff_bound(t0, alpha, sp.k_m, got)
+    bound = hausdorff_bound(alpha, sp.k_m, got)
     expected_bound = (-math.log(3) - 3 * math.log(2 + 4 / alpha)) / math.log(got)
     assert bound == pytest.approx(expected_bound, rel=1e-12)
     assert bound == pytest.approx(10.296418812804783, rel=1e-12)
@@ -99,9 +100,9 @@ def test_eta_validation_and_infeasible_values():
     closed = synthetic_spectral(rho1=-2.0, rho_m=-1.5, K_m=1.0)
     assert math.isinf(eta(1.0, 0.5, p, closed, est))
 
-    assert math.isinf(hausdorff_bound(1.0, 0.5, 3, 1.0))
+    assert math.isinf(hausdorff_bound(0.5, 3, 1.0))
     with pytest.raises(ValueError):
-        hausdorff_bound(1.0, 0.5, 0, 0.5)
+        hausdorff_bound(0.5, 0, 0.5)
 
 
 def test_zeta_fixed_and_extended_agree_at_unit_time():
@@ -109,17 +110,43 @@ def test_zeta_fixed_and_extended_agree_at_unit_time():
     est = compute_estimates(p, norm_g=1.0)
     sp = synthetic_spectral()
     fixed = zeta(0.3, p, sp, est)
-    extended = zeta(0.3, p, sp, est, t0=1.0, t0_mode="extended")
+    extended = zeta(0.3, p, sp, est, t0=1.0)
     assert fixed == extended
     # the extension actually moves with t0
-    assert zeta(0.3, p, sp, est, t0=2.0, t0_mode="extended") != fixed
+    assert zeta(0.3, p, sp, est, t0=2.0) != fixed
 
-    with pytest.raises(ValueError, match="fixed to 1"):
-        zeta(0.3, p, sp, est, t0=2.0)
     with pytest.raises(ValueError):
         zeta(0.0, p, sp, est)
     with pytest.raises(ValueError):
-        zeta(0.3, p, sp, est, t0=1.0, t0_mode="banana")
+        zeta(0.3, p, sp, est, t0=0.0)
+
+
+@pytest.mark.parametrize("rho1,rho_m,t,alpha,beta", [
+    (-2.0, -6.0, 1.0, 0.5, 0.3),
+    (-2.0, -6.0, 0.1, 1.9, 1e-3),
+    (-0.8, -3.0, 7.5, 0.1, 1e2),
+    (-2.0, -1.5, 1.0, 0.5, 0.3),     # closed gap rho1 + lf = rho_m
+    (-40.0, -45.0, 50.0, 1.2, 4.0),  # e^{(lf + rho1) t} underflows to 0
+], ids=["unit-time", "short-time", "long-time", "zero-gap", "underflowing-growth"])
+def test_contraction_numbers_are_assembled_from_the_squeezing_bounds(rho1, rho_m, t,
+                                                                     alpha, beta):
+    """The certificate is built from the bounds squeeze measures against:
+    eta = 2 bQ + alpha bP + 2 bR and zeta = beta bP + bQ + bR."""
+    p = stiff_problem()
+    est = compute_estimates(p, norm_g=1.0)
+    sp = synthetic_spectral(rho1=rho1, rho_m=rho_m)
+    b = analytic_bounds(t, p, sp, est, "bound_63")
+    if rho1 + p.lf == rho_m:
+        assert not b["feasible"]
+        assert math.isinf(eta(t, alpha, p, sp, est)) and math.isinf(b["bQ"])
+        assert math.isinf(zeta(beta, p, sp, est, t0=t))
+        return
+    if rho1 == -40.0:
+        assert b["bP"] == 0.0
+    assert eta(t, alpha, p, sp, est) == pytest.approx(
+        2.0 * b["bQ"] + alpha * b["bP"] + 2.0 * b["bR"], rel=1e-14, abs=0.0)
+    assert zeta(beta, p, sp, est, t0=t) == pytest.approx(
+        beta * b["bP"] + b["bQ"] + b["bR"], rel=1e-14, abs=0.0)
 
 
 def test_fractal_bound_formula():
@@ -158,6 +185,24 @@ def test_optimizer_feasible_and_deterministic():
         optimize_certificate(p, sp, est, mode="box-counting")
     with pytest.raises(ValueError):
         optimize_certificate(p, [], est)
+
+
+@pytest.mark.parametrize("lf,rho_m,mode,t0,free,bound", [
+    (0.45, -3.0, "hausdorff", 20.0, 0.28750000000000003, 1.8165911158361008),
+    (0.6, -6.0, "fractal", 5.032727713113054, 0.05556376510433994, 2.9548706634135335),
+], ids=["alpha-refined", "t0-and-beta-refined"])
+def test_optimizer_refinement_leaves_the_grid(lf, rho_m, mode, t0, free, bound):
+    """Pinned optima that only the three refinement rounds reach: alpha
+    moves by halved shifts, t0 and beta by square-rooted factors."""
+    p = ProblemParameters(mu=3.0, sigma=0.1, tau=0.1, lf=lf, forcing=ForcingSpec(),
+                          nonlinearity=NonlinearitySpec(kind="scaled_tanh", scale=lf))
+    est = compute_estimates(p, norm_g=1.0)
+    cert = optimize_certificate(p, synthetic_spectral(k_m=1, rho1=-0.5, rho_m=rho_m), est,
+                                mode=mode)
+    got = cert.alpha if mode == "hausdorff" else cert.beta_free
+    assert got not in (ALPHA_GRID if mode == "hausdorff" else BETA_GRID)
+    assert (cert.t0, got) == (pytest.approx(t0, rel=1e-12), pytest.approx(free, rel=1e-12))
+    assert min(cert.hausdorff_bound, cert.fractal_bound) == pytest.approx(bound, rel=1e-12)
 
 
 def test_optimizer_reports_infeasibility(grid):

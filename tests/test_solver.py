@@ -23,6 +23,7 @@ from delayrd.solver import (
     integrate,
     segment_at,
     segment_norm,
+    step_count,
 )
 
 from conftest import heat_only_params, loop_integrate
@@ -116,6 +117,17 @@ def test_horizon_and_tau_validation(grid, dissipative):
     bad = constant_history(Field(np.ones(grid.points), grid), 0.25, 4)
     with pytest.raises(ValueError, match="tau"):
         integrate(bad, horizon=1.0, p=dissipative)
+
+
+def test_step_count_rounds_up_and_saturates():
+    """Whole steps covering t, forgiving 1e-9 of a step; t / dt = inf (tau =
+    1e-300 with a horizon of 1e300) stays an int above any step cap."""
+    dt = 0.5 / 16
+    assert step_count(3.0, dt) == 96
+    assert step_count(3.0 + 1e-12, dt) == 96
+    assert step_count(3.0 + 1e-6, dt) == 97
+    assert step_count(0.0, dt) == step_count(-1.0, dt) == 0
+    assert step_count(1e300, 1e-300 / 16) > 2**62
 
 
 def test_divergence_raises_with_step_index(grid):
