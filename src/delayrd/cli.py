@@ -17,8 +17,9 @@ cross-platform stable); JSON is the text of ``json.dumps(sort_keys=True,
 indent=2)``, built in one pass by ``_json_text``; CSV uses repr floats with
 '.' decimals and LF line endings; files are written atomically
 (temp file + rename).  Rerunning a subcommand with the same manifest
-produces byte-identical payloads; the manifest records their sha256 hashes
-and carries the only timestamp, which is excluded from hashing.
+produces byte-identical payloads; the manifest records the sha256 of the
+bytes each writer wrote (no artifact is read back to hash it) and carries
+the only timestamp, which is excluded from hashing.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .solver import (
 )
 # Not called here, but perfbench/tracing.py patches these names in this module.
 from .solver import far_field_mass, integrate, segment_at  # noqa: F401
-from .spectrum import SplittingError, dichotomy_constant, spectral_partition
+from .spectrum import ROOT_RESIDUAL_TOL, SplittingError, dichotomy_constant, spectral_partition
 from .squeezing import make_projections, measure_contraction
 from .dimension import optimize_certificate
 
@@ -93,7 +94,8 @@ DISSIPATIVITY_CONDITION = "sigma*(L_f+1)*exp(mu*tau) - mu < 0"
 # --- deterministic output helpers -------------------------------------------
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
+def _atomic_write_bytes(path: str, payload: bytes) -> str:
+    """Write ``payload`` to ``path`` atomically; returns its sha256."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
@@ -104,6 +106,7 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return hashlib.sha256(payload).hexdigest()
 
 
 def _json_text(obj, pad: str = "") -> str:
@@ -139,24 +142,24 @@ def _json_text(obj, pad: str = "") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def write_json(path: str, obj) -> None:
-    _atomic_write_bytes(path, (_json_text(obj) + "\n").encode("utf-8"))
+def write_json(path: str, obj) -> str:
+    return _atomic_write_bytes(path, (_json_text(obj) + "\n").encode("utf-8"))
 
 
-def write_csv(path: str, header, rows) -> None:
+def write_csv(path: str, header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
                               else str(v) for v in row))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    return _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def write_snapshot(path: str, field_values: np.ndarray, half_length: float, t: float) -> None:
+def write_snapshot(path: str, field_values: np.ndarray, half_length: float, t: float) -> str:
     """Binary field snapshot: little-endian magic 'DRDF', uint32 version,
     uint64 npoints, float64 half-length, float64 time, float64 values."""
     header = struct.pack("<4sIQdd", SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
                          field_values.size, half_length, t)
-    _atomic_write_bytes(path, header + np.asarray(field_values, dtype="<f8").tobytes())
+    return _atomic_write_bytes(path, header + np.asarray(field_values, dtype="<f8").tobytes())
 
 
 def read_snapshot(path: str):
@@ -172,23 +175,18 @@ def read_snapshot(path: str):
     return values.copy(), half_length, t
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 class RunManifest:
     """Provenance record of one subcommand run.
 
     The payload hash map covers every artifact written by the run; the
     timestamp lives only in the manifest and is excluded from hashing, so
-    identical manifests imply byte-identical payloads.
+    identical manifests imply byte-identical payloads.  Making a manifest
+    makes its run directory, so a subcommand builds it only once every
+    stage that can fail before writing has passed.
     """
 
     def __init__(self, config_path: str, seed: int, subcommand: str, out_dir: str):
+        os.makedirs(out_dir, exist_ok=True)
         self.config_path = config_path
         self.seed = seed
         self.subcommand = subcommand
@@ -196,14 +194,10 @@ class RunManifest:
         self.version = __version__
         self.payloads: dict = {}
 
-    def record(self, path: str) -> None:
-        self.payloads[os.path.basename(path)] = _sha256(path)
-
     def save(self, name: str, writer, *args) -> None:
-        """Write artifact ``name`` into the run directory and record it."""
-        path = os.path.join(self.out_dir, name)
-        writer(path, *args)
-        self.record(path)
+        """Write artifact ``name`` into the run directory and record the
+        sha256 that ``writer`` returns for the bytes it wrote."""
+        self.payloads[name] = writer(os.path.join(self.out_dir, name), *args)
 
     def write(self) -> None:
         doc = {
@@ -325,15 +319,17 @@ def _forcing_norm(p: ProblemParameters, grid: Grid) -> float:
 
 
 def _spectral_bundle(p: ProblemParameters, grid: Grid, run: RunOptions, seed: int):
+    """The spectral data and its spectrum.json document.  K_m (and the
+    document's "dichotomy") is attached only to a certified spectrum."""
     if run.cutoff_radius >= grid.half_length / 4:
         raise ConfigError("run.cutoff_radius must satisfy K < L/4 (grid half_length L)")
     spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)
-    dichotomy = None
-    if spectral.rho_m < 0:
-        rng = np.random.default_rng(np.random.PCG64(seed))
-        dichotomy = dichotomy_constant(p, spectral, run.dichotomy_samples, rng=rng)
-        spectral = dataclasses.replace(spectral, K_m=dichotomy["K_m"])
-    return spectral, dichotomy
+    if not spectral.certificate_ok:
+        return spectral, spectral.as_dict()
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    dichotomy = dichotomy_constant(p, spectral, run.dichotomy_samples, rng=rng)
+    spectral = dataclasses.replace(spectral, K_m=dichotomy["K_m"])
+    return spectral, dict(spectral.as_dict(), dichotomy=dichotomy)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -355,32 +351,31 @@ def cmd_certify(config_path: str, seed: int | None, out_dir: str) -> int:
             f"beta={gate.beta!r} >= mu={p.mu!r}"
         )
 
-    spectral, dichotomy = _spectral_bundle(p, grid, run, seed)
+    spectral, spec_doc = _spectral_bundle(p, grid, run, seed)
 
-    os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(config_path, seed, "certify", out_dir)
-    est_doc = est.as_dict()
-    est_doc.update(T_D=T_D, norm_D=run.history_norm,
-                   dissipativity_condition=DISSIPATIVITY_CONDITION)
-    manifest.save("estimates.json", write_json, est_doc)
-    spec_doc = spectral.as_dict()
-    if dichotomy is not None:
-        spec_doc["dichotomy"] = dichotomy
+    manifest.save("estimates.json", write_json,
+                  dict(dataclasses.asdict(est), T_D=T_D, norm_D=run.history_norm,
+                       dissipativity_condition=DISSIPATIVITY_CONDITION))
     manifest.save("spectrum.json", write_json, spec_doc)
 
     cert_doc = {}
     if spectral.K_m is not None and est.energy_feasible and est.dissipative:
         hausdorff = optimize_certificate(p, spectral, est, mode="hausdorff")
         fractal = optimize_certificate(p, spectral, est, mode="fractal")
-        cert_doc["hausdorff"] = hausdorff.as_dict()
-        cert_doc["fractal"] = fractal.as_dict()
+        cert_doc["hausdorff"] = dataclasses.asdict(hausdorff)
+        cert_doc["fractal"] = dataclasses.asdict(fractal)
         if not hausdorff.feasible:
             diagnostics.append("no feasible Hausdorff certificate (eta >= 1 everywhere)")
         if not fractal.feasible:
             diagnostics.append("no feasible fractal certificate (zeta >= 1 everywhere)")
     else:
-        if spectral.K_m is None:
+        if not spectral.rho_m < 0:
             diagnostics.append("spectral splitting unavailable (rho_m >= 0)")
+        incomplete = [mr.mode for mr in spectral.mode_roots if not mr.complete]
+        if incomplete:
+            diagnostics.append(f"mode {incomplete[0]}: characteristic roots incomplete "
+                               f"(residual above {ROOT_RESIDUAL_TOL!r})")
         if not est.energy_feasible:
             diagnostics.append("energy gap mu - sigma - 1 <= 0: c1/c4/c5 infeasible")
     cert_doc["diagnostics"] = diagnostics
@@ -406,7 +401,6 @@ def cmd_simulate(config_path: str, seed: int | None, out_dir: str,
     steps = step_count(run.horizon, dt)
     if steps > MAX_MARCH_STEPS:
         raise ConfigError(f"run.horizon must be at most {MAX_MARCH_STEPS} steps of dt = {dt!r}")
-    os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(config_path, seed, "simulate", out_dir)
     rng = np.random.default_rng(np.random.PCG64(seed))
     phi = random_history(rng, grid, p.tau, S, run.history_norm)
@@ -441,12 +435,8 @@ def cmd_spectrum(config_path: str, seed: int | None, out_dir: str) -> int:
     """Spectral data only: eigenvalues, roots, splitting, dichotomy.  The
     spectral stage runs before the output directory is made."""
     p, grid, run, seed = _load_config(config_path, seed)
-    spectral, dichotomy = _spectral_bundle(p, grid, run, seed)
-    os.makedirs(out_dir, exist_ok=True)
+    spectral, doc = _spectral_bundle(p, grid, run, seed)
     manifest = RunManifest(config_path, seed, "spectrum", out_dir)
-    doc = spectral.as_dict()
-    if dichotomy is not None:
-        doc["dichotomy"] = dichotomy
     manifest.save("spectrum.json", write_json, doc)
     manifest.write()
     return EXIT_OK if spectral.certificate_ok else EXIT_INFEASIBLE
@@ -466,11 +456,10 @@ def cmd_squeeze(config_path: str, seed: int | None, out_dir: str) -> int:
     est = compute_estimates(p, norm_g, norm_phi0=run.history_norm)
     spectral, _ = _spectral_bundle(p, grid, run, seed)
     if spectral.K_m is None or not est.dissipative or not est.energy_feasible:
-        print("squeeze requires a dissipative configuration with rho_m < 0 "
-              "and mu - sigma - 1 > 0", file=sys.stderr)
+        print("squeeze requires a dissipative configuration with a complete spectrum, "
+              "rho_m < 0 and mu - sigma - 1 > 0", file=sys.stderr)
         return EXIT_INFEASIBLE
     ps = make_projections(grid, run.cutoff_radius, spectral.k_m)
-    os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(config_path, seed, "squeeze", out_dir)
 
     # drawn lazily, a group at a time; integrating draws nothing from rng

@@ -115,22 +115,6 @@ class DimensionCertificate:
     best_contraction: float
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "feasible": self.feasible,
-            "k_m": self.k_m,
-            "t0": self.t0,
-            "alpha": self.alpha,
-            "beta_free": self.beta_free,
-            "eta": self.eta,
-            "zeta": self.zeta,
-            "hausdorff_bound": self.hausdorff_bound,
-            "fractal_bound": self.fractal_bound,
-            "best_contraction": self.best_contraction,
-            "note": self.note,
-        }
-
 
 T0_GRID = tuple(np.geomspace(0.1, 20.0, 25))
 ALPHA_GRID = tuple(0.1 * k for k in range(1, 20))

@@ -78,23 +78,6 @@ class EstimateSet:
     norm_g: float
     norm_phi0: float
 
-    def as_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "c4": self.c4,
-            "c5": self.c5,
-            "c4_alt": self.c4_alt,
-            "gradient_bound": self.gradient_bound,
-            "absorbing_radius": self.absorbing_radius,
-            "dissipative": self.dissipative,
-            "energy_feasible": self.energy_feasible,
-            "norm_g": self.norm_g,
-            "norm_phi0": self.norm_phi0,
-        }
-
 
 def compute_estimates(p: ProblemParameters, norm_g: float, norm_phi0: float = 0.0) -> EstimateSet:
     """Evaluate every closed-form constant for the given data norms.

@@ -98,10 +98,7 @@ def apply_semigroup(t: float, phi: Field, mu: float) -> Field:
         raise ValueError("semigroup duration must be nonnegative")
     if t == 0:
         return phi
-    xi = phi.grid.frequencies
-    multiplier = np.exp(-(mu + xi * xi) * t)
-    values = np.fft.irfft(multiplier * np.fft.rfft(phi.values), n=phi.grid.points)
-    return Field(values=values, grid=phi.grid)
+    return Field(values=SemigroupStepper(phi.grid, mu, t).step(phi.values), grid=phi.grid)
 
 
 def semigroup_decay_check(phi: Field, t: float, mu: float) -> dict:

@@ -256,7 +256,8 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
     Collects every window root of the first ``modes`` spatial modes,
     groups coincident real parts (tolerance 1e-8), sorts the groups
     descending, and accumulates multiplicities into k_m over the first
-    ``m_cut`` groups.  rho_m < 0 is required for certificate use; when it
+    ``m_cut`` groups.  Certificate use requires rho_m < 0 and every mode
+    ``complete`` (all its roots pass the residual gate); when either
     fails the data is still returned with ``certificate_ok`` False, and
     ``status`` is "no_splitting" when no negative real part exists at all.
     A mode whose eigenvalue or roots overflow a float (a tiny K) raises
@@ -312,7 +313,7 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
         k_m=k_m,
         rho1=rho1,
         rho_m=rho_m,
-        certificate_ok=rho_m < 0,
+        certificate_ok=rho_m < 0 and all(mr.complete for mr in details),
         status=status,
         mode_roots=tuple(details),
     )

@@ -220,8 +220,7 @@ def _group_sups(group, times, p: ProblemParameters, ps: ProjectionSet):
 
 
 def measure_contraction(pairs, times, p: ProblemParameters, ps: ProjectionSet,
-                        spectral: SpectralData = None, est: EstimateSet = None,
-                        which: str = "bound_63") -> list:
+                        spectral: SpectralData = None, est: EstimateSet = None) -> list:
     """Integrate pairs of histories and measure projected contraction.
 
     ``pairs`` yields (phi, psi) history pairs, taken `_GROUP_PAIRS` at a
@@ -247,8 +246,8 @@ def measure_contraction(pairs, times, p: ProblemParameters, ps: ProjectionSet,
                 report.update({f"measured_{part}": float(sup[column]) / denom
                                for part, sup in zip("PQR", sups[n])})
                 if spectral is not None and est is not None:
-                    b = analytic_bounds(t, p, spectral, est, which=which)
+                    b = analytic_bounds(t, p, spectral, est)
                     report.update(bound_P=b["bP"], bound_Q=b["bQ"], bound_R=b["bR"],
-                                  bounds_feasible=b["feasible"], which=which)
+                                  bounds_feasible=b["feasible"], which=b["which"])
                 reports.append(report)
             column += 1

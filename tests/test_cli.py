@@ -552,23 +552,45 @@ def test_simulate_memory_does_not_grow_with_horizon(tmp_path):
     assert peak(20.0) <= 1.25 * peak(2.0)
 
 
+def load_tracing():
+    """perfbench/tracing.py, loaded from its file (it is not a package)."""
+    path = CONFIGS.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def lookup(module, attr):
+    """The object a tracer pin names: ``attr`` of ``delayrd.<module>``, or a
+    method from the class's own ``__dict__`` for "Class.method"."""
+    owner = importlib.import_module(f"delayrd.{module}")
+    if "." in attr:
+        cls, attr = attr.split(".")
+        return getattr(owner, cls).__dict__[attr]
+    return getattr(owner, attr)
+
+
+def test_tracer_pins_resolve():
+    """Every (module, attribute) pair in perfbench/tracing.py's TARGETS
+    names something in delayrd, so moving or deleting one of those names
+    fails here instead of in ``perfbench/run.py --trace 1``."""
+    places = [place for _, places, _ in load_tracing().TARGETS for place in places]
+    missing = []
+    for module, attr in places:
+        try:
+            lookup(module, attr)
+        except (AttributeError, KeyError):
+            missing.append(f"{module}.{attr}")
+    assert places and not missing, missing
+
+
 def test_tracer_finds_every_name_it_patches():
     """perfbench/tracing.py patches module names by lookup, some of them
     imported only for it (``# noqa: F401``); dropping one would break
     ``--trace 1`` with an AttributeError.  Install and uninstall the tracer
     and check that every name is back afterwards."""
-    path = CONFIGS.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-
-    def lookup(module, attr):
-        owner = importlib.import_module(f"delayrd.{module}")
-        if "." in attr:
-            cls, attr = attr.split(".")
-            return getattr(owner, cls).__dict__[attr]
-        return getattr(owner, attr)
-
+    tracing = load_tracing()
     places = [place for _, places, _ in tracing.TARGETS for place in places]
     before = {place: lookup(*place) for place in places}
     tracer = tracing.Tracer()
@@ -649,6 +671,32 @@ def test_tiny_cutoff_radius_exits_3(tmp_path, capsys, subcommand, radius):
         == EXIT_INFEASIBLE
     err = capsys.readouterr().err
     assert err.startswith("infeasible: mode "), err
+
+
+@pytest.mark.parametrize("radius", ["1e-3", "1e-6"])
+@pytest.mark.parametrize("subcommand", ["certify", "spectrum", "squeeze"])
+def test_incomplete_spectrum_exits_3(tmp_path, capsys, subcommand, radius):
+    """At K = 1e-3 or 1e-6 no mode's roots pass the residual gate, yet
+    spectrum and certify once exited 0 on them, certify with a feasible
+    certificate (sampled K_m 8.8e32 or 2.1e102): certificate_ok read only
+    rho_m < 0.  An incomplete spectrum gets no K_m and is infeasible."""
+    cfg = certify_config_with(tmp_path / "cfg.json", '"cutoff_radius": 3.0',
+                              f'"cutoff_radius": {radius}')
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    if subcommand == "squeeze":
+        assert "complete spectrum" in err and not out.exists()
+        return
+    spec = json.loads((out / "spectrum.json").read_text())
+    assert spec["rho_m"] < 0 and spec["certificate_ok"] is False
+    assert spec["K_m"] is None and "dichotomy" not in spec
+    assert not any(mode["complete"] for mode in spec["modes"])
+    if subcommand == "certify":
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert == {"diagnostics": ["mode 1: characteristic roots incomplete "
+                                        "(residual above 1e-10)"], "feasible": False}
+        assert "infeasible: mode 1:" in err
 
 
 @pytest.mark.parametrize("subcommand,radius,code", [

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ def test_optimizer_reports_infeasibility(grid):
     assert math.isinf(cert.hausdorff_bound) and math.isinf(cert.fractal_bound)
     assert cert.best_contraction >= 1.0
     assert "no feasible" in cert.note
-    payload = cert.as_dict()
+    payload = asdict(cert)
     assert payload["feasible"] is False
 
 
