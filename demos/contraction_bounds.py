@@ -14,7 +14,7 @@ from delayrd.estimates import compute_estimates
 from delayrd.model import ForcingSpec, Grid, NonlinearitySpec, ProblemParameters, evaluate_forcing
 from delayrd.semigroup import Field, field_norm
 from delayrd.spectrum import dichotomy_constant, spectral_partition
-from delayrd.squeezing import make_projections, measure_contraction
+from delayrd.squeezing import analytic_bounds, make_projections, measure_contraction
 
 grid = Grid(half_length=16.0, points=512)
 raw = evaluate_forcing(ForcingSpec(kind="gaussian_bump", amplitude=1.0), grid.nodes)
@@ -35,11 +35,11 @@ print(f"kept modes k_m = {spectral.k_m}, rates rho_1 = {spectral.rho1:.4f}, "
 ps = make_projections(grid, K=spectral.K, k_m=spectral.k_m)
 phi, psi = eigenmode_pair(rng, grid, p, spectral, 32, norm=1.0, separation=0.3)
 
+times = (0.25, 0.5, 1.0, 1.5)
+_, measured = measure_contraction([(phi, psi)], times, p, ps)
 print(f"\n{'t':>5} {'part':>5} {'measured':>12} {'bound':>12} {'ratio':>8}")
-for r in measure_contraction([(phi, psi)], (0.25, 0.5, 1.0, 1.5), p, ps,
-                             spectral=spectral, est=est):
-    t = r["t"]
-    for part in ("P", "Q", "R"):
-        measured, bound = r[f"measured_{part}"], r[f"bound_{part}"]
-        print(f"{t:5.2f} {part:>5} {measured:12.6f} {bound:12.6f} "
-              f"{measured / bound:8.4f}")
+for t, parts in zip(times, measured[0]):
+    b = analytic_bounds(t, p, spectral, est)
+    for part, value in zip("PQR", parts):
+        bound = b[f"b{part}"]
+        print(f"{t:5.2f} {part:>5} {value:12.6f} {bound:12.6f} {value / bound:8.4f}")

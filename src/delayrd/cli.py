@@ -47,7 +47,6 @@ from .model import (
     Grid,
     ProblemParameters,
     RunOptions,
-    check_dissipativity,
     evaluate_forcing,
     parse_config,
 )
@@ -64,7 +63,7 @@ from .solver import (
 # Not called here, but perfbench/tracing.py patches these names in this module.
 from .solver import far_field_mass, integrate, segment_at  # noqa: F401
 from .spectrum import ROOT_RESIDUAL_TOL, SplittingError, dichotomy_constant, spectral_partition
-from .squeezing import make_projections, measure_contraction
+from .squeezing import analytic_bounds, make_projections, measure_contraction
 from .dimension import optimize_certificate
 
 __all__ = [
@@ -182,11 +181,15 @@ class RunManifest:
     timestamp lives only in the manifest and is excluded from hashing, so
     identical manifests imply byte-identical payloads.  Making a manifest
     makes its run directory, so a subcommand builds it only once every
-    stage that can fail before writing has passed.
+    stage that can fail before writing has passed.  An ``out_dir`` that
+    cannot be made (a file, or a path under one) is a ConfigError.
     """
 
     def __init__(self, config_path: str, seed: int, subcommand: str, out_dir: str):
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
         self.config_path = config_path
         self.seed = seed
         self.subcommand = subcommand
@@ -343,12 +346,11 @@ def cmd_certify(config_path: str, seed: int | None, out_dir: str) -> int:
     norm_g = _forcing_norm(p, grid)
     est = compute_estimates(p, norm_g, norm_phi0=run.history_norm)
     T_D = absorbing_time(p, est, norm_D=run.history_norm)
-    gate = check_dissipativity(p)
     diagnostics = []
-    if not gate.holds:
+    if not est.dissipative:
         diagnostics.append(
             f"dissipativity condition {DISSIPATIVITY_CONDITION} violated: "
-            f"beta={gate.beta!r} >= mu={p.mu!r}"
+            f"beta={est.beta!r} >= mu={p.mu!r}"
         )
 
     spectral, spec_doc = _spectral_bundle(p, grid, run, seed)
@@ -468,94 +470,89 @@ def cmd_squeeze(config_path: str, seed: int | None, out_dir: str) -> int:
                             norm=run.history_norm,
                             separation=0.3 * run.history_norm)
              for _ in range(run.ensemble))
-    reports = measure_contraction(pairs, run.contraction_times, p, ps,
-                                  spectral=spectral, est=est)
+    times = run.contraction_times
+    denoms, measured = measure_contraction(pairs, times, p, ps)
+    bounds = np.array([[b["bP"], b["bQ"], b["bR"]]
+                       for b in (analytic_bounds(t, p, spectral, est) for t in times)])
 
-    rows = []
-    worst = {"P": 0.0, "Q": 0.0, "R": 0.0}
-    zero_diff = 0
-    for rep in reports:
-        if rep["status"] == "zero-difference":
-            zero_diff += 1
-            continue
-        rows.append((rep["t"], rep["measured_P"], rep["bound_P"],
-                     rep["measured_Q"], rep["bound_Q"],
-                     rep["measured_R"], rep["bound_R"]))
-        for part in ("P", "Q", "R"):
-            ratio = rep[f"measured_{part}"] / rep[f"bound_{part}"]
-            worst[part] = max(worst[part], ratio)
+    # one row per differing pair and time: t, then measured and bound of P, Q, R
+    table = np.empty((len(measured), len(times), 7))
+    table[..., 0], table[..., 1::2], table[..., 2::2] = times, measured, bounds
     manifest.save("contraction.csv", write_csv, ("t", "measured_P", "bound_P", "measured_Q",
-                                                 "bound_Q", "measured_R", "bound_R"), rows)
+                                                 "bound_Q", "measured_R", "bound_R"),
+                  table.reshape(-1, 7))
 
+    worst = np.max(measured / bounds, axis=(0, 1), initial=0.0)
     summary = {
         "pairs": run.ensemble,
-        "times": list(run.contraction_times),
-        "zero_difference": zero_diff,
-        "worst_ratio_P": worst["P"],
-        "worst_ratio_Q": worst["Q"],
-        "worst_ratio_R": worst["R"],
-        "within_bounds": all(v <= 1.05 for v in worst.values()),
+        "times": list(times),
+        "zero_difference": int(np.sum(denoms == 0.0)) * len(times),
+        **{f"worst_ratio_{part}": float(v) for part, v in zip("PQR", worst)},
+        "within_bounds": bool(np.all(worst <= 1.05)),
     }
     manifest.save("squeeze.json", write_json, summary)
     manifest.write()
     return EXIT_OK if summary["within_bounds"] else EXIT_INFEASIBLE
 
 
+# summary.txt lines of the plain-record artifacts, filled in by str.format_map
+_REPORT_LINES = {
+    "estimates.json": ("dissipative: {dissipative} (beta={beta}, "
+                       "condition: {dissipativity_condition})",
+                       "absorbing radius c3: {c3}  (T_D for norm {norm_D}: {T_D})"),
+    "spectrum.json": ("splitting: k_m={k_m} rho1={rho1} rho_m={rho_m} K_m={K_m}",),
+    "squeeze.json": ("squeeze: worst measured/bound ratios P={worst_ratio_P} "
+                     "Q={worst_ratio_Q} R={worst_ratio_R} within_bounds={within_bounds}",),
+}
+
+
+def _certificate_summary(cert) -> tuple:
+    """summary.csv rows, certificate lines and diagnostic lines of one
+    certificate.json document."""
+    rows = []
+    for mode, free_key, contraction_key in (("hausdorff", "alpha", "eta"),
+                                            ("fractal", "beta_free", "zeta")):
+        if mode in cert:
+            c = cert[mode]
+            rows.append((mode, str(c["feasible"]), c[f"{mode}_bound"], c["k_m"], c["t0"],
+                         c[free_key], c[contraction_key]))
+    lines = [f"{mode}: bound={bound} (k_m={k_m}, t0={t0}, free={free}, "
+             f"contraction={contraction})"
+             for mode, _, bound, k_m, t0, free, contraction in rows]
+    return rows, lines, [f"diagnostic: {line}" for line in cert.get("diagnostics", [])]
+
+
 def cmd_report(directory: str) -> int:
-    """Merge the JSON artifacts of a directory into summary.csv/summary.txt."""
-    wanted = ("estimates.json", "spectrum.json", "certificate.json")
-    missing = [name for name in wanted
-               if not os.path.exists(os.path.join(directory, name))]
+    """Merge the JSON artifacts of a directory into summary.csv/summary.txt.
+    Every artifact is read and formatted before anything is written, so a
+    malformed one (exit 2) writes no summary."""
+    required = ("estimates.json", "spectrum.json", "certificate.json")
+    names = [name for name in (*required, "squeeze.json")
+             if os.path.exists(os.path.join(directory, name))]
+    missing = [name for name in required if name not in names]
     if missing:
         print("missing artifacts: " + ", ".join(missing), file=sys.stderr)
         return EXIT_CONFIG
 
-    docs = {}
-    for name in wanted:
-        with open(os.path.join(directory, name), "r", encoding="utf-8") as handle:
-            docs[name] = json.load(handle)
-    squeeze_path = os.path.join(directory, "squeeze.json")
-    if os.path.exists(squeeze_path):
-        with open(squeeze_path, "r", encoding="utf-8") as handle:
-            docs["squeeze.json"] = json.load(handle)
+    sections = {}
+    for name in names:
+        try:
+            with open(os.path.join(directory, name), "r", encoding="utf-8") as handle:
+                doc = json.load(handle)
+            sections[name] = (_certificate_summary(doc) if name == "certificate.json" else
+                              [line.format_map(doc) for line in _REPORT_LINES[name]])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            print(f"malformed artifact {name}: {exc!r}", file=sys.stderr)
+            return EXIT_CONFIG
+    rows, certificates, diagnostics = sections["certificate.json"]
+    lines = ["certification summary", "=====================", *sections["estimates.json"],
+             *sections["spectrum.json"], *certificates, *sections.get("squeeze.json", []),
+             *diagnostics]
 
-    est = docs["estimates.json"]
-    spec = docs["spectrum.json"]
-    cert = docs["certificate.json"]
-
-    header = ["certificate", "feasible", "bound", "k_m", "t0", "free_parameter",
-              "contraction"]
-    rows = []
-    for mode in ("hausdorff", "fractal"):
-        if mode not in cert:
-            continue
-        c = cert[mode]
-        free = c["alpha"] if mode == "hausdorff" else c["beta_free"]
-        contraction = c["eta"] if mode == "hausdorff" else c["zeta"]
-        rows.append((mode, str(c["feasible"]),
-                     c[f"{mode}_bound"], c["k_m"], c["t0"], free, contraction))
-    summary_csv = os.path.join(directory, "summary.csv")
-    write_csv(summary_csv, header, rows)
-
-    lines = ["certification summary", "====================="]
-    lines.append(f"dissipative: {est['dissipative']} (beta={est['beta']}, "
-                 f"condition: {est['dissipativity_condition']})")
-    lines.append(f"absorbing radius c3: {est['c3']}  (T_D for norm {est['norm_D']}: "
-                 f"{est['T_D']})")
-    lines.append(f"splitting: k_m={spec['k_m']} rho1={spec['rho1']} "
-                 f"rho_m={spec['rho_m']} K_m={spec['K_m']}")
-    for mode, _, bound, k_m, t0, free, contraction in rows:
-        lines.append(f"{mode}: bound={bound} (k_m={k_m}, t0={t0}, "
-                     f"free={free}, contraction={contraction})")
-    if "squeeze.json" in docs:
-        sq = docs["squeeze.json"]
-        lines.append(f"squeeze: worst measured/bound ratios "
-                     f"P={sq['worst_ratio_P']} Q={sq['worst_ratio_Q']} "
-                     f"R={sq['worst_ratio_R']} within_bounds={sq['within_bounds']}")
-    for line in cert.get("diagnostics", []):
-        lines.append(f"diagnostic: {line}")
-    summary_txt = os.path.join(directory, "summary.txt")
-    _atomic_write_bytes(summary_txt, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_csv(os.path.join(directory, "summary.csv"), ("certificate", "feasible", "bound",
+              "k_m", "t0", "free_parameter", "contraction"), rows)
+    _atomic_write_bytes(os.path.join(directory, "summary.txt"),
+                        ("\n".join(lines) + "\n").encode("utf-8"))
     return EXIT_OK
 
 

@@ -359,6 +359,12 @@ def linear_delay_evolve(mode_history, p: ProblemParameters, mode_eig: float,
 
 # --- dichotomy constant ----------------------------------------------------
 
+#: `dichotomy_constant`'s steps per delay, log-spaced read-out times and
+#: declared safety factor on the sample maximum.
+DICHOTOMY_STEPS_PER_DELAY = 64
+DICHOTOMY_T_POINTS = 12
+DICHOTOMY_SAFETY = 1.25
+
 
 def _q_side_profiles(spectral: SpectralData, rho_cut: float) -> list:
     """(mode index, eigenvalue, root) triples strictly below the cut."""
@@ -373,8 +379,7 @@ def _q_side_profiles(spectral: SpectralData, rho_cut: float) -> list:
 
 
 def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
-                       samples: int, rng=None, steps_per_delay: int = 64,
-                       t_points: int = 12, safety: float = 1.25) -> dict:
+                       samples: int, rng: np.random.Generator) -> dict:
     """Estimate the dichotomy constant K_m by direct sampling.
 
     Random unit histories are synthesized from characteristic-mode
@@ -383,7 +388,7 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
     together, one mode per column of a single `solver.march` batch, and the
     overshoot max_t ||U(t) x||_C / (exp(rho_m t) ||x||_C) is recorded over
     a log-spaced time grid including t = 0.  The returned estimate
-    is the sample maximum times a declared safety factor (default 1.25).
+    is the sample maximum times the declared `DICHOTOMY_SAFETY`.
 
     Returns a dict with ``K_m`` (the estimate), ``sample_max``,
     ``safety``, ``times``, and ``samples``.  A march of more than
@@ -393,20 +398,20 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
         raise ValueError("dichotomy estimate requires rho_m < 0")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(0) if rng is None else rng
     profiles = _q_side_profiles(spectral, spectral.rho_m)
     if not profiles:
         raise SplittingError("no roots beyond the cut inside the search window")
 
     rho_m = spectral.rho_m
     t_max = min(20.0, max(1.0, 8.0 / abs(rho_m)))
-    dt = p.tau / steps_per_delay
+    S = DICHOTOMY_STEPS_PER_DELAY
+    dt = p.tau / S
     # log-spaced targets snapped to the step grid, always containing t=0
-    raw = np.geomspace(max(dt, t_max / 256.0), t_max, t_points)
+    raw = np.geomspace(max(dt, t_max / 256.0), t_max, DICHOTOMY_T_POINTS)
     t_grid = sorted({0} | {int(round(t / dt)) for t in raw})
     if t_grid[-1] > MAX_MARCH_STEPS:
         raise ConfigError(f"tau = {p.tau!r} needs more than {MAX_MARCH_STEPS} dichotomy steps")
-    thetas = np.linspace(-p.tau, 0.0, steps_per_delay + 1)
+    thetas = np.linspace(-p.tau, 0.0, S + 1)
 
     # every sample's mode histories, as the columns of one batch
     draws = []  # (sample, mode eigenvalue, mode history)
@@ -416,7 +421,7 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
         by_mode: dict = {}
         for idx in chosen:
             mode, eig, root = profiles[idx]
-            hist = by_mode.setdefault((mode, eig), np.zeros(steps_per_delay + 1))
+            hist = by_mode.setdefault((mode, eig), np.zeros(S + 1))
             c1, c2 = rng.standard_normal(2)
             if root.imag == 0:
                 hist += c1 * np.exp(root.real * thetas)
@@ -449,9 +454,9 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
             sample_max = max([sample_max, *ratios.tolist()])
 
     return {
-        "K_m": safety * sample_max,
+        "K_m": DICHOTOMY_SAFETY * sample_max,
         "sample_max": sample_max,
-        "safety": safety,
+        "safety": DICHOTOMY_SAFETY,
         "times": [n * dt for n in t_grid],
         "samples": samples,
     }

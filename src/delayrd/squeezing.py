@@ -194,60 +194,47 @@ def _stack_pairs(group):
     return denoms, None if batch is None else HistorySegment(batch[:, :filled], *like)
 
 
-def _group_sups(group, times, p: ProblemParameters, ps: ProjectionSet):
-    """Measure one group of pairs: the denominators, ``times`` as steps n,
-    and a map from each n to the P, Q, R segment sups (3, differing pairs)
-    of the differences at t = n dt.  The batch marches once, to the last
+def _group_ratios(group, times, p: ProblemParameters, ps: ProjectionSet):
+    """Measure one group of pairs: the denominators of all its pairs
+    (empty for an empty group) and the P, Q, R segment sups of the
+    differences at each of ``times`` over their denominators,
+    (differing pairs, len(times), 3).  The batch marches once, to the last
     step; a difference row gets its part norms as it arrives if a measured
     window n - S .. n holds it, and a step's sups are the max over its
     window.  Nothing of the group outlives the call."""
     denoms, hist = _stack_pairs(group)
-    if hist is None:
-        return [], [], {}
+    if hist is None or not hist.samples.shape[1]:
+        return denoms, np.empty((0, len(times), 3))
     S = hist.steps_per_delay
     steps = [grid_step(t, hist.dt) for t in times]
-    sups = {}
-    if hist.samples.shape[1]:
-        measured = {r for n in steps for r in range(n - S, n + 1)}
-        norms = deque(maxlen=S + 1)
-        rows = chain(hist.samples, (w[-1] for w in evolve(hist, max(steps), p)))
-        for r, row in enumerate(rows, start=-S):
-            norms.append(row_norms(ps.parts(row[0::2] - row[1::2]), ps.grid)
-                         if r in measured else None)
-            if r in steps:
-                sups[r] = np.max(norms, axis=0)
-    return denoms, steps, sups
+    measured = {r for n in steps for r in range(n - S, n + 1)}
+    norms, sups = deque(maxlen=S + 1), {}
+    rows = chain(hist.samples, (w[-1] for w in evolve(hist, max(steps), p)))
+    for r, row in enumerate(rows, start=-S):
+        norms.append(row_norms(ps.parts(row[0::2] - row[1::2]), ps.grid)
+                     if r in measured else None)
+        if r in steps:
+            sups[r] = np.max(norms, axis=0)
+    differing = np.array([d for d in denoms if d != 0.0])
+    return denoms, np.stack([sups[n].T for n in steps], axis=1) / differing[:, None, None]
 
 
-def measure_contraction(pairs, times, p: ProblemParameters, ps: ProjectionSet,
-                        spectral: SpectralData = None, est: EstimateSet = None) -> list:
+def measure_contraction(pairs, times, p: ProblemParameters, ps: ProjectionSet):
     """Integrate pairs of histories and measure projected contraction.
 
     ``pairs`` yields (phi, psi) history pairs, taken `_GROUP_PAIRS` at a
     time; each group marches as one batch, once, to its largest step in
-    ``times``.  Reports come pair by pair, each pair's in ``times`` order:
-    the measured ||P d_t||_C, ||Q d_t||_C, ||R d_t||_C over ||phi - psi||_C
-    (d_t is the difference segment at time t), plus the analytic bounds
-    when spectral/estimate data is supplied.  Identical inputs are not
-    integrated and yield "zero-difference" reports.
+    ``times``.  Returns the denominators ||phi - psi||_C of every pair and,
+    for the pairs that differ (identical inputs are not integrated), the
+    measured ||P d_t||_C, ||Q d_t||_C, ||R d_t||_C over the denominator as
+    one (differing pairs, len(times), 3) array in pair order (d_t is the
+    difference segment at time t).  The bounds to compare against come
+    from `analytic_bounds`.
     """
-    pairs, reports = iter(pairs), []
+    pairs, denoms, ratios = iter(pairs), [], [np.empty((0, len(times), 3))]
     while True:
-        denoms, steps, sups = _group_sups(islice(pairs, _GROUP_PAIRS), times, p, ps)
-        if not denoms:
-            return reports
-        column = 0
-        for denom in denoms:
-            if denom == 0.0:
-                reports += [{"status": "zero-difference", "t": t} for t in times]
-                continue
-            for t, n in zip(times, steps):
-                report = {"status": "ok", "t": t, "denominator": denom}
-                report.update({f"measured_{part}": float(sup[column]) / denom
-                               for part, sup in zip("PQR", sups[n])})
-                if spectral is not None and est is not None:
-                    b = analytic_bounds(t, p, spectral, est)
-                    report.update(bound_P=b["bP"], bound_Q=b["bQ"], bound_R=b["bR"],
-                                  bounds_feasible=b["feasible"], which=b["which"])
-                reports.append(report)
-            column += 1
+        group_denoms, group_ratios = _group_ratios(islice(pairs, _GROUP_PAIRS), times, p, ps)
+        if not group_denoms:
+            return np.array(denoms), np.concatenate(ratios)
+        denoms += group_denoms
+        ratios.append(group_ratios)

@@ -42,7 +42,7 @@ from delayrd.spectrum import (
     linear_delay_evolve,
     spectral_partition,
 )
-from delayrd.squeezing import make_projections, measure_contraction
+from delayrd.squeezing import analytic_bounds, make_projections, measure_contraction
 
 from conftest import far_field_sups
 
@@ -275,12 +275,13 @@ def test_criterion_7_squeezing():
     for _ in range(20):
         phi, psi = eigenmode_pair(rng, grid, p, spectral, 32,
                                   norm=1.0, separation=0.3)
-        for r in measure_contraction([(phi, psi)], (0.5, 1.0), p, ps, spectral=spectral, est=est):
-            assert r["status"] == "ok"
-            for part in ("P", "Q", "R"):
-                measured, bound = r[f"measured_{part}"], r[f"bound_{part}"]
-                assert measured <= bound * 1.05, (
-                    f"{part} ratio {measured / bound:.3f} above 1.05 at t={r['t']}")
+        _, measured = measure_contraction([(phi, psi)], (0.5, 1.0), p, ps)
+        for t, parts in zip((0.5, 1.0), measured[0]):
+            b = analytic_bounds(t, p, spectral, est)
+            for part, value in zip("PQR", parts):
+                bound = b[f"b{part}"]
+                assert value <= bound * 1.05, (
+                    f"{part} ratio {value / bound:.3f} above 1.05 at t={t}")
 
 
 @criterion(8, "far-field thresholds", 60.0)

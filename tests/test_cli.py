@@ -267,6 +267,40 @@ def test_report_missing_artifacts_exits_2(tmp_path, capsys):
     assert "estimates.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,damage", [
+    ("spectrum.json", lambda text: '{"broken'),
+    ("certificate.json", lambda text: "[]"),
+    ("estimates.json", lambda text: text.replace('"beta":', '"beta_renamed":')),
+], ids=["truncated-spectrum", "list-certificate", "estimates-without-beta"])
+def test_report_malformed_artifact_exits_2(tmp_path, capsys, name, damage):
+    """A damaged artifact once left `report` with a JSONDecodeError,
+    AttributeError or KeyError (exit 1).  It is exit 2, named on stderr,
+    and neither summary file is written."""
+    cfg = feasible_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    (out / name).write_text(damage((out / name).read_text()))
+    assert main(["report", "--dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"malformed artifact {name}: ")
+    assert not (out / "summary.csv").exists()
+    assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-file"])
+@pytest.mark.parametrize("subcommand", ["certify", "simulate", "spectrum", "squeeze"])
+def test_out_on_an_existing_file_exits_2(tmp_path, capsys, subcommand, under):
+    """An --out naming an existing file, or a path under one, once left
+    through os.makedirs with FileExistsError or NotADirectoryError (exit 1).
+    It is a configuration error, and the file is left as it was."""
+    cfg = feasible_config(tmp_path / "cfg.json")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "run" if under else taken
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: cannot create output directory")
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -1,10 +1,12 @@
 """Property tests for the configuration schema: no JSON document makes
-``parse_config`` fail other than by ConfigError, and no edit of a schema key
-makes a subcommand leave through anything but its documented exit codes."""
+``parse_config`` fail other than by ConfigError, no edit of a schema key
+makes a subcommand leave through anything but its documented exit codes,
+and no damaged artifact makes `report` leave other than by 0 or 2."""
 
 import copy
 import json
 import pathlib
+import shutil
 import tempfile
 from dataclasses import fields
 
@@ -25,6 +27,7 @@ from delayrd.model import (
 )
 
 BASE = pathlib.Path(__file__).resolve().parents[1] / "configs" / "base.json"
+CERTIFY = BASE.with_name("certify.json")
 SECTIONS = {"nonlinearity": NonlinearitySpec, "forcing": ForcingSpec, "grid": Grid,
             "run": RunOptions}
 # (section or None for the top level, key), every key the schema knows
@@ -106,3 +109,67 @@ def test_cli_exits_through_documented_codes(edits):
         for subcommand in ("certify", "spectrum", "simulate", "squeeze"):
             code = main([subcommand, "--config", str(cfg), "--out", f"{tmp}/{subcommand}"])
             assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_DIVERGENCE), subcommand
+
+
+REPORT_ARTIFACTS = ("estimates.json", "spectrum.json", "certificate.json")
+# the keys `report` reads, at the top level or inside a certificate
+REPORT_KEYS = ["dissipative", "beta", "dissipativity_condition", "c3", "norm_D", "T_D",
+               "k_m", "rho1", "rho_m", "K_m", "hausdorff", "fractal", "diagnostics",
+               "feasible", "hausdorff_bound", "fractal_bound", "t0", "alpha", "beta_free",
+               "eta", "zeta"]
+DELETE = object()
+artifact_edits = st.lists(
+    st.tuples(st.one_of(st.tuples(st.sampled_from(REPORT_KEYS)),
+                        st.tuples(st.sampled_from(["hausdorff", "fractal"]),
+                                  st.sampled_from(REPORT_KEYS))),
+              st.one_of(st.just(DELETE), json_values)),
+    min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def certify_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("certify")
+    assert main(["certify", "--config", str(CERTIFY), "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def damaged_text(text: str, damage) -> str:
+    """``damage`` itself if it is text; otherwise the JSON document ``text``
+    with each edit (a key path, then a value or DELETE) applied where the
+    path still leads into an object."""
+    if isinstance(damage, str):
+        return damage
+    doc = json.loads(text)
+    for path, value in damage:
+        target = doc
+        for key in path[:-1]:
+            target = target.get(key) if isinstance(target, dict) else None
+        if not isinstance(target, dict):
+            continue
+        if value is DELETE:
+            target.pop(path[-1], None)
+        else:
+            target[path[-1]] = copy.deepcopy(value)
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(st.sampled_from(REPORT_ARTIFACTS),
+       st.one_of(json_values.map(json.dumps), st.text(max_size=40), artifact_edits))
+@example("spectrum.json", '{"broken')
+@example("certificate.json", "[]")
+@example("estimates.json", [(("beta",), DELETE)])
+def test_report_exits_0_or_2_on_a_damaged_artifact(certify_run, name, damage):
+    """A real certify directory with one artifact replaced by any JSON
+    value, any text, or the real document with keys deleted or set: report
+    returns 0, or 2 and writes no summary."""
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = pathlib.Path(tmp)
+        for artifact in REPORT_ARTIFACTS:
+            shutil.copy(certify_run / artifact, directory)
+        text = damaged_text((certify_run / name).read_text(encoding="utf-8"), damage)
+        (directory / name).write_text(text, encoding="utf-8")
+        code = main(["report", "--dir", tmp])
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        if code == EXIT_CONFIG:
+            assert not any(directory.glob("summary.*"))

@@ -111,19 +111,19 @@ def test_modal_difference_contracts_at_its_own_rate(rng, grid):
     pert = HistorySegment(base.samples + bump, grid, p.tau, S)
 
     ps = make_projections(grid, K=K, k_m=3)
-    for t, report in zip((0.5, 1.0), measure_contraction([(base, pert)], (0.5, 1.0), p, ps)):
-        assert report["status"] == "ok"
+    _, measured = measure_contraction([(base, pert)], (0.5, 1.0), p, ps)
+    assert measured.shape == (1, 2, 3)
+    for t, (P, Q, R) in zip((0.5, 1.0), measured[0]):
         # the difference never leaves the mode, which Q annihilates
-        assert report["measured_Q"] < 1e-10
+        assert Q < 1e-10
         # P keeps the inside share and decays like e^{rho t}
-        h = grid.spacing
         inside_share = math.sqrt(
             np.sum(mode[np.abs(grid.nodes) < K] ** 2) / np.sum(mode**2))
         expected = math.exp(rho * t) * inside_share
-        assert report["measured_P"] == pytest.approx(expected, rel=5e-4)
+        assert P == pytest.approx(expected, rel=5e-4)
         # R keeps the outside share with the same profile
         expected_R = math.exp(rho * t) * math.sqrt(1 - inside_share**2)
-        assert report["measured_R"] == pytest.approx(expected_R, rel=5e-4)
+        assert R == pytest.approx(expected_R, rel=5e-4)
 
 
 def test_pair_batch_matches_separate_integrations(grid, dissipative):
@@ -132,72 +132,57 @@ def test_pair_batch_matches_separate_integrations(grid, dissipative):
     p = dissipative
     rng = np.random.default_rng(77)
     spectral = _certified_spectral(p, rng=rng)
-    est = compute_estimates(p, norm_g=1.0)
     ps = make_projections(grid, K=spectral.K, k_m=spectral.k_m)
     S = 16
     phi, psi = eigenmode_pair(rng, grid, p, spectral, S, norm=1.0, separation=0.3)
     times = (1.0, 0.25, 0.5)  # out of order, one below tau
-    reports = measure_contraction([(phi, psi)], times, p, ps, spectral, est)
-    assert [r["t"] for r in reports] == list(times)
+    denoms, measured = measure_contraction([(phi, psi)], times, p, ps)
     denom = segment_norm(HistorySegment(phi.samples - psi.samples, grid, p.tau, S))
-    for t, report in zip(times, reports):
+    assert denoms.tolist() == [denom]
+    assert measured.shape == (1, len(times), 3)
+    for t, parts in zip(times, measured[0]):
         n = round(t * S / p.tau)
         rows = [np.concatenate([h.samples[:-1], loop_integrate(h, t, p)])[n:]
                 for h in (phi, psi)]
         diff = HistorySegment(rows[0] - rows[1], grid, p.tau, S)
-        assert report["denominator"] == denom
-        assert report["measured_P"] == segment_norm(project_P(diff, ps)) / denom
-        assert report["measured_Q"] == segment_norm(project_Q(diff, ps)) / denom
-        assert report["measured_R"] == segment_norm(project_R(diff, ps)) / denom
-        bounds = analytic_bounds(t, p, spectral, est)
-        assert (report["bound_P"], report["bound_Q"], report["bound_R"]) == (
-            bounds["bP"], bounds["bQ"], bounds["bR"])
+        assert parts.tolist() == [segment_norm(project(diff, ps)) / denom
+                                  for project in (project_P, project_Q, project_R)]
 
 
 def test_groups_of_pairs_match_separate_integrations(grid, dissipative):
     """Six pairs, one full group and one partial, with a zero-difference
-    pair inside the first: every report equals the per-pair reference
-    integrations, and the reports come pair by pair in times order
-    (out of order, t = 0, below tau, repeated)."""
+    pair inside the first: every denominator and every measured ratio
+    equals the per-pair reference integrations, the zero-difference pair
+    gets a zero denominator and no ratios, and the ratios come pair by pair
+    in times order (out of order, t = 0, below tau, repeated)."""
     p = dissipative
     rng = np.random.default_rng(78)
     spectral = _certified_spectral(p, rng=rng)
-    est = compute_estimates(p, norm_g=1.0)
     ps = make_projections(grid, K=spectral.K, k_m=spectral.k_m)
     S = 16
     pairs = [eigenmode_pair(rng, grid, p, spectral, S, norm=1.0, separation=0.3)
              for _ in range(6)]
     pairs[1] = (pairs[1][0], pairs[1][0])
     times = (1.0, 0.0, 0.25, 0.5, 0.25)
-    reports = measure_contraction(iter(pairs), times, p, ps, spectral, est)
-    assert len(reports) == len(pairs) * len(times)
-    for i, (phi, psi) in enumerate(pairs):
-        pair_reports = reports[i * len(times):(i + 1) * len(times)]
-        assert [r["t"] for r in pair_reports] == list(times)
-        if i == 1:
-            assert all(r == {"status": "zero-difference", "t": t}
-                       for r, t in zip(pair_reports, times))
-            continue
+    denoms, measured = measure_contraction(iter(pairs), times, p, ps)
+    assert denoms[1] == 0.0
+    assert measured.shape == (len(pairs) - 1, len(times), 3)
+    differing = [pair for i, pair in enumerate(pairs) if i != 1]
+    for denom, (phi, psi), pair_measured in zip(np.delete(denoms, 1), differing, measured):
         rows = [np.concatenate([h.samples[:-1], loop_integrate(h, max(times), p)])
                 for h in (phi, psi)]
-        denom = segment_norm(HistorySegment(phi.samples - psi.samples, grid, p.tau, S))
-        for t, report in zip(times, pair_reports):
+        assert denom == segment_norm(HistorySegment(phi.samples - psi.samples, grid, p.tau, S))
+        for t, parts in zip(times, pair_measured):
             n = round(t * S / p.tau)
             diff = rows[0][n:n + S + 1] - rows[1][n:n + S + 1]
-            parts = [np.max(np.sqrt(grid.spacing * np.sum(part * part, axis=1)))
-                     for part in loop_projections(diff, ps)]
-            bounds = analytic_bounds(t, p, spectral, est)
-            assert report == {
-                "status": "ok", "t": t, "denominator": denom,
-                "measured_P": parts[0] / denom, "measured_Q": parts[1] / denom,
-                "measured_R": parts[2] / denom, "bound_P": bounds["bP"],
-                "bound_Q": bounds["bQ"], "bound_R": bounds["bR"],
-                "bounds_feasible": bounds["feasible"], "which": "bound_63"}
+            assert parts.tolist() == [
+                np.max(np.sqrt(grid.spacing * np.sum(part * part, axis=1))) / denom
+                for part in loop_projections(diff, ps)]
 
 
 def test_contraction_memory_does_not_grow_with_ensemble(grid, dissipative):
     """Pairs are drawn lazily and marched a group at a time, so 16 pairs
-    peak no higher than 4 (a small margin for the reports)."""
+    peak no higher than 4 (a small margin for the results)."""
     ps = make_projections(grid, K=3.0, k_m=4)
 
     def peak(count):
@@ -237,10 +222,12 @@ def test_contraction_peak_is_about_two_batches():
 
 
 def test_zero_difference_status(grid, dissipative):
+    """An identical pair is not integrated: a zero denominator, no ratios."""
     phi = constant_history(Field(np.cos(grid.nodes), grid), dissipative.tau, 8)
     ps = make_projections(grid, K=3.0, k_m=2)
-    reports = measure_contraction([(phi, phi)], (0.5,), dissipative, ps)
-    assert reports == [{"status": "zero-difference", "t": 0.5}]
+    denoms, measured = measure_contraction([(phi, phi)], (0.5,), dissipative, ps)
+    assert denoms.tolist() == [0.0]
+    assert measured.shape == (0, 1, 3)
 
 
 def _certified_spectral(p, K=3.0, m_cut=3, modes=8, rng=None):
@@ -300,8 +287,7 @@ def test_eigenmode_pairs_stay_within_bounds(grid):
         pair_rng = np.random.default_rng(1000 + seed)
         phi, psi = eigenmode_pair(pair_rng, grid, p, spectral,
                                   steps_per_delay=32, norm=1.0, separation=0.3)
-        for r in measure_contraction([(phi, psi)], (0.5, 1.0), p, ps, spectral, est):
-            assert r["status"] == "ok"
-            assert r["measured_P"] <= r["bound_P"] * 1.05
-            assert r["measured_Q"] <= r["bound_Q"] * 1.05
-            assert r["measured_R"] <= r["bound_R"] * 1.05
+        _, measured = measure_contraction([(phi, psi)], (0.5, 1.0), p, ps)
+        for t, parts in zip((0.5, 1.0), measured[0]):
+            b = analytic_bounds(t, p, spectral, est)
+            assert np.all(parts <= np.array([b["bP"], b["bQ"], b["bR"]]) * 1.05)
