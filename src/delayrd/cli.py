@@ -524,26 +524,40 @@ def _certificate_summary(cert) -> tuple:
 
 def cmd_report(directory: str) -> int:
     """Merge the JSON artifacts of a directory into summary.csv/summary.txt.
-    Every artifact is read and formatted before anything is written, so a
-    malformed one (exit 2) writes no summary."""
+    Every artifact is read, checked against manifest.json's payload_sha256
+    when the manifest lists it, and formatted before anything is written.
+    A missing, edited or malformed artifact exits 2 and removes the summary
+    files of an earlier report, so no summary outlives its artifacts."""
+
+    def refuse(message: str) -> int:
+        print(message, file=sys.stderr)
+        for name in ("summary.csv", "summary.txt"):
+            if os.path.isfile(os.path.join(directory, name)):
+                os.remove(os.path.join(directory, name))
+        return EXIT_CONFIG
+
     required = ("estimates.json", "spectrum.json", "certificate.json")
-    names = [name for name in (*required, "squeeze.json")
+    names = [name for name in ("manifest.json", *required, "squeeze.json")
              if os.path.exists(os.path.join(directory, name))]
     missing = [name for name in required if name not in names]
     if missing:
-        print("missing artifacts: " + ", ".join(missing), file=sys.stderr)
-        return EXIT_CONFIG
+        return refuse("missing artifacts: " + ", ".join(missing))
 
-    sections = {}
+    hashes, sections = {}, {}
     for name in names:
         try:
-            with open(os.path.join(directory, name), "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-            sections[name] = (_certificate_summary(doc) if name == "certificate.json" else
-                              [line.format_map(doc) for line in _REPORT_LINES[name]])
+            with open(os.path.join(directory, name), "rb") as handle:
+                blob = handle.read()
+            if name in hashes and hashlib.sha256(blob).hexdigest() != hashes[name]:
+                return refuse(f"malformed artifact {name}: sha256 differs from manifest.json")
+            doc = json.loads(blob.decode("utf-8"))
+            if name == "manifest.json":
+                hashes = dict(doc["payload_sha256"])
+            else:
+                sections[name] = (_certificate_summary(doc) if name == "certificate.json" else
+                                  [line.format_map(doc) for line in _REPORT_LINES[name]])
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            print(f"malformed artifact {name}: {exc!r}", file=sys.stderr)
-            return EXIT_CONFIG
+            return refuse(f"malformed artifact {name}: {exc!r}")
     rows, certificates, diagnostics = sections["certificate.json"]
     lines = ["certification summary", "=====================", *sections["estimates.json"],
              *sections["spectrum.json"], *certificates, *sections.get("squeeze.json", []),

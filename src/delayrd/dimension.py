@@ -56,7 +56,12 @@ def eta(t0: float, alpha: float, p: ProblemParameters, spectral: SpectralData,
         raise ValueError("alpha must lie in (0, 2)")
     if t0 <= 0:
         raise ValueError("t0 must be positive")
-    head, coupling, tail, growth = contraction_terms(t0, p, spectral, est)
+    return _eta_of(contraction_terms(t0, p, spectral, est), alpha)
+
+
+def _eta_of(terms: tuple, alpha: float) -> float:
+    """eta from the `contraction_terms` at t0; inf for a vanishing gap."""
+    head, coupling, tail, growth = terms
     if math.isinf(coupling):
         return math.inf
     return 2.0 * head + (alpha + 2.0 * coupling) * growth + 2.0 * tail
@@ -83,7 +88,12 @@ def zeta(beta_free: float, p: ProblemParameters, spectral: SpectralData,
         raise ValueError("beta_free must be positive")
     if t0 <= 0:
         raise ValueError("t0 must be positive")
-    head, coupling, tail, growth = contraction_terms(t0, p, spectral, est)
+    return _zeta_of(contraction_terms(t0, p, spectral, est), beta_free)
+
+
+def _zeta_of(terms: tuple, beta_free: float) -> float:
+    """zeta from the `contraction_terms` at t0; inf for a vanishing gap."""
+    head, coupling, tail, growth = terms
     if math.isinf(coupling):
         return math.inf
     return beta_free * growth + head + coupling * growth + tail
@@ -146,21 +156,25 @@ def optimize_certificate(p: ProblemParameters, spectral, est: EstimateSet,
         with the general-t0 extension of zeta.
 
     The grid search (log t0 grid, linear alpha grid / log beta grid, all
-    cut indices) is followed by three rounds of coordinate refinement
-    around the best point: t0 and beta step by a factor that is
-    square-rooted each round, alpha by a shift that is halved.  Everything
-    is deterministic; ties are broken by grid order.  When no parameter
-    choice is feasible the certificate reports the smallest contraction
-    number reached and infinite bounds.
+    cut indices) takes the contraction factors once per (cut, t0) and
+    evaluates every free value from them.  It is followed by three rounds
+    of coordinate refinement around the best point, through `eta` or
+    `zeta`: t0 and beta step by a factor that is square-rooted each round,
+    alpha by a shift that is halved.  Everything is deterministic; ties
+    are broken by grid order.  When no parameter choice is feasible the
+    certificate reports the smallest contraction number reached and
+    infinite bounds.
     """
-    # eta and zeta are looked up at call time: perfbench/tracing.py wraps them
+    # the refinement looks eta and zeta up at call time: perfbench/tracing.py wraps them
     if mode == "hausdorff":
         contraction = lambda sp, t0, free: eta(t0, free, p, sp, est)
+        from_terms = _eta_of
         bound, free_grid, free_rule = hausdorff_bound, ALPHA_GRID, _shifted
         free_step = (ALPHA_GRID[1] - ALPHA_GRID[0]) / 2.0
         names, note = ("alpha", "eta", "hausdorff_bound"), ""
     elif mode == "fractal":
         contraction = lambda sp, t0, free: zeta(free, p, sp, est, t0)
+        from_terms = _zeta_of
         bound, free_grid, free_rule = fractal_bound, BETA_GRID, _scaled
         free_step = math.sqrt(BETA_GRID[1] / BETA_GRID[0])
         names = ("beta_free", "zeta", "fractal_bound")
@@ -177,8 +191,9 @@ def optimize_certificate(p: ProblemParameters, spectral, est: EstimateSet,
         if sp.rho_m >= 0 or sp.K_m is None:
             continue
         for t0 in T0_GRID:
+            terms = contraction_terms(t0, p, sp, est)
             for free in free_grid:
-                c_val = contraction(sp, t0, free)
+                c_val = from_terms(terms, free)
                 if c_val < best_c[0]:
                     best_c = (c_val, (sp, t0, free))
                 b = bound(free, sp.k_m, c_val)

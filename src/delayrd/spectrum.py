@@ -88,13 +88,10 @@ def _char(lam, a: float, sigma: float, tau: float):
     return lam + a - sigma * cmath.exp(-lam * tau)
 
 
-def _char_prime(lam, sigma: float, tau: float):
-    return 1.0 + sigma * tau * cmath.exp(-lam * tau)
-
-
 def _newton_polish(lam: complex, a: float, sigma: float, tau: float) -> complex:
     for _ in range(100):
-        step = _char(lam, a, sigma, tau) / _char_prime(lam, sigma, tau)
+        delayed = cmath.exp(-lam * tau)  # shared by the function and its derivative
+        step = (lam + a - sigma * delayed) / (1.0 + sigma * tau * delayed)
         lam -= step
         if abs(step) < 1e-15 * max(1.0, abs(lam)):
             break
@@ -160,7 +157,8 @@ def _mode_root_search(mode_eig: float, p: ProblemParameters) -> ModeRoots:
     window and branch 0 the real root, which is the rightmost one
     (Shinozaki & Mori, Automatica 42, 2006).  z never reaches the branch
     point -1/e, so every root is simple.  Each root in the window is
-    polished by Newton on the characteristic equation itself.
+    polished by Newton on the characteristic equation itself; a conjugate
+    carries its partner's residual, since |chi(conj lambda)| = |chi(lambda)|.
     """
     a = p.mu + mode_eig
     sigma, tau = p.sigma, p.tau
@@ -169,23 +167,25 @@ def _mode_root_search(mode_eig: float, p: ProblemParameters) -> ModeRoots:
                          residuals=(0.0,), complete=True)
 
     log_z = math.log(sigma) + math.log(tau) + a * tau
-    roots = []
+    pairs = []  # (root, residual)
     for k in range(11):
         lam = -a + _lambert_w(log_z, k) / tau
         if lam.real < -50.0 / tau:  # out of the window; exp(-lam tau) may overflow
             continue
         lam = _newton_polish(lam, a, sigma, tau)
         if k == 0:
-            roots.append(complex(lam.real, 0.0))
+            lam = complex(lam.real, 0.0)
+            pairs.append((lam, abs(_char(lam, a, sigma, tau))))
         else:
-            roots.extend((lam, lam.conjugate()))
+            res = abs(_char(lam, a, sigma, tau))
+            pairs.extend(((lam, res), (lam.conjugate(), res)))
 
-    roots.sort(key=lambda r: (-r.real, -r.imag))
-    residuals = tuple(abs(_char(r, a, sigma, tau)) for r in roots)
+    pairs.sort(key=lambda pair: (-pair[0].real, -pair[0].imag))
+    residuals = tuple(res for _, res in pairs)
     return ModeRoots(
         mode=0,
         eigenvalue=mode_eig,
-        roots=tuple(roots),
+        roots=tuple(root for root, _ in pairs),
         residuals=residuals,
         complete=all(res <= ROOT_RESIDUAL_TOL for res in residuals),
     )
@@ -413,9 +413,22 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
         raise ConfigError(f"tau = {p.tau!r} needs more than {MAX_MARCH_STEPS} dichotomy steps")
     thetas = np.linspace(-p.tau, 0.0, S + 1)
 
-    # every sample's mode histories, as the columns of one batch
-    draws = []  # (sample, mode eigenvalue, mode history)
-    for sample in range(samples):
+    # a profile's theta-functions, computed on its first draw
+    shapes: dict = {}
+
+    def shape(root: complex) -> tuple:
+        if root not in shapes:
+            if root.imag == 0:
+                shapes[root] = (np.exp(root.real * thetas),)
+            else:
+                shapes[root] = (np.exp(root.real * thetas), np.cos(root.imag * thetas),
+                                np.sin(root.imag * thetas))
+        return shapes[root]
+
+    # every sample's mode histories, as the columns of one batch; a sample's
+    # columns are adjacent, the first at its entry of `starts`
+    draws, starts = [], []  # draws: (mode eigenvalue, mode history)
+    for _ in range(samples):
         take = min(len(profiles), 4)
         chosen = rng.choice(len(profiles), size=take, replace=False)
         by_mode: dict = {}
@@ -424,13 +437,14 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
             hist = by_mode.setdefault((mode, eig), np.zeros(S + 1))
             c1, c2 = rng.standard_normal(2)
             if root.imag == 0:
-                hist += c1 * np.exp(root.real * thetas)
+                (real,) = shape(root)
+                hist += c1 * real
             else:
-                envelope = np.exp(root.real * thetas)
-                hist += envelope * (c1 * np.cos(root.imag * thetas)
-                                    + c2 * np.sin(root.imag * thetas))
-        draws.extend((sample, eig, hist) for (_, eig), hist in by_mode.items())
-    owners, eigs, columns = zip(*draws)
+                envelope, cos, sin = shape(root)
+                hist += envelope * (c1 * cos + c2 * sin)
+        starts.append(len(draws))
+        draws.extend((eig, hist) for (_, eig), hist in by_mode.items())
+    eigs, columns = zip(*draws)
     batch = np.stack(columns, axis=1)
     decay = np.array([math.exp(-(p.mu + eig) * dt) for eig in eigs])
 
@@ -438,9 +452,7 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
         # squared amplitudes summed over each sample's modes in draw order,
         # row by row; the segment norm is the square root of their max
         rows = np.asarray(window)
-        sums = np.zeros((len(rows), samples))
-        np.add.at(sums, (slice(None), owners), rows * rows)
-        return np.sqrt(sums.max(axis=0))
+        return np.sqrt(np.add.reduceat(rows * rows, starts, axis=1).max(axis=0))
 
     base = seg_norms(batch)
     live = base != 0.0

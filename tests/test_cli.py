@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -286,6 +287,53 @@ def test_report_malformed_artifact_exits_2(tmp_path, capsys, name, damage):
     assert not (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("damage", ["truncated-spectrum", "missing-estimates",
+                                    "edited-certificate", "truncated-manifest"])
+def test_report_exit_2_removes_the_previous_summary(tmp_path, damage):
+    """A summary written before an artifact was damaged once stayed on disk
+    after `report` exited 2.  Every exit-2 path removes both files."""
+    cfg = feasible_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert main(["report", "--dir", str(out)]) == EXIT_OK
+    assert (out / "summary.csv").exists() and (out / "summary.txt").exists()
+    if damage == "truncated-spectrum":
+        (out / "spectrum.json").write_text('{"broken')
+    elif damage == "missing-estimates":
+        (out / "estimates.json").unlink()
+    elif damage == "truncated-manifest":
+        (out / "manifest.json").write_text('{"payload_sha256"')
+    else:
+        text = (out / "certificate.json").read_text()
+        (out / "certificate.json").write_text(text.replace('"feasible": true', '"feasible": false'))
+    assert main(["report", "--dir", str(out)]) == EXIT_CONFIG
+    assert not (out / "summary.csv").exists()
+    assert not (out / "summary.txt").exists()
+
+
+def test_report_refuses_an_artifact_edited_after_the_run(tmp_path, capsys):
+    """An artifact whose bytes differ from manifest.json's payload_sha256 was
+    once summarized with exit 0.  It is exit 2, named on stderr, and no
+    summary is written; without a manifest nothing is compared."""
+    cfg = feasible_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    spectrum = out / "spectrum.json"
+    text, count = re.subn(r'"k_m": \d+,', '"k_m": 99,', spectrum.read_text(), count=1)
+    assert count == 1
+    spectrum.write_text(text)
+    capsys.readouterr()
+    assert main(["report", "--dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("malformed artifact spectrum.json: "
+                                       "sha256 differs from manifest.json\n")
+    assert not (out / "summary.csv").exists()
+    assert not (out / "summary.txt").exists()
+
+    (out / "manifest.json").unlink()
+    assert main(["report", "--dir", str(out)]) == EXIT_OK
+    assert "splitting: k_m=99 " in (out / "summary.txt").read_text()
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-file"])
 @pytest.mark.parametrize("subcommand", ["certify", "simulate", "spectrum", "squeeze"])
 def test_out_on_an_existing_file_exits_2(tmp_path, capsys, subcommand, under):
@@ -317,7 +365,10 @@ PERFBENCH_CONFIGS = CONFIGS.parent / "perfbench" / "configs"
 # moved the far-field masses by at most 4e-15 relative.  The certify-sweep-0
 # entry (perfbench/configs, 48 modes, a 212 kB spectrum.json) was hashed with
 # the two-pass JSON writer (sanitize, then json.dumps) before the one-pass
-# writer replaced it.
+# writer replaced it.  The certify-sweep-1 to -6 entries were hashed before
+# the certificate search took the contraction factors once per t0 and the
+# dichotomy drew each profile's shape once; sweep-1 and sweep-4 are the
+# points whose K_m depends on the flow, and sweep-6 is infeasible.
 GOLDEN = {
     ("simulate", "base"): (EXIT_OK, {
         "farfield.csv": "5291a61eb1c9cb9cc6006e026aa9c52c1702942781649ebf9591b6249d20b269",
@@ -351,6 +402,36 @@ GOLDEN = {
         "certificate.json": "753b64d3bffca41181e23fb2701d9c60d9b2434c6856713a3ea4cc9b11c51c38",
         "estimates.json": "87edeb7cc97fb0af199dc4121c936e76a24ba987f57185cb01344aecc1feb756",
         "spectrum.json": "6a24729a2f1a74fdb913218262d4951a99e7f3c6002cf0647f2c3da93a7730f3",
+    }),
+    ("certify", "certify-sweep-1"): (EXIT_OK, {
+        "certificate.json": "be41cb77f205a6d8cede1484d55949f7071ad7d75339ef4f6937254a8954a204",
+        "estimates.json": "a5d7b0960dff537d2eb2fcae8da3decb62aa1d3cd4cd715cd9ab569887151ece",
+        "spectrum.json": "8c5febd2d3d3f4955f146daae882a7ec089585a832a1d0ad24b4f3e4f1bd8e5d",
+    }),
+    ("certify", "certify-sweep-2"): (EXIT_OK, {
+        "certificate.json": "22dfd4b50198fa6c199866dcb2c20928d15bfcadd220e52dc2ec726908a76257",
+        "estimates.json": "1a587edd1076012b71f234a9ab26f30e7a8b9509600e61074dffab84a2f2f689",
+        "spectrum.json": "fc06e8317c4edf493bbaf56f2c92f35fe485f9b17edd2eab15fbe0b69b1b04e3",
+    }),
+    ("certify", "certify-sweep-3"): (EXIT_OK, {
+        "certificate.json": "ac706d616d42d38093c7c8265eec6e200e175c668ada331a33e7c20022afb447",
+        "estimates.json": "3d26f197808de9f4622874e857aa7993ac48fa7785087de153c89d33fae6cacf",
+        "spectrum.json": "091a94cae164e54fd8902563507f599d3c50fb1bba8b4c23475dc4bd36a039d6",
+    }),
+    ("certify", "certify-sweep-4"): (EXIT_OK, {
+        "certificate.json": "78edc2557f9991498fc31ce8afc5eb55637eea46061361dbb0e217c1f147db01",
+        "estimates.json": "3a2361df7d816b4c14e4a120b16aabc2d337b36e50894c7e10fa176eabc85420",
+        "spectrum.json": "f86fd9751310cd3d535e42486dcdd29c957e5b320feaf185a041ceda52c3e744",
+    }),
+    ("certify", "certify-sweep-5"): (EXIT_OK, {
+        "certificate.json": "93d31a5bfa13eb825b9e9f383d83ca7f3a4459dfd3c313e63adfb6d4f391376e",
+        "estimates.json": "6287c9973b39b5020805dbc5a16e5b9f5ac5643fd9f9d05fa2a59e8840e47b3c",
+        "spectrum.json": "9c831ef70679b34e3575e21273cf887364abd71e70e0aa94bd39d46c56374fde",
+    }),
+    ("certify", "certify-sweep-6"): (EXIT_INFEASIBLE, {
+        "certificate.json": "a58608dd661946569c1523d3f27002aa146e450a692b128996d1c1e3e1ec95b4",
+        "estimates.json": "73d1b05927ed21e6bc8285e3bb00042ec1732def8317a1d249fabe7e47ea0e58",
+        "spectrum.json": "daf1472a3cddbb3634e2f37c97ceef5b2c45552261d7e8c93ed341357dd8a11e",
     }),
 }
 

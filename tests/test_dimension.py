@@ -1,9 +1,11 @@
 import math
-from dataclasses import asdict
+import pathlib
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from delayrd import dimension
 from delayrd.dimension import (
     ALPHA_GRID,
     BETA_GRID,
@@ -230,6 +232,110 @@ def test_optimizer_picks_best_cut():
     single_best = min(optimize_certificate(p, sp, est).hausdorff_bound
                       for sp in (shallow, deep))
     assert combined.hausdorff_bound == pytest.approx(single_best, rel=1e-12)
+
+
+def certified(config: str):
+    """(params, spectral data with K_m, estimates) as `certify` builds them."""
+    from delayrd import cli
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = root / "configs" / f"{config}.json"
+    if not path.exists():
+        path = root / "perfbench" / "configs" / f"{config}.json"
+    p, grid, run, seed = cli._load_config(str(path), None)
+    est = compute_estimates(p, cli._forcing_norm(p, grid), norm_phi0=run.history_norm)
+    spectral, _ = cli._spectral_bundle(p, grid, run, seed)
+    assert spectral.K_m is not None
+    return p, spectral, est
+
+
+def reference_certificate(p, sp, est, mode):
+    """(bound, t0, free, contraction) of the certificate search with every
+    grid and refinement point evaluated through `eta` or `zeta`."""
+    if mode == "hausdorff":
+        number = lambda t0, free: eta(t0, free, p, sp, est)
+        bound, free_grid = hausdorff_bound, ALPHA_GRID
+        free_step = (ALPHA_GRID[1] - ALPHA_GRID[0]) / 2.0
+        free_rule = lambda x, step: ((x - step, x + step), step / 2.0)
+    else:
+        number = lambda t0, free: zeta(free, p, sp, est, t0)
+        bound, free_grid = fractal_bound, BETA_GRID
+        free_step = math.sqrt(BETA_GRID[1] / BETA_GRID[0])
+        free_rule = lambda x, step: ((x / step, x * step), math.sqrt(step))
+    best = None
+    for t0 in T0_GRID:
+        for free in free_grid:
+            c_val = number(t0, free)
+            b = bound(free, sp.k_m, c_val)
+            if math.isfinite(b) and (best is None or b < best[0]):
+                best = (b, t0, free, c_val)
+    b, t0, free, c_val = best
+    point, steps = [t0, free], [math.sqrt(T0_GRID[1] / T0_GRID[0]), free_step]
+    t0_rule = lambda x, step: ((x / step, x * step), math.sqrt(step))
+    for _ in range(3):
+        for axis, grid, rule in ((0, T0_GRID, t0_rule), (1, free_grid, free_rule)):
+            neighbours, steps[axis] = rule(point[axis], steps[axis])
+            for x in neighbours:
+                if grid[0] <= x <= grid[-1]:
+                    trial = point.copy()
+                    trial[axis] = x
+                    c_new = number(*trial)
+                    b_new = bound(trial[1], sp.k_m, c_new)
+                    if b_new < b:
+                        b, point, c_val = b_new, trial, c_new
+    return b, point[0], point[1], c_val
+
+
+@pytest.mark.parametrize("config", ["certify", "certify-sweep-1"])
+@pytest.mark.parametrize("mode", ["hausdorff", "fractal"])
+def test_optimizer_matches_a_search_through_eta_and_zeta(config, mode):
+    """The grid evaluates the contraction number from factors taken once per
+    t0; the certificate equals a search that calls `eta`/`zeta` at every
+    point, bit for bit."""
+    p, spectral, est = certified(config)
+    cert = optimize_certificate(p, spectral, est, mode=mode)
+    free = cert.alpha if mode == "hausdorff" else cert.beta_free
+    contraction = cert.eta if mode == "hausdorff" else cert.zeta
+    bound = cert.hausdorff_bound if mode == "hausdorff" else cert.fractal_bound
+    assert cert.feasible
+    assert (bound, cert.t0, free, contraction) == reference_certificate(p, spectral, est, mode)
+    assert cert.best_contraction == contraction
+
+
+@pytest.mark.parametrize("mode", ["hausdorff", "fractal"])
+def test_optimizer_takes_the_factors_once_per_t0(monkeypatch, mode):
+    """Before refinement the search takes `contraction_terms` at most once
+    per t0 of each usable cut; a cut without K_m costs nothing.  Only the
+    refinement (3 rounds x 2 axes x 2 neighbours) goes through eta/zeta."""
+    p, spectral, est = certified("certify")
+    calls = {"terms": 0, "number": 0}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dimension, "contraction_terms",
+                        counted("terms", dimension.contraction_terms))
+    monkeypatch.setattr(dimension, "eta", counted("number", dimension.eta))
+    monkeypatch.setattr(dimension, "zeta", counted("number", dimension.zeta))
+    cuts = [spectral, replace(spectral, K_m=None), spectral]
+    cert = optimize_certificate(p, cuts, est, mode=mode)
+    assert cert.feasible
+    assert calls["number"] <= 12
+    assert calls["terms"] - calls["number"] <= 2 * len(T0_GRID)
+
+
+@pytest.mark.parametrize("mode", ["hausdorff", "fractal"])
+def test_optimizer_closed_gap_is_infeasible(mode):
+    """A closed gap rho1 + lf = rho_m makes every grid value inf: the
+    search reports infeasibility instead of raising."""
+    p = stiff_problem()
+    est = compute_estimates(p, norm_g=1.0)
+    cert = optimize_certificate(p, synthetic_spectral(rho1=-2.0, rho_m=-1.5), est, mode=mode)
+    assert not cert.feasible
+    assert math.isinf(cert.best_contraction)
 
 
 def test_covering_bound_reference_values():

@@ -366,12 +366,19 @@ def test_dichotomy_window_norms_match_loop(config):
         np.testing.assert_allclose(report[key], ref[key], rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("seed,samples", [(1, 32), (2, 16)])
-def test_dichotomy_batch_matches_per_sample_loop(seed, samples):
+@pytest.mark.parametrize("config,seed,samples", [
+    pytest.param("base", 1, 32, id="1-32"),
+    pytest.param("base", 2, 16, id="2-16"),
+    pytest.param("certify-sweep-1", 0, 64, id="certify-sweep-1"),
+    pytest.param("certify-sweep-4", 0, 64, id="certify-sweep-4"),
+])
+def test_dichotomy_batch_matches_per_sample_loop(config, seed, samples):
     """The batch sums each sample's modes only with each other: over many
     samples of differing mode counts the estimate equals the per-sample
-    reference loop exactly."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "base.json"
+    reference loop exactly.  On certify-sweep-1 and -4 (at the seed and
+    sample count certify uses) K_m depends on the flow, not only on the
+    initial histories."""
+    path = config_path(config)
     p, _, run = parse_config(path.read_text())
     spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)
     report = dichotomy_constant(p, spectral, samples, rng=np.random.default_rng(seed))
@@ -379,3 +386,31 @@ def test_dichotomy_batch_matches_per_sample_loop(seed, samples):
     assert report["sample_max"] == ref["sample_max"]
     assert report["K_m"] == ref["K_m"]
     assert report["times"] == ref["times"]
+
+
+CONFIG_DIRS = [pathlib.Path(__file__).resolve().parents[1] / d
+               for d in ("configs", "perfbench/configs")]
+SHIPPED_CONFIGS = sorted(path.stem for d in CONFIG_DIRS for path in d.glob("*.json"))
+
+
+def config_path(name: str) -> pathlib.Path:
+    return next(d / f"{name}.json" for d in CONFIG_DIRS if (d / f"{name}.json").exists())
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_stored_residuals_are_recomputed_residuals(config):
+    """A conjugate root carries its partner's residual: on every mode of
+    every shipped config each stored residual is |chi(root)| recomputed at
+    that root, bit for bit."""
+    from delayrd.spectrum import _char
+
+    p, _, run = parse_config(config_path(config).read_text())
+    spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)
+    checked = 0
+    for mr in spectral.mode_roots:
+        a = p.mu + mr.eigenvalue
+        assert len(mr.residuals) == len(mr.roots)
+        for root, residual in zip(mr.roots, mr.residuals):
+            assert residual == abs(_char(root, a, p.sigma, p.tau))
+            checked += root.imag < 0
+    assert checked > 0
