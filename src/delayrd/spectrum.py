@@ -84,14 +84,15 @@ def dirichlet_eigenvalues(K: float, count: int) -> list:
 # --- root finding ----------------------------------------------------------
 
 
-def _char(lam, a: float, sigma: float, tau: float):
-    return lam + a - sigma * cmath.exp(-lam * tau)
+def _char(lam, a: float, sigma: float, delayed):
+    """chi(lambda) = lambda + a - sigma * delayed, with delayed = exp(-lambda tau)."""
+    return lam + a - sigma * delayed
 
 
 def _newton_polish(lam: complex, a: float, sigma: float, tau: float) -> complex:
     for _ in range(100):
         delayed = cmath.exp(-lam * tau)  # shared by the function and its derivative
-        step = (lam + a - sigma * delayed) / (1.0 + sigma * tau * delayed)
+        step = _char(lam, a, sigma, delayed) / (1.0 + sigma * tau * delayed)
         lam -= step
         if abs(step) < 1e-15 * max(1.0, abs(lam)):
             break
@@ -175,9 +176,9 @@ def _mode_root_search(mode_eig: float, p: ProblemParameters) -> ModeRoots:
         lam = _newton_polish(lam, a, sigma, tau)
         if k == 0:
             lam = complex(lam.real, 0.0)
-            pairs.append((lam, abs(_char(lam, a, sigma, tau))))
+            pairs.append((lam, abs(_char(lam, a, sigma, cmath.exp(-lam * tau)))))
         else:
-            res = abs(_char(lam, a, sigma, tau))
+            res = abs(_char(lam, a, sigma, cmath.exp(-lam * tau)))
             pairs.extend(((lam, res), (lam.conjugate(), res)))
 
     pairs.sort(key=lambda pair: (-pair[0].real, -pair[0].imag))
@@ -413,18 +414,6 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
         raise ConfigError(f"tau = {p.tau!r} needs more than {MAX_MARCH_STEPS} dichotomy steps")
     thetas = np.linspace(-p.tau, 0.0, S + 1)
 
-    # a profile's theta-functions, computed on its first draw
-    shapes: dict = {}
-
-    def shape(root: complex) -> tuple:
-        if root not in shapes:
-            if root.imag == 0:
-                shapes[root] = (np.exp(root.real * thetas),)
-            else:
-                shapes[root] = (np.exp(root.real * thetas), np.cos(root.imag * thetas),
-                                np.sin(root.imag * thetas))
-        return shapes[root]
-
     # every sample's mode histories, as the columns of one batch; a sample's
     # columns are adjacent, the first at its entry of `starts`
     draws, starts = [], []  # draws: (mode eigenvalue, mode history)
@@ -437,11 +426,11 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
             hist = by_mode.setdefault((mode, eig), np.zeros(S + 1))
             c1, c2 = rng.standard_normal(2)
             if root.imag == 0:
-                (real,) = shape(root)
-                hist += c1 * real
+                hist += c1 * np.exp(root.real * thetas)
             else:
-                envelope, cos, sin = shape(root)
-                hist += envelope * (c1 * cos + c2 * sin)
+                envelope = np.exp(root.real * thetas)
+                hist += envelope * (c1 * np.cos(root.imag * thetas)
+                                    + c2 * np.sin(root.imag * thetas))
         starts.append(len(draws))
         draws.extend((eig, hist) for (_, eig), hist in by_mode.items())
     eigs, columns = zip(*draws)

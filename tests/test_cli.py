@@ -367,7 +367,7 @@ PERFBENCH_CONFIGS = CONFIGS.parent / "perfbench" / "configs"
 # the two-pass JSON writer (sanitize, then json.dumps) before the one-pass
 # writer replaced it.  The certify-sweep-1 to -6 entries were hashed before
 # the certificate search took the contraction factors once per t0 and the
-# dichotomy drew each profile's shape once; sweep-1 and sweep-4 are the
+# dichotomy summed per-sample norms by reduceat; sweep-1 and sweep-4 are the
 # points whose K_m depends on the flow, and sweep-6 is infeasible.
 GOLDEN = {
     ("simulate", "base"): (EXIT_OK, {

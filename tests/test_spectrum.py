@@ -411,6 +411,6 @@ def test_stored_residuals_are_recomputed_residuals(config):
         a = p.mu + mr.eigenvalue
         assert len(mr.residuals) == len(mr.roots)
         for root, residual in zip(mr.roots, mr.residuals):
-            assert residual == abs(_char(root, a, p.sigma, p.tau))
+            assert residual == abs(_char(root, a, p.sigma, cmath.exp(-root * p.tau)))
             checked += root.imag < 0
     assert checked > 0
