@@ -13,12 +13,12 @@ import numpy as np
 from delayrd.cli import random_history
 from delayrd.estimates import absorbing_time, compute_estimates, verify_absorption
 from delayrd.model import ForcingSpec, Grid, NonlinearitySpec, ProblemParameters, evaluate_forcing
-from delayrd.semigroup import Field, field_norm
+from delayrd.semigroup import field_norm
 from delayrd.solver import integrate, segment_at, segment_norm
 
 grid = Grid(half_length=16.0, points=512)
 raw = evaluate_forcing(ForcingSpec(kind="gaussian_bump", amplitude=1.0), grid.nodes)
-amp = 1.0 / field_norm(Field(raw, grid))
+amp = 1.0 / field_norm(raw, grid)
 p = ProblemParameters(
     mu=2.0, sigma=0.1, tau=0.5, lf=1.0,
     forcing=ForcingSpec(kind="gaussian_bump", amplitude=amp),

@@ -12,7 +12,7 @@ import numpy as np
 from delayrd.cli import eigenmode_pair
 from delayrd.estimates import compute_estimates
 from delayrd.model import ForcingSpec, Grid, NonlinearitySpec, ProblemParameters, evaluate_forcing
-from delayrd.semigroup import Field, field_norm
+from delayrd.semigroup import field_norm
 from delayrd.spectrum import dichotomy_constant, spectral_partition
 from delayrd.squeezing import analytic_bounds, make_projections, measure_contraction
 
@@ -20,7 +20,7 @@ grid = Grid(half_length=16.0, points=512)
 raw = evaluate_forcing(ForcingSpec(kind="gaussian_bump", amplitude=1.0), grid.nodes)
 p = ProblemParameters(
     mu=2.0, sigma=0.1, tau=0.5, lf=1.0,
-    forcing=ForcingSpec(kind="gaussian_bump", amplitude=1.0 / field_norm(Field(raw, grid))),
+    forcing=ForcingSpec(kind="gaussian_bump", amplitude=1.0 / field_norm(raw, grid)),
     nonlinearity=NonlinearitySpec(kind="scaled_tanh", scale=1.0),
 )
 est = compute_estimates(p, norm_g=1.0, norm_phi0=1.0)

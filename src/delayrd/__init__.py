@@ -14,20 +14,17 @@ attractor.
 
 from .model import (
     ConfigError,
-    DissipativityReport,
     ForcingSpec,
     Grid,
     NonlinearitySpec,
     ProblemParameters,
     RunOptions,
-    check_dissipativity,
     evaluate_forcing,
     evaluate_nonlinearity,
     parse_config,
     serialize_config,
 )
 from .semigroup import (
-    Field,
     SemigroupStepper,
     apply_semigroup,
     field_norm,
@@ -87,10 +84,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DimensionCertificate",
-    "DissipativityReport",
     "DivergenceError",
     "EstimateSet",
-    "Field",
     "ForcingSpec",
     "Grid",
     "HistorySegment",
@@ -106,7 +101,6 @@ __all__ = [
     "analytic_bounds",
     "apply_semigroup",
     "characteristic_roots",
-    "check_dissipativity",
     "compute_estimates",
     "constant_history",
     "covering_bound",

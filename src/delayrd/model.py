@@ -9,8 +9,8 @@ with positive constants ``mu``, ``sigma``, ``tau``, a globally Lipschitz
 nonlinearity ``f`` with ``f(0) = 0`` and Lipschitz constant ``lf``, and a
 square-integrable forcing ``g``.  This module holds the parameter containers,
 the finite nonlinearity/forcing catalogs with exact Lipschitz constants and
-computable norms, the dissipativity gate ``sigma*(lf+1)*exp(mu*tau) < mu``,
-and the JSON configuration parser used by the command line front end.
+computable norms, and the JSON configuration parser used by the command line
+front end.  The dissipativity gate on these parameters is in `estimates`.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
-    "DissipativityReport",
     "ForcingSpec",
     "Grid",
     "NonlinearitySpec",
     "ProblemParameters",
     "RunOptions",
-    "check_dissipativity",
     "evaluate_forcing",
     "evaluate_nonlinearity",
     "parse_config",
@@ -244,22 +242,6 @@ def evaluate_forcing(spec: ForcingSpec, x):
     ri = r[inside]
     out[inside] = spec.amplitude * np.exp(1.0 - 1.0 / (1.0 - ri * ri))
     return out
-
-
-@dataclass(frozen=True)
-class DissipativityReport:
-    beta: float
-    holds: bool
-
-
-def check_dissipativity(p: ProblemParameters) -> DissipativityReport:
-    """Evaluate the absorbing-set gate.
-
-    Returns beta = sigma*(lf+1)*exp(mu*tau) and the flag beta < mu.  All
-    certificates downstream require the flag to hold.
-    """
-    beta = p.sigma * (p.lf + 1.0) * math.exp(p.mu * p.tau)
-    return DissipativityReport(beta=beta, holds=beta < p.mu)
 
 
 # --- configuration parsing ------------------------------------------------

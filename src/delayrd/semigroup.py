@@ -11,19 +11,22 @@ Key properties (each covered by tests):
 * constants:          S(t)[a] = a exp(-mu t)  (the xi = 0 mode),
 * semigroup law:      S(t1 + t2) = S(t2) S(t1),
 * positivity:         phi >= 0  implies  S(t) phi >= 0 (up to roundoff).
+
+A field is a row of node values with the `Grid` it is sampled on, passed
+as the pair ``(values, grid)``: `field_norm` and `gradient_norm` reduce one
+row, as `solver.row_norms` reduces many, and `apply_semigroup` returns the
+evolved row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Grid
 
 __all__ = [
-    "Field",
     "SemigroupStepper",
     "apply_semigroup",
     "field_norm",
@@ -32,85 +35,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Field:
-    """A real field sampled on the grid nodes."""
-
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.points,):
-            raise ValueError(
-                f"field shape {values.shape} does not match grid "
-                f"({self.grid.points} points)"
-            )
-        object.__setattr__(self, "values", values)
-
-    def norm(self) -> float:
-        return field_norm(self)
+def field_norm(values: np.ndarray, grid: Grid) -> float:
+    """Grid-weighted L2 norm of one row, sqrt(h * sum(values^2))."""
+    return math.sqrt(grid.spacing * float(np.dot(values, values)))
 
 
-def field_norm(phi: Field) -> float:
-    """Grid-weighted L2 norm, sqrt(h * sum(values^2))."""
-    return math.sqrt(phi.grid.spacing * float(np.dot(phi.values, phi.values)))
-
-
-def gradient_norm(phi: Field) -> float:
-    """L2 norm of the spatial derivative, evaluated spectrally.
+def gradient_norm(values: np.ndarray, grid: Grid) -> float:
+    """L2 norm of the spatial derivative of one row, evaluated spectrally.
 
     By Parseval on the periodic box this equals
     sqrt(sum_k xi_k^2 |phi_hat_k|^2) with the same h-weighted convention
     as `field_norm`.
     """
-    n = phi.grid.points
-    coeff = np.fft.rfft(phi.values)
-    xi = phi.grid.frequencies
+    n = grid.points
+    coeff = np.fft.rfft(values)
+    xi = grid.frequencies
     # Parseval for the real transform: interior modes count twice.
     weights = np.full(xi.shape, 2.0)
     weights[0] = 1.0
     if n % 2 == 0:
         weights[-1] = 1.0
     power = weights * (xi * np.abs(coeff)) ** 2
-    return math.sqrt(phi.grid.spacing * float(np.sum(power)) / n)
+    return math.sqrt(grid.spacing * float(np.sum(power)) / n)
 
 
-def apply_semigroup(t: float, phi: Field, mu: float) -> Field:
-    """Evolve a field by the heat-decay semigroup for a duration t.
-
-    Parameters
-    ----------
-    t : float
-        Nonnegative duration.  t = 0 returns the input unchanged.
-    phi : Field
-        Initial field.
-    mu : float
-        Linear decay rate.
-
-    Returns
-    -------
-    Field
-        exp(-mu t) times the periodic heat evolution of ``phi``,
-        computed as multiplication by exp(-(mu + xi^2) t) on each mode.
-    """
+def apply_semigroup(t: float, values: np.ndarray, grid: Grid, mu: float) -> np.ndarray:
+    """Evolve a row by the heat-decay semigroup for a duration t >= 0:
+    exp(-mu t) times the periodic heat evolution of ``values``, computed as
+    multiplication by exp(-(mu + xi^2) t) on each mode.  t = 0 returns the
+    input unchanged."""
     if t < 0:
         raise ValueError("semigroup duration must be nonnegative")
     if t == 0:
-        return phi
-    return Field(values=SemigroupStepper(phi.grid, mu, t).step(phi.values), grid=phi.grid)
+        return values
+    return SemigroupStepper(grid, mu, t).step(values)
 
 
-def semigroup_decay_check(phi: Field, t: float, mu: float) -> dict:
+def semigroup_decay_check(values: np.ndarray, grid: Grid, t: float, mu: float) -> dict:
     """Check the contraction estimate ||S(t) phi|| <= exp(-mu t) ||phi||.
 
     Returns {"lhs", "rhs", "ok"} with ok allowing a 1e-10 relative
-    roundoff margin.  Constant fields saturate the bound exactly.
+    roundoff margin.  Constant rows saturate the bound exactly.
     """
-    if t < 0:
-        raise ValueError("semigroup duration must be nonnegative")
-    lhs = field_norm(apply_semigroup(t, phi, mu))
-    rhs = math.exp(-mu * t) * field_norm(phi)
+    lhs = field_norm(apply_semigroup(t, values, grid, mu), grid)
+    rhs = math.exp(-mu * t) * field_norm(values, grid)
     return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs * (1.0 + 1e-10)}
 
 

@@ -44,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ProblemParameters, Grid, evaluate_forcing, evaluate_nonlinearity
-from .semigroup import Field, SemigroupStepper
+from .semigroup import SemigroupStepper
 
 __all__ = [
     "DivergenceError",
@@ -117,9 +117,6 @@ class HistorySegment:
         w = pos - j
         return (1.0 - w) * self.samples[j] + w * self.samples[j + 1]
 
-    def field(self, j: int) -> Field:
-        return Field(values=self.samples[j], grid=self.grid)
-
 
 def history_from_function(func, grid: Grid, tau: float, steps_per_delay: int) -> HistorySegment:
     """Sample a history phi(x, theta) from a callable of (x, theta)."""
@@ -130,10 +127,11 @@ def history_from_function(func, grid: Grid, tau: float, steps_per_delay: int) ->
     return HistorySegment(np.stack(rows), grid, tau, steps_per_delay)
 
 
-def constant_history(phi0: Field, tau: float, steps_per_delay: int) -> HistorySegment:
-    """History frozen at a single field for all theta."""
-    samples = np.tile(phi0.values, (steps_per_delay + 1, 1))
-    return HistorySegment(samples, phi0.grid, tau, steps_per_delay)
+def constant_history(values: np.ndarray, grid: Grid, tau: float,
+                     steps_per_delay: int) -> HistorySegment:
+    """History frozen at a single row of node values for all theta."""
+    samples = np.tile(values, (steps_per_delay + 1, 1))
+    return HistorySegment(samples, grid, tau, steps_per_delay)
 
 
 @dataclass(frozen=True)
@@ -231,11 +229,12 @@ def step_count(t: float, dt: float) -> int:
 
 
 def grid_step(t: float, dt: float) -> int:
-    """The step n >= 0 with t = n dt (to 1e-9 steps); ValueError otherwise."""
-    n = int(round(t / dt))
-    if abs(t / dt - n) > 1e-9 or n < 0:
+    """The step n >= 0 with t = n dt (to 1e-9 steps); ValueError otherwise,
+    also for t < 0 and for a non-finite t / dt."""
+    x = t / dt
+    if t < 0 or not math.isfinite(x) or abs(x - round(x)) > 1e-9:
         raise ValueError(f"time {t} is not aligned to the dt grid at or after 0")
-    return n
+    return int(round(x))
 
 
 def segment_at(traj: Trajectory, t: float) -> HistorySegment:

@@ -48,6 +48,7 @@ __all__ = [
     "ProjectionSet",
     "analytic_bounds",
     "contraction_terms",
+    "inside_sines",
     "make_projections",
     "measure_contraction",
     "project_P",
@@ -82,32 +83,38 @@ class ProjectionSet:
         return np.stack([p_part, restricted - p_part, np.where(self.inside, 0.0, rows)])
 
 
+def inside_sines(grid: Grid, K: float, count: int) -> np.ndarray:
+    """The Dirichlet sine modes of Omega_K on the grid nodes, zero-extended:
+    column j - 1 is sin(j pi (x + K) / (2K)) at the nodes x with |x| < K and
+    0 elsewhere, for j = 1 .. count."""
+    inside = np.abs(grid.nodes) < K
+    xi = grid.nodes[inside]
+    columns = np.zeros((grid.points, count))
+    for j in range(1, count + 1):
+        columns[inside, j - 1] = np.sin(j * math.pi * (xi + K) / (2.0 * K))
+    return columns
+
+
 def make_projections(grid: Grid, K: float, k_m: int) -> ProjectionSet:
     """Build the projection set for a cutoff radius and mode count.
 
-    The raw sine modes sin(j pi (x + K) / (2K)) are sampled on the grid
-    nodes inside |x| < K and re-orthonormalized by QR so that the discrete
-    projection is exactly idempotent even when K is not commensurate with
-    the grid spacing.  Fewer than ``k_m`` nodes inside is a ConfigError:
+    The raw sine modes of `inside_sines` are re-orthonormalized by QR so
+    that the discrete projection is exactly idempotent even when K is not
+    commensurate with the grid spacing.  Fewer than ``k_m`` nodes inside is a ConfigError:
     the grid is too coarse, or the box too large, for the cut.
     """
     if K <= 0:
         raise ValueError("K must be positive")
     if k_m < 1:
         raise ValueError("k_m must be at least 1")
-    x = grid.nodes
-    inside = np.abs(x) < K
+    inside = np.abs(grid.nodes) < K
     n_inside = int(np.sum(inside))
     if n_inside < k_m:
         raise ConfigError(
             f"only {n_inside} grid nodes inside Omega_K; cannot hold {k_m} modes"
         )
-    columns = np.zeros((grid.points, k_m))
-    xi = x[inside]
-    for j in range(1, k_m + 1):
-        columns[inside, j - 1] = np.sin(j * math.pi * (xi + K) / (2.0 * K))
     # orthonormalize w.r.t. the h-weighted inner product
-    q, _ = np.linalg.qr(math.sqrt(grid.spacing) * columns)
+    q, _ = np.linalg.qr(math.sqrt(grid.spacing) * inside_sines(grid, K, k_m))
     basis = q / math.sqrt(grid.spacing)
     return ProjectionSet(grid=grid, K=K, k_m=k_m, basis=basis, inside=inside)
 

@@ -10,7 +10,7 @@ from delayrd.model import (
     ProblemParameters,
 )
 from delayrd.model import evaluate_forcing, evaluate_nonlinearity
-from delayrd.semigroup import Field, field_norm
+from delayrd.semigroup import field_norm
 from delayrd.solver import far_field_masses, segment_sups
 
 
@@ -27,7 +27,7 @@ def fine_grid():
 def unit_forcing_amplitude(grid: Grid) -> float:
     """Amplitude making the grid L2 norm of the standard Gaussian bump 1."""
     raw = evaluate_forcing(ForcingSpec(kind="gaussian_bump", amplitude=1.0), grid.nodes)
-    return 1.0 / field_norm(Field(raw, grid))
+    return 1.0 / field_norm(raw, grid)
 
 
 def dissipative_params(grid: Grid) -> ProblemParameters:

@@ -612,11 +612,14 @@ def test_no_root_in_window_exits_3(tmp_path, subcommand, edits):
 
 
 @pytest.mark.parametrize("times", ["[0.3]", "[-0.5]", "[0.5, 0.3]", "[1e300]",
-                                   repr([(MAX_MARCH_STEPS + 1) * 0.5 / 16])])
+                                   repr([(MAX_MARCH_STEPS + 1) * 0.5 / 16]),
+                                   "[-1e-13]", "[1e307]", repr([3.000001 * 0.5 / 16])])
 def test_squeeze_rejects_bad_contraction_times(tmp_path, times):
-    """dt = 0.5 / 16 on configs/base.json: 0.3 is off the grid, -0.5 is
-    negative, 1e300 and one step past the cap are too far; all are
-    configuration errors found before integrating."""
+    """dt = 0.5 / 16 on configs/base.json: 0.3 and 3.000001 steps are off
+    the grid, -0.5 is negative and so is -1e-13, though it rounds to step
+    0; 1e300, one step past the cap and 1e307 (whose t / dt overflows to
+    inf) are too far; all are configuration errors found before
+    integrating."""
     text = (CONFIGS / "base.json").read_text()
     assert '"contraction_times": [0.5, 1.0]' in text
     cfg = tmp_path / "cfg.json"
@@ -626,6 +629,16 @@ def test_squeeze_rejects_bad_contraction_times(tmp_path, times):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert proc.stderr.startswith("config error:"), proc.stderr
     assert "contraction_times" in proc.stderr
+
+
+def test_squeeze_accepts_contraction_time_zero(tmp_path):
+    """t = 0 is the first point of the grid: each difference is compared
+    with itself, inside every bound."""
+    text = (CONFIGS / "base.json").read_text()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace('"contraction_times": [0.5, 1.0]', '"contraction_times": [0.0]'))
+    proc = run_cli_subprocess("squeeze", cfg, tmp_path / "out")
+    assert proc.returncode == EXIT_OK, proc.stderr
 
 
 @pytest.mark.parametrize("horizon", ["1e9", "1e300", repr((MAX_MARCH_STEPS + 1) * 0.5 / 16)],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters
-from delayrd.semigroup import Field, gradient_norm
+from delayrd.semigroup import gradient_norm
 from delayrd.solver import constant_history, history_from_function, integrate
 from delayrd.estimates import (
     absorbing_time,
@@ -127,8 +127,8 @@ def test_absorbing_time_doubling_bound(dissipative):
 
 def test_verify_absorption_on_trajectory(grid, dissipative):
     est = compute_estimates(dissipative, norm_g=1.0)
-    phi0 = Field(1.0 * np.exp(-0.5 * grid.nodes**2), grid)
-    phi = constant_history(phi0, dissipative.tau, 16)
+    phi0 = 1.0 * np.exp(-0.5 * grid.nodes**2)
+    phi = constant_history(phi0, grid, dissipative.tau, 16)
     traj = integrate(phi, horizon=6.0, p=dissipative)
     report = verify_absorption(traj, est, T=4.0)
     assert report["ok"]
@@ -144,9 +144,9 @@ def test_energy_integral_single_mode_oracle(grid):
     p = heat_only_params(mu=2.0)
     A, k = 0.7, 3
     xi = k * math.pi / grid.half_length
-    phi0 = Field(A * np.sin(xi * grid.nodes), grid)
+    phi0 = A * np.sin(xi * grid.nodes)
     S = 8
-    phi = constant_history(phi0, p.tau, S)
+    phi = constant_history(phi0, grid, p.tau, S)
     traj = integrate(phi, horizon=2.0, p=p)
 
     est = compute_estimates(p, norm_g=0.0, norm_phi0=0.0)
@@ -172,17 +172,24 @@ def test_energy_integral_single_mode_oracle(grid):
 
 
 def test_energy_integral_grid_requirements(grid, dissipative):
-    phi = constant_history(Field(np.zeros(grid.points), grid), dissipative.tau, 16)
+    phi = constant_history(np.zeros(grid.points), grid, dissipative.tau, 16)
     est = compute_estimates(dissipative, norm_g=1.0)
     short = integrate(phi, horizon=0.5, p=dissipative)
     with pytest.raises(ValueError, match="horizon"):
         verify_energy_integral(short, est)
+    # horizon 2: the last unit window starts at 1; past that none fits and
+    # there is nothing to check, so the call fails rather than pass on -inf
+    traj = integrate(phi, horizon=2.0, p=dissipative)
+    assert verify_energy_integral(traj, est, t_start=1.0)["argmax_window_start"] == 1.0
+    for t_start in (1.5, 50.0):
+        with pytest.raises(ValueError, match="horizon"):
+            verify_energy_integral(traj, est, t_start=t_start)
 
     odd = ProblemParameters(
         mu=dissipative.mu, sigma=dissipative.sigma, tau=0.3, lf=dissipative.lf,
         forcing=dissipative.forcing, nonlinearity=dissipative.nonlinearity,
     )
-    phi = constant_history(Field(np.zeros(grid.points), grid), 0.3, 4)
+    phi = constant_history(np.zeros(grid.points), grid, 0.3, 4)
     traj = integrate(phi, horizon=1.5, p=odd)  # dt = 0.075 does not divide 1
     with pytest.raises(ValueError, match="dt"):
         verify_energy_integral(traj, est)

@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from delayrd.estimates import compute_estimates
 from delayrd.model import (
     MAX_MARCH_STEPS,
     MAX_SEGMENT_FLOATS,
@@ -14,7 +15,6 @@ from delayrd.model import (
     NonlinearitySpec,
     ProblemParameters,
     RunOptions,
-    check_dissipativity,
     evaluate_forcing,
     evaluate_nonlinearity,
     parse_config,
@@ -162,16 +162,16 @@ def test_forcing_values(grid):
 
 def test_dissipativity_report_formula():
     p = ProblemParameters(mu=1.0, sigma=0.2, tau=1.0, lf=0.0)
-    report = check_dissipativity(p)
-    assert report.beta == pytest.approx(0.2 * math.e)
-    assert report.holds  # 0.5437 < 1
+    est = compute_estimates(p, 0.0)
+    assert est.beta == pytest.approx(0.2 * math.e)
+    assert est.dissipative  # 0.5437 < 1
     p2 = ProblemParameters(mu=0.2, sigma=0.2, tau=1.0, lf=0.0)
-    assert not check_dissipativity(p2).holds  # beta = 0.2 e^0.2 > 0.2
+    assert not compute_estimates(p2, 0.0).dissipative  # beta = 0.2 e^0.2 > 0.2
 
 
 def test_dissipativity_uses_lf_plus_one():
     p = ProblemParameters(mu=2.0, sigma=0.1, tau=0.5, lf=1.0)
-    assert check_dissipativity(p).beta == pytest.approx(0.1 * 2.0 * math.exp(1.0))
+    assert compute_estimates(p, 0.0).beta == pytest.approx(0.1 * 2.0 * math.exp(1.0))
 
 
 # --- configuration parsing ---------------------------------------------------

@@ -18,7 +18,7 @@ from delayrd.estimates import (
     verify_energy_integral,
     verify_far_field,
 )
-from delayrd.semigroup import Field, gradient_norm
+from delayrd.semigroup import gradient_norm
 from delayrd.solver import (
     far_field_mass,
     far_field_masses,
@@ -49,7 +49,7 @@ def ref_segment_norm(seg):
 
 
 def ref_gradient_sup(seg):
-    return max(gradient_norm(Field(values=row, grid=seg.grid)) for row in seg.samples)
+    return max(gradient_norm(row, seg.grid) for row in seg.samples)
 
 
 def loop_sups(traj, reduce):
@@ -137,7 +137,7 @@ def test_window_sups_equal_segment_loop(traj):
     assert np.array_equal(window, loop_sups(traj, segment_norm))
 
     def gradients(rows):
-        return np.array([gradient_norm(Field(values=row, grid=grid)) for row in rows])
+        return np.array([gradient_norm(row, grid) for row in rows])
 
     window = segment_sups(gradients(hist), gradients(values))
     assert np.array_equal(window, loop_sups(traj, ref_gradient_sup))

@@ -13,12 +13,13 @@ from delayrd.model import (
     ProblemParameters,
     RunOptions,
 )
-from delayrd.semigroup import Field, apply_semigroup
+from delayrd.semigroup import apply_semigroup
 from delayrd.solver import (
     DivergenceError,
     HistorySegment,
     constant_history,
     far_field_mass,
+    grid_step,
     history_from_function,
     integrate,
     segment_at,
@@ -100,21 +101,21 @@ def test_pure_heat_reduces_to_semigroup(rng, grid):
     """sigma = 0, f = 0, g = 0 turns every step into an exact S(dt)
     application, so the trajectory equals apply_semigroup at each time."""
     p = heat_only_params(mu=1.5)
-    phi0 = Field(rng.standard_normal(grid.points), grid)
-    phi = constant_history(phi0, p.tau, steps_per_delay=10)
+    phi0 = rng.standard_normal(grid.points)
+    phi = constant_history(phi0, grid, p.tau, steps_per_delay=10)
     traj = integrate(phi, horizon=1.0, p=p)
     for n in (5, 13, 20):
         t = traj.times[n]
         np.testing.assert_allclose(traj.values[n],
-                                   apply_semigroup(t, phi0, p.mu).values,
+                                   apply_semigroup(t, phi0, grid, p.mu),
                                    atol=1e-12)
 
 
 def test_horizon_and_tau_validation(grid, dissipative):
-    phi = constant_history(Field(np.ones(grid.points), grid), dissipative.tau, 4)
+    phi = constant_history(np.ones(grid.points), grid, dissipative.tau, 4)
     with pytest.raises(ValueError):
         integrate(phi, horizon=-1.0, p=dissipative)
-    bad = constant_history(Field(np.ones(grid.points), grid), 0.25, 4)
+    bad = constant_history(np.ones(grid.points), grid, 0.25, 4)
     with pytest.raises(ValueError, match="tau"):
         integrate(bad, horizon=1.0, p=dissipative)
 
@@ -130,12 +131,23 @@ def test_step_count_rounds_up_and_saturates():
     assert step_count(1e300, 1e-300 / 16) > 2**62
 
 
+def test_grid_step_rejects_negative_and_non_finite_times():
+    """A negative time is off the grid even within 1e-9 steps of 0, and a
+    t / dt that overflows to inf is a ValueError, not an OverflowError."""
+    dt = 0.5 / 16
+    assert grid_step(0.0, dt) == 0
+    assert grid_step(3 * dt, dt) == 3
+    for t in (-1e-13, -dt, 1e307, math.inf, math.nan, 3.000001 * dt):
+        with pytest.raises(ValueError, match="aligned"):
+            grid_step(t, dt)
+
+
 def test_divergence_raises_with_step_index(grid):
     p = ProblemParameters(
         mu=1.0, sigma=0.5, tau=0.5, lf=0.0,
         forcing=ForcingSpec(), nonlinearity=NonlinearitySpec(),
     )
-    phi = constant_history(Field(np.full(grid.points, 1e308), grid), p.tau, 8)
+    phi = constant_history(np.full(grid.points, 1e308), grid, p.tau, 8)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as info:
             integrate(phi, horizon=2.0, p=p)
@@ -230,7 +242,7 @@ def test_history_constructors(grid):
     np.testing.assert_allclose(phi.samples[0], np.cos(grid.nodes) * 0.5)
     np.testing.assert_allclose(phi.samples[-1], np.cos(grid.nodes))
 
-    frozen = constant_history(Field(np.cos(grid.nodes), grid), 0.5, 4)
+    frozen = constant_history(np.cos(grid.nodes), grid, 0.5, 4)
     for j in range(5):
         np.testing.assert_array_equal(frozen.samples[j], np.cos(grid.nodes))
-    assert frozen.field(2).grid is grid
+    assert frozen.grid is grid

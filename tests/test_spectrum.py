@@ -7,7 +7,6 @@ import pytest
 from scipy.special import lambertw
 
 from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters, parse_config
-from delayrd.semigroup import Field
 from delayrd.solver import history_from_function, integrate
 from delayrd.spectrum import (
     ROOT_RESIDUAL_TOL,

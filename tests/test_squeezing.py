@@ -8,7 +8,6 @@ import pytest
 from delayrd.cli import eigenmode_pair, random_history, random_pair
 from delayrd.estimates import compute_estimates
 from delayrd.model import ForcingSpec, Grid, NonlinearitySpec, ProblemParameters
-from delayrd.semigroup import Field
 from delayrd.solver import HistorySegment, constant_history, segment_norm
 from delayrd.spectrum import (
     characteristic_roots,
@@ -223,7 +222,7 @@ def test_contraction_peak_is_about_two_batches():
 
 def test_zero_difference_status(grid, dissipative):
     """An identical pair is not integrated: a zero denominator, no ratios."""
-    phi = constant_history(Field(np.cos(grid.nodes), grid), dissipative.tau, 8)
+    phi = constant_history(np.cos(grid.nodes), grid, dissipative.tau, 8)
     ps = make_projections(grid, K=3.0, k_m=2)
     denoms, measured = measure_contraction([(phi, phi)], (0.5,), dissipative, ps)
     assert denoms.tolist() == [0.0]
