@@ -14,12 +14,14 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible certificate,
 Reproducibility contract: all randomness flows through a single
 ``numpy.random.Generator`` seeded with PCG64 (documented, counter-based,
 cross-platform stable); JSON is the text of ``json.dumps(sort_keys=True,
-indent=2)``, built in one pass by ``_json_text``; CSV uses repr floats with
-'.' decimals and LF line endings; files are written atomically
-(temp file + rename).  Rerunning a subcommand with the same manifest
-produces byte-identical payloads; the manifest records the sha256 of the
-bytes each writer wrote (no artifact is read back to hash it) and carries
-the only timestamp, which is excluded from hashing.
+indent=2)``, built in one pass by ``_json_text``, which sorts and encodes
+each distinct key tuple once (``_sorted_heads``, a 64-entry LRU memo: the
+1008 root records of a 48-mode spectrum.json share one key order); CSV
+uses repr floats with '.' decimals and LF line endings; files are written
+atomically (temp file + rename).  Rerunning a subcommand with the same
+manifest produces byte-identical payloads; the manifest records the sha256
+of the bytes each writer wrote (no artifact is read back to hash it) and
+carries the only timestamp, which is excluded from hashing.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -107,6 +110,12 @@ def _atomic_write_bytes(path: str, payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+@functools.lru_cache(maxsize=64)
+def _sorted_heads(keys: tuple) -> tuple:
+    """(key, '"key": ') of each key, in sorted order, for one key tuple."""
+    return tuple((key, encode_basestring_ascii(key) + ": ") for key in sorted(keys))
+
+
 def _json_text(obj, pad: str = "") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` built in one pass, with
     non-finite floats as "nan"/"inf"/"-inf" and numpy scalars as floats and
@@ -121,8 +130,9 @@ def _json_text(obj, pad: str = "") -> str:
             return "{}" if kind is dict else "[]"
         inner = pad + "  "
         if kind is dict:
-            items = [f"{encode_basestring_ascii(key)}: {_json_text(obj[key], inner)}"
-                     for key in sorted(obj)]
+            items = [head + (repr(value) if type(value := obj[key]) is float
+                             and math.isfinite(value) else _json_text(value, inner))
+                     for key, head in _sorted_heads(tuple(obj))]
             return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
         return "[\n" + inner + f",\n{inner}".join([_json_text(v, inner) for v in obj]) + f"\n{pad}]"
     if kind is str:

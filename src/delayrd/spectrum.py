@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,8 +149,9 @@ def characteristic_roots(mode_eig: float, p: ProblemParameters, count: int) -> l
     return list(_mode_root_search(mode_eig, p).roots[:count])
 
 
-def _mode_root_search(mode_eig: float, p: ProblemParameters) -> ModeRoots:
-    """Every root with Re >= -50/tau and |Im| <= 20 pi/tau, by Lambert W.
+def _mode_root_search(mode_eig: float, p: ProblemParameters, mode: int = 0) -> ModeRoots:
+    """Every root of spatial mode ``mode`` with Re >= -50/tau and
+    |Im| <= 20 pi/tau, by Lambert W.
 
     With a = mu + mu_{m,K}, the roots are lambda_k = -a + W_k(z)/tau for
     z = sigma tau e^{a tau} > 0.  On branch k >= 1, Im W_k(z) lies in
@@ -164,7 +165,7 @@ def _mode_root_search(mode_eig: float, p: ProblemParameters) -> ModeRoots:
     a = p.mu + mode_eig
     sigma, tau = p.sigma, p.tau
     if sigma == 0.0:
-        return ModeRoots(mode=0, eigenvalue=mode_eig, roots=(complex(-a, 0.0),),
+        return ModeRoots(mode=mode, eigenvalue=mode_eig, roots=(complex(-a, 0.0),),
                          residuals=(0.0,), complete=True)
 
     log_z = math.log(sigma) + math.log(tau) + a * tau
@@ -184,7 +185,7 @@ def _mode_root_search(mode_eig: float, p: ProblemParameters) -> ModeRoots:
     pairs.sort(key=lambda pair: (-pair[0].real, -pair[0].imag))
     residuals = tuple(res for _, res in pairs)
     return ModeRoots(
-        mode=0,
+        mode=mode,
         eigenvalue=mode_eig,
         roots=tuple(root for root, _ in pairs),
         residuals=residuals,
@@ -275,7 +276,7 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
     entries = []  # (real part, multiplicity counting conjugates)
     for idx, mu_m in enumerate(eigs, start=1):
         try:
-            mr = replace(_mode_root_search(mu_m, p), mode=idx)
+            mr = _mode_root_search(mu_m, p, idx)
         except OverflowError as exc:  # exp(-lambda tau) in the Newton polish
             raise SplittingError(f"mode {idx}: characteristic-root search overflows a float "
                                  f"(eigenvalue {mu_m!r})") from exc
@@ -385,8 +386,11 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
 
     Random unit histories are synthesized from characteristic-mode
     profiles xi * exp(lambda theta) on the root set beyond the cut (the
-    invariant complement).  The mode histories of all samples are evolved
-    together, one mode per column of a single `solver.march` batch, and the
+    invariant complement).  Only the random stream is drawn sample by
+    sample (up to four profiles, then a normal pair for each); every
+    history term is then formed in one array pass and summed, in draw
+    order, into its column of a single `solver.march` batch, one column per
+    (sample, mode).  All samples are evolved together, and the
     overshoot max_t ||U(t) x||_C / (exp(rho_m t) ||x||_C) is recorded over
     a log-spaced time grid including t = 0.  The returned estimate
     is the sample maximum times the declared `DICHOTOMY_SAFETY`.
@@ -414,27 +418,31 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
         raise ConfigError(f"tau = {p.tau!r} needs more than {MAX_MARCH_STEPS} dichotomy steps")
     thetas = np.linspace(-p.tau, 0.0, S + 1)
 
-    # every sample's mode histories, as the columns of one batch; a sample's
+    # the random stream, sample by sample: each pick's profile and batch
+    # column, one column per (sample, mode) in first-seen order; a sample's
     # columns are adjacent, the first at its entry of `starts`
-    draws, starts = [], []  # draws: (mode eigenvalue, mode history)
+    take = min(len(profiles), 4)
+    picks, coeffs, cols, starts, eigs = [], [], [], [], []
     for _ in range(samples):
-        take = min(len(profiles), 4)
         chosen = rng.choice(len(profiles), size=take, replace=False)
-        by_mode: dict = {}
+        coeffs.append(rng.standard_normal((take, 2)))  # one (c1, c2) per pick
+        starts.append(len(eigs))
+        columns: dict = {}  # (mode, eigenvalue) -> batch column
         for idx in chosen:
-            mode, eig, root = profiles[idx]
-            hist = by_mode.setdefault((mode, eig), np.zeros(S + 1))
-            c1, c2 = rng.standard_normal(2)
-            if root.imag == 0:
-                hist += c1 * np.exp(root.real * thetas)
-            else:
-                envelope = np.exp(root.real * thetas)
-                hist += envelope * (c1 * np.cos(root.imag * thetas)
-                                    + c2 * np.sin(root.imag * thetas))
-        starts.append(len(draws))
-        draws.extend((eig, hist) for (_, eig), hist in by_mode.items())
-    eigs, columns = zip(*draws)
-    batch = np.stack(columns, axis=1)
+            mode, eig, _ = profiles[idx]
+            cols.append(columns.setdefault((mode, eig), len(eigs) + len(columns)))
+        eigs.extend(eig for _, eig in columns)
+        picks.extend(chosen)
+    # every draw's term exp(re theta) (c1 cos(im theta) + c2 sin(im theta)) at
+    # once, which is c1 exp(re theta) exactly at a real root, summed into its
+    # column in draw order (np.add.at is unbuffered)
+    roots = np.array([profiles[idx][2] for idx in picks])
+    c1, c2 = np.concatenate(coeffs).T
+    phases = np.outer(roots.imag, thetas)
+    terms = np.exp(np.outer(roots.real, thetas)) * (c1[:, None] * np.cos(phases)
+                                                    + c2[:, None] * np.sin(phases))
+    batch = np.zeros((S + 1, len(eigs)))
+    np.add.at(batch.T, cols, terms)
     decay = np.array([math.exp(-(p.mu + eig) * dt) for eig in eigs])
 
     def seg_norms(window) -> np.ndarray:

@@ -357,9 +357,10 @@ def test_parser_requires_subcommand():
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 PERFBENCH_CONFIGS = CONFIGS.parent / "perfbench" / "configs"
 
-# payload_sha256 of each run at the config seed, on x86-64 Linux with
-# Python 3.11 and numpy 2.4; FFT rounding on another platform or numpy build
-# may legitimately move them.  The two spectrum.json hashes date from the
+# payload_sha256 of each run at the config seed, or at the --seed a key's
+# third entry names, on x86-64 Linux with Python 3.11 and numpy 2.4; FFT
+# rounding on another platform or numpy build may legitimately move them.
+# The two spectrum.json hashes at the config seed date from the
 # switch to Lambert W roots, which moved root values in the last ulp; the
 # simulate hashes from the pairwise (layout-independent) tail-mass sum, which
 # moved the far-field masses by at most 4e-15 relative.  The certify-sweep-0
@@ -368,7 +369,9 @@ PERFBENCH_CONFIGS = CONFIGS.parent / "perfbench" / "configs"
 # writer replaced it.  The certify-sweep-1 to -6 entries were hashed before
 # the certificate search took the contraction factors once per t0 and the
 # dichotomy summed per-sample norms by reduceat; sweep-1 and sweep-4 are the
-# points whose K_m depends on the flow, and sweep-6 is infeasible.
+# points whose K_m depends on the flow, and sweep-6 is infeasible.  The two
+# spectrum entries at seed 7 were hashed before the dichotomy drew its
+# histories in one batch and the JSON writer memoized each key order.
 GOLDEN = {
     ("simulate", "base"): (EXIT_OK, {
         "farfield.csv": "5291a61eb1c9cb9cc6006e026aa9c52c1702942781649ebf9591b6249d20b269",
@@ -433,18 +436,25 @@ GOLDEN = {
         "estimates.json": "73d1b05927ed21e6bc8285e3bb00042ec1732def8317a1d249fabe7e47ea0e58",
         "spectrum.json": "daf1472a3cddbb3634e2f37c97ceef5b2c45552261d7e8c93ed341357dd8a11e",
     }),
+    ("spectrum", "base", "7"): (EXIT_OK, {
+        "spectrum.json": "bfac7e6f5b617f104936ab75b770287db5fb475496c400a925a41345e410f9df",
+    }),
+    ("spectrum", "certify", "7"): (EXIT_OK, {
+        "spectrum.json": "69a5c772d5bfd2ee4ad2962a168ffc158e72ca86b3be9b02c049b854c1f4de51",
+    }),
 }
 
 
-@pytest.mark.parametrize("subcommand,config", sorted(GOLDEN),
-                         ids=["-".join(key) for key in sorted(GOLDEN)])
-def test_golden_payload_hashes(tmp_path, subcommand, config):
-    exit_code, payload = GOLDEN[subcommand, config]
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids=["-".join(key) for key in sorted(GOLDEN)])
+def test_golden_payload_hashes(tmp_path, key):
+    exit_code, payload = GOLDEN[key]
+    subcommand, config, *seed = key
     out = tmp_path / "out"
     path = CONFIGS / f"{config}.json"
     if not path.exists():
         path = PERFBENCH_CONFIGS / f"{config}.json"
-    assert main([subcommand, "--config", str(path), "--out", str(out)]) == exit_code
+    seed_args = ["--seed", *seed] if seed else []
+    assert main([subcommand, "--config", str(path), "--out", str(out), *seed_args]) == exit_code
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["payload_sha256"] == payload
 

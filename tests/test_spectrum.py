@@ -365,28 +365,6 @@ def test_dichotomy_window_norms_match_loop(config):
         np.testing.assert_allclose(report[key], ref[key], rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("config,seed,samples", [
-    pytest.param("base", 1, 32, id="1-32"),
-    pytest.param("base", 2, 16, id="2-16"),
-    pytest.param("certify-sweep-1", 0, 64, id="certify-sweep-1"),
-    pytest.param("certify-sweep-4", 0, 64, id="certify-sweep-4"),
-])
-def test_dichotomy_batch_matches_per_sample_loop(config, seed, samples):
-    """The batch sums each sample's modes only with each other: over many
-    samples of differing mode counts the estimate equals the per-sample
-    reference loop exactly.  On certify-sweep-1 and -4 (at the seed and
-    sample count certify uses) K_m depends on the flow, not only on the
-    initial histories."""
-    path = config_path(config)
-    p, _, run = parse_config(path.read_text())
-    spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)
-    report = dichotomy_constant(p, spectral, samples, rng=np.random.default_rng(seed))
-    ref = loop_dichotomy_constant(p, spectral, samples, rng=np.random.default_rng(seed))
-    assert report["sample_max"] == ref["sample_max"]
-    assert report["K_m"] == ref["K_m"]
-    assert report["times"] == ref["times"]
-
-
 CONFIG_DIRS = [pathlib.Path(__file__).resolve().parents[1] / d
                for d in ("configs", "perfbench/configs")]
 SHIPPED_CONFIGS = sorted(path.stem for d in CONFIG_DIRS for path in d.glob("*.json"))
@@ -394,6 +372,37 @@ SHIPPED_CONFIGS = sorted(path.stem for d in CONFIG_DIRS for path in d.glob("*.js
 
 def config_path(name: str) -> pathlib.Path:
     return next(d / f"{name}.json" for d in CONFIG_DIRS if (d / f"{name}.json").exists())
+
+
+@pytest.mark.parametrize("config,seed,samples", [
+    pytest.param("base", 1, 32, id="1-32"),
+    pytest.param("base", 2, 16, id="2-16"),
+    pytest.param("certify-sweep-1", 0, 64, id="certify-sweep-1"),
+    pytest.param("certify-sweep-4", 0, 64, id="certify-sweep-4"),
+    *(pytest.param(name, seed, None, id=f"{name}-seed{seed}")
+      for name in SHIPPED_CONFIGS for seed in (0, 7)
+      if (name, seed) not in {("certify-sweep-1", 0), ("certify-sweep-4", 0)}),
+])
+def test_dichotomy_batch_matches_per_sample_loop(config, seed, samples):
+    """The batch sums each sample's modes only with each other: over many
+    samples of differing mode counts the estimate equals the per-sample
+    reference loop exactly.  On certify-sweep-1 and -4 (at the seed and
+    sample count certify uses) K_m depends on the flow, not only on the
+    initial histories.  A ``samples`` of None is the config's own
+    ``dichotomy_samples``, as certify runs it at that seed.  The batched
+    draws take exactly the loop's stream: `take` pairs of normals at once
+    are the `take` single pairs the loop draws, so both generators end in
+    the same state."""
+    p, _, run = parse_config(config_path(config).read_text())
+    samples = run.dichotomy_samples if samples is None else samples
+    spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    report = dichotomy_constant(p, spectral, samples, rng=rng)
+    ref = loop_dichotomy_constant(p, spectral, samples, rng=ref_rng)
+    assert report["sample_max"] == ref["sample_max"]
+    assert report["K_m"] == ref["K_m"]
+    assert report["times"] == ref["times"]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayrd.cli import write_json
+from delayrd.cli import _sorted_heads, write_json
 
 
 def _sanitize(obj):
@@ -72,11 +72,42 @@ def test_write_json_matches_sanitize_then_dumps(tmp_path_factory, doc):
     assert path.read_bytes() == oracle_bytes(doc)
 
 
-@pytest.mark.parametrize("doc", [np.bool_(True), {"a": {1, 2}}, {1: "one"}, [object()]],
-                         ids=["numpy-bool", "set", "int-key", "object"])
+@pytest.mark.parametrize("doc", [np.bool_(True), {"a": {1, 2}}, {1: "one"}, [object()],
+                                 [{"one": 1}, {1: "one"}]],
+                         ids=["numpy-bool", "set", "int-key", "object",
+                              "int-key-after-cached-shape"])
 def test_write_json_refuses_what_json_refuses(tmp_path, doc):
     """json.dumps refuses these too; the old path only converted non-str
-    keys, which no artifact has."""
+    keys, which no artifact has.  The key memo holds no shape that lets an
+    int key through after a str key set of the same size."""
     with pytest.raises(TypeError):
         write_json(str(tmp_path / "doc.json"), doc)
     assert not (tmp_path / "doc.json").exists()
+
+
+def _same_shape_records():
+    """50 dicts with one key set, some built in another insertion order, over
+    finite and non-finite floats, numpy scalars, None, strings and nested dicts."""
+    values = [0.1, -0.0, 1e308, 5e-324, math.nan, math.inf, -math.inf, np.float32(0.1),
+              np.float64(2.5), np.int64(-7), 3, None, "é\n", {"z": 1.5, "a": [math.nan, None]}]
+    records = []
+    for i in range(50):
+        record = {"re": values[i % 14], "im": values[(3 * i) % 14],
+                  "multiplicity": values[(5 * i) % 14], "residual": values[(7 * i + 1) % 14]}
+        records.append(record if i % 3 else dict(reversed(record.items())))
+    return records
+
+
+def test_key_memo_matches_oracle(tmp_path):
+    """Dicts of one key set, in either insertion order and at any depth,
+    take their key order from the memo and still write the oracle's bytes."""
+    records = _same_shape_records()
+    doc = {"roots": records, "modes": [{"roots": records[i::5], "mode": i} for i in range(5)]}
+    write_json(str(tmp_path / "doc.json"), doc)
+    assert (tmp_path / "doc.json").read_bytes() == oracle_bytes(doc)
+
+
+def test_key_memo_stays_bounded(tmp_path):
+    write_json(str(tmp_path / "doc.json"), [{f"k{i}": i} for i in range(10_000)])
+    info = _sorted_heads.cache_info()
+    assert info.currsize == info.maxsize == 64
