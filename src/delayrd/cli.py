@@ -11,6 +11,11 @@ Five subcommands drive the library end to end:
 Exit codes: 0 success, 2 configuration error, 3 infeasible certificate,
 4 numerical divergence.
 
+`main` sets up every run with `_load_config`: ``--seed`` and
+``--snapshot-every`` replace ``run.seed`` and ``run.snapshot_every`` and
+pass those keys' `RunOptions` rules.  ``certify`` and ``squeeze`` share
+one gate on the standing hypotheses, `_certification`.
+
 Reproducibility contract: all randomness flows through a single
 ``numpy.random.Generator`` seeded with PCG64 (documented, counter-based,
 cross-platform stable); JSON is the text of ``json.dumps(sort_keys=True,
@@ -309,63 +314,78 @@ def eigenmode_pair(rng: np.random.Generator, grid: Grid, p: ProblemParameters,
 # --- shared pipeline pieces ---------------------------------------------------
 
 
-def _load_config(path: str, seed: int | None):
-    """(params, grid, run, seed); a ``seed`` of None means ``run.seed``."""
+def _load_config(path: str, **flags):
+    """(params, grid, run) of the config at ``path``.  Each flag given (not
+    None) replaces its run key through `RunOptions`, so it passes the key's
+    own rule: ``seed=-1`` fails as "run.seed must be nonnegative"."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     p, grid, run = parse_config(text)
-    return p, grid, run, run.seed if seed is None else seed
+    return p, grid, dataclasses.replace(run, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _forcing_norm(p: ProblemParameters, grid: Grid) -> float:
     return field_norm(evaluate_forcing(p.forcing, grid.nodes), grid)
 
 
-def _spectral_bundle(p: ProblemParameters, grid: Grid, run: RunOptions, seed: int):
+def _spectral_bundle(p: ProblemParameters, grid: Grid, run: RunOptions):
     """The spectral data and its spectrum.json document.  K_m (and the
-    document's "dichotomy") is attached only to a certified spectrum."""
+    "dichotomy", drawn with ``run.seed``) is attached only to a certified one."""
     if run.cutoff_radius >= grid.half_length / 4:
         raise ConfigError("run.cutoff_radius must satisfy K < L/4 (grid half_length L)")
     spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)
     if not spectral.certificate_ok:
         return spectral, spectral.as_dict()
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    rng = np.random.default_rng(np.random.PCG64(run.seed))
     dichotomy = dichotomy_constant(p, spectral, run.dichotomy_samples, rng=rng)
     spectral = dataclasses.replace(spectral, K_m=dichotomy["K_m"])
     return spectral, dict(spectral.as_dict(), dichotomy=dichotomy)
 
 
+def _certification(p: ProblemParameters, grid: Grid, run: RunOptions):
+    """(estimates, spectral data, spectrum.json document, diagnostics): one
+    line per failed standing hypothesis, in order dissipativity beta < mu,
+    rho_m < 0, every mode complete, energy gap mu - sigma - 1 > 0.  Empty
+    exactly when the run is dissipative, energy-feasible and has a K_m."""
+    est = compute_estimates(p, _forcing_norm(p, grid), norm_phi0=run.history_norm)
+    spectral, spec_doc = _spectral_bundle(p, grid, run)
+    diagnostics = []
+    if not est.dissipative:
+        diagnostics.append(f"dissipativity condition {DISSIPATIVITY_CONDITION} violated: "
+                           f"beta={est.beta!r} >= mu={p.mu!r}")
+    if not spectral.rho_m < 0:
+        diagnostics.append("spectral splitting unavailable (rho_m >= 0)")
+    incomplete = [mr.mode for mr in spectral.mode_roots if not mr.complete]
+    if incomplete:
+        diagnostics.append(f"mode {incomplete[0]}: characteristic roots incomplete "
+                           f"(residual above {ROOT_RESIDUAL_TOL!r})")
+    if not est.energy_feasible:
+        diagnostics.append("energy gap mu - sigma - 1 <= 0: c1/c4/c5 infeasible")
+    return est, spectral, spec_doc, diagnostics
+
+
 # --- subcommands --------------------------------------------------------------
 
 
-def cmd_certify(config_path: str, seed: int | None, out_dir: str) -> int:
+def cmd_certify(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid,
+                run: RunOptions) -> int:
     """Full certification pipeline: estimates, spectrum, dimension bounds.
     Both stages that can fail run before anything is written, so a failed
-    run leaves no unhashed artifact."""
-    p, grid, run, seed = _load_config(config_path, seed)
-    norm_g = _forcing_norm(p, grid)
-    est = compute_estimates(p, norm_g, norm_phi0=run.history_norm)
+    run leaves no unhashed artifact.  A failed `_certification` hypothesis
+    is a diagnostic, and the certificates are not searched."""
+    est, spectral, spec_doc, diagnostics = _certification(p, grid, run)
     T_D = absorbing_time(p, est, norm_D=run.history_norm)
-    diagnostics = []
-    if not est.dissipative:
-        diagnostics.append(
-            f"dissipativity condition {DISSIPATIVITY_CONDITION} violated: "
-            f"beta={est.beta!r} >= mu={p.mu!r}"
-        )
-
-    spectral, spec_doc = _spectral_bundle(p, grid, run, seed)
-
-    manifest = RunManifest(config_path, seed, "certify", out_dir)
+    manifest = RunManifest(config_path, run.seed, "certify", out_dir)
     manifest.save("estimates.json", write_json,
                   dict(dataclasses.asdict(est), T_D=T_D, norm_D=run.history_norm,
                        dissipativity_condition=DISSIPATIVITY_CONDITION))
     manifest.save("spectrum.json", write_json, spec_doc)
 
     cert_doc = {}
-    if spectral.K_m is not None and est.energy_feasible and est.dissipative:
+    if not diagnostics:
         hausdorff = optimize_certificate(p, spectral, est, mode="hausdorff")
         fractal = optimize_certificate(p, spectral, est, mode="fractal")
         cert_doc["hausdorff"] = dataclasses.asdict(hausdorff)
@@ -374,15 +394,6 @@ def cmd_certify(config_path: str, seed: int | None, out_dir: str) -> int:
             diagnostics.append("no feasible Hausdorff certificate (eta >= 1 everywhere)")
         if not fractal.feasible:
             diagnostics.append("no feasible fractal certificate (zeta >= 1 everywhere)")
-    else:
-        if not spectral.rho_m < 0:
-            diagnostics.append("spectral splitting unavailable (rho_m >= 0)")
-        incomplete = [mr.mode for mr in spectral.mode_roots if not mr.complete]
-        if incomplete:
-            diagnostics.append(f"mode {incomplete[0]}: characteristic roots incomplete "
-                               f"(residual above {ROOT_RESIDUAL_TOL!r})")
-        if not est.energy_feasible:
-            diagnostics.append("energy gap mu - sigma - 1 <= 0: c1/c4/c5 infeasible")
     cert_doc["diagnostics"] = diagnostics
     cert_doc["feasible"] = not diagnostics
     manifest.save("certificate.json", write_json, cert_doc)
@@ -395,21 +406,19 @@ def cmd_certify(config_path: str, seed: int | None, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(config_path: str, seed: int | None, out_dir: str,
-                 snapshot_every: int = None) -> int:
-    """Integrate one seeded trajectory and export norm/far-field CSVs plus
-    the far-field threshold verdict at the configured tolerance.  Rows are
-    reduced S = steps_per_delay at a time as `evolve` yields them, so memory
-    is O(S P) plus O(N) scalars."""
-    p, grid, run, seed = _load_config(config_path, seed)
+def cmd_simulate(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid,
+                 run: RunOptions) -> int:
+    """Integrate one trajectory from a ``run.seed`` history; export norm and
+    far-field CSVs, a snapshot every ``run.snapshot_every`` steps and the
+    far-field verdict at ``run.eps``.  Rows are reduced S = steps_per_delay
+    at a time as `evolve` yields them, so memory is O(S P) plus O(N) scalars."""
     S, dt = run.steps_per_delay, p.tau / run.steps_per_delay
     steps = step_count(run.horizon, dt)
     if steps > MAX_MARCH_STEPS:
         raise ConfigError(f"run.horizon must be at most {MAX_MARCH_STEPS} steps of dt = {dt!r}")
-    manifest = RunManifest(config_path, seed, "simulate", out_dir)
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    manifest = RunManifest(config_path, run.seed, "simulate", out_dir)
+    rng = np.random.default_rng(np.random.PCG64(run.seed))
     phi = random_history(rng, grid, p.tau, S, run.history_norm)
-    every = run.snapshot_every if snapshot_every is None else snapshot_every
     radii = far_field_radii(grid.half_length)
 
     def tails(rows):  # one column per radius: the cutoff, then `radii`
@@ -421,7 +430,7 @@ def cmd_simulate(config_path: str, seed: int | None, out_dir: str,
     while block := list(islice(rows, S)):
         for n, row in enumerate(block, start=len(norms)):
             norms.append(field_norm(row, grid))
-            if every > 0 and n % every == 0:
+            if run.snapshot_every > 0 and n % run.snapshot_every == 0:
                 manifest.save(f"field_{n:08d}.bin", write_snapshot, row, grid.half_length, n * dt)
         masses.append(tails(np.stack(block)))
     sups = segment_sups(tails(phi.samples), np.concatenate(masses))
@@ -436,22 +445,22 @@ def cmd_simulate(config_path: str, seed: int | None, out_dir: str,
     return EXIT_OK
 
 
-def cmd_spectrum(config_path: str, seed: int | None, out_dir: str) -> int:
+def cmd_spectrum(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid,
+                 run: RunOptions) -> int:
     """Spectral data only: eigenvalues, roots, splitting, dichotomy.  The
     spectral stage runs before the output directory is made."""
-    p, grid, run, seed = _load_config(config_path, seed)
-    spectral, doc = _spectral_bundle(p, grid, run, seed)
-    manifest = RunManifest(config_path, seed, "spectrum", out_dir)
+    spectral, doc = _spectral_bundle(p, grid, run)
+    manifest = RunManifest(config_path, run.seed, "spectrum", out_dir)
     manifest.save("spectrum.json", write_json, doc)
     manifest.write()
     return EXIT_OK if spectral.certificate_ok else EXIT_INFEASIBLE
 
 
-def cmd_squeeze(config_path: str, seed: int | None, out_dir: str) -> int:
-    """Measure P/Q/R contraction on seeded trajectory pairs.  The output
-    directory is made only once every stage that can fail before the
-    march has passed."""
-    p, grid, run, seed = _load_config(config_path, seed)
+def cmd_squeeze(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid,
+                run: RunOptions) -> int:
+    """Measure P/Q/R contraction on pairs drawn with ``run.seed``; exit 3
+    if `_certification` finds a standing hypothesis failed.  The output
+    directory is made only once every stage that can fail has passed."""
     dt = p.tau / run.steps_per_delay
     try:  # measure_contraction marches to the grid_step of each time
         aligned = all(grid_step(t, dt) <= MAX_MARCH_STEPS for t in run.contraction_times)
@@ -460,18 +469,16 @@ def cmd_squeeze(config_path: str, seed: int | None, out_dir: str) -> int:
     if not aligned:
         raise ConfigError(f"run.contraction_times must be multiples n * dt of dt = {dt!r} "
                           f"with 0 <= n <= {MAX_MARCH_STEPS}")
-    norm_g = _forcing_norm(p, grid)
-    est = compute_estimates(p, norm_g, norm_phi0=run.history_norm)
-    spectral, _ = _spectral_bundle(p, grid, run, seed)
-    if spectral.K_m is None or not est.dissipative or not est.energy_feasible:
+    est, spectral, _, diagnostics = _certification(p, grid, run)
+    if diagnostics:
         print("squeeze requires a dissipative configuration with a complete spectrum, "
               "rho_m < 0 and mu - sigma - 1 > 0", file=sys.stderr)
         return EXIT_INFEASIBLE
     ps = make_projections(grid, run.cutoff_radius, spectral.k_m)
-    manifest = RunManifest(config_path, seed, "squeeze", out_dir)
+    manifest = RunManifest(config_path, run.seed, "squeeze", out_dir)
 
     # drawn lazily, a group at a time; integrating draws nothing from rng
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    rng = np.random.default_rng(np.random.PCG64(run.seed))
     pairs = (eigenmode_pair(rng, grid, p, spectral, run.steps_per_delay,
                             norm=run.history_norm,
                             separation=0.3 * run.history_norm)
@@ -598,7 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="integrate one seeded trajectory")
     add_common(simulate)
     simulate.add_argument("--snapshot-every", type=int, default=None,
-                          help="write a binary field snapshot every K steps")
+                          help="snapshot stride in steps (overrides run.snapshot_every)")
     add_common(sub.add_parser("spectrum", help="characteristic roots and splitting"))
     add_common(sub.add_parser("squeeze", help="measure contraction on seeded pairs"))
     report = sub.add_parser("report", help="merge artifacts into a summary")
@@ -606,25 +613,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"certify": cmd_certify, "simulate": cmd_simulate, "spectrum": cmd_spectrum,
+             "squeeze": cmd_squeeze}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.subcommand == "report":
             return cmd_report(args.dir)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
-        if args.subcommand == "certify":
-            return cmd_certify(args.config, args.seed, args.out)
-        if args.subcommand == "simulate":
-            if args.snapshot_every is not None and args.snapshot_every < 0:
-                raise ConfigError("--snapshot-every must be nonnegative")
-            return cmd_simulate(args.config, args.seed, args.out,
-                                snapshot_every=args.snapshot_every)
-        if args.subcommand == "spectrum":
-            return cmd_spectrum(args.config, args.seed, args.out)
-        if args.subcommand == "squeeze":
-            return cmd_squeeze(args.config, args.seed, args.out)
-        raise AssertionError(f"unhandled subcommand {args.subcommand}")
+        setup = _load_config(args.config, seed=args.seed,
+                             snapshot_every=getattr(args, "snapshot_every", None))
+        return _COMMANDS[args.subcommand](args.config, args.out, *setup)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,9 +23,9 @@ is data, not an error.
 All catalog nonlinearities satisfy f(0) = 0, so the ||f(0)|| terms vanish;
 they are kept in the formulas for fidelity.
 
-`verify_absorption` and `verify_energy_integral` reduce a stored
-`Trajectory`; `verify_far_field` takes the segment tail-mass sups that
-``simulate`` gathers as it streams the rows, with no trajectory stored.
+The verifiers take per-step segment sups (a `solver.segment_sups` of row
+values, one per step n dt), as ``simulate`` gathers them while streaming
+the rows: segment norms, gradient sups and tail masses respectively.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemParameters
-from .semigroup import gradient_norm
-from .solver import Trajectory, row_norms, segment_sups, step_count
+from .solver import step_count
 # Not called here, but perfbench/tracing.py patches these names in this module.
 from .solver import far_field_mass, segment_at, segment_norm  # noqa: F401
 
@@ -194,22 +193,21 @@ def absorbing_time(p: ProblemParameters, est: EstimateSet, norm_D: float) -> flo
     return hi
 
 
-def verify_absorption(traj: Trajectory, est: EstimateSet, T: float) -> dict:
+def verify_absorption(sups, dt: float, est: EstimateSet, T: float) -> dict:
     """Measure sup_{t >= T} ||u_t||_C on a trajectory and compare to c3.
 
-    T is rounded up to the step grid and must not lie past the horizon
+    ``sups[n]`` is ||u_{n dt}||_C, the `segment_sups` of `row_norms`.  T is
+    rounded up to the step grid and must not lie past the horizon
     (ValueError); at T = horizon only the last segment is measured.
     Returns a report with the measured maximum, the certified threshold
     c3 * (1 + CERTIFICATE_TOLERANCE), and the verdict flag.
     """
-    dt = traj.dt
+    steps = len(sups) - 1
     n0 = step_count(T, dt)
-    if n0 > traj.steps:
+    if n0 > steps:
         raise ValueError("trajectory horizon is shorter than the requested T")
-    sups = segment_sups(row_norms(traj.history.samples, traj.grid),
-                        row_norms(traj.values, traj.grid))[n0:]
-    i = int(np.argmax(sups))  # the first maximum on ties
-    worst, worst_t = float(sups[i]), (n0 + i) * dt
+    i = int(np.argmax(sups[n0:]))  # the first maximum on ties
+    worst, worst_t = float(sups[n0 + i]), (n0 + i) * dt
     threshold = est.c3 * (1.0 + CERTIFICATE_TOLERANCE)
     return {
         "max_segment_norm": worst,
@@ -218,34 +216,31 @@ def verify_absorption(traj: Trajectory, est: EstimateSet, T: float) -> dict:
         "threshold": threshold,
         "ok": bool(worst <= threshold),
         "from_time": n0 * dt,
-        "samples": traj.steps + 1 - n0,
+        "samples": steps + 1 - n0,
     }
 
 
-def verify_energy_integral(traj: Trajectory, est: EstimateSet, t_start: float = 0.0) -> dict:
+def verify_energy_integral(sups, dt: float, est: EstimateSet, t_start: float = 0.0) -> dict:
     """Check the windowed energy estimate: the trapezoidal integral over
     [t, t+1] of the squared segment gradient sup stays below c4.
 
-    Scans every window start on the step grid from ``t_start`` for which
-    [t, t+1] fits inside the horizon.  Returns the worst window; if no
-    window fits, raises ValueError.
+    ``sups[n]`` is the segment gradient sup at n dt, the `segment_sups` of
+    the rows' `gradient_norm`.  Scans every window start on the step grid
+    from ``t_start`` for which [t, t+1] fits inside the horizon.  Returns
+    the worst window; if no window fits, raises ValueError.
     """
-    dt = traj.dt
+    steps = len(sups) - 1
     per_unit = int(round(1.0 / dt))
     if abs(per_unit * dt - 1.0) > 1e-9:
         raise ValueError("dt must divide 1 for unit-window energy integrals")
     n_first = step_count(t_start, dt)
-    if n_first > traj.steps - per_unit:
+    if n_first > steps - per_unit:
         raise ValueError("horizon too short for a unit window from t_start")
 
-    def gradient_norms(rows):
-        return np.array([gradient_norm(row, traj.grid) for row in rows])
-
-    sups = segment_sups(gradient_norms(traj.history.samples), gradient_norms(traj.values))
     squared = sups * sups
     worst = -math.inf
     worst_t = n_first * dt
-    for n in range(n_first, traj.steps - per_unit + 1):
+    for n in range(n_first, steps - per_unit + 1):
         window = squared[n:n + per_unit + 1]
         integral = dt * (np.sum(window) - 0.5 * (window[0] + window[-1]))
         if integral > worst:

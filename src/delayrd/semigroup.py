@@ -47,16 +47,14 @@ def gradient_norm(values: np.ndarray, grid: Grid) -> float:
     sqrt(sum_k xi_k^2 |phi_hat_k|^2) with the same h-weighted convention
     as `field_norm`.
     """
-    n = grid.points
     coeff = np.fft.rfft(values)
     xi = grid.frequencies
-    # Parseval for the real transform: interior modes count twice.
+    # Parseval for the real transform: interior modes count twice.  The
+    # points are a power of two >= 2, so the last mode is the Nyquist one.
     weights = np.full(xi.shape, 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
+    weights[0] = weights[-1] = 1.0
     power = weights * (xi * np.abs(coeff)) ** 2
-    return math.sqrt(grid.spacing * float(np.sum(power)) / n)
+    return math.sqrt(grid.spacing * float(np.sum(power)) / grid.points)
 
 
 def apply_semigroup(t: float, values: np.ndarray, grid: Grid, mu: float) -> np.ndarray:

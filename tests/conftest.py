@@ -10,8 +10,8 @@ from delayrd.model import (
     ProblemParameters,
 )
 from delayrd.model import evaluate_forcing, evaluate_nonlinearity
-from delayrd.semigroup import field_norm
-from delayrd.solver import far_field_masses, segment_sups
+from delayrd.semigroup import field_norm, gradient_norm
+from delayrd.solver import far_field_masses, row_norms, segment_sups
 
 
 @pytest.fixture
@@ -91,3 +91,18 @@ def far_field_sups(traj, radii):
     def tails(rows):
         return np.stack([far_field_masses(rows, traj.grid, K) for K in radii], axis=-1)
     return segment_sups(tails(traj.history.samples), tails(traj.values))
+
+
+def norm_sups(traj):
+    """Segment norms of a stored trajectory, one per step: the array
+    `verify_absorption` takes."""
+    return segment_sups(row_norms(traj.history.samples, traj.grid),
+                        row_norms(traj.values, traj.grid))
+
+
+def gradient_sups(traj):
+    """Segment gradient sups of a stored trajectory, one per step: the
+    array `verify_energy_integral` takes."""
+    def gradients(rows):
+        return np.array([gradient_norm(row, traj.grid) for row in rows])
+    return segment_sups(gradients(traj.history.samples), gradients(traj.values))

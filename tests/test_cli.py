@@ -19,6 +19,7 @@ from delayrd.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     MAX_MARCH_STEPS,
+    _load_config,
     cmd_simulate,
     main,
     read_snapshot,
@@ -176,10 +177,10 @@ def test_snapshot_roundtrip_and_cli_snapshots(tmp_path):
         bad.write_bytes(b"XXXX" + b"\0" * 32)
         read_snapshot(str(bad))
 
-    cfg = write_config(tmp_path / "cfg.json", run={"horizon": 1.0})
+    cfg = write_config(tmp_path / "cfg.json", run={"horizon": 1.0, "snapshot_every": 0})
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out),
-                 "--snapshot-every", "8"]) == EXIT_OK
+                 "--snapshot-every", "8"]) == EXIT_OK  # the flag overrides the key
     snaps = sorted(out.glob("field_*.bin"))
     assert len(snaps) == 16 * 2 // 8 + 1
     vals, L, t0 = read_snapshot(str(snaps[0]))
@@ -457,6 +458,8 @@ def test_golden_payload_hashes(tmp_path, key):
     assert main([subcommand, "--config", str(path), "--out", str(out), *seed_args]) == exit_code
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["payload_sha256"] == payload
+    if seed:  # --seed overrides the config's seed 11 and is recorded
+        assert manifest["seed"] == int(*seed)
 
 
 def test_golden_squeeze_across_groups(tmp_path):
@@ -681,7 +684,8 @@ def test_simulate_memory_does_not_grow_with_horizon(tmp_path):
         cfg.write_text(json.dumps(doc))
         tracemalloc.start()
         try:
-            assert cmd_simulate(str(cfg), 0, str(tmp_path / f"out-{horizon}")) == EXIT_OK
+            assert cmd_simulate(str(cfg), str(tmp_path / f"out-{horizon}"),
+                                *_load_config(str(cfg), seed=0)) == EXIT_OK
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -863,7 +867,7 @@ def test_negative_snapshot_every_flag_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(CONFIGS / "base.json"), "--out", str(out),
                  "--snapshot-every", "-5"]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: --snapshot-every")
+    assert capsys.readouterr().err.startswith("config error: run.snapshot_every")
     assert not out.exists()
 
 
@@ -876,3 +880,47 @@ def test_integer_literal_in_float_key_is_stored_as_float(tmp_path):
     assert '"norm_D": 1.0,' in (out / "estimates.json").read_text()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["payload_sha256"] == GOLDEN["certify", "certify"][1]
+
+
+# one built config per standing hypothesis of the dimension certificates,
+# edited from configs/certify.json, with the diagnostic certify gives for it
+GATE_FAILURES = {
+    "beta-at-least-mu": ('"sigma": 0.1', '"sigma": 3.0', "dissipativity condition"),
+    "no-energy-gap": ('"mu": 6.0', '"mu": 1.05', "energy gap mu - sigma - 1 <= 0"),
+    "incomplete-spectrum": ('"cutoff_radius": 3.0', '"cutoff_radius": 1e-3',
+                            "characteristic roots incomplete"),
+}
+SHIPPED_CONFIGS = {path.stem: path for path in (*sorted(CONFIGS.glob("*.json")),
+                                                *sorted(PERFBENCH_CONFIGS.glob("*.json")))}
+
+
+@pytest.mark.parametrize("case", [*SHIPPED_CONFIGS, *GATE_FAILURES])
+def test_certify_and_squeeze_refuse_the_same_configs(tmp_path, case):
+    """certify searches the dimension certificates and squeeze measures
+    only when the run's standing hypotheses hold, read from one gate: squeeze
+    exits 3 without an output directory exactly when certify's
+    certificate.json holds no search."""
+    if case in GATE_FAILURES:
+        old, new, diagnostic = GATE_FAILURES[case]
+        cfg = certify_config_with(tmp_path / "cfg.json", old, new)
+    else:
+        cfg = str(SHIPPED_CONFIGS[case])
+    certified, squeezed = tmp_path / "certify", tmp_path / "squeeze"
+    main(["certify", "--config", cfg, "--out", str(certified)])
+    cert = json.loads((certified / "certificate.json").read_text())
+    refused = (main(["squeeze", "--config", cfg, "--out", str(squeezed)]) == EXIT_INFEASIBLE
+               and not squeezed.exists())
+    assert refused == ("hausdorff" not in cert)
+    if case in GATE_FAILURES:
+        assert refused and any(diagnostic in line for line in cert["diagnostics"])
+
+
+@pytest.mark.parametrize("subcommand", ["certify", "simulate", "spectrum", "squeeze"])
+def test_negative_seed_flag_fails_the_run_seed_rule(tmp_path, capsys, subcommand):
+    """--seed replaces run.seed before the run options are checked, so it
+    fails with the config key's own rule and nothing is written."""
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(CONFIGS / "base.json"), "--out", str(out),
+                 "--seed", "-1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: run.seed must be nonnegative")
+    assert not out.exists()

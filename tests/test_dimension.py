@@ -242,10 +242,9 @@ def certified(config: str):
     path = root / "configs" / f"{config}.json"
     if not path.exists():
         path = root / "perfbench" / "configs" / f"{config}.json"
-    p, grid, run, seed = cli._load_config(str(path), None)
-    est = compute_estimates(p, cli._forcing_norm(p, grid), norm_phi0=run.history_norm)
-    spectral, _ = cli._spectral_bundle(p, grid, run, seed)
-    assert spectral.K_m is not None
+    p, grid, run = cli._load_config(str(path))
+    est, spectral, _, diagnostics = cli._certification(p, grid, run)
+    assert not diagnostics and spectral.K_m is not None
     return p, spectral, est
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters
-from delayrd.semigroup import gradient_norm
 from delayrd.solver import constant_history, history_from_function, integrate
 from delayrd.estimates import (
     absorbing_time,
@@ -15,7 +14,7 @@ from delayrd.estimates import (
     verify_far_field,
 )
 
-from conftest import dissipative_params, far_field_sups, heat_only_params
+from conftest import far_field_sups, gradient_sups, heat_only_params, norm_sups
 
 
 def test_constants_against_hand_formulas(dissipative):
@@ -130,12 +129,12 @@ def test_verify_absorption_on_trajectory(grid, dissipative):
     phi0 = 1.0 * np.exp(-0.5 * grid.nodes**2)
     phi = constant_history(phi0, grid, dissipative.tau, 16)
     traj = integrate(phi, horizon=6.0, p=dissipative)
-    report = verify_absorption(traj, est, T=4.0)
+    report = verify_absorption(norm_sups(traj), traj.dt, est, T=4.0)
     assert report["ok"]
     assert report["max_segment_norm"] <= est.c3 * 1.05
     assert report["from_time"] == pytest.approx(4.0)
     with pytest.raises(ValueError):
-        verify_absorption(traj, est, T=traj.horizon + 1.0)
+        verify_absorption(norm_sups(traj), traj.dt, est, T=traj.horizon + 1.0)
 
 
 def test_energy_integral_single_mode_oracle(grid):
@@ -150,7 +149,7 @@ def test_energy_integral_single_mode_oracle(grid):
     traj = integrate(phi, horizon=2.0, p=p)
 
     est = compute_estimates(p, norm_g=0.0, norm_phi0=0.0)
-    report = verify_energy_integral(traj, est)
+    report = verify_energy_integral(gradient_sups(traj), traj.dt, est)
 
     # oracle: segment gradient sup at step n is the gradient at the
     # oldest segment time, G0 e^{-kappa max(0, n - S) dt}
@@ -176,14 +175,15 @@ def test_energy_integral_grid_requirements(grid, dissipative):
     est = compute_estimates(dissipative, norm_g=1.0)
     short = integrate(phi, horizon=0.5, p=dissipative)
     with pytest.raises(ValueError, match="horizon"):
-        verify_energy_integral(short, est)
+        verify_energy_integral(gradient_sups(short), short.dt, est)
     # horizon 2: the last unit window starts at 1; past that none fits and
     # there is nothing to check, so the call fails rather than pass on -inf
     traj = integrate(phi, horizon=2.0, p=dissipative)
-    assert verify_energy_integral(traj, est, t_start=1.0)["argmax_window_start"] == 1.0
+    sups = gradient_sups(traj)
+    assert verify_energy_integral(sups, traj.dt, est, t_start=1.0)["argmax_window_start"] == 1.0
     for t_start in (1.5, 50.0):
         with pytest.raises(ValueError, match="horizon"):
-            verify_energy_integral(traj, est, t_start=t_start)
+            verify_energy_integral(sups, traj.dt, est, t_start=t_start)
 
     odd = ProblemParameters(
         mu=dissipative.mu, sigma=dissipative.sigma, tau=0.3, lf=dissipative.lf,
@@ -192,7 +192,7 @@ def test_energy_integral_grid_requirements(grid, dissipative):
     phi = constant_history(np.zeros(grid.points), grid, 0.3, 4)
     traj = integrate(phi, horizon=1.5, p=odd)  # dt = 0.075 does not divide 1
     with pytest.raises(ValueError, match="dt"):
-        verify_energy_integral(traj, est)
+        verify_energy_integral(gradient_sups(traj), traj.dt, est)
 
 
 def _compact_problem():

@@ -24,13 +24,12 @@ from delayrd.solver import (
     far_field_masses,
     history_from_function,
     integrate,
-    row_norms,
     segment_at,
     segment_norm,
     segment_sups,
 )
 
-from conftest import far_field_sups, heat_only_params
+from conftest import far_field_sups, gradient_sups, heat_only_params, norm_sups
 
 STEPS_PER_DELAY = 16  # tau = 0.5, so dt = 1/32
 
@@ -132,15 +131,10 @@ def test_window_sups_equal_segment_loop(traj):
         assert np.array_equal(window, loop_sups(traj, lambda seg: ref_far_field_mass(seg, K)))
         assert np.array_equal(window, loop_sups(traj, lambda seg: far_field_mass(seg, K)))
 
-    window = segment_sups(row_norms(hist, grid), row_norms(values, grid))
+    window = norm_sups(traj)
     assert np.array_equal(window, loop_sups(traj, ref_segment_norm))
     assert np.array_equal(window, loop_sups(traj, segment_norm))
-
-    def gradients(rows):
-        return np.array([gradient_norm(row, grid) for row in rows])
-
-    window = segment_sups(gradients(hist), gradients(values))
-    assert np.array_equal(window, loop_sups(traj, ref_gradient_sup))
+    assert np.array_equal(gradient_sups(traj), loop_sups(traj, ref_gradient_sup))
 
 
 def test_window_sups_keep_trailing_axes(traj):
@@ -156,7 +150,7 @@ def test_window_sups_keep_trailing_axes(traj):
 def test_verify_absorption_matches_segment_loop(traj, dissipative):
     est = compute_estimates(dissipative, norm_g=1.0)
     for T in (0.0, 3 * traj.dt, traj.horizon):
-        report = verify_absorption(traj, est, T)
+        report = verify_absorption(norm_sups(traj), traj.dt, est, T)
         worst, worst_t = ref_verify_absorption(traj, est, T)
         assert report["max_segment_norm"] == worst
         assert report["argmax_time"] == worst_t
@@ -171,7 +165,7 @@ def test_verify_absorption_ties_pick_the_first_maximum(grid):
     traj = integrate(flat, 1.0, p)
     est = compute_estimates(p, norm_g=0.0)
     T = 2 * traj.dt
-    report = verify_absorption(traj, est, T)
+    report = verify_absorption(norm_sups(traj), traj.dt, est, T)
     assert report["argmax_time"] == T
     assert (report["max_segment_norm"], report["argmax_time"]) == \
         ref_verify_absorption(traj, est, T)
@@ -180,7 +174,7 @@ def test_verify_absorption_ties_pick_the_first_maximum(grid):
 def test_energy_integral_matches_segment_loop(grid, dissipative):
     traj = integrate(wide_history(grid, dissipative.tau), 1.5, dissipative)
     est = compute_estimates(dissipative, norm_g=1.0)
-    report = verify_energy_integral(traj, est)
+    report = verify_energy_integral(gradient_sups(traj), traj.dt, est)
     assert (report["max_integral"], report["argmax_window_start"]) == ref_energy_integral(traj)
 
 

@@ -222,9 +222,9 @@ def test_cutoff_radius_validation(grid, dissipative):
     CLI's spectral stage, and fails as a configuration error."""
     with pytest.raises(ConfigError, match="positive"):
         RunOptions(cutoff_radius=-1.0)
-    _spectral_bundle(dissipative, grid, RunOptions(cutoff_radius=3.9), 0)  # 3.9 < 16/4
+    _spectral_bundle(dissipative, grid, RunOptions(cutoff_radius=3.9))  # 3.9 < 16/4
     with pytest.raises(ConfigError, match="L/4"):  # the boundary is excluded
-        _spectral_bundle(dissipative, grid, RunOptions(cutoff_radius=4.0), 0)
+        _spectral_bundle(dissipative, grid, RunOptions(cutoff_radius=4.0))
 
 
 def test_far_field_mass(grid):
