@@ -317,7 +317,8 @@ def eigenmode_pair(rng: np.random.Generator, grid: Grid, p: ProblemParameters,
 def _load_config(path: str, **flags):
     """(params, grid, run) of the config at ``path``.  Each flag given (not
     None) replaces its run key through `RunOptions`, so it passes the key's
-    own rule: ``seed=-1`` fails as "run.seed must be nonnegative"."""
+    own rule: ``seed=-1`` fails as "run.seed must be nonnegative and at most
+    2**64 - 1"."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -425,7 +426,7 @@ def cmd_simulate(config_path: str, out_dir: str, p: ProblemParameters, grid: Gri
         return np.stack([far_field_masses(rows, grid, K)
                          for K in (run.cutoff_radius, *radii)], axis=-1)
 
-    rows = chain([phi.samples[-1]], (w[-1] for w in evolve(phi, steps, p)))
+    rows = chain([phi.samples[-1]], chain.from_iterable(evolve(phi, steps, p)))
     norms, masses = [], []
     while block := list(islice(rows, S)):
         for n, row in enumerate(block, start=len(norms)):

@@ -194,7 +194,8 @@ class RunOptions:
     cutoff_radius: float = _positive(default=3.0)
     modes: int = _count(8)
     m_cut: int = _count(3)
-    seed: int = _nonnegative(default=0)
+    seed: int = _rule(lambda v: 0 <= v <= 2**64 - 1, "must be nonnegative and at most 2**64 - 1",
+                      default=0)
     ensemble: int = _count(20)
     snapshot_every: int = _nonnegative(default=0)
     eps: float = _positive(default=1e-3)

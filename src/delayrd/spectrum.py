@@ -21,12 +21,15 @@ polished by Newton on the characteristic equation and residual-checked.
 The per-mode equation is stepped by the PDE integrator's `solver.march`
 with the scalar decay exp(-(mu + mu_{m,K}) dt) as propagator: one mode in
 `linear_delay_evolve`, all sampled modes as one batch in the dichotomy.
+Their rows are small, so the march advances a delay interval at a time.
+The dichotomy reduces each marched block to per-row squared sums, one
+`reduceat`, and a segment norm at a read-out step is the square root of
+the max of the last S + 1 sums; only those sums are held.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -355,8 +358,8 @@ def linear_delay_evolve(mode_history, p: ProblemParameters, mode_eig: float,
     dt = p.tau / (hist.size - 1)
     decay = math.exp(-(p.mu + mode_eig) * dt)
     n_steps = step_count(horizon, dt)
-    steps = march(hist, n_steps, dt, lambda v: decay * v, lambda d: p.sigma * d)
-    return dt * np.arange(n_steps + 1), np.array([hist[-1], *(rows[-1] for rows in steps)])
+    blocks = march(hist, n_steps, dt, lambda v: decay * v, lambda d: p.sigma * d)
+    return dt * np.arange(n_steps + 1), np.concatenate([hist[-1:], *blocks])
 
 
 # --- dichotomy constant ----------------------------------------------------
@@ -443,24 +446,31 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
                                                     + c2[:, None] * np.sin(phases))
     batch = np.zeros((S + 1, len(eigs)))
     np.add.at(batch.T, cols, terms)
+    del phases, terms  # not held through the march, whose blocks take their place
     decay = np.array([math.exp(-(p.mu + eig) * dt) for eig in eigs])
 
-    def seg_norms(window) -> np.ndarray:
+    def row_sums(rows) -> np.ndarray:
         # squared amplitudes summed over each sample's modes in draw order,
-        # row by row; the segment norm is the square root of their max
-        rows = np.asarray(window)
-        return np.sqrt(np.add.reduceat(rows * rows, starts, axis=1).max(axis=0))
+        # row by row; a segment norm is the square root of their max
+        return np.add.reduceat(rows * rows, starts, axis=1)
 
-    base = seg_norms(batch)
+    def ratios(n, sums) -> list:
+        # the overshoot at step n from the sums of its segment's rows
+        norms = np.sqrt(sums.max(axis=0))
+        return (norms[live] / (math.exp(rho_m * (n * dt)) * base[live])).tolist()
+
+    window = row_sums(batch)  # the sums of the segment's rows n - S .. n, at n = 0 first
+    base = np.sqrt(window.max(axis=0))
     live = base != 0.0
-    marks = set(t_grid)
-    steps = march(batch, t_grid[-1], dt, lambda v: decay * v, lambda d: p.sigma * d)
-    sample_max = 0.0
-    for n, window in enumerate(itertools.chain([batch], steps)):
-        if n in marks:
-            t = n * dt
-            ratios = seg_norms(window)[live] / (math.exp(rho_m * t) * base[live])
-            sample_max = max([sample_max, *ratios.tolist()])
+    sample_max = max([0.0, *ratios(0, window)])
+    n = 0
+    for block in march(batch, t_grid[-1], dt, lambda v: decay * v, lambda d: p.sigma * d):
+        sums = np.concatenate([window, row_sums(block)])  # rows n - S .. n + len(block)
+        for mark in t_grid:
+            if n < mark <= n + len(block):
+                sample_max = max([sample_max, *ratios(mark, sums[mark - n:mark - n + S + 1])])
+        n += len(block)
+        window = sums[-(S + 1):]
 
     return {
         "K_m": DICHOTOMY_SAFETY * sample_max,

@@ -216,7 +216,7 @@ def _group_ratios(group, times, p: ProblemParameters, ps: ProjectionSet):
     steps = [grid_step(t, hist.dt) for t in times]
     measured = {r for n in steps for r in range(n - S, n + 1)}
     norms, sups = deque(maxlen=S + 1), {}
-    rows = chain(hist.samples, (w[-1] for w in evolve(hist, max(steps), p)))
+    rows = chain(hist.samples, chain.from_iterable(evolve(hist, max(steps), p)))
     for r, row in enumerate(rows, start=-S):
         norms.append(row_norms(ps.parts(row[0::2] - row[1::2]), ps.grid)
                      if r in measured else None)

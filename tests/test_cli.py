@@ -924,3 +924,17 @@ def test_negative_seed_flag_fails_the_run_seed_rule(tmp_path, capsys, subcommand
                  "--seed", "-1"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: run.seed must be nonnegative")
     assert not out.exists()
+
+
+def test_seed_is_a_64_bit_integer(tmp_path, capsys):
+    """run.seed runs from 0 to 2**64 - 1: one past the top fails the key's
+    rule and writes nothing, and the top itself runs and is recorded."""
+    cfg = str(CONFIGS / "base.json")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out),
+                 "--seed", "18446744073709551616"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: run.seed must be")
+    assert not out.exists()
+    assert main(["spectrum", "--config", cfg, "--out", str(out),
+                 "--seed", "18446744073709551615"]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 2**64 - 1

@@ -15,9 +15,11 @@ from delayrd.model import (
 )
 from delayrd.semigroup import apply_semigroup
 from delayrd.solver import (
+    INTERVAL_ROW_FLOATS,
     DivergenceError,
     HistorySegment,
     constant_history,
+    evolve,
     far_field_mass,
     grid_step,
     history_from_function,
@@ -154,11 +156,42 @@ def test_divergence_raises_with_step_index(grid):
     assert info.value.step >= 1
 
 
-@pytest.mark.parametrize("horizon", [0.25, 1.5])  # below and above tau = 0.5
+@pytest.mark.parametrize("batch", [1, 3])  # rows of 512 and 1536 floats: both loops
+def test_divergence_step_matches_loop_reference(rng, grid, batch):
+    """A history that grows past the float range diverges at the step where
+    the reference loop first holds a non-finite row, in the middle of a
+    delay interval; `march` yields every row before it, all finite."""
+    p = ProblemParameters(
+        mu=0.2, sigma=20.0, tau=0.5, lf=0.0,
+        forcing=ForcingSpec(), nonlinearity=NonlinearitySpec(),
+    )
+    hists = [constant_history(np.full(grid.points, 1e300 * (1.0 + rng.random())),
+                              grid, p.tau, 8) for _ in range(batch)]
+    stacked = HistorySegment(np.stack([h.samples for h in hists], axis=1), grid, p.tau, 8)
+    assert (batch * grid.points > INTERVAL_ROW_FLOATS) == (batch > 1)
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        refs = [loop_integrate(h, 8.0, p) for h in hists]
+        with pytest.raises(DivergenceError) as info:
+            integrate(stacked, 8.0, p)
+        with pytest.raises(DivergenceError) as marched:
+            for block in evolve(stacked, step_count(8.0, stacked.dt), p):
+                rows.extend(block)
+    step = min(int(np.argmin(np.isfinite(ref).all(axis=1))) for ref in refs)
+    assert step > 8 and step % 8
+    assert info.value.step == marched.value.step == step
+    assert len(rows) == step - 1 and np.isfinite(rows).all()
+
+
+@pytest.mark.parametrize("horizon", [0.25, 1.25, 1.5])  # below tau = 0.5, partial, whole intervals
 @pytest.mark.parametrize("batch", [2, 3])
 def test_batched_integrate_matches_loop_reference(rng, grid, dissipative, horizon, batch):
     """Each column of a batched run, and each run of one history alone,
-    equals the reference loop exactly (nonlinearity and forcing on)."""
+    equals the reference loop exactly (nonlinearity and forcing on).  Rows
+    of two columns hold exactly `INTERVAL_ROW_FLOATS` floats and march an
+    interval at a time, rows of three step one by one; a horizon of 1.25
+    ends in a partial interval (4 of its 8 steps)."""
+    assert 2 * grid.points == INTERVAL_ROW_FLOATS
     S = 8
     hists = [random_history(rng, grid, dissipative.tau, S, 1.0) for _ in range(batch)]
     stacked = HistorySegment(np.stack([h.samples for h in hists], axis=1),

@@ -1,13 +1,15 @@
 import cmath
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import lambertw
 
+from delayrd import solver
 from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters, parse_config
-from delayrd.solver import history_from_function, integrate
+from delayrd.solver import DivergenceError, history_from_function, integrate, march
 from delayrd.spectrum import (
     ROOT_RESIDUAL_TOL,
     characteristic_roots,
@@ -243,14 +245,49 @@ def loop_linear_delay_evolve(hist, p, mode_eig, horizon):
     return values
 
 
-@pytest.mark.parametrize("horizon", [0.3, 4.0])  # below and above tau = 1
-def test_linear_evolve_matches_loop_reference(horizon):
+@pytest.mark.parametrize("horizon,row_floats", [
+    pytest.param(0.3, None, id="0.3"),  # below tau = 1
+    pytest.param(4.0, None, id="4.0"),  # whole intervals
+    pytest.param(2.7, None, id="2.7"),  # a partial last interval
+    pytest.param(2.7, 1, id="2.7-rows-at-threshold"),
+    pytest.param(2.7, 0, id="2.7-rows-above-threshold"),
+])
+def test_linear_evolve_matches_loop_reference(monkeypatch, horizon, row_floats):
+    """Equal to the loop exactly, marched an interval at a time (the rows of
+    one float are at or below `solver.INTERVAL_ROW_FLOATS`) or, with the
+    threshold lowered below them, step by step."""
+    if row_floats is not None:
+        monkeypatch.setattr(solver, "INTERVAL_ROW_FLOATS", row_floats)
     p = linear_problem(mu=1.5, sigma=0.7, tau=1.0)
     hist = np.cos(3.0 * np.linspace(-1.0, 0.0, 33)) + 0.2
     for eig in (0.0, 2.3):
         times, values = linear_delay_evolve(hist, p, eig, horizon)
         assert np.array_equal(values, loop_linear_delay_evolve(hist, p, eig, horizon))
         assert np.array_equal(times, p.tau / 32 * np.arange(values.size))
+
+
+@pytest.mark.parametrize("row_floats", [None, 0], ids=["interval", "per-step"])
+def test_linear_evolve_divergence_step_matches_loop_reference(monkeypatch, row_floats):
+    """A 1e308 history with sigma > mu grows past the float range at the
+    step where the loop first holds inf, 55, inside the second interval of
+    32 steps; `march` yields every row before it, all finite."""
+    if row_floats is not None:
+        monkeypatch.setattr(solver, "INTERVAL_ROW_FLOATS", row_floats)
+    p = linear_problem(mu=0.2, sigma=0.7, tau=1.0)
+    hist = np.full(33, 1e308)
+    decay = math.exp(-p.mu * p.tau / 32)
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = loop_linear_delay_evolve(hist, p, 0.0, 4.0)
+        with pytest.raises(DivergenceError) as info:
+            linear_delay_evolve(hist, p, 0.0, 4.0)
+        with pytest.raises(DivergenceError) as marched:
+            for block in march(hist, 128, p.tau / 32, lambda v: decay * v, lambda d: p.sigma * d):
+                rows.extend(block)
+    step = int(np.argmin(np.isfinite(ref)))
+    assert step == 55
+    assert info.value.step == marched.value.step == step
+    assert len(rows) == step - 1 and np.isfinite(rows).all()
 
 
 def test_linear_evolve_validation():
@@ -374,16 +411,19 @@ def config_path(name: str) -> pathlib.Path:
     return next(d / f"{name}.json" for d in CONFIG_DIRS if (d / f"{name}.json").exists())
 
 
-@pytest.mark.parametrize("config,seed,samples", [
-    pytest.param("base", 1, 32, id="1-32"),
-    pytest.param("base", 2, 16, id="2-16"),
-    pytest.param("certify-sweep-1", 0, 64, id="certify-sweep-1"),
-    pytest.param("certify-sweep-4", 0, 64, id="certify-sweep-4"),
-    *(pytest.param(name, seed, None, id=f"{name}-seed{seed}")
+@pytest.mark.parametrize("config,seed,samples,row_floats", [
+    pytest.param("base", 1, 32, None, id="1-32"),
+    pytest.param("base", 2, 16, None, id="2-16"),
+    pytest.param("certify-sweep-1", 0, 64, None, id="certify-sweep-1"),
+    pytest.param("certify-sweep-4", 0, 64, None, id="certify-sweep-4"),
+    pytest.param("base", 1, 32, 0, id="1-32-per-step"),
+    pytest.param("certify-sweep-1", 0, 64, 0, id="certify-sweep-1-per-step"),
+    pytest.param("certify-sweep-4", 0, 64, 0, id="certify-sweep-4-per-step"),
+    *(pytest.param(name, seed, None, None, id=f"{name}-seed{seed}")
       for name in SHIPPED_CONFIGS for seed in (0, 7)
       if (name, seed) not in {("certify-sweep-1", 0), ("certify-sweep-4", 0)}),
 ])
-def test_dichotomy_batch_matches_per_sample_loop(config, seed, samples):
+def test_dichotomy_batch_matches_per_sample_loop(monkeypatch, config, seed, samples, row_floats):
     """The batch sums each sample's modes only with each other: over many
     samples of differing mode counts the estimate equals the per-sample
     reference loop exactly.  On certify-sweep-1 and -4 (at the seed and
@@ -392,7 +432,11 @@ def test_dichotomy_batch_matches_per_sample_loop(config, seed, samples):
     ``dichotomy_samples``, as certify runs it at that seed.  The batched
     draws take exactly the loop's stream: `take` pairs of normals at once
     are the `take` single pairs the loop draws, so both generators end in
-    the same state."""
+    the same state.  The march takes whole intervals (rows of at most 256
+    floats, the last interval partial), or single steps once
+    ``row_floats`` lowers `solver.INTERVAL_ROW_FLOATS` below the rows."""
+    if row_floats is not None:
+        monkeypatch.setattr(solver, "INTERVAL_ROW_FLOATS", row_floats)
     p, _, run = parse_config(config_path(config).read_text())
     samples = run.dichotomy_samples if samples is None else samples
     spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)
@@ -403,6 +447,35 @@ def test_dichotomy_batch_matches_per_sample_loop(config, seed, samples):
     assert report["K_m"] == ref["K_m"]
     assert report["times"] == ref["times"]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+#: The traced peak of `dichotomy_constant` under the per-step march it used
+#: before the interval march, on each certify-sweep config: 875.5 to 876.3 kB
+#: (a second call in the process; Python 3.11.7, numpy 2.4.6).
+PER_STEP_DICHOTOMY_PEAK = 875_000
+
+
+@pytest.mark.parametrize("config", [name for name in SHIPPED_CONFIGS
+                                    if name.startswith("certify-sweep")])
+def test_dichotomy_peak_stays_below_the_per_step_march(config):
+    """The interval march holds a block and its loads where the per-step one
+    held S + 1 rows, and the read-out keeps the row sums of one segment and
+    one block, not of the whole march: the traced peak stays at or below the
+    per-step march's (measured 775 kB; keeping every row sum reached 1.8 MB)."""
+    p, _, run = parse_config(config_path(config).read_text())
+    spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            dichotomy_constant(p, spectral, run.dichotomy_samples,
+                               rng=np.random.default_rng(np.random.PCG64(run.seed)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak()  # warm-up: first-call caches are not part of the march
+    assert peak() <= PER_STEP_DICHOTOMY_PEAK
 
 
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
