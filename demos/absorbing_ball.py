@@ -42,17 +42,20 @@ print(f"\ncertified doubling increment ln2/(mu-beta) = {slack:.4f}")
 D = 10.0 * est.c3
 T_D = absorbing_time(p, est, D)
 rng = np.random.default_rng(7)
-phi = random_history(rng, grid, p.tau, 32, 0.9 * D)
-traj = integrate(phi, T_D + 2.0 + p.tau, p)
+S = 32
+phi = random_history(rng, grid, p.tau, S, 0.9 * D)
+values = integrate(phi, T_D + 2.0 + p.tau, p, grid)
+dt = p.tau / S
 
-print(f"\nstart norm {segment_norm(phi):.4f}, certified entry by T_D = {T_D:.4f}")
-sups = segment_sups(row_norms(phi.samples, grid), row_norms(traj.values, grid))
-report = verify_absorption(sups, traj.dt, est, T_D)
+print(f"\nstart norm {segment_norm(phi, grid):.4f}, certified entry by T_D = {T_D:.4f}")
+sups = segment_sups(row_norms(phi, grid), row_norms(values, grid))
+report = verify_absorption(sups, dt, est, T_D)
 print(f"measured sup after T_D: {report['max_segment_norm']:.4f} "
       f"(threshold {report['threshold']:.4f}, ok={report['ok']})")
 
 # the actual crossing is usually much earlier than the certificate
-t = p.tau
-while segment_norm(segment_at(traj, t)) > est.c3:
-    t += traj.dt
+t, n = p.tau, S
+while segment_norm(segment_at(phi, values, n), grid) > est.c3:
+    t += dt
+    n += 1
 print(f"first segment inside the ball at t = {t:.3f}")

@@ -33,8 +33,6 @@ from .semigroup import (
 )
 from .solver import (
     DivergenceError,
-    HistorySegment,
-    Trajectory,
     constant_history,
     far_field_mass,
     history_from_function,
@@ -88,7 +86,6 @@ __all__ = [
     "EstimateSet",
     "ForcingSpec",
     "Grid",
-    "HistorySegment",
     "ModeRoots",
     "NonlinearitySpec",
     "ProblemParameters",
@@ -96,7 +93,6 @@ __all__ = [
     "RunOptions",
     "SemigroupStepper",
     "SpectralData",
-    "Trajectory",
     "absorbing_time",
     "analytic_bounds",
     "apply_semigroup",

@@ -11,6 +11,10 @@ Five subcommands drive the library end to end:
 Exit codes: 0 success, 2 configuration error, 3 infeasible certificate,
 4 numerical divergence.
 
+A history is the (S + 1, P) array of its rows on the run's grid:
+`random_history` draws one, and `random_pair` and `eigenmode_pair` draw
+pairs of them for ``squeeze``.
+
 `main` sets up every run with `_load_config`: ``--seed`` and
 ``--snapshot-every`` replace ``run.seed`` and ``run.snapshot_every`` and
 pass those keys' `RunOptions` rules.  ``certify`` and ``squeeze`` share
@@ -62,7 +66,6 @@ from .model import (
 from .semigroup import field_norm
 from .solver import (
     DivergenceError,
-    HistorySegment,
     evolve,
     far_field_masses,
     grid_step,
@@ -176,15 +179,22 @@ def write_snapshot(path: str, field_values: np.ndarray, half_length: float, t: f
 
 
 def read_snapshot(path: str):
+    """(values, half_length, t) of a `write_snapshot` file; ValueError for a
+    file that is not one, or is shorter than its header or its values."""
     with open(path, "rb") as handle:
         blob = handle.read()
+    header = struct.calcsize("<4sIQdd")
+    if len(blob) < header:
+        raise ValueError(f"truncated snapshot header: {len(blob)} of {header} bytes")
     magic, version, npoints, half_length, t = struct.unpack_from("<4sIQdd", blob, 0)
     if magic != SNAPSHOT_MAGIC:
         raise ValueError("not a field snapshot file")
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
-    values = np.frombuffer(blob, dtype="<f8", offset=struct.calcsize("<4sIQdd"),
-                           count=npoints)
+    if len(blob) - header < 8 * npoints:
+        raise ValueError(f"truncated snapshot values: {len(blob) - header} of "
+                         f"{8 * npoints} bytes")
+    values = np.frombuffer(blob, dtype="<f8", offset=header, count=npoints)
     return values.copy(), half_length, t
 
 
@@ -234,8 +244,9 @@ class RunManifest:
 
 def random_history(rng: np.random.Generator, grid: Grid, tau: float,
                    steps_per_delay: int, norm: float, modes: int = 6,
-                   support: float = None) -> HistorySegment:
-    """Draw a smooth random history with a prescribed segment norm.
+                   support: float = None) -> np.ndarray:
+    """Draw the (S + 1, P) rows of a smooth random history with a prescribed
+    segment norm.
 
     The field is a Gaussian-envelope superposition of low trigonometric
     modes, blended smoothly in theta between two independent draws, then
@@ -259,17 +270,17 @@ def random_history(rng: np.random.Generator, grid: Grid, tau: float,
     thetas = np.linspace(-tau, 0.0, steps_per_delay + 1)
     weight = 0.5 * (1.0 + np.cos(np.pi * (thetas + tau) / tau))  # 1 at -tau, 0 at 0
     samples = np.outer(weight, f0) + np.outer(1.0 - weight, f1)
-    seg = HistorySegment(samples, grid, tau, steps_per_delay)
-    current = segment_norm(seg)
+    current = segment_norm(samples, grid)
     if current == 0.0 or norm == 0.0:
-        return HistorySegment(np.zeros_like(samples), grid, tau, steps_per_delay)
-    return HistorySegment(samples * (norm / current), grid, tau, steps_per_delay)
+        return np.zeros_like(samples)
+    return samples * (norm / current)
 
 
 def random_pair(rng: np.random.Generator, grid: Grid, tau: float,
                 steps_per_delay: int, norm: float, separation: float,
                 modes: int = 10, support: float = None):
-    """A base history and a broadband perturbation of it.
+    """A base history and a broadband perturbation of it, as two (S + 1, P)
+    row arrays.
 
     The perturbation mixes more (and higher) modes than the base so the
     difference has content in all three projection ranges; ``support``
@@ -279,14 +290,14 @@ def random_pair(rng: np.random.Generator, grid: Grid, tau: float,
     support = grid.half_length / 2.5 if support is None else support
     bump = random_history(rng, grid, tau, steps_per_delay, separation,
                           modes=modes, support=support)
-    psi = HistorySegment(phi.samples + bump.samples, grid, tau, steps_per_delay)
-    return phi, psi
+    return phi, phi + bump
 
 
 def eigenmode_pair(rng: np.random.Generator, grid: Grid, p: ProblemParameters,
                    spectral, steps_per_delay: int, norm: float,
                    separation: float, modes_used: int = 6):
-    """A pair whose difference lies in the span of the inside modes.
+    """A pair of (S + 1, P) history row arrays whose difference lies in the
+    span of the inside modes.
 
     The perturbation combines the first ``modes_used`` Dirichlet sine
     modes of Omega_K (zero-extended), each carried backward in theta by
@@ -303,12 +314,10 @@ def eigenmode_pair(rng: np.random.Generator, grid: Grid, p: ProblemParameters,
         rho_j = max((r.real for r in mr.roots if r.imag == 0),
                     default=mr.roots[0].real)
         bump += (rng.standard_normal() / j) * np.outer(np.exp(rho_j * thetas), mode)
-    seg = HistorySegment(bump, grid, p.tau, steps_per_delay)
-    scale = segment_norm(seg)
+    scale = segment_norm(bump, grid)
     if scale > 0:
         bump = bump * (separation / scale)
-    psi = HistorySegment(phi.samples + bump, grid, p.tau, steps_per_delay)
-    return phi, psi
+    return phi, phi + bump
 
 
 # --- shared pipeline pieces ---------------------------------------------------
@@ -426,7 +435,7 @@ def cmd_simulate(config_path: str, out_dir: str, p: ProblemParameters, grid: Gri
         return np.stack([far_field_masses(rows, grid, K)
                          for K in (run.cutoff_radius, *radii)], axis=-1)
 
-    rows = chain([phi.samples[-1]], chain.from_iterable(evolve(phi, steps, p)))
+    rows = chain([phi[-1]], chain.from_iterable(evolve(phi, steps, p, grid)))
     norms, masses = [], []
     while block := list(islice(rows, S)):
         for n, row in enumerate(block, start=len(norms)):
@@ -434,7 +443,7 @@ def cmd_simulate(config_path: str, out_dir: str, p: ProblemParameters, grid: Gri
             if run.snapshot_every > 0 and n % run.snapshot_every == 0:
                 manifest.save(f"field_{n:08d}.bin", write_snapshot, row, grid.half_length, n * dt)
         masses.append(tails(np.stack(block)))
-    sups = segment_sups(tails(phi.samples), np.concatenate(masses))
+    sups = segment_sups(tails(phi), np.concatenate(masses))
 
     manifest.save("norms.csv", write_csv, ("t", "norm_u", "farfield_mass"),
                   [(n * dt, norm, sups[n, 0]) for n, norm in enumerate(norms)])

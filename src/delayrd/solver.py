@@ -31,6 +31,10 @@ demos and the trajectory checks of `estimates`.  `spectrum` marches a
 scalar decay per Dirichlet mode.  Rows may carry a batch axis, so several
 histories or a set of modes advance as one array.
 
+A history is the array of its S + 1 rows u(theta_j), theta_j = -tau + j dt,
+shaped (S + 1, [B,] P), and a trajectory the (N + 1, [B,] P) array of rows
+u(0) .. u(N dt); the grid and the parameters travel next to them, so
+``evolve(hist, n_steps, p, grid)`` takes dt = p.tau / S from the row count.
 A segment u_t is a window of S + 1 consecutive history/solution rows, so
 every segment sup (norm, far-field mass, gradient sup) is a per-row quantity
 reduced by one sliding-window max, `segment_sups`; `segment_at` copies out
@@ -43,7 +47,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,8 +56,6 @@ from .semigroup import SemigroupStepper
 
 __all__ = [
     "DivergenceError",
-    "HistorySegment",
-    "Trajectory",
     "constant_history",
     "evolve",
     "far_field_mass",
@@ -79,86 +80,27 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class HistorySegment:
-    """A function segment theta -> u(t + theta), theta in [-tau, 0].
-
-    Samples sit at uniform times theta_j = -tau + j * dt with
-    dt = tau / steps_per_delay; between samples the segment is understood
-    as piecewise linear.  Row j of ``samples`` is the field at theta_j,
-    shaped (P,), or (B, P) for a batch of B segments advanced together.
-    """
-
-    samples: np.ndarray
-    grid: Grid
-    tau: float
-    steps_per_delay: int
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        rows, points = self.steps_per_delay + 1, self.grid.points
-        if samples.ndim not in (2, 3) or (samples.shape[0], samples.shape[-1]) != (rows, points):
-            raise ValueError(
-                f"segment shape {samples.shape}, expected ({rows}, [B,] {points})"
-            )
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def dt(self) -> float:
-        return self.tau / self.steps_per_delay
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return -self.tau + self.dt * np.arange(self.steps_per_delay + 1)
-
-    def value_at(self, theta: float) -> np.ndarray:
-        """Piecewise-linear evaluation at an arbitrary theta in [-tau, 0]."""
-        if theta < -self.tau - 1e-12 or theta > 1e-12:
-            raise ValueError("theta outside [-tau, 0]")
-        pos = (theta + self.tau) / self.dt
-        j = min(int(pos), self.steps_per_delay - 1)
-        w = pos - j
-        return (1.0 - w) * self.samples[j] + w * self.samples[j + 1]
-
-
-def history_from_function(func, grid: Grid, tau: float, steps_per_delay: int) -> HistorySegment:
-    """Sample a history phi(x, theta) from a callable of (x, theta)."""
+def history_from_function(func, grid: Grid, tau: float, steps_per_delay: int) -> np.ndarray:
+    """The (S + 1, P) history rows of a callable phi(x, theta): row j is
+    phi at the nodes and theta_j = -tau + j dt, dt = tau / steps_per_delay."""
     dt = tau / steps_per_delay
     x = grid.nodes
-    rows = [np.asarray(func(x, -tau + j * dt), dtype=float)
-            for j in range(steps_per_delay + 1)]
-    return HistorySegment(np.stack(rows), grid, tau, steps_per_delay)
+    return np.stack([np.asarray(func(x, -tau + j * dt), dtype=float)
+                     for j in range(steps_per_delay + 1)])
 
 
-def constant_history(values: np.ndarray, grid: Grid, tau: float,
-                     steps_per_delay: int) -> HistorySegment:
+def constant_history(values: np.ndarray, steps_per_delay: int) -> np.ndarray:
     """History frozen at a single row of node values for all theta."""
-    samples = np.tile(values, (steps_per_delay + 1, 1))
-    return HistorySegment(samples, grid, tau, steps_per_delay)
+    return np.tile(np.asarray(values, dtype=float), (steps_per_delay + 1, 1))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Solution samples u(0), u(dt), ..., u(n dt) plus the initial history."""
-
-    values: np.ndarray
-    grid: Grid
-    dt: float
-    history: HistorySegment
-
-    @property
-    def steps(self) -> int:
-        return self.values.shape[0] - 1
-
-    @property
-    def horizon(self) -> float:
-        return self.steps * self.dt
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.values.shape[0])
+def _history_step(hist: np.ndarray, p: ProblemParameters, grid: Grid) -> float:
+    """dt = tau / S of a history of S + 1 rows shaped (S + 1, [B,] P), S >= 1;
+    ValueError for any other shape."""
+    if hist.ndim not in (2, 3) or len(hist) < 2 or hist.shape[-1] != grid.points:
+        raise ValueError(f"history shape {hist.shape}, expected (S + 1, [B,] {grid.points})"
+                         " with S >= 1")
+    return p.tau / (len(hist) - 1)
 
 
 #: Largest row, in floats, that `march` advances a whole delay interval at a
@@ -234,14 +176,14 @@ def march(hist, n_steps: int, dt: float, propagate, load):
         np.multiply(half, load(block), out=loads[1:m + 1])
 
 
-def evolve(phi: HistorySegment, n_steps: int, p: ProblemParameters):
-    """`march` of the equation from ``phi``: S(dt) on fields and the delayed
-    load sigma u + f(u) + g.  ``p.tau`` must equal ``phi.tau``; batched
-    samples (S + 1, B, P) advance as B independent solutions."""
-    if abs(phi.tau - p.tau) > 1e-12 * max(1.0, p.tau):
-        raise ValueError("history tau does not match problem tau")
-    g = evaluate_forcing(p.forcing, phi.grid.nodes)
-    stepper = SemigroupStepper(phi.grid, p.mu, phi.dt)
+def evolve(hist: np.ndarray, n_steps: int, p: ProblemParameters, grid: Grid):
+    """`march` of the equation from the history rows ``hist``, with
+    dt = p.tau / (len(hist) - 1): S(dt) on fields and the delayed load
+    sigma u + f(u) + g.  A batched history (S + 1, B, P) advances as B
+    independent solutions."""
+    dt = _history_step(hist, p, grid)
+    g = evaluate_forcing(p.forcing, grid.nodes)
+    stepper = SemigroupStepper(grid, p.mu, dt)
 
     def load(d: np.ndarray) -> np.ndarray:
         h = p.sigma * d
@@ -249,26 +191,26 @@ def evolve(phi: HistorySegment, n_steps: int, p: ProblemParameters):
         h += g
         return h
 
-    return march(phi.samples, n_steps, phi.dt, stepper.step, load)
+    return march(hist, n_steps, dt, stepper.step, load)
 
 
-def integrate(phi: HistorySegment, horizon: float, p: ProblemParameters) -> Trajectory:
-    """Integrate the equation from ``phi`` to ``horizon`` (>= 0, rounded up
-    to whole steps dt = tau / steps_per_delay), storing every row.
-
-    Batched samples (S + 1, B, P) give values shaped (N + 1, B, P).  A
-    non-finite field raises `DivergenceError` with the step index.
+def integrate(hist: np.ndarray, horizon: float, p: ProblemParameters,
+              grid: Grid) -> np.ndarray:
+    """Integrate the equation from the history rows ``hist`` to ``horizon``
+    (>= 0, rounded up to whole steps dt = p.tau / (len(hist) - 1)) and
+    return every row u(0), u(dt), ..., u(N dt), shaped (N + 1, [B,] P).
+    A non-finite field raises `DivergenceError` with the step index.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    n_steps = step_count(horizon, phi.dt)
-    values = np.empty((n_steps + 1, *phi.samples.shape[1:]))
-    values[0] = phi.samples[-1]
+    n_steps = step_count(horizon, _history_step(hist, p, grid))
+    values = np.empty((n_steps + 1, *hist.shape[1:]))
+    values[0] = hist[-1]
     n = 1
-    for block in evolve(phi, n_steps, p):
+    for block in evolve(hist, n_steps, p, grid):
         values[n:n + len(block)] = block
         n += len(block)
-    return Trajectory(values=values, grid=phi.grid, dt=phi.dt, history=phi)
+    return values
 
 
 def step_count(t: float, dt: float) -> int:
@@ -288,20 +230,15 @@ def grid_step(t: float, dt: float) -> int:
     return int(round(x))
 
 
-def segment_at(traj: Trajectory, t: float) -> HistorySegment:
-    """Extract the segment u_t(theta) = u(t + theta) from a trajectory.
-
-    ``t`` must be aligned to the step grid and lie within [0, horizon];
-    for t < tau the segment mixes initial-history samples with computed
-    ones.
-    """
-    n = grid_step(t, traj.dt)
-    if n > traj.steps:
-        raise ValueError(f"time {t} outside the trajectory range")
-    S = traj.history.steps_per_delay
-    # rows n .. n + S of concat(history[:-1], values), copied
-    rows = np.concatenate([traj.history.samples[min(n, S):S], traj.values[max(0, n - S):n + 1]])
-    return HistorySegment(rows, traj.grid, traj.history.tau, S)
+def segment_at(hist: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Copy of the segment u_{n dt}(theta) = u(n dt + theta): rows n .. n + S
+    of concat(hist[:-1], values), for the history ``hist`` (S + 1 rows)
+    and the trajectory rows ``values`` that `integrate` returns from it.
+    For n < S the segment mixes history rows with computed ones."""
+    if not 0 <= n < len(values):
+        raise ValueError(f"step {n} outside the trajectory range")
+    S = len(hist) - 1
+    return np.concatenate([hist[min(n, S):S], values[max(0, n - S):n + 1]])
 
 
 def segment_sups(hist_q, traj_q) -> np.ndarray:
@@ -322,9 +259,9 @@ def row_norms(samples: np.ndarray, grid: Grid) -> np.ndarray:
     return np.sqrt(grid.spacing * np.sum(samples * samples, axis=-1))
 
 
-def segment_norm(seg: HistorySegment) -> float:
-    """Segment sup-norm: max over sample times of the grid L2 norm."""
-    return float(np.max(row_norms(seg.samples, seg.grid)))
+def segment_norm(samples: np.ndarray, grid: Grid) -> float:
+    """Segment sup-norm: max over the rows of ``samples`` of the grid L2 norm."""
+    return float(np.max(row_norms(samples, grid)))
 
 
 def far_field_masses(samples: np.ndarray, grid: Grid, K: float) -> np.ndarray:
@@ -336,6 +273,7 @@ def far_field_masses(samples: np.ndarray, grid: Grid, K: float) -> np.ndarray:
     return grid.spacing * np.sum(tail, axis=-1)
 
 
-def far_field_mass(seg: HistorySegment, K: float) -> float:
-    """Largest tail mass over the segment: sup_j integral_{|x| >= K} u(theta_j)^2 dx."""
-    return float(np.max(far_field_masses(seg.samples, seg.grid, K)))
+def far_field_mass(samples: np.ndarray, grid: Grid, K: float) -> float:
+    """Largest tail mass over the rows of ``samples``:
+    sup_j integral_{|x| >= K} u(theta_j)^2 dx."""
+    return float(np.max(far_field_masses(samples, grid, K)))

@@ -22,25 +22,27 @@ with
 `dimension.eta` and `dimension.zeta` assemble the contraction numbers from
 the same four.
 
-`measure_contraction` marches its pairs in groups, written into one batch,
-and materializes no segment: each difference row gets its P, Q and R norms
-once, as it arrives (only rows inside some measured window), and the sup
-at a contraction step n is the max of those row norms over the window of
-rows n - S .. n.
+A history is the (S + 1, P) array of its rows on ``ps.grid``, and a pair
+is two of them; `project_P`, `project_Q` and `project_R` return the part of
+an array of rows.  `measure_contraction` marches its pairs in groups,
+written into one batch, and materializes no segment: each difference row
+gets its P, Q and R norms once, as it arrives (only rows inside some
+measured window), and the sup at a contraction step n is the max of those
+row norms over the window of rows n - S .. n.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
 
 from .estimates import EstimateSet
 from .model import ConfigError, Grid, ProblemParameters
-from .solver import HistorySegment, evolve, grid_step, row_norms, segment_norm
+from .solver import evolve, grid_step, row_norms, segment_norm
 from .solver import integrate, segment_at  # noqa: F401  (names looked up by perfbench/tracing.py)
 from .spectrum import SpectralData
 
@@ -119,19 +121,19 @@ def make_projections(grid: Grid, K: float, k_m: int) -> ProjectionSet:
     return ProjectionSet(grid=grid, K=K, k_m=k_m, basis=basis, inside=inside)
 
 
-def project_P(seg: HistorySegment, ps: ProjectionSet) -> HistorySegment:
+def project_P(samples: np.ndarray, ps: ProjectionSet) -> np.ndarray:
     """Restrict to Omega_K, expand in the sine basis, keep modes 1..k_m."""
-    return replace(seg, samples=ps.parts(seg.samples)[0])
+    return ps.parts(samples)[0]
 
 
-def project_Q(seg: HistorySegment, ps: ProjectionSet) -> HistorySegment:
+def project_Q(samples: np.ndarray, ps: ProjectionSet) -> np.ndarray:
     """Inside complement: restriction to Omega_K minus the P part."""
-    return replace(seg, samples=ps.parts(seg.samples)[1])
+    return ps.parts(samples)[1]
 
 
-def project_R(seg: HistorySegment, ps: ProjectionSet) -> HistorySegment:
+def project_R(samples: np.ndarray, ps: ProjectionSet) -> np.ndarray:
     """Outside restriction: multiply by the indicator of Omega_K^C."""
-    return replace(seg, samples=ps.parts(seg.samples)[2])
+    return ps.parts(samples)[2]
 
 
 def contraction_terms(t: float, p: ProblemParameters, spectral: SpectralData,
@@ -184,21 +186,21 @@ def analytic_bounds(t: float, p: ProblemParameters, spectral: SpectralData,
 _GROUP_PAIRS = 4
 
 
-def _stack_pairs(group):
+def _stack_pairs(group, grid: Grid):
     """Draw ``group``'s pairs into one (S + 1, 2 _GROUP_PAIRS, P) batch, the
     pairs that differ as columns phi0, psi0, phi1, psi1, ...  Returns the
-    denominators ||phi - psi||_C of all pairs and the history of the filled
-    columns (None for an empty group).  No pair outlives its iteration."""
+    denominators ||phi - psi||_C of all pairs and the history rows of the
+    filled columns (None for an empty group).  No pair outlives its
+    iteration."""
     denoms, batch, filled = [], None, 0
     for phi, psi in group:
         if batch is None:
-            batch = np.empty((len(phi.samples), 2 * _GROUP_PAIRS, phi.grid.points))
-            like = (phi.grid, phi.tau, phi.steps_per_delay)
-        denoms.append(segment_norm(replace(phi, samples=phi.samples - psi.samples)))
+            batch = np.empty((len(phi), 2 * _GROUP_PAIRS, grid.points))
+        denoms.append(segment_norm(phi - psi, grid))
         if denoms[-1] != 0.0:
-            batch[:, filled], batch[:, filled + 1] = phi.samples, psi.samples
+            batch[:, filled], batch[:, filled + 1] = phi, psi
             filled += 2
-    return denoms, None if batch is None else HistorySegment(batch[:, :filled], *like)
+    return denoms, None if batch is None else batch[:, :filled]
 
 
 def _group_ratios(group, times, p: ProblemParameters, ps: ProjectionSet):
@@ -209,14 +211,14 @@ def _group_ratios(group, times, p: ProblemParameters, ps: ProjectionSet):
     step; a difference row gets its part norms as it arrives if a measured
     window n - S .. n holds it, and a step's sups are the max over its
     window.  Nothing of the group outlives the call."""
-    denoms, hist = _stack_pairs(group)
-    if hist is None or not hist.samples.shape[1]:
+    denoms, hist = _stack_pairs(group, ps.grid)
+    if hist is None or not hist.shape[1]:
         return denoms, np.empty((0, len(times), 3))
-    S = hist.steps_per_delay
-    steps = [grid_step(t, hist.dt) for t in times]
+    S = len(hist) - 1
+    steps = [grid_step(t, p.tau / S) for t in times]
     measured = {r for n in steps for r in range(n - S, n + 1)}
     norms, sups = deque(maxlen=S + 1), {}
-    rows = chain(hist.samples, chain.from_iterable(evolve(hist, max(steps), p)))
+    rows = chain(hist, chain.from_iterable(evolve(hist, max(steps), p, ps.grid)))
     for r, row in enumerate(rows, start=-S):
         norms.append(row_norms(ps.parts(row[0::2] - row[1::2]), ps.grid)
                      if r in measured else None)

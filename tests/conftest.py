@@ -60,49 +60,49 @@ def rng():
     return np.random.default_rng(2024)
 
 
-def loop_integrate(phi, horizon, p):
+def loop_integrate(hist, horizon, p, grid):
     """Reference trajectory values: the trapezoid method-of-steps loop on
     a full (N + 1)-row array with its own delayed-index bookkeeping, one
     unbatched (S + 1, P) history at a time.  Shares no stepping code with
     `delayrd.solver`."""
-    S = phi.steps_per_delay
-    dt = phi.tau / S
+    S = len(hist) - 1
+    dt = p.tau / S
     n_steps = max(0, int(math.ceil(horizon / dt - 1e-9)))
-    g = evaluate_forcing(p.forcing, phi.grid.nodes)
-    xi = phi.grid.frequencies
+    g = evaluate_forcing(p.forcing, grid.nodes)
+    xi = grid.frequencies
     multiplier = np.exp(-(p.mu + xi * xi) * dt)
-    values = np.empty((n_steps + 1, phi.grid.points))
-    values[0] = phi.samples[-1]
+    values = np.empty((n_steps + 1, grid.points))
+    values[0] = hist[-1]
 
     def load(n):
-        d = values[n - S] if n >= S else phi.samples[n]
+        d = values[n - S] if n >= S else hist[n]
         return p.sigma * d + evaluate_nonlinearity(p.nonlinearity, d) + g
 
     for n in range(n_steps):
         stepped = np.fft.irfft(multiplier * np.fft.rfft(values[n] + 0.5 * dt * load(n)),
-                               n=phi.grid.points)
+                               n=grid.points)
         values[n + 1] = stepped + 0.5 * dt * load(n + 1)
     return values
 
 
-def far_field_sups(traj, radii):
-    """Segment tail-mass sups of a stored trajectory, one column per radius:
-    the array `verify_far_field` takes."""
+def far_field_sups(hist, values, grid, radii):
+    """Segment tail-mass sups of a stored trajectory (history rows ``hist``,
+    trajectory rows ``values``), one column per radius: the array
+    `verify_far_field` takes."""
     def tails(rows):
-        return np.stack([far_field_masses(rows, traj.grid, K) for K in radii], axis=-1)
-    return segment_sups(tails(traj.history.samples), tails(traj.values))
+        return np.stack([far_field_masses(rows, grid, K) for K in radii], axis=-1)
+    return segment_sups(tails(hist), tails(values))
 
 
-def norm_sups(traj):
+def norm_sups(hist, values, grid):
     """Segment norms of a stored trajectory, one per step: the array
     `verify_absorption` takes."""
-    return segment_sups(row_norms(traj.history.samples, traj.grid),
-                        row_norms(traj.values, traj.grid))
+    return segment_sups(row_norms(hist, grid), row_norms(values, grid))
 
 
-def gradient_sups(traj):
+def gradient_sups(hist, values, grid):
     """Segment gradient sups of a stored trajectory, one per step: the
     array `verify_energy_integral` takes."""
     def gradients(rows):
-        return np.array([gradient_norm(row, traj.grid) for row in rows])
-    return segment_sups(gradients(traj.history.samples), gradients(traj.values))
+        return np.array([gradient_norm(row, grid) for row in rows])
+    return segment_sups(gradients(hist), gradients(values))

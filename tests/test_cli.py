@@ -187,6 +187,21 @@ def test_snapshot_roundtrip_and_cli_snapshots(tmp_path):
     assert L == 16.0 and t0 == 0.0 and vals.size == 512
 
 
+def test_read_snapshot_rejects_truncated_files(tmp_path):
+    """A file shorter than its 32-byte header, or than the npoints values
+    the header announces, is a ValueError naming the truncation (the short
+    header once escaped as struct.error)."""
+    path = tmp_path / "field.bin"
+    write_snapshot(str(path), np.linspace(-1.0, 1.0, 64), 16.0, 2.5)
+    whole = path.read_bytes()
+    assert len(whole) == 32 + 8 * 64
+    for size in (4, 31, 32, 32 + 8 * 63, len(whole) - 1):
+        cut = tmp_path / f"cut-{size}.bin"
+        cut.write_bytes(whole[:size])
+        with pytest.raises(ValueError, match="truncated snapshot"):
+            read_snapshot(str(cut))
+
+
 def test_spectrum_command(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"
@@ -742,6 +757,31 @@ def test_tracer_finds_every_name_it_patches():
     finally:
         tracer.uninstall()
     assert {place: lookup(*place) for place in places} == before
+
+
+@pytest.mark.parametrize("subcommand, config, stage", [
+    ("simulate", "base", "cli.ensemble_draw"),
+    ("squeeze", "base", "squeezing.measure_contraction"),
+    ("certify", "certify", "dimension.optimize_certificate"),
+], ids=["simulate-base", "squeeze-base", "certify-certify"])
+def test_traced_runs_write_the_same_payloads(tmp_path, subcommand, config, stage):
+    """With perfbench/tracing.py's tracer installed, a run exits as an
+    untraced one does and writes the same payload hashes, so the patched
+    names and the counter recorders (which read the objects the patched
+    functions return) keep working with the functions' current types."""
+    def run(out):
+        code = main([subcommand, "--config", str(CONFIGS / f"{config}.json"), "--out", str(out)])
+        return code, json.loads((out / "manifest.json").read_text())["payload_sha256"]
+
+    plain = run(tmp_path / "plain")
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        traced = run(tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert {"cli.atomic_write", stage} <= {span[0] for span in tracer.spans}
 
 
 def test_dominant_root_right_of_old_window(tmp_path):

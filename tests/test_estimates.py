@@ -127,14 +127,16 @@ def test_absorbing_time_doubling_bound(dissipative):
 def test_verify_absorption_on_trajectory(grid, dissipative):
     est = compute_estimates(dissipative, norm_g=1.0)
     phi0 = 1.0 * np.exp(-0.5 * grid.nodes**2)
-    phi = constant_history(phi0, grid, dissipative.tau, 16)
-    traj = integrate(phi, horizon=6.0, p=dissipative)
-    report = verify_absorption(norm_sups(traj), traj.dt, est, T=4.0)
+    phi = constant_history(phi0, 16)
+    values = integrate(phi, horizon=6.0, p=dissipative, grid=grid)
+    dt = dissipative.tau / 16
+    sups = norm_sups(phi, values, grid)
+    report = verify_absorption(sups, dt, est, T=4.0)
     assert report["ok"]
     assert report["max_segment_norm"] <= est.c3 * 1.05
     assert report["from_time"] == pytest.approx(4.0)
     with pytest.raises(ValueError):
-        verify_absorption(norm_sups(traj), traj.dt, est, T=traj.horizon + 1.0)
+        verify_absorption(sups, dt, est, T=(len(values) - 1) * dt + 1.0)
 
 
 def test_energy_integral_single_mode_oracle(grid):
@@ -145,24 +147,24 @@ def test_energy_integral_single_mode_oracle(grid):
     xi = k * math.pi / grid.half_length
     phi0 = A * np.sin(xi * grid.nodes)
     S = 8
-    phi = constant_history(phi0, grid, p.tau, S)
-    traj = integrate(phi, horizon=2.0, p=p)
+    phi = constant_history(phi0, S)
+    values = integrate(phi, horizon=2.0, p=p, grid=grid)
+    dt = p.tau / S
 
     est = compute_estimates(p, norm_g=0.0, norm_phi0=0.0)
-    report = verify_energy_integral(gradient_sups(traj), traj.dt, est)
+    report = verify_energy_integral(gradient_sups(phi, values, grid), dt, est)
 
     # oracle: segment gradient sup at step n is the gradient at the
     # oldest segment time, G0 e^{-kappa max(0, n - S) dt}
     G0 = A * xi * math.sqrt(grid.half_length)
     kappa = p.mu + xi * xi
-    dt = traj.dt
     per_unit = int(round(1.0 / dt))
 
     def q(n):
         return (G0 * math.exp(-kappa * max(0, n - S) * dt)) ** 2
 
     best = -math.inf
-    for start in range(0, traj.steps - per_unit + 1):
+    for start in range(0, len(values) - per_unit):
         window = [q(n) for n in range(start, start + per_unit + 1)]
         integral = dt * (sum(window) - 0.5 * (window[0] + window[-1]))
         best = max(best, integral)
@@ -171,28 +173,29 @@ def test_energy_integral_single_mode_oracle(grid):
 
 
 def test_energy_integral_grid_requirements(grid, dissipative):
-    phi = constant_history(np.zeros(grid.points), grid, dissipative.tau, 16)
+    phi = constant_history(np.zeros(grid.points), 16)
+    dt = dissipative.tau / 16
     est = compute_estimates(dissipative, norm_g=1.0)
-    short = integrate(phi, horizon=0.5, p=dissipative)
+    short = integrate(phi, horizon=0.5, p=dissipative, grid=grid)
     with pytest.raises(ValueError, match="horizon"):
-        verify_energy_integral(gradient_sups(short), short.dt, est)
+        verify_energy_integral(gradient_sups(phi, short, grid), dt, est)
     # horizon 2: the last unit window starts at 1; past that none fits and
     # there is nothing to check, so the call fails rather than pass on -inf
-    traj = integrate(phi, horizon=2.0, p=dissipative)
-    sups = gradient_sups(traj)
-    assert verify_energy_integral(sups, traj.dt, est, t_start=1.0)["argmax_window_start"] == 1.0
+    values = integrate(phi, horizon=2.0, p=dissipative, grid=grid)
+    sups = gradient_sups(phi, values, grid)
+    assert verify_energy_integral(sups, dt, est, t_start=1.0)["argmax_window_start"] == 1.0
     for t_start in (1.5, 50.0):
         with pytest.raises(ValueError, match="horizon"):
-            verify_energy_integral(sups, traj.dt, est, t_start=t_start)
+            verify_energy_integral(sups, dt, est, t_start=t_start)
 
     odd = ProblemParameters(
         mu=dissipative.mu, sigma=dissipative.sigma, tau=0.3, lf=dissipative.lf,
         forcing=dissipative.forcing, nonlinearity=dissipative.nonlinearity,
     )
-    phi = constant_history(np.zeros(grid.points), grid, 0.3, 4)
-    traj = integrate(phi, horizon=1.5, p=odd)  # dt = 0.075 does not divide 1
+    phi = constant_history(np.zeros(grid.points), 4)
+    values = integrate(phi, horizon=1.5, p=odd, grid=grid)  # dt = 0.075 does not divide 1
     with pytest.raises(ValueError, match="dt"):
-        verify_energy_integral(gradient_sups(traj), traj.dt, est)
+        verify_energy_integral(gradient_sups(phi, values, grid), odd.tau / 4, est)
 
 
 def _compact_problem():
@@ -208,24 +211,25 @@ def test_far_field_thresholds(grid):
     phi = history_from_function(
         lambda x, th: np.where(np.abs(x) < 1.0, np.cos(0.5 * math.pi * x) ** 2, 0.0),
         grid, p.tau, 16)
-    traj = integrate(phi, horizon=4.0, p=p)
+    values = integrate(phi, horizon=4.0, p=p, grid=grid)
+    dt = p.tau / 16
     radii = far_field_radii(grid.half_length)
-    sups = far_field_sups(traj, radii)
+    sups = far_field_sups(phi, values, grid, radii)
 
-    report = verify_far_field(sups, traj.dt, 1e-3, radii)
+    report = verify_far_field(sups, dt, 1e-3, radii)
     assert report["status"] == "ok"
     assert report["tail_at_result"] <= 1e-3
     assert report["R_emp"] in (0.5, 1.0, 2.0, 4.0, 8.0)
 
     # tighter tolerance can only push the thresholds up
-    tight = verify_far_field(sups, traj.dt, 1e-6, radii)
+    tight = verify_far_field(sups, dt, 1e-6, radii)
     assert tight["R_emp"] >= report["R_emp"]
     if tight["R_emp"] == report["R_emp"]:
         assert tight["T_emp"] >= report["T_emp"]
 
-    hopeless = verify_far_field(sups, traj.dt, 1e-300, radii)
+    hopeless = verify_far_field(sups, dt, 1e-300, radii)
     assert hopeless["status"] == "inconclusive"
     assert math.isinf(hopeless["T_emp"]) and math.isinf(hopeless["R_emp"])
 
     with pytest.raises(ValueError):
-        verify_far_field(sups, traj.dt, 0.0, radii)
+        verify_far_field(sups, dt, 0.0, radii)

@@ -39,40 +39,39 @@ def ref_tail_mass(row, grid, K):
     return grid.spacing * np.sum(np.square(row[outside]))
 
 
-def ref_far_field_mass(seg, K):
-    return float(max(ref_tail_mass(row, seg.grid, K) for row in seg.samples))
+def ref_far_field_mass(seg, grid, K):
+    return float(max(ref_tail_mass(row, grid, K) for row in seg))
 
 
-def ref_segment_norm(seg):
-    return float(np.max(np.sqrt(seg.grid.spacing * np.sum(seg.samples * seg.samples, axis=1))))
+def ref_segment_norm(seg, grid):
+    return float(np.max(np.sqrt(grid.spacing * np.sum(seg * seg, axis=1))))
 
 
-def ref_gradient_sup(seg):
-    return max(gradient_norm(row, seg.grid) for row in seg.samples)
+def ref_gradient_sup(seg, grid):
+    return max(gradient_norm(row, grid) for row in seg)
 
 
-def loop_sups(traj, reduce):
-    return np.array([reduce(segment_at(traj, n * traj.dt)) for n in range(traj.steps + 1)])
+def loop_sups(hist, values, grid, reduce):
+    """``reduce(segment, grid)`` of the segment at every step."""
+    return np.array([reduce(segment_at(hist, values, n), grid) for n in range(len(values))])
 
 
-def ref_verify_absorption(traj, est, T):
-    dt = traj.dt
+def ref_verify_absorption(hist, values, grid, dt, T):
     n0 = max(0, int(math.ceil(T / dt - 1e-9)))
     worst_t, worst = n0 * dt, -math.inf
-    for n in range(n0, traj.steps + 1):
-        value = ref_segment_norm(segment_at(traj, n * dt))
+    for n in range(n0, len(values)):
+        value = ref_segment_norm(segment_at(hist, values, n), grid)
         if value > worst:
             worst, worst_t = value, n * dt
     return worst, worst_t
 
 
-def ref_energy_integral(traj):
-    dt = traj.dt
+def ref_energy_integral(hist, values, grid, dt):
     per_unit = int(round(1.0 / dt))
-    sups = loop_sups(traj, ref_gradient_sup)
+    sups = loop_sups(hist, values, grid, ref_gradient_sup)
     squared = sups * sups
     worst, worst_t = -math.inf, 0.0
-    for n in range(0, traj.steps - per_unit + 1):
+    for n in range(0, len(values) - per_unit):
         window = squared[n:n + per_unit + 1]
         integral = dt * (np.sum(window) - 0.5 * (window[0] + window[-1]))
         if integral > worst:
@@ -89,11 +88,11 @@ def ref_radii(L):
     return radii
 
 
-def ref_far_field(traj, eps):
-    radii = ref_radii(traj.grid.half_length)
-    segments = [segment_at(traj, n * traj.dt) for n in range(traj.steps + 1)]
+def ref_far_field(hist, values, grid, dt, eps):
+    radii = ref_radii(grid.half_length)
+    segments = [segment_at(hist, values, n) for n in range(len(values))]
     for K in radii:
-        masses = np.array([ref_far_field_mass(seg, K) for seg in segments])
+        masses = np.array([ref_far_field_mass(seg, grid, K) for seg in segments])
         ok = masses <= eps
         if not ok[-1]:
             continue
@@ -102,7 +101,7 @@ def ref_far_field(traj, eps):
             if not ok[i]:
                 break
             idx = i
-        return {"status": "ok", "T_emp": idx * traj.dt, "R_emp": float(K),
+        return {"status": "ok", "T_emp": idx * dt, "R_emp": float(K),
                 "tail_at_result": float(np.max(masses[idx:])), "eps": eps}
     return {"status": "inconclusive", "T_emp": math.inf, "R_emp": math.inf,
             "tail_at_result": math.inf, "eps": eps}
@@ -121,37 +120,45 @@ def wide_history(grid, tau):
 # and longer than it (later segments are solution rows only)
 @pytest.fixture(params=[0.25, 1.5], ids=["shorter-than-tau", "longer-than-tau"])
 def traj(request, grid, dissipative):
-    return integrate(wide_history(grid, dissipative.tau), request.param, dissipative)
+    """(history rows, trajectory rows, grid, dt) of one stored run."""
+    hist = wide_history(grid, dissipative.tau)
+    values = integrate(hist, request.param, dissipative, grid)
+    return hist, values, grid, dissipative.tau / STEPS_PER_DELAY
 
 
 def test_window_sups_equal_segment_loop(traj):
-    hist, values, grid = traj.history.samples, traj.values, traj.grid
+    hist, values, grid, _ = traj
     for K in (0.5, 2.0, 4.0, 8.0):
         window = segment_sups(far_field_masses(hist, grid, K), far_field_masses(values, grid, K))
-        assert np.array_equal(window, loop_sups(traj, lambda seg: ref_far_field_mass(seg, K)))
-        assert np.array_equal(window, loop_sups(traj, lambda seg: far_field_mass(seg, K)))
+        assert np.array_equal(window, loop_sups(hist, values, grid,
+                                                lambda seg, g: ref_far_field_mass(seg, g, K)))
+        assert np.array_equal(window, loop_sups(hist, values, grid,
+                                                lambda seg, g: far_field_mass(seg, g, K)))
 
-    window = norm_sups(traj)
-    assert np.array_equal(window, loop_sups(traj, ref_segment_norm))
-    assert np.array_equal(window, loop_sups(traj, segment_norm))
-    assert np.array_equal(gradient_sups(traj), loop_sups(traj, ref_gradient_sup))
+    window = norm_sups(hist, values, grid)
+    assert np.array_equal(window, loop_sups(hist, values, grid, ref_segment_norm))
+    assert np.array_equal(window, loop_sups(hist, values, grid, segment_norm))
+    assert np.array_equal(gradient_sups(hist, values, grid),
+                          loop_sups(hist, values, grid, ref_gradient_sup))
 
 
 def test_window_sups_keep_trailing_axes(traj):
+    hist, values, grid, _ = traj
     radii = (1.0, 4.0)
-    columns = [far_field_masses(traj.values, traj.grid, K) for K in radii]
-    hist_columns = [far_field_masses(traj.history.samples, traj.grid, K) for K in radii]
+    columns = [far_field_masses(values, grid, K) for K in radii]
+    hist_columns = [far_field_masses(hist, grid, K) for K in radii]
     stacked = segment_sups(np.stack(hist_columns, axis=1), np.stack(columns, axis=1))
-    assert stacked.shape == (traj.steps + 1, len(radii))
+    assert stacked.shape == (len(values), len(radii))
     for j, (h, v) in enumerate(zip(hist_columns, columns)):
         assert np.array_equal(stacked[:, j], segment_sups(h, v))
 
 
 def test_verify_absorption_matches_segment_loop(traj, dissipative):
+    hist, values, grid, dt = traj
     est = compute_estimates(dissipative, norm_g=1.0)
-    for T in (0.0, 3 * traj.dt, traj.horizon):
-        report = verify_absorption(norm_sups(traj), traj.dt, est, T)
-        worst, worst_t = ref_verify_absorption(traj, est, T)
+    for T in (0.0, 3 * dt, (len(values) - 1) * dt):
+        report = verify_absorption(norm_sups(hist, values, grid), dt, est, T)
+        worst, worst_t = ref_verify_absorption(hist, values, grid, dt, T)
         assert report["max_segment_norm"] == worst
         assert report["argmax_time"] == worst_t
 
@@ -162,27 +169,32 @@ def test_verify_absorption_ties_pick_the_first_maximum(grid):
     # history rows, and the report names the first of them after T.
     p = heat_only_params()
     flat = history_from_function(lambda x, th: np.exp(-x * x), grid, p.tau, STEPS_PER_DELAY)
-    traj = integrate(flat, 1.0, p)
+    values = integrate(flat, 1.0, p, grid)
+    dt = p.tau / STEPS_PER_DELAY
     est = compute_estimates(p, norm_g=0.0)
-    T = 2 * traj.dt
-    report = verify_absorption(norm_sups(traj), traj.dt, est, T)
+    T = 2 * dt
+    report = verify_absorption(norm_sups(flat, values, grid), dt, est, T)
     assert report["argmax_time"] == T
     assert (report["max_segment_norm"], report["argmax_time"]) == \
-        ref_verify_absorption(traj, est, T)
+        ref_verify_absorption(flat, values, grid, dt, T)
 
 
 def test_energy_integral_matches_segment_loop(grid, dissipative):
-    traj = integrate(wide_history(grid, dissipative.tau), 1.5, dissipative)
+    hist = wide_history(grid, dissipative.tau)
+    values = integrate(hist, 1.5, dissipative, grid)
+    dt = dissipative.tau / STEPS_PER_DELAY
     est = compute_estimates(dissipative, norm_g=1.0)
-    report = verify_energy_integral(gradient_sups(traj), traj.dt, est)
-    assert (report["max_integral"], report["argmax_window_start"]) == ref_energy_integral(traj)
+    report = verify_energy_integral(gradient_sups(hist, values, grid), dt, est)
+    assert (report["max_integral"], report["argmax_window_start"]) == \
+        ref_energy_integral(hist, values, grid, dt)
 
 
 def test_verify_far_field_matches_segment_loop(traj):
-    radii = ref_radii(traj.grid.half_length)
-    sups = far_field_sups(traj, radii)
+    hist, values, grid, dt = traj
+    radii = ref_radii(grid.half_length)
+    sups = far_field_sups(hist, values, grid, radii)
     for eps in (1e-1, 1.0, 10.0, 1e-30):
-        assert verify_far_field(sups, traj.dt, eps, radii) == ref_far_field(traj, eps)
+        assert verify_far_field(sups, dt, eps, radii) == ref_far_field(hist, values, grid, dt, eps)
 
 
 @pytest.mark.parametrize("K", [0.5, 3.0, 20.0])

@@ -17,7 +17,6 @@ from delayrd.semigroup import apply_semigroup
 from delayrd.solver import (
     INTERVAL_ROW_FLOATS,
     DivergenceError,
-    HistorySegment,
     constant_history,
     evolve,
     far_field_mass,
@@ -73,8 +72,7 @@ def test_constant_in_space_matches_scalar_oracle(grid):
     psi = lambda th: 0.8 + 0.3 * math.sin(2.0 * th)
     phi = history_from_function(lambda x, th: np.full_like(x, psi(th)),
                                 grid, p.tau, steps_per_delay=256)
-    traj = integrate(phi, horizon=3.0, p=p)
-    got = traj.values[-1]
+    got = integrate(phi, horizon=3.0, p=p, grid=grid)[-1]
     np.testing.assert_allclose(got, got[0], atol=1e-13)  # stays constant in x
 
     f = lambda u: 0.5 * math.tanh(u)
@@ -93,8 +91,8 @@ def test_second_order_in_time(grid):
     for spd in (8, 16, 32):
         phi = history_from_function(lambda x, th: np.full_like(x, psi(th)),
                                     grid, p.tau, steps_per_delay=spd)
-        traj = integrate(phi, horizon=3.0, p=p)
-        errors.append(abs(float(traj.values[-1][0]) - exact))
+        values = integrate(phi, horizon=3.0, p=p, grid=grid)
+        errors.append(abs(float(values[-1][0]) - exact))
     assert errors[0] / errors[1] > 3.5
     assert errors[1] / errors[2] > 3.5
 
@@ -104,22 +102,26 @@ def test_pure_heat_reduces_to_semigroup(rng, grid):
     application, so the trajectory equals apply_semigroup at each time."""
     p = heat_only_params(mu=1.5)
     phi0 = rng.standard_normal(grid.points)
-    phi = constant_history(phi0, grid, p.tau, steps_per_delay=10)
-    traj = integrate(phi, horizon=1.0, p=p)
+    phi = constant_history(phi0, steps_per_delay=10)
+    values = integrate(phi, horizon=1.0, p=p, grid=grid)
     for n in (5, 13, 20):
-        t = traj.times[n]
-        np.testing.assert_allclose(traj.values[n],
+        t = n * p.tau / 10
+        np.testing.assert_allclose(values[n],
                                    apply_semigroup(t, phi0, grid, p.mu),
                                    atol=1e-12)
 
 
-def test_horizon_and_tau_validation(grid, dissipative):
-    phi = constant_history(np.ones(grid.points), grid, dissipative.tau, 4)
-    with pytest.raises(ValueError):
-        integrate(phi, horizon=-1.0, p=dissipative)
-    bad = constant_history(np.ones(grid.points), grid, 0.25, 4)
-    with pytest.raises(ValueError, match="tau"):
-        integrate(bad, horizon=1.0, p=dissipative)
+def test_horizon_and_history_shape_validation(grid, dissipative):
+    """dt comes from the history's row count, so only the horizon and the
+    history's shape can be wrong: (S + 1, [B,] P) rows with S >= 1."""
+    phi = constant_history(np.ones(grid.points), 4)
+    with pytest.raises(ValueError, match="horizon"):
+        integrate(phi, horizon=-1.0, p=dissipative, grid=grid)
+    for bad in (phi[:1], phi[:, :-1], phi[0], phi[:, None, None]):
+        with pytest.raises(ValueError, match="history shape"):
+            integrate(bad, horizon=1.0, p=dissipative, grid=grid)
+        with pytest.raises(ValueError, match="history shape"):
+            evolve(bad, 4, dissipative, grid)
 
 
 def test_step_count_rounds_up_and_saturates():
@@ -149,10 +151,10 @@ def test_divergence_raises_with_step_index(grid):
         mu=1.0, sigma=0.5, tau=0.5, lf=0.0,
         forcing=ForcingSpec(), nonlinearity=NonlinearitySpec(),
     )
-    phi = constant_history(np.full(grid.points, 1e308), grid, p.tau, 8)
+    phi = constant_history(np.full(grid.points, 1e308), 8)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as info:
-            integrate(phi, horizon=2.0, p=p)
+            integrate(phi, horizon=2.0, p=p, grid=grid)
     assert info.value.step >= 1
 
 
@@ -165,17 +167,17 @@ def test_divergence_step_matches_loop_reference(rng, grid, batch):
         mu=0.2, sigma=20.0, tau=0.5, lf=0.0,
         forcing=ForcingSpec(), nonlinearity=NonlinearitySpec(),
     )
-    hists = [constant_history(np.full(grid.points, 1e300 * (1.0 + rng.random())),
-                              grid, p.tau, 8) for _ in range(batch)]
-    stacked = HistorySegment(np.stack([h.samples for h in hists], axis=1), grid, p.tau, 8)
+    hists = [constant_history(np.full(grid.points, 1e300 * (1.0 + rng.random())), 8)
+             for _ in range(batch)]
+    stacked = np.stack(hists, axis=1)
     assert (batch * grid.points > INTERVAL_ROW_FLOATS) == (batch > 1)
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):
-        refs = [loop_integrate(h, 8.0, p) for h in hists]
+        refs = [loop_integrate(h, 8.0, p, grid) for h in hists]
         with pytest.raises(DivergenceError) as info:
-            integrate(stacked, 8.0, p)
+            integrate(stacked, 8.0, p, grid)
         with pytest.raises(DivergenceError) as marched:
-            for block in evolve(stacked, step_count(8.0, stacked.dt), p):
+            for block in evolve(stacked, step_count(8.0, p.tau / 8), p, grid):
                 rows.extend(block)
     step = min(int(np.argmin(np.isfinite(ref).all(axis=1))) for ref in refs)
     assert step > 8 and step % 8
@@ -194,60 +196,46 @@ def test_batched_integrate_matches_loop_reference(rng, grid, dissipative, horizo
     assert 2 * grid.points == INTERVAL_ROW_FLOATS
     S = 8
     hists = [random_history(rng, grid, dissipative.tau, S, 1.0) for _ in range(batch)]
-    stacked = HistorySegment(np.stack([h.samples for h in hists], axis=1),
-                             grid, dissipative.tau, S)
-    traj = integrate(stacked, horizon, dissipative)
-    assert traj.values.shape == (traj.steps + 1, batch, grid.points)
+    stacked = np.stack(hists, axis=1)
+    values = integrate(stacked, horizon, dissipative, grid)
+    assert values.shape == (step_count(horizon, dissipative.tau / S) + 1, batch, grid.points)
     for b, hist in enumerate(hists):
-        ref = loop_integrate(hist, horizon, dissipative)
-        assert np.array_equal(traj.values[:, b], ref)
-        assert np.array_equal(integrate(hist, horizon, dissipative).values, ref)
-    seg = segment_at(traj, horizon)
-    assert seg.samples.shape == (S + 1, batch, grid.points)
-
-
-def test_segment_shape_and_interpolation(grid):
-    samples = np.outer(np.arange(5.0), np.ones(grid.points))
-    seg = HistorySegment(samples, grid, tau=1.0, steps_per_delay=4)
-    assert seg.dt == 0.25
-    np.testing.assert_allclose(seg.thetas, [-1.0, -0.75, -0.5, -0.25, 0.0])
-    # linear interpolation halfway between rows 1 and 2
-    np.testing.assert_allclose(seg.value_at(-0.625), 1.5)
-    with pytest.raises(ValueError):
-        seg.value_at(0.5)
-    with pytest.raises(ValueError):
-        HistorySegment(samples[:3], grid, tau=1.0, steps_per_delay=4)
+        ref = loop_integrate(hist, horizon, dissipative, grid)
+        assert np.array_equal(values[:, b], ref)
+        assert np.array_equal(integrate(hist, horizon, dissipative, grid), ref)
+    seg = segment_at(stacked, values, len(values) - 1)
+    assert seg.shape == (S + 1, batch, grid.points)
 
 
 def test_segment_at_mixes_history_and_solution(grid, dissipative):
     S = 8
     phi = history_from_function(lambda x, th: np.full_like(x, th),
                                 grid, dissipative.tau, S)
-    traj = integrate(phi, horizon=2.0, p=dissipative)
-    dt = traj.dt
+    values = integrate(phi, horizon=2.0, p=dissipative, grid=grid)
 
-    # at t = 3 dt the first S - 3 rows must be original history samples
-    seg = segment_at(traj, 3 * dt)
+    # at step 3 the first S - 3 rows must be original history samples
+    seg = segment_at(phi, values, 3)
     for j in range(S - 3):
-        np.testing.assert_array_equal(seg.samples[j], phi.samples[j + 3])
+        np.testing.assert_array_equal(seg[j], phi[j + 3])
     for j in range(S - 3, S + 1):
-        np.testing.assert_array_equal(seg.samples[j], traj.values[j - (S - 3)])
+        np.testing.assert_array_equal(seg[j], values[j - (S - 3)])
+    # a copy: writing it leaves the history and the trajectory alone
+    seg[:] = np.nan
+    assert np.isfinite(phi).all() and np.isfinite(values).all()
 
     # at the far end everything comes from the trajectory
-    seg = segment_at(traj, traj.horizon)
-    np.testing.assert_array_equal(seg.samples[-1], traj.values[-1])
+    seg = segment_at(phi, values, len(values) - 1)
+    np.testing.assert_array_equal(seg, values[-S - 1:])
 
-    with pytest.raises(ValueError, match="aligned"):
-        segment_at(traj, 0.3 * dt)
-    with pytest.raises(ValueError, match="range"):
-        segment_at(traj, traj.horizon + dt)
+    for n in (-1, len(values)):
+        with pytest.raises(ValueError, match="range"):
+            segment_at(phi, values, n)
 
 
 def test_segment_norm_is_sup_of_field_norms(grid):
     rows = np.zeros((5, grid.points))
     rows[2] = 3.0  # constant field of value 3 -> norm 3 sqrt(2L)
-    seg = HistorySegment(rows, grid, tau=1.0, steps_per_delay=4)
-    assert segment_norm(seg) == pytest.approx(3.0 * math.sqrt(2 * grid.half_length))
+    assert segment_norm(rows, grid) == pytest.approx(3.0 * math.sqrt(2 * grid.half_length))
 
 
 def test_cutoff_radius_validation(grid, dissipative):
@@ -264,18 +252,19 @@ def test_far_field_mass(grid):
     rows = np.zeros((3, grid.points))
     outside = np.abs(grid.nodes) >= 4.0
     rows[1, outside] = 2.0
-    seg = HistorySegment(rows, grid, tau=1.0, steps_per_delay=2)
     expected = grid.spacing * 4.0 * int(np.count_nonzero(outside))
-    assert far_field_mass(seg, 4.0) == pytest.approx(expected)
-    assert far_field_mass(seg, grid.half_length + 1.0) == 0.0
+    assert far_field_mass(rows, grid, 4.0) == pytest.approx(expected)
+    assert far_field_mass(rows, grid, grid.half_length + 1.0) == 0.0
 
 
 def test_history_constructors(grid):
     phi = history_from_function(lambda x, th: np.cos(x) * (1 + th), grid, 0.5, 4)
-    np.testing.assert_allclose(phi.samples[0], np.cos(grid.nodes) * 0.5)
-    np.testing.assert_allclose(phi.samples[-1], np.cos(grid.nodes))
+    assert phi.shape == (5, grid.points)
+    np.testing.assert_allclose(phi[0], np.cos(grid.nodes) * 0.5)
+    np.testing.assert_allclose(phi[-1], np.cos(grid.nodes))
 
-    frozen = constant_history(np.cos(grid.nodes), grid, 0.5, 4)
+    frozen = constant_history(np.cos(grid.nodes), 4)
+    assert frozen.shape == (5, grid.points)
     for j in range(5):
-        np.testing.assert_array_equal(frozen.samples[j], np.cos(grid.nodes))
-    assert frozen.grid is grid
+        np.testing.assert_array_equal(frozen[j], np.cos(grid.nodes))
+    assert constant_history(np.arange(3), 2).dtype == float

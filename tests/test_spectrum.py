@@ -211,11 +211,11 @@ def test_linear_evolve_matches_pde_mode(grid):
     S = 32
     phi = history_from_function(lambda x, th: profile(th) * np.sin(xi * x),
                                 grid, p.tau, S)
-    traj = integrate(phi, horizon=3.0, p=p)
+    values = integrate(phi, horizon=3.0, p=p, grid=grid)
     # grid projection onto the mode: sum u sin / sum sin^2
     basis = np.sin(xi * grid.nodes)
     weight = float(np.sum(basis * basis))
-    amps = traj.values @ basis / weight
+    amps = values @ basis / weight
 
     hist = np.array([profile(-p.tau + j * p.tau / S) for j in range(S + 1)])
     times, ref = linear_delay_evolve(hist, p, xi * xi, 3.0)

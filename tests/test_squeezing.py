@@ -8,7 +8,7 @@ import pytest
 from delayrd.cli import eigenmode_pair, random_history, random_pair
 from delayrd.estimates import compute_estimates
 from delayrd.model import ForcingSpec, Grid, NonlinearitySpec, ProblemParameters
-from delayrd.solver import HistorySegment, constant_history, segment_norm
+from delayrd.solver import constant_history, segment_norm
 from delayrd.spectrum import (
     characteristic_roots,
     dichotomy_constant,
@@ -29,21 +29,20 @@ from conftest import dissipative_params, loop_integrate, unit_forcing_amplitude
 def test_projections_reassemble_and_idempotent(rng, grid):
     ps = make_projections(grid, K=3.0, k_m=4)
     for _ in range(100):
-        seg = HistorySegment(rng.standard_normal((3, grid.points)), grid, 0.5, 2)
+        seg = rng.standard_normal((3, grid.points))
         P, Q, R = project_P(seg, ps), project_Q(seg, ps), project_R(seg, ps)
-        total = P.samples + Q.samples + R.samples
-        np.testing.assert_allclose(total, seg.samples, atol=1e-12)
-        np.testing.assert_allclose(project_P(P, ps).samples, P.samples, atol=1e-12)
-        np.testing.assert_allclose(project_Q(Q, ps).samples, Q.samples, atol=1e-12)
-        np.testing.assert_allclose(project_R(R, ps).samples, R.samples, atol=1e-12)
+        np.testing.assert_allclose(P + Q + R, seg, atol=1e-12)
+        np.testing.assert_allclose(project_P(P, ps), P, atol=1e-12)
+        np.testing.assert_allclose(project_Q(Q, ps), Q, atol=1e-12)
+        np.testing.assert_allclose(project_R(R, ps), R, atol=1e-12)
         # cross applications vanish
-        np.testing.assert_allclose(project_P(Q, ps).samples, 0.0, atol=1e-12)
-        np.testing.assert_allclose(project_Q(P, ps).samples, 0.0, atol=1e-12)
+        np.testing.assert_allclose(project_P(Q, ps), 0.0, atol=1e-12)
+        np.testing.assert_allclose(project_Q(P, ps), 0.0, atol=1e-12)
         # supports: P, Q inside (to roundoff), R outside exactly
         outside = ~ps.inside
-        assert np.abs(P.samples[:, outside]).max() < 1e-12
-        assert np.abs(Q.samples[:, outside]).max() < 1e-12
-        assert np.all(R.samples[:, ps.inside] == 0)
+        assert np.abs(P[:, outside]).max() < 1e-12
+        assert np.abs(Q[:, outside]).max() < 1e-12
+        assert np.all(R[:, ps.inside] == 0)
 
 
 def loop_projections(rows, ps):
@@ -63,13 +62,11 @@ def test_projections_match_per_row_loop(rng, grid):
     segment and for a batch of segments."""
     ps = make_projections(grid, K=3.0, k_m=5)
     samples = rng.standard_normal((9, 3, grid.points))
-    batch = HistorySegment(samples, grid, 0.5, 8)
     for j in range(3):
-        seg = HistorySegment(samples[:, j], grid, 0.5, 8)
         for project, expected in zip((project_P, project_Q, project_R),
                                      loop_projections(samples[:, j], ps)):
-            assert np.array_equal(project(seg, ps).samples, expected)
-            assert np.array_equal(project(batch, ps).samples[:, j], expected)
+            assert np.array_equal(project(samples[:, j], ps), expected)
+            assert np.array_equal(project(samples, ps)[:, j], expected)
 
 
 def test_projection_basis_is_orthonormal(grid):
@@ -107,7 +104,7 @@ def test_modal_difference_contracts_at_its_own_rate(rng, grid):
     base = random_history(rng, grid, p.tau, S, norm=0.5)
     eps = 1e-3
     bump = eps * np.exp(rho * thetas)[:, None] * mode[None, :]
-    pert = HistorySegment(base.samples + bump, grid, p.tau, S)
+    pert = base + bump
 
     ps = make_projections(grid, K=K, k_m=3)
     _, measured = measure_contraction([(base, pert)], (0.5, 1.0), p, ps)
@@ -136,15 +133,15 @@ def test_pair_batch_matches_separate_integrations(grid, dissipative):
     phi, psi = eigenmode_pair(rng, grid, p, spectral, S, norm=1.0, separation=0.3)
     times = (1.0, 0.25, 0.5)  # out of order, one below tau
     denoms, measured = measure_contraction([(phi, psi)], times, p, ps)
-    denom = segment_norm(HistorySegment(phi.samples - psi.samples, grid, p.tau, S))
+    denom = segment_norm(phi - psi, grid)
     assert denoms.tolist() == [denom]
     assert measured.shape == (1, len(times), 3)
     for t, parts in zip(times, measured[0]):
         n = round(t * S / p.tau)
-        rows = [np.concatenate([h.samples[:-1], loop_integrate(h, t, p)])[n:]
+        rows = [np.concatenate([h[:-1], loop_integrate(h, t, p, grid)])[n:]
                 for h in (phi, psi)]
-        diff = HistorySegment(rows[0] - rows[1], grid, p.tau, S)
-        assert parts.tolist() == [segment_norm(project(diff, ps)) / denom
+        diff = rows[0] - rows[1]
+        assert parts.tolist() == [segment_norm(project(diff, ps), grid) / denom
                                   for project in (project_P, project_Q, project_R)]
 
 
@@ -168,9 +165,9 @@ def test_groups_of_pairs_match_separate_integrations(grid, dissipative):
     assert measured.shape == (len(pairs) - 1, len(times), 3)
     differing = [pair for i, pair in enumerate(pairs) if i != 1]
     for denom, (phi, psi), pair_measured in zip(np.delete(denoms, 1), differing, measured):
-        rows = [np.concatenate([h.samples[:-1], loop_integrate(h, max(times), p)])
+        rows = [np.concatenate([h[:-1], loop_integrate(h, max(times), p, grid)])
                 for h in (phi, psi)]
-        assert denom == segment_norm(HistorySegment(phi.samples - psi.samples, grid, p.tau, S))
+        assert denom == segment_norm(phi - psi, grid)
         for t, parts in zip(times, pair_measured):
             n = round(t * S / p.tau)
             diff = rows[0][n:n + S + 1] - rows[1][n:n + S + 1]
@@ -222,7 +219,7 @@ def test_contraction_peak_is_about_two_batches():
 
 def test_zero_difference_status(grid, dissipative):
     """An identical pair is not integrated: a zero denominator, no ratios."""
-    phi = constant_history(np.cos(grid.nodes), grid, dissipative.tau, 8)
+    phi = constant_history(np.cos(grid.nodes), 8)
     ps = make_projections(grid, K=3.0, k_m=2)
     denoms, measured = measure_contraction([(phi, phi)], (0.5,), dissipative, ps)
     assert denoms.tolist() == [0.0]
