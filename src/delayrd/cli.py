@@ -15,7 +15,8 @@ A history is the (S + 1, P) array of its rows on the run's grid:
 `random_history` draws one, and `random_pair` and `eigenmode_pair` draw
 pairs of them for ``squeeze``.
 
-`main` sets up every run with `_load_config`: ``--seed`` and
+`main` parses with one argparse parser per process, built on its first
+call, and sets up every run with `_load_config`: ``--seed`` and
 ``--snapshot-every`` replace ``run.seed`` and ``run.snapshot_every`` and
 pass those keys' `RunOptions` rules.  ``certify`` and ``squeeze`` share
 one gate on the standing hypotheses, `_certification`.
@@ -23,9 +24,10 @@ one gate on the standing hypotheses, `_certification`.
 Reproducibility contract: all randomness flows through a single
 ``numpy.random.Generator`` seeded with PCG64 (documented, counter-based,
 cross-platform stable); JSON is the text of ``json.dumps(sort_keys=True,
-indent=2)``, built in one pass by ``_json_text``, which sorts and encodes
-each distinct key tuple once (``_sorted_heads``, a 64-entry LRU memo: the
-1008 root records of a 48-mode spectrum.json share one key order); CSV
+indent=2)``, built in one pass by ``_json_text``: a list's records of one
+key set and exact int or finite float values are written from one ``%r``
+template per key set and indent (``_record_template``, a 64-entry LRU memo:
+the 1008 root records of a 48-mode spectrum.json share one); CSV
 uses repr floats with '.' decimals and LF line endings; files are written
 atomically (temp file + rename).  Rerunning a subcommand with the same
 manifest produces byte-identical payloads; the manifest records the sha256
@@ -48,6 +50,7 @@ import sys
 import tempfile
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -119,15 +122,26 @@ def _atomic_write_bytes(path: str, payload: bytes) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _sorted_heads(keys: tuple) -> tuple:
-    """(key, '"key": ') of each key, in sorted order, for one key tuple."""
-    return tuple((key, encode_basestring_ascii(key) + ": ") for key in sorted(keys))
+def _record_template(keys: tuple, pad: str) -> str:
+    """Text of a dict of the sorted str ``keys`` at indent ``pad``, a %r per value."""
+    inner = pad + "  "
+    return "{\n" + inner + f",\n{inner}".join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": %r" for key in keys) + f"\n{pad}}}"
+
+
+def _plain(values: tuple) -> bool:
+    """Exact ints and floats with a finite sum (an overflow costs the template)."""
+    try:
+        return {int, float}.issuperset(map(type, values)) and math.isfinite(sum(values))
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _json_text(obj, pad: str = "") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` built in one pass, with
     non-finite floats as "nan"/"inf"/"-inf" and numpy scalars as floats and
-    ints; ``pad`` indents its line.  Exact-type dispatch, hot cases first."""
+    ints; ``pad`` indents its line.  Exact-type dispatch, hot cases first;
+    a list's dicts of its first dict's keys and `_plain` values take its template."""
     kind = type(obj)
     if kind is float:
         if math.isfinite(obj):
@@ -138,11 +152,17 @@ def _json_text(obj, pad: str = "") -> str:
             return "{}" if kind is dict else "[]"
         inner = pad + "  "
         if kind is dict:
-            items = [head + (repr(value) if type(value := obj[key]) is float
-                             and math.isfinite(value) else _json_text(value, inner))
-                     for key, head in _sorted_heads(tuple(obj))]
+            items = [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner)
+                     for key in sorted(obj)]
             return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
-        return "[\n" + inner + f",\n{inner}".join([_json_text(v, inner) for v in obj]) + f"\n{pad}]"
+        if type(head := obj[0]) is dict and len(head) > 1:  # itemgetter: 2+ keys for a tuple
+            keys = tuple(sorted(head))
+            template, pick, shape = _record_template(keys, inner), itemgetter(*keys), head.keys()
+            items = [template % values if type(d) is dict and d.keys() == shape
+                     and _plain(values := pick(d)) else _json_text(d, inner) for d in obj]
+        else:
+            items = [_json_text(v, inner) for v in obj]
+        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{pad}]"
     if kind is str:
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -596,6 +616,7 @@ def cmd_report(directory: str) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
+@functools.cache  # built on the first main() call, then shared by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delayrd",

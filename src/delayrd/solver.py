@@ -44,6 +44,7 @@ the same bytes alone, in a block of rows or in a batch.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import deque
@@ -139,16 +140,20 @@ def march(hist, n_steps: int, dt: float, propagate, load):
     *row shape) blocks.  A yielded block is never written again, so a
     caller may keep it; it must not write to it, as the next interval's
     loads read it.  A non-finite entry raises `DivergenceError` with the
-    step index, after the rows before it are yielded.
+    step index, after the rows before it are yielded, so the step arithmetic
+    silences numpy's overflow and invalid warnings (never across a yield).
     """
     half = 0.5 * dt
+    quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
     if hist[0].size > INTERVAL_ROW_FLOATS:
         rows = deque(hist, maxlen=len(hist))
-        k_prev = half * load(rows[0])
+        with quiet():
+            k_prev = half * load(rows[0])
         for n in range(1, n_steps + 1):
-            k_next = half * load(rows[1])
-            u = propagate(rows[-1] + k_prev)
-            u += k_next
+            with quiet():
+                k_next = half * load(rows[1])
+                u = propagate(rows[-1] + k_prev)
+                u += k_next
             if not np.isfinite(u).all():
                 raise DivergenceError(n)
             rows.append(u)
@@ -157,15 +162,17 @@ def march(hist, n_steps: int, dt: float, propagate, load):
         return
 
     S = len(hist) - 1
-    loads = half * load(hist)  # row j: dt/2 * load(u_{start + j - S})
+    with quiet():
+        loads = half * load(hist)  # row j: dt/2 * load(u_{start + j - S})
     u = hist[-1]
     for start in range(0, n_steps, S):
         m = min(S, n_steps - start)
         block = np.empty((m, *u.shape))
-        for i in range(m):
-            u = propagate(u + loads[i])
-            u += loads[i + 1]
-            block[i] = u
+        with quiet():
+            for i in range(m):
+                u = propagate(u + loads[i])
+                u += loads[i + 1]
+                block[i] = u
         if not np.isfinite(block).all():
             bad = int(np.argmin(np.isfinite(block.reshape(m, -1)).all(axis=1)))
             if bad:
@@ -173,7 +180,8 @@ def march(hist, n_steps: int, dt: float, propagate, load):
             raise DivergenceError(start + bad + 1)
         yield block
         loads[0] = loads[m]
-        np.multiply(half, load(block), out=loads[1:m + 1])
+        with quiet():
+            np.multiply(half, load(block), out=loads[1:m + 1])
 
 
 def evolve(hist: np.ndarray, n_steps: int, p: ProblemParameters, grid: Grid):

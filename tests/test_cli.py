@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import delayrd
+from delayrd import cli
 from delayrd.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -158,10 +159,22 @@ def test_simulate_divergence_exits_4(tmp_path, capsys):
         nonlinearity={"kind": "zero"}, forcing={"kind": "zero"},
         run={"horizon": 8.0, "history_norm": 1e307},
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == EXIT_DIVERGENCE
     assert "divergence at step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [512, 2048])  # rows of 512 and 2048 floats: both loops
+def test_simulate_divergence_prints_one_line(tmp_path, points):
+    """A diverging run says so once, with no numpy warning from the step
+    arithmetic before it: march checks every new row for finiteness."""
+    cfg = write_config(
+        tmp_path / "cfg.json", mu=0.2, sigma=2.0,
+        nonlinearity={"kind": "zero"}, forcing={"kind": "zero"},
+        grid={"points": points}, run={"history_norm": 1e307},
+    )
+    proc = run_cli_subprocess("simulate", cfg, tmp_path / "out")
+    assert (proc.returncode, proc.stderr) == (EXIT_DIVERGENCE, "divergence at step 1\n")
 
 
 def test_snapshot_roundtrip_and_cli_snapshots(tmp_path):
@@ -372,6 +385,55 @@ def test_parser_requires_subcommand():
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 PERFBENCH_CONFIGS = CONFIGS.parent / "perfbench" / "configs"
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """`main` builds its parser once per process.  A call that exits 2 on
+    bad arguments leaves it usable, and a flag of one call does not reach
+    the next: ``--snapshot-every`` goes to that simulate call alone."""
+    cfg = str(CONFIGS / "base.json")
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--config", cfg, "--snapshot-every", "five"])
+    assert info.value.code == EXIT_CONFIG
+    assert "invalid int value: 'five'" in capsys.readouterr().err
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "spectrum")]) == EXIT_OK
+
+    flags = []
+    load = cli._load_config
+    monkeypatch.setattr(cli, "_load_config", lambda path, **kw: flags.append(kw) or load(path, **kw))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "five"),
+                 "--snapshot-every", "5", "--seed", "3"]) == EXIT_OK
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "certify")]) == EXIT_INFEASIBLE
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "plain")]) == EXIT_OK
+    assert flags == [{"seed": 3, "snapshot_every": 5}, {"seed": None, "snapshot_every": None},
+                     {"seed": None, "snapshot_every": None}]
+    assert len(list((tmp_path / "five").glob("field_*.bin"))) == 96 // 5 + 1  # steps 0 .. 96
+    assert not list((tmp_path / "plain").glob("field_*.bin"))  # base.json: snapshot_every 0
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_repeated_certify_sweeps_write_the_same_bytes(tmp_path):
+    """Two in-process passes of certify + report over the seven certify-sweep
+    configs, through one cached parser and one template memo, write the
+    same files byte for byte into the same directories (manifest.json up to
+    its timestamp)."""
+    def sweep():
+        files = {}
+        for i in range(7):
+            out = tmp_path / f"certify-{i}"
+            main(["certify", "--config", str(PERFBENCH_CONFIGS / f"certify-sweep-{i}.json"),
+                  "--out", str(out)])
+            assert main(["report", "--dir", str(out)]) == EXIT_OK
+            for path in sorted(out.iterdir()):
+                text = path.read_bytes()
+                if path.name == "manifest.json":
+                    text = re.sub(rb'"generated_at": "[^"]*"', b"", text)
+                files[path.relative_to(tmp_path)] = text
+        return files
+
+    first = sweep()
+    assert len(first) == 7 * 6 and first == sweep()
+
 
 # payload_sha256 of each run at the config seed, or at the --seed a key's
 # third entry names, on x86-64 Linux with Python 3.11 and numpy 2.4; FFT

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,26 @@ def test_divergence_step_matches_loop_reference(rng, grid, batch):
     assert step > 8 and step % 8
     assert info.value.step == marched.value.step == step
     assert len(rows) == step - 1 and np.isfinite(rows).all()
+
+
+@pytest.mark.parametrize("batch", [1, 3])  # rows of 512 and 1536 floats: both loops
+def test_divergence_warns_nothing_and_leaks_no_error_state(grid, batch):
+    """The march's overflow and invalid values raise DivergenceError and no
+    numpy warning, even where warnings are errors; between the blocks it
+    yields, the caller's own error state holds."""
+    p = ProblemParameters(
+        mu=0.2, sigma=20.0, tau=0.5, lf=0.0,
+        forcing=ForcingSpec(), nonlinearity=NonlinearitySpec(),
+    )
+    hist = np.stack([constant_history(np.full(grid.points, 1e300), 8)] * batch, axis=1)
+    states = []
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            for _ in evolve(hist, 400, p, grid):
+                states.append(np.geterr())
+    assert info.value.step > 8 and states
+    assert all(state == dict.fromkeys(state, "raise") for state in states)
 
 
 @pytest.mark.parametrize("horizon", [0.25, 1.25, 1.5])  # below tau = 0.5, partial, whole intervals

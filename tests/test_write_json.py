@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayrd.cli import _sorted_heads, write_json
+from delayrd import cli
+from delayrd.cli import _record_template, write_json
 
 
 def _sanitize(obj):
@@ -73,13 +74,13 @@ def test_write_json_matches_sanitize_then_dumps(tmp_path_factory, doc):
 
 
 @pytest.mark.parametrize("doc", [np.bool_(True), {"a": {1, 2}}, {1: "one"}, [object()],
-                                 [{"one": 1}, {1: "one"}]],
+                                 [{"one": 1}, {1: "one"}], [{1: 0.5}, {1: 0.5}]],
                          ids=["numpy-bool", "set", "int-key", "object",
-                              "int-key-after-cached-shape"])
+                              "int-key-after-cached-shape", "int-key-records"])
 def test_write_json_refuses_what_json_refuses(tmp_path, doc):
-    """json.dumps refuses these too; the old path only converted non-str
-    keys, which no artifact has.  The key memo holds no shape that lets an
-    int key through after a str key set of the same size."""
+    """json.dumps refuses these too, except a non-str key, which it would
+    convert and no artifact has.  No record template lets an int key
+    through, first in a list or after a str key set of the same size."""
     with pytest.raises(TypeError):
         write_json(str(tmp_path / "doc.json"), doc)
     assert not (tmp_path / "doc.json").exists()
@@ -100,14 +101,82 @@ def _same_shape_records():
 
 def test_key_memo_matches_oracle(tmp_path):
     """Dicts of one key set, in either insertion order and at any depth,
-    take their key order from the memo and still write the oracle's bytes."""
+    take their text from the key set's template or the general path and
+    still write the oracle's bytes."""
     records = _same_shape_records()
     doc = {"roots": records, "modes": [{"roots": records[i::5], "mode": i} for i in range(5)]}
     write_json(str(tmp_path / "doc.json"), doc)
     assert (tmp_path / "doc.json").read_bytes() == oracle_bytes(doc)
 
 
-def test_key_memo_stays_bounded(tmp_path):
-    write_json(str(tmp_path / "doc.json"), [{f"k{i}": i} for i in range(10_000)])
-    info = _sorted_heads.cache_info()
+def _general_records(monkeypatch, doc) -> int:
+    """How many dicts of ``doc``'s lists `_json_text` writes by its general
+    path, not from a template (it recurses through the module name)."""
+    general = cli._json_text
+    count = 0
+
+    def counting(obj, pad=""):
+        nonlocal count
+        count += type(obj) is dict
+        return general(obj, pad)
+
+    monkeypatch.setattr(cli, "_json_text", counting)
+    general(doc)
+    return count
+
+
+def _records(values, keys=("re", "im", "multiplicity", "residual")):
+    """Records of ``keys`` over ``values`` in turn, every other one built in
+    reversed insertion order."""
+    records = []
+    for i in range(12):
+        record = {key: values[(i + j) % len(values)] for j, key in enumerate(keys)}
+        records.append(record if i % 2 else dict(reversed(record.items())))
+    return records
+
+
+# (records, how many of them take the general path)
+TEMPLATE_CASES = {
+    "plain": (_records([0.1, -0.0, 5e-324, 1e-300, 3, -7, 2**62, 1e16]), 0),
+    "overflowing-sum": (_records([1e308, 1.5e308]), 12),
+    "huge-int": ([{"a": 10**400, "b": 1.0}, {"a": 1, "b": 1.0}, {"a": 10**400, "b": 1}], 2),
+    "bool": (_records([0.5, True, 2]), 12),
+    "numpy-float64": (_records([np.float64(0.5), 1.0, 2]), 12),
+    "special-keys": (_records([0.5, -1, 2.0], keys=("%s", "100%", '"q"', "é☃")), 0),
+    "mixed-key-sets": ([{"x": 1.0, "y": 2}, {"x": 3.0}, {"y": 4, "x": 5.0}, {}], 2),
+    "empty-first": ([{}, {"x": 1.0}, {"x": 2.0}], 3),
+    "non-finite": (_records([math.nan, 1.0, math.inf, -math.inf]), 12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEMPLATE_CASES))
+def test_record_templates_match_oracle(tmp_path, monkeypatch, case):
+    """A list's dicts with its first dict's key set and exact int or finite
+    float values are written from one template; the rest (bool, numpy
+    scalars, non-finite values or a sum that overflows, ints beyond the
+    float range, other key sets) take the general path.  Both give the
+    oracle's bytes."""
+    records, general = TEMPLATE_CASES[case]
+    doc = {"records": records, "nested": [records[:3], records[3:]]}
+    write_json(str(tmp_path / "doc.json"), doc)
+    assert (tmp_path / "doc.json").read_bytes() == oracle_bytes(doc)
+    assert _general_records(monkeypatch, {"records": records}) == general
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(
+    st.sampled_from(["a", "b", "%r", "%%", '"', "é", "\u2603", "\x00"]),
+    st.one_of(st.integers(), st.sampled_from([10**400, -2**1030]), floats, st.booleans(), floats.map(np.float64)),
+    min_size=1, max_size=4), min_size=1, max_size=6))
+def test_record_lists_match_oracle(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    write_json(str(path), records)
+    assert path.read_bytes() == oracle_bytes(records)
+
+
+def test_template_memo_stays_bounded(tmp_path):
+    doc = [[{f"k{i}": i, "v": 0.5}] for i in range(10_000)]
+    write_json(str(tmp_path / "doc.json"), doc)
+    assert (tmp_path / "doc.json").read_bytes() == oracle_bytes(doc)
+    info = _record_template.cache_info()
     assert info.currsize == info.maxsize == 64
