@@ -331,8 +331,7 @@ def eigenmode_pair(rng: np.random.Generator, grid: Grid, p: ProblemParameters,
     modes = inside_sines(grid, spectral.K, min(modes_used, len(spectral.mode_roots)))
     bump = np.zeros((steps_per_delay + 1, grid.points))
     for j, (mode, mr) in enumerate(zip(modes.T, spectral.mode_roots), start=1):
-        rho_j = max((r.real for r in mr.roots if r.imag == 0),
-                    default=mr.roots[0].real)
+        rho_j = mr.roots[0].real  # the rightmost root: branch 0, real whenever one is
         bump += (rng.standard_normal() / j) * np.outer(np.exp(rho_j * thetas), mode)
     scale = segment_norm(bump, grid)
     if scale > 0:
@@ -397,6 +396,13 @@ def _certification(p: ProblemParameters, grid: Grid, run: RunOptions):
     return est, spectral, spec_doc, diagnostics
 
 
+def _infeasible(diagnostics: list) -> int:
+    """Exit 3, with one ``infeasible: <line>`` on stderr per diagnostic."""
+    for line in diagnostics:
+        print(f"infeasible: {line}", file=sys.stderr)
+    return EXIT_INFEASIBLE
+
+
 # --- subcommands --------------------------------------------------------------
 
 
@@ -429,11 +435,7 @@ def cmd_certify(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid
     manifest.save("certificate.json", write_json, cert_doc)
     manifest.write()
 
-    if diagnostics:
-        for line in diagnostics:
-            print(f"infeasible: {line}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return _infeasible(diagnostics) if diagnostics else EXIT_OK
 
 
 def cmd_simulate(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid,
@@ -488,9 +490,10 @@ def cmd_spectrum(config_path: str, out_dir: str, p: ProblemParameters, grid: Gri
 
 def cmd_squeeze(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid,
                 run: RunOptions) -> int:
-    """Measure P/Q/R contraction on pairs drawn with ``run.seed``; exit 3
-    if `_certification` finds a standing hypothesis failed.  The output
-    directory is made only once every stage that can fail has passed."""
+    """Measure P/Q/R contraction on pairs drawn with ``run.seed``; exit 3,
+    with certify's ``infeasible:`` lines, if `_certification` finds a
+    standing hypothesis failed.  The output directory is made only once
+    every stage that can fail has passed."""
     dt = p.tau / run.steps_per_delay
     try:  # measure_contraction marches to the grid_step of each time
         aligned = all(grid_step(t, dt) <= MAX_MARCH_STEPS for t in run.contraction_times)
@@ -501,9 +504,7 @@ def cmd_squeeze(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid
                           f"with 0 <= n <= {MAX_MARCH_STEPS}")
     est, spectral, _, diagnostics = _certification(p, grid, run)
     if diagnostics:
-        print("squeeze requires a dissipative configuration with a complete spectrum, "
-              "rho_m < 0 and mu - sigma - 1 > 0", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _infeasible(diagnostics)
     ps = make_projections(grid, run.cutoff_radius, spectral.k_m)
     manifest = RunManifest(config_path, run.seed, "squeeze", out_dir)
 
@@ -660,8 +661,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SplittingError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _infeasible([str(exc)])
     except DivergenceError as exc:
         print(f"divergence at step {exc.step}", file=sys.stderr)
         return EXIT_DIVERGENCE

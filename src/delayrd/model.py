@@ -35,7 +35,10 @@ __all__ = [
     "serialize_config",
 ]
 
-NONLINEARITY_KINDS = ("zero", "scaled_tanh", "scaled_sin", "saturating_linear")
+# f = scale * shape, each shape of maximal slope 1 (attained at the origin)
+NONLINEARITY_SHAPES = {"zero": np.zeros_like, "scaled_tanh": np.tanh, "scaled_sin": np.sin,
+                       "saturating_linear": lambda v: np.clip(v, -1.0, 1.0)}
+NONLINEARITY_KINDS = tuple(NONLINEARITY_SHAPES)
 FORCING_KINDS = ("zero", "gaussian_bump", "compact_bump")
 # Longest march, in steps, and the largest count or size a config may set.
 MAX_MARCH_STEPS = 2**20
@@ -216,14 +219,10 @@ def evaluate_nonlinearity(spec: NonlinearitySpec, value):
     field value; f(0) = 0 exactly for every catalog member.
     """
     v = np.asarray(value, dtype=float)
-    if spec.kind == "zero" or spec.scale == 0.0:
+    if spec.kind == "zero" or spec.scale == 0.0:  # +0.0 where 0.0 * shape(v) gives -0.0
         out = np.zeros_like(v)
-    elif spec.kind == "scaled_tanh":
-        out = spec.scale * np.tanh(v)
-    elif spec.kind == "scaled_sin":
-        out = spec.scale * np.sin(v)
-    else:  # saturating_linear
-        out = spec.scale * np.clip(v, -1.0, 1.0)
+    else:
+        out = spec.scale * NONLINEARITY_SHAPES[spec.kind](v)
     return out if out.ndim else float(out)
 
 

@@ -269,9 +269,10 @@ def test_squeeze_parallel_matches_serial(tmp_path):
 
 def test_squeeze_rejects_unsplit_configuration(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", mu=1.05, sigma=0.1)
-    # mu - sigma - 1 < 0: energy route closed, squeeze refuses
+    # mu - sigma - 1 < 0: energy route closed, squeeze refuses and says so
     assert main(["squeeze", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INFEASIBLE
-    assert "requires" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("infeasible: energy gap mu - sigma - 1 <= 0: "
+                                       "c1/c4/c5 infeasible\n")
 
 
 def test_report_merges_artifacts(tmp_path):
@@ -930,7 +931,9 @@ def test_incomplete_spectrum_exits_3(tmp_path, capsys, subcommand, radius):
     assert main([subcommand, "--config", cfg, "--out", str(out)]) == EXIT_INFEASIBLE
     err = capsys.readouterr().err
     if subcommand == "squeeze":
-        assert "complete spectrum" in err and not out.exists()
+        assert err == ("infeasible: mode 1: characteristic roots incomplete "
+                       "(residual above 1e-10)\n")
+        assert not out.exists()
         return
     spec = json.loads((out / "spectrum.json").read_text())
     assert spec["rho_m"] < 0 and spec["certificate_ok"] is False
@@ -997,11 +1000,12 @@ SHIPPED_CONFIGS = {path.stem: path for path in (*sorted(CONFIGS.glob("*.json")),
 
 
 @pytest.mark.parametrize("case", [*SHIPPED_CONFIGS, *GATE_FAILURES])
-def test_certify_and_squeeze_refuse_the_same_configs(tmp_path, case):
+def test_certify_and_squeeze_refuse_the_same_configs(tmp_path, capsys, case):
     """certify searches the dimension certificates and squeeze measures
     only when the run's standing hypotheses hold, read from one gate: squeeze
     exits 3 without an output directory exactly when certify's
-    certificate.json holds no search."""
+    certificate.json holds no search, and then prints certify's
+    ``infeasible:`` lines, one per failed hypothesis."""
     if case in GATE_FAILURES:
         old, new, diagnostic = GATE_FAILURES[case]
         cfg = certify_config_with(tmp_path / "cfg.json", old, new)
@@ -1009,10 +1013,14 @@ def test_certify_and_squeeze_refuse_the_same_configs(tmp_path, case):
         cfg = str(SHIPPED_CONFIGS[case])
     certified, squeezed = tmp_path / "certify", tmp_path / "squeeze"
     main(["certify", "--config", cfg, "--out", str(certified)])
+    certify_err = capsys.readouterr().err.splitlines()
     cert = json.loads((certified / "certificate.json").read_text())
     refused = (main(["squeeze", "--config", cfg, "--out", str(squeezed)]) == EXIT_INFEASIBLE
                and not squeezed.exists())
     assert refused == ("hausdorff" not in cert)
+    if refused:
+        assert capsys.readouterr().err.splitlines() == certify_err == [
+            f"infeasible: {line}" for line in cert["diagnostics"]]
     if case in GATE_FAILURES:
         assert refused and any(diagnostic in line for line in cert["diagnostics"])
 

@@ -9,6 +9,7 @@ from delayrd.estimates import compute_estimates
 from delayrd.model import (
     MAX_MARCH_STEPS,
     MAX_SEGMENT_FLOATS,
+    NONLINEARITY_KINDS,
     ConfigError,
     ForcingSpec,
     Grid,
@@ -131,6 +132,24 @@ def test_nonlinearity_fixes_origin():
     for kind in ("zero", "scaled_tanh", "scaled_sin", "saturating_linear"):
         spec = NonlinearitySpec(kind=kind, scale=3.0 if kind != "zero" else 0.0)
         assert evaluate_nonlinearity(spec, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.3])
+@pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+def test_nonlinearity_table_gives_the_branch_bits(kind, scale):
+    """scale * shape(v) from the kind table, bit for bit as one branch per
+    kind: a zero kind or scale gives +0.0, not the -0.0 of 0.0 * tanh(-v)."""
+    v = np.array([-5.0, -1.0, -0.3, -0.0, 0.0, 0.3, 1.0, 5.0])
+    if kind == "zero" or scale == 0.0:
+        expected = np.zeros_like(v)
+    elif kind == "scaled_tanh":
+        expected = scale * np.tanh(v)
+    elif kind == "scaled_sin":
+        expected = scale * np.sin(v)
+    else:
+        expected = scale * np.clip(v, -1.0, 1.0)
+    out = evaluate_nonlinearity(NonlinearitySpec(kind=kind, scale=scale), v)
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_nonlinearity_empirical_lipschitz(rng):

@@ -411,6 +411,17 @@ def config_path(name: str) -> pathlib.Path:
     return next(d / f"{name}.json" for d in CONFIG_DIRS if (d / f"{name}.json").exists())
 
 
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_a_real_root_is_sorted_first(config):
+    """`cli.eigenmode_pair` carries each mode back in theta by roots[0].real:
+    whenever a mode has a real root, roots[0] is one (branch 0, the rightmost
+    root), so that rate is the largest real root's."""
+    p, _, run = parse_config(config_path(config).read_text())
+    for mr in spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes).mode_roots:
+        real = [r.real for r in mr.roots if r.imag == 0]
+        assert not real or (mr.roots[0].imag == 0 and mr.roots[0].real == max(real)), mr.mode
+
+
 @pytest.mark.parametrize("config,seed,samples,row_floats", [
     pytest.param("base", 1, 32, None, id="1-32"),
     pytest.param("base", 2, 16, None, id="2-16"),
