@@ -385,15 +385,21 @@ def _certification(p: ProblemParameters, grid: Grid, run: RunOptions):
     if not est.dissipative:
         diagnostics.append(f"dissipativity condition {DISSIPATIVITY_CONDITION} violated: "
                            f"beta={est.beta!r} >= mu={p.mu!r}")
-    if not spectral.rho_m < 0:
-        diagnostics.append("spectral splitting unavailable (rho_m >= 0)")
-    incomplete = [mr.mode for mr in spectral.mode_roots if not mr.complete]
-    if incomplete:
-        diagnostics.append(f"mode {incomplete[0]}: characteristic roots incomplete "
-                           f"(residual above {ROOT_RESIDUAL_TOL!r})")
+    diagnostics += _spectral_diagnostics(spectral)
     if not est.energy_feasible:
         diagnostics.append("energy gap mu - sigma - 1 <= 0: c1/c4/c5 infeasible")
     return est, spectral, spec_doc, diagnostics
+
+
+def _spectral_diagnostics(spectral) -> list:
+    """One line per failed spectral hypothesis, rho_m < 0 then every mode
+    complete: empty exactly when ``spectral.certificate_ok``."""
+    lines = [] if spectral.rho_m < 0 else ["spectral splitting unavailable (rho_m >= 0)"]
+    incomplete = [mr.mode for mr in spectral.mode_roots if not mr.complete]
+    if incomplete:
+        lines.append(f"mode {incomplete[0]}: characteristic roots incomplete "
+                     f"(residual above {ROOT_RESIDUAL_TOL!r})")
+    return lines
 
 
 def _infeasible(diagnostics: list) -> int:
@@ -480,12 +486,15 @@ def cmd_simulate(config_path: str, out_dir: str, p: ProblemParameters, grid: Gri
 def cmd_spectrum(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid,
                  run: RunOptions) -> int:
     """Spectral data only: eigenvalues, roots, splitting, dichotomy.  The
-    spectral stage runs before the output directory is made."""
+    spectral stage runs before the output directory is made.  An unsplit or
+    incomplete spectrum exits 3 with certify's spectral ``infeasible:``
+    lines."""
     spectral, doc = _spectral_bundle(p, grid, run)
     manifest = RunManifest(config_path, run.seed, "spectrum", out_dir)
     manifest.save("spectrum.json", write_json, doc)
     manifest.write()
-    return EXIT_OK if spectral.certificate_ok else EXIT_INFEASIBLE
+    diagnostics = _spectral_diagnostics(spectral)
+    return _infeasible(diagnostics) if diagnostics else EXIT_OK
 
 
 def cmd_squeeze(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid,
@@ -526,17 +535,30 @@ def cmd_squeeze(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid
                                                  "bound_Q", "measured_R", "bound_R"),
                   table.reshape(-1, 7))
 
-    worst = np.max(measured / bounds, axis=(0, 1), initial=0.0)
+    ratios = measured / bounds
+    worst = np.max(ratios, axis=(0, 1), initial=0.0)
+    limit = 1.0 + CERTIFICATE_TOLERANCE
     summary = {
         "pairs": run.ensemble,
         "times": list(times),
         "zero_difference": int(np.sum(denoms == 0.0)) * len(times),
         **{f"worst_ratio_{part}": float(v) for part, v in zip("PQR", worst)},
-        "within_bounds": bool(np.all(worst <= 1.0 + CERTIFICATE_TOLERANCE)),
+        "within_bounds": bool(np.all(worst <= limit)),
     }
     manifest.save("squeeze.json", write_json, summary)
     manifest.write()
-    return EXIT_OK if summary["within_bounds"] else EXIT_INFEASIBLE
+    if summary["within_bounds"]:
+        return EXIT_OK
+    # each part over the limit, at its worst pair and time; pairs count from 1
+    # in draw order, and the ratios hold the differing ones only
+    drawn = np.flatnonzero(denoms != 0.0) + 1
+    lines = []
+    for j, part in enumerate("PQR"):
+        if not worst[j] <= limit:
+            pair, n = divmod(int(np.argmax(ratios[..., j])), len(times))
+            lines.append(f"measured/bound {part} {worst[j]:.4g} > {limit!r} "
+                         f"at t = {times[n]!r} (pair {drawn[pair]})")
+    return _infeasible(lines)
 
 
 # summary.txt lines of the plain-record artifacts, filled in by str.format_map

@@ -16,7 +16,9 @@ conjugate complex pairs marching left; the rightmost roots across all
 retained modes are merged into the splitting data (rho_1 > rho_2 > ...,
 multiplicities n_j, cut index k_m) that feeds the squeezing bounds and the
 dimension certificates.  Every root is a Lambert W branch in closed form,
-polished by Newton on the characteristic equation and residual-checked.
+polished by Newton on the characteristic equation and residual-checked,
+all (mode, branch) pairs as one array; the roots of every mode form one
+NaN-padded table, grouped by one sort and read by the dichotomy as a mask.
 
 The per-mode equation is stepped by the PDE integrator's `solver.march`
 with the scalar decay exp(-(mu + mu_{m,K}) dt) as propagator: one mode in
@@ -29,9 +31,8 @@ the max of the last S + 1 sums; only those sums are held.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,42 +88,101 @@ def dirichlet_eigenvalues(K: float, count: int) -> list:
 # --- root finding ----------------------------------------------------------
 
 
-def _char(lam, a: float, sigma: float, delayed):
-    """chi(lambda) = lambda + a - sigma * delayed, with delayed = exp(-lambda tau)."""
-    return lam + a - sigma * delayed
+class SplittingError(ValueError):
+    """The search window holds too few roots to split the spectrum."""
 
 
-def _newton_polish(lam: complex, a: float, sigma: float, tau: float) -> complex:
+#: Lambert W branches searched per mode: branch 0 gives the real root and
+#: branches 1..10 the upper half of the window.
+BRANCHES = 11
+
+
+def _newton(x: np.ndarray, idx: np.ndarray, step, done) -> None:
+    """Newton's method in place on the entries ``idx`` of the flat array
+    ``x``.  ``step(idx, x[idx])`` gives the steps; each entry takes at most
+    100 of them and is frozen once its own step passes ``done(step, new x)``,
+    so it takes the steps a scalar loop would."""
     for _ in range(100):
-        delayed = cmath.exp(-lam * tau)  # shared by the function and its derivative
-        step = _char(lam, a, sigma, delayed) / (1.0 + sigma * tau * delayed)
-        lam -= step
-        if abs(step) < 1e-15 * max(1.0, abs(lam)):
-            break
-    return lam
+        if not idx.size:
+            return
+        s = step(idx, x[idx])
+        x[idx] -= s
+        idx = idx[~done(s, x[idx])]
 
 
-def _lambert_w(log_z: float, k: int) -> complex:
-    """Branch k of the Lambert W function at z = exp(log_z) > 0.
+def _root_table(eigs: list, p: ProblemParameters) -> tuple:
+    """(roots, residuals, counts) of the modes with Dirichlet eigenvalues
+    ``eigs``: row i holds the window roots of mode i + 1 (Re >= -50/tau,
+    |Im| <= 20 pi/tau) in its first ``counts[i]`` entries, by descending
+    real part, then descending imaginary part; the rest of the row is NaN.
 
-    Newton on w + log w = log z + 2 pi i k (Corless et al., Adv. Comput.
-    Math. 5, 1996), so z itself is never formed and a huge z cannot
-    overflow.  The start is the asymptotic L - log L, except on the
-    principal branch below z = e, where W_0(z) is close to z.
+    With a = mu + mu_{m,K}, the roots are lambda_k = -a + W_k(z)/tau for
+    z = sigma tau e^{a tau} > 0.  On branch k >= 1, Im W_k(z) lies in
+    ((2k - 1) pi, 2k pi), so branches 1..10 give the upper half of the
+    window and branch 0 the real root, which is the rightmost one
+    (Shinozaki & Mori, Automatica 42, 2006).  z never reaches the branch
+    point -1/e, so every root is simple.  Every (mode, branch) pair runs
+    through two Newton iterations as one array:
+
+    - W_k on w + log w = log z + 2 pi i k (Corless et al., Adv. Comput.
+      Math. 5, 1996), so a huge z is never formed.  The start is the
+      asymptotic L - log L, except on branch 0 below z = e, where W_0(z) is
+      close to z (and is z = 0 when z underflows).  Stop: |step| <= 1e-15 |w|.
+    - Each root in the window is polished on chi(lambda) = lambda + a -
+      sigma e^{-lambda tau} itself.  Stop: |step| < 1e-15 max(1, |lambda|)
+      (Ortega & Rheinboldt, 1970).
+
+    The residual is |chi(lambda)|; a conjugate carries its partner's, since
+    |chi(conj lambda)| = |chi(lambda)|.  An exp(-lambda tau) that overflows
+    raises SplittingError naming the first such mode.
     """
-    target = complex(log_z, 2.0 * math.pi * k)
-    if k == 0 and log_z < 1.0:
-        w = cmath.exp(target)
-        if w == 0:  # z underflows, and W_0(z) = z to double precision
-            return w
-    else:
-        w = target - cmath.log(target)
-    for _ in range(100):
-        step = w * (w + cmath.log(w) - target) / (1.0 + w)
-        w -= step
-        if abs(step) <= 1e-15 * abs(w):
-            break
-    return w
+    a = p.mu + np.asarray(eigs, dtype=float)
+    sigma, tau = p.sigma, p.tau
+    if sigma == 0.0:  # no delay term: the single root -a
+        return (-a).astype(complex)[:, None], np.zeros((a.size, 1)), np.ones(a.size, int)
+
+    with np.errstate(all="ignore"):
+        log_z = math.log(sigma) + math.log(tau) + a * tau
+        target = log_z[:, None] + 2j * math.pi * np.arange(BRANCHES)
+        w = target - np.log(target)
+        small = log_z < 1.0
+        w[small, 0] = np.exp(target[small, 0])
+        _newton(w.reshape(-1), np.flatnonzero(w != 0),
+                lambda i, x: x * (x + np.log(x) - target.flat[i]) / (1.0 + x),
+                lambda s, x: np.abs(s) <= 1e-15 * np.abs(x))
+        lam = -a[:, None] + w / tau
+        keep = ~(lam.real < -50.0 / tau)  # out of the window, exp(-lambda tau) may overflow
+        a_at = np.broadcast_to(a[:, None], lam.shape).reshape(-1)
+        overflow = np.zeros(lam.size, bool)
+
+        def delayed(i, lam):  # exp(-lambda tau), marking every overflow
+            arg = -lam * tau
+            out = np.exp(arg)
+            overflow[i] |= np.isfinite(arg) & ~np.isfinite(out)
+            return out
+
+        def polish(i, lam):
+            d = delayed(i, lam)  # shared by chi and its derivative
+            return (lam + a_at[i] - sigma * d) / (1.0 + sigma * tau * d)
+
+        _newton(lam.reshape(-1), np.flatnonzero(keep), polish,
+                lambda s, x: np.abs(s) < 1e-15 * np.maximum(1.0, np.abs(x)))
+        lam.imag[:, 0] = 0.0  # branch 0 is real
+        i = np.flatnonzero(keep)
+        residual = np.full(lam.shape, np.nan)
+        residual.flat[i] = np.abs(lam.flat[i] + a_at[i] - sigma * delayed(i, lam.flat[i]))
+    if overflow.any():
+        first = int(overflow.reshape(lam.shape).any(axis=1).argmax())
+        raise SplittingError(f"mode {first + 1}: characteristic-root search overflows a float "
+                             f"(eigenvalue {eigs[first]!r})")
+
+    # branches 0..10, then the conjugates of 1..10; sorted, the kept ones first
+    roots = np.concatenate([lam, lam[:, 1:].conj()], axis=1)
+    residuals = np.concatenate([residual, residual[:, 1:]], axis=1)
+    kept = np.concatenate([keep, keep[:, 1:]], axis=1)
+    order = np.lexsort((-roots.imag, -roots.real, ~kept), axis=-1)
+    return (np.take_along_axis(np.where(kept, roots, np.nan), order, axis=-1),
+            np.take_along_axis(residuals, order, axis=-1), kept.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -141,66 +201,20 @@ def characteristic_roots(mode_eig: float, p: ProblemParameters, count: int) -> l
     """The ``count`` rightmost characteristic roots of one spatial mode.
 
     Ordered by descending real part (conjugate pairs adjacent, positive
-    imaginary part first).  Every returned root satisfies
-    |lambda + mu + mu_{m,K} - sigma exp(-lambda tau)| <= 1e-10.
+    imaginary part first).  The 1e-10 residual gate on
+    |lambda + mu + mu_{m,K} - sigma exp(-lambda tau)| is not applied here:
+    `spectral_partition` reports it per mode as ``ModeRoots.complete``.
 
     For sigma = 0 the transcendental term is absent and the single root
     -mu - mu_{m,K} is returned regardless of ``count``.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    return list(_mode_root_search(mode_eig, p).roots[:count])
-
-
-def _mode_root_search(mode_eig: float, p: ProblemParameters, mode: int = 0) -> ModeRoots:
-    """Every root of spatial mode ``mode`` with Re >= -50/tau and
-    |Im| <= 20 pi/tau, by Lambert W.
-
-    With a = mu + mu_{m,K}, the roots are lambda_k = -a + W_k(z)/tau for
-    z = sigma tau e^{a tau} > 0.  On branch k >= 1, Im W_k(z) lies in
-    ((2k - 1) pi, 2k pi), so branches 1..10 give the upper half of the
-    window and branch 0 the real root, which is the rightmost one
-    (Shinozaki & Mori, Automatica 42, 2006).  z never reaches the branch
-    point -1/e, so every root is simple.  Each root in the window is
-    polished by Newton on the characteristic equation itself; a conjugate
-    carries its partner's residual, since |chi(conj lambda)| = |chi(lambda)|.
-    """
-    a = p.mu + mode_eig
-    sigma, tau = p.sigma, p.tau
-    if sigma == 0.0:
-        return ModeRoots(mode=mode, eigenvalue=mode_eig, roots=(complex(-a, 0.0),),
-                         residuals=(0.0,), complete=True)
-
-    log_z = math.log(sigma) + math.log(tau) + a * tau
-    pairs = []  # (root, residual)
-    for k in range(11):
-        lam = -a + _lambert_w(log_z, k) / tau
-        if lam.real < -50.0 / tau:  # out of the window; exp(-lam tau) may overflow
-            continue
-        lam = _newton_polish(lam, a, sigma, tau)
-        if k == 0:
-            lam = complex(lam.real, 0.0)
-            pairs.append((lam, abs(_char(lam, a, sigma, cmath.exp(-lam * tau)))))
-        else:
-            res = abs(_char(lam, a, sigma, cmath.exp(-lam * tau)))
-            pairs.extend(((lam, res), (lam.conjugate(), res)))
-
-    pairs.sort(key=lambda pair: (-pair[0].real, -pair[0].imag))
-    residuals = tuple(res for _, res in pairs)
-    return ModeRoots(
-        mode=mode,
-        eigenvalue=mode_eig,
-        roots=tuple(root for root, _ in pairs),
-        residuals=residuals,
-        complete=all(res <= ROOT_RESIDUAL_TOL for res in residuals),
-    )
+    roots, _, counts = _root_table([mode_eig], p)
+    return roots[0, :counts[0]].tolist()[:count]
 
 
 # --- spectral splitting ----------------------------------------------------
-
-
-class SplittingError(ValueError):
-    """The search window holds too few roots to split the spectrum."""
 
 
 @dataclass(frozen=True)
@@ -225,6 +239,8 @@ class SpectralData:
     status: str
     mode_roots: tuple
     K_m: float | None = None
+    #: the roots of mode_roots[i] in row i, padded with NaN (`_root_table`)
+    root_table: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -259,14 +275,14 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
     """Merge per-mode characteristic roots into the splitting data.
 
     Collects every window root of the first ``modes`` spatial modes,
-    groups coincident real parts (tolerance 1e-8), sorts the groups
-    descending, and accumulates multiplicities into k_m over the first
-    ``m_cut`` groups.  Certificate use requires rho_m < 0 and every mode
-    ``complete`` (all its roots pass the residual gate); when either
-    fails the data is still returned with ``certificate_ok`` False, and
-    ``status`` is "no_splitting" when no negative real part exists at all.
-    A mode whose eigenvalue or roots overflow a float (a tiny K) raises
-    SplittingError naming the mode.
+    groups coincident real parts (tolerance 1e-8 from the group's first,
+    largest, real part), sorts the groups descending, and accumulates
+    multiplicities into k_m over the first ``m_cut`` groups.  Certificate
+    use requires rho_m < 0 and every mode ``complete`` (all its roots pass
+    the residual gate); when either fails the data is still returned with
+    ``certificate_ok`` False, and ``status`` is "no_splitting" when no
+    negative real part exists at all.  A mode whose eigenvalue or roots
+    overflow a float (a tiny K) raises SplittingError naming the mode.
     """
     if not 1 <= m_cut <= modes:
         raise ValueError("need modes >= m_cut >= 1")
@@ -275,52 +291,45 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
     except OverflowError as exc:  # the last mode's eigenvalue is the largest
         raise SplittingError(f"mode {modes}: eigenvalue (m pi/(2K))^2 overflows a float "
                              f"at K = {K!r}") from exc
-    details = []
-    entries = []  # (real part, multiplicity counting conjugates)
-    for idx, mu_m in enumerate(eigs, start=1):
-        try:
-            mr = _mode_root_search(mu_m, p, idx)
-        except OverflowError as exc:  # exp(-lambda tau) in the Newton polish
-            raise SplittingError(f"mode {idx}: characteristic-root search overflows a float "
-                                 f"(eigenvalue {mu_m!r})") from exc
-        details.append(mr)
-        # conjugates (imag < 0) are counted with their partners
-        entries.extend((root.real, 2 if root.imag > 0 else 1)
-                       for root in mr.roots if root.imag >= 0)
+    roots, residuals, counts = _root_table(eigs, p)
+    listed = np.arange(roots.shape[1]) < counts[:, None]
+    complete = np.all((residuals <= ROOT_RESIDUAL_TOL) | ~listed, axis=1)
+    details = tuple(
+        ModeRoots(mode=m, eigenvalue=eig, roots=tuple(r[:n]), residuals=tuple(res[:n]),
+                  complete=ok)
+        for m, eig, r, res, n, ok in zip(range(1, modes + 1), eigs, roots.tolist(),
+                                         residuals.tolist(), counts.tolist(), complete.tolist()))
 
-    if not entries:
+    # a root with Im > 0 counts its conjugate too, and one with Im < 0 is that conjugate
+    upper = listed & (roots.imag >= 0)
+    order = np.argsort(-roots.real[upper], kind="stable")
+    rho, mult = roots.real[upper][order], 1 + (roots.imag[upper][order] > 0)
+    if not rho.size:
         raise SplittingError("no characteristic roots found in the search window")
-
-    entries.sort(key=lambda e: -e[0])
-    groups = []
-    for rho, mult in entries:
-        if groups and abs(groups[-1][0] - rho) <= 1e-8:
-            groups[-1][1] += mult
-        else:
-            groups.append([rho, mult])
-
-    if len(groups) < m_cut:
-        raise SplittingError(
-            f"only {len(groups)} distinct real parts in the window; m_cut={m_cut}"
-        )
-    k_m = sum(mult for _, mult in groups[:m_cut])
-    rho1 = groups[0][0]
-    rho_m = groups[m_cut - 1][0]
-    if all(rho >= 0 for rho, _ in groups):
-        status = "no_splitting"
-    else:
-        status = "ok"
+    # a group starts at a real part more than 1e-8 below its group's first: a
+    # gap between neighbours starts one for certain, and a run of small gaps
+    # is split at its first far member until no member is far
+    start = np.r_[True, ~(np.abs(rho[:-1] - rho[1:]) <= 1e-8)]
+    while (far := ~(np.abs(rho[start][np.cumsum(start) - 1] - rho) <= 1e-8) & ~start).any():
+        first_far = np.flatnonzero(far)
+        start[first_far[np.unique(np.cumsum(start)[far], return_index=True)[1]]] = True
+    group_rho, group_mult = rho[start], np.add.reduceat(mult, np.flatnonzero(start))
+    if group_rho.size < m_cut:
+        raise SplittingError(f"only {group_rho.size} distinct real parts in the window; "
+                             f"m_cut={m_cut}")
+    rho1, rho_m = group_rho[0].item(), group_rho[m_cut - 1].item()
     return SpectralData(
         K=K,
         m_cut=m_cut,
         eigenvalues=tuple(eigs),
-        root_groups=tuple((rho, mult) for rho, mult in groups),
-        k_m=k_m,
+        root_groups=tuple(zip(group_rho.tolist(), group_mult.tolist())),
+        k_m=int(group_mult[:m_cut].sum()),
         rho1=rho1,
         rho_m=rho_m,
-        certificate_ok=rho_m < 0 and all(mr.complete for mr in details),
-        status=status,
-        mode_roots=tuple(details),
+        certificate_ok=rho_m < 0 and bool(complete.all()),
+        status="no_splitting" if np.all(group_rho >= 0) else "ok",
+        mode_roots=details,
+        root_table=roots,
     )
 
 
@@ -371,18 +380,6 @@ DICHOTOMY_T_POINTS = 12
 DICHOTOMY_SAFETY = 1.25
 
 
-def _q_side_profiles(spectral: SpectralData, rho_cut: float) -> list:
-    """(mode index, eigenvalue, root) triples strictly below the cut."""
-    out = []
-    for mr in spectral.mode_roots:
-        for root in mr.roots:
-            if root.imag < 0:
-                continue  # conjugate handled with its partner
-            if root.real < rho_cut - 1e-9:
-                out.append((mr.mode, mr.eigenvalue, root))
-    return out
-
-
 def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
                        samples: int, rng: np.random.Generator) -> dict:
     """Estimate the dichotomy constant K_m by direct sampling.
@@ -406,8 +403,11 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
         raise ValueError("dichotomy estimate requires rho_m < 0")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    profiles = _q_side_profiles(spectral, spectral.rho_m)
-    if not profiles:
+    # the roots beyond the cut with Im >= 0 (a conjugate goes with its partner)
+    table = spectral.root_table
+    beyond = (table.imag >= 0) & (table.real < spectral.rho_m - 1e-9)
+    rows, roots = np.nonzero(beyond)[0].tolist(), table[beyond]  # row i: mode i + 1
+    if not rows:
         raise SplittingError("no roots beyond the cut inside the search window")
 
     rho_m = spectral.rho_m
@@ -424,22 +424,21 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
     # the random stream, sample by sample: each pick's profile and batch
     # column, one column per (sample, mode) in first-seen order; a sample's
     # columns are adjacent, the first at its entry of `starts`
-    take = min(len(profiles), 4)
+    take = min(len(rows), 4)
     picks, coeffs, cols, starts, eigs = [], [], [], [], []
     for _ in range(samples):
-        chosen = rng.choice(len(profiles), size=take, replace=False)
+        chosen = rng.choice(len(rows), size=take, replace=False)
         coeffs.append(rng.standard_normal((take, 2)))  # one (c1, c2) per pick
         starts.append(len(eigs))
-        columns: dict = {}  # (mode, eigenvalue) -> batch column
+        columns: dict = {}  # mode row -> batch column
         for idx in chosen:
-            mode, eig, _ = profiles[idx]
-            cols.append(columns.setdefault((mode, eig), len(eigs) + len(columns)))
-        eigs.extend(eig for _, eig in columns)
+            cols.append(columns.setdefault(rows[idx], len(eigs) + len(columns)))
+        eigs.extend(spectral.eigenvalues[row] for row in columns)
         picks.extend(chosen)
     # every draw's term exp(re theta) (c1 cos(im theta) + c2 sin(im theta)) at
     # once, which is c1 exp(re theta) exactly at a real root, summed into its
     # column in draw order (np.add.at is unbuffered)
-    roots = np.array([profiles[idx][2] for idx in picks])
+    roots = roots[picks]
     c1, c2 = np.concatenate(coeffs).T
     phases = np.outer(roots.imag, thetas)
     terms = np.exp(np.outer(roots.real, thetas)) * (c1[:, None] * np.cos(phases)

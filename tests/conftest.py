@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from delayrd.model import (
 from delayrd.model import evaluate_forcing, evaluate_nonlinearity
 from delayrd.semigroup import field_norm, gradient_norm
 from delayrd.solver import far_field_masses, row_norms, segment_sups
+from delayrd.spectrum import ROOT_RESIDUAL_TOL, ModeRoots
 
 
 @pytest.fixture
@@ -106,3 +108,76 @@ def gradient_sups(hist, values, grid):
     def gradients(rows):
         return np.array([gradient_norm(row, grid) for row in rows])
     return segment_sups(gradients(hist), gradients(values))
+
+
+def loop_lambert_w(log_z: float, k: int) -> complex:
+    """Branch k of the Lambert W function at z = exp(log_z) > 0, one
+    scalar Newton loop on w + log w = log z + 2 pi i k: the reference for
+    `spectrum._root_table`'s array iteration (same start, cap and stop)."""
+    target = complex(log_z, 2.0 * math.pi * k)
+    if k == 0 and log_z < 1.0:
+        w = cmath.exp(target)
+        if w == 0:  # z underflows, and W_0(z) = z to double precision
+            return w
+    else:
+        w = target - cmath.log(target)
+    for _ in range(100):
+        step = w * (w + cmath.log(w) - target) / (1.0 + w)
+        w -= step
+        if abs(step) <= 1e-15 * abs(w):
+            break
+    return w
+
+
+def loop_newton_polish(lam: complex, a: float, sigma: float, tau: float) -> complex:
+    """Scalar Newton loop on chi(lambda) = lambda + a - sigma exp(-lambda tau);
+    cmath.exp raises OverflowError where numpy's exp gives inf."""
+    for _ in range(100):
+        delayed = cmath.exp(-lam * tau)
+        step = (lam + a - sigma * delayed) / (1.0 + sigma * tau * delayed)
+        lam -= step
+        if abs(step) < 1e-15 * max(1.0, abs(lam)):
+            break
+    return lam
+
+
+def loop_mode_roots(mode_eig: float, p: ProblemParameters, mode: int) -> ModeRoots:
+    """One mode's window roots root by root, as `spectrum.spectral_partition`
+    reports them: branch 0 (made real) and branches 1..10 with their
+    conjugates, each polished and residual-checked, sorted by descending real
+    part, then descending imaginary part."""
+    a = p.mu + mode_eig
+    sigma, tau = p.sigma, p.tau
+    if sigma == 0.0:
+        return ModeRoots(mode, mode_eig, (complex(-a, 0.0),), (0.0,), True)
+    log_z = math.log(sigma) + math.log(tau) + a * tau
+    pairs = []  # (root, residual)
+    for k in range(11):
+        lam = -a + loop_lambert_w(log_z, k) / tau
+        if lam.real < -50.0 / tau:
+            continue
+        lam = loop_newton_polish(lam, a, sigma, tau)
+        if k == 0:
+            lam = complex(lam.real, 0.0)
+        res = abs(lam + a - sigma * cmath.exp(-lam * tau))
+        pairs.extend([(lam, res)] if k == 0 else [(lam, res), (lam.conjugate(), res)])
+    pairs.sort(key=lambda pair: (-pair[0].real, -pair[0].imag))
+    residuals = tuple(res for _, res in pairs)
+    return ModeRoots(mode, mode_eig, tuple(root for root, _ in pairs), residuals,
+                     all(res <= ROOT_RESIDUAL_TOL for res in residuals))
+
+
+def loop_root_groups(mode_roots) -> list:
+    """(rho, multiplicity) groups of the roots' real parts, descending: a
+    root joins the current group when within 1e-8 of the group's first real
+    part; a conjugate pair counts two."""
+    entries = sorted(((root.real, 2 if root.imag > 0 else 1)
+                      for mr in mode_roots for root in mr.roots if root.imag >= 0),
+                     key=lambda e: -e[0])
+    groups = []
+    for rho, mult in entries:
+        if groups and abs(groups[-1][0] - rho) <= 1e-8:
+            groups[-1][1] += mult
+        else:
+            groups.append([rho, mult])
+    return [tuple(g) for g in groups]

@@ -228,13 +228,14 @@ def test_spectrum_command(tmp_path):
     assert all(m["complete"] for m in doc["modes"])
 
 
-def test_spectrum_unstable_cut_exits_3(tmp_path):
+def test_spectrum_unstable_cut_exits_3(tmp_path, capsys):
     # sigma so large the dominant root crosses zero: no splitting at m_cut=1
     cfg = write_config(tmp_path / "cfg.json", mu=0.2, sigma=3.0, lf=0.0,
                        nonlinearity={"kind": "zero"}, forcing={"kind": "zero"},
                        run={"m_cut": 1})
     out = tmp_path / "out"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "infeasible: spectral splitting unavailable (rho_m >= 0)\n"
     doc = json.loads((out / "spectrum.json").read_text())
     assert doc["certificate_ok"] is False
     assert doc["rho_m"] >= 0
@@ -439,18 +440,19 @@ def test_repeated_certify_sweeps_write_the_same_bytes(tmp_path):
 # payload_sha256 of each run at the config seed, or at the --seed a key's
 # third entry names, on x86-64 Linux with Python 3.11 and numpy 2.4; FFT
 # rounding on another platform or numpy build may legitimately move them.
-# The two spectrum.json hashes at the config seed date from the
-# switch to Lambert W roots, which moved root values in the last ulp; the
+# Every spectrum.json hash dates from the root search as one (mode, branch)
+# array pass: numpy's complex division and exp/log round some roots
+# differently from cmath, by at most 2.2e-16 relative (1125 of the 7728
+# roots of the 11 shipped configs), while rho_1, rho_m, k_m, the group
+# multiplicities, the complete flags and K_m kept their bytes; the
 # simulate hashes from the pairwise (layout-independent) tail-mass sum, which
 # moved the far-field masses by at most 4e-15 relative.  The certify-sweep-0
-# entry (perfbench/configs, 48 modes, a 212 kB spectrum.json) was hashed with
+# certificate and estimates (perfbench/configs, 48 modes) were hashed with
 # the two-pass JSON writer (sanitize, then json.dumps) before the one-pass
 # writer replaced it.  The certify-sweep-1 to -6 entries were hashed before
 # the certificate search took the contraction factors once per t0 and the
 # dichotomy summed per-sample norms by reduceat; sweep-1 and sweep-4 are the
-# points whose K_m depends on the flow, and sweep-6 is infeasible.  The two
-# spectrum entries at seed 7 were hashed before the dichotomy drew its
-# histories in one batch and the JSON writer memoized each key order.
+# points whose K_m depends on the flow, and sweep-6 is infeasible.
 GOLDEN = {
     ("simulate", "base"): (EXIT_OK, {
         "farfield.csv": "5291a61eb1c9cb9cc6006e026aa9c52c1702942781649ebf9591b6249d20b269",
@@ -465,12 +467,12 @@ GOLDEN = {
     ("certify", "base"): (EXIT_INFEASIBLE, {
         "certificate.json": "5832ac9c450fd391b7c0ee64d9f16adf22632d87774037ba8464ab3ad7489394",
         "estimates.json": "e37ce4de7c507efd98c85eccd325ae9fa7e74b233e4d39a2355abf0d66d89376",
-        "spectrum.json": "49794655476ff65820a2b854195bb576aec42488698c6e3b6e9d51138e334315",
+        "spectrum.json": "5885e8a01276e3eab56fd5ef134f6dddd48175d5ebdcc7c49392f9fa4bdc149a",
     }),
     ("certify", "certify"): (EXIT_OK, {
         "certificate.json": "753b64d3bffca41181e23fb2701d9c60d9b2434c6856713a3ea4cc9b11c51c38",
         "estimates.json": "87edeb7cc97fb0af199dc4121c936e76a24ba987f57185cb01344aecc1feb756",
-        "spectrum.json": "a8af2dab7ae964e3e6c7d4015f123b819634ba54166275860c2f0f3524746dbb",
+        "spectrum.json": "ad1b86e06574ad3270198790e73d2f4e6e8acf9b058ce662b6451b00e198f51b",
     }),
     ("squeeze", "base"): (EXIT_OK, {
         "contraction.csv": "f52de95be7d2b8e5328b287034309b482339af28a04955cfff61a17e22ad9fc6",
@@ -483,43 +485,43 @@ GOLDEN = {
     ("certify", "certify-sweep-0"): (EXIT_OK, {
         "certificate.json": "753b64d3bffca41181e23fb2701d9c60d9b2434c6856713a3ea4cc9b11c51c38",
         "estimates.json": "87edeb7cc97fb0af199dc4121c936e76a24ba987f57185cb01344aecc1feb756",
-        "spectrum.json": "6a24729a2f1a74fdb913218262d4951a99e7f3c6002cf0647f2c3da93a7730f3",
+        "spectrum.json": "b4d9b9f90744bfd4c861272645b2dcba410977f1584d4cbd1642130e3bc3dfd6",
     }),
     ("certify", "certify-sweep-1"): (EXIT_OK, {
         "certificate.json": "be41cb77f205a6d8cede1484d55949f7071ad7d75339ef4f6937254a8954a204",
         "estimates.json": "a5d7b0960dff537d2eb2fcae8da3decb62aa1d3cd4cd715cd9ab569887151ece",
-        "spectrum.json": "8c5febd2d3d3f4955f146daae882a7ec089585a832a1d0ad24b4f3e4f1bd8e5d",
+        "spectrum.json": "7265c70179a3cd87ebf1f322d675d04bbd9935482437f5f75dbc78d83b4a0f58",
     }),
     ("certify", "certify-sweep-2"): (EXIT_OK, {
         "certificate.json": "22dfd4b50198fa6c199866dcb2c20928d15bfcadd220e52dc2ec726908a76257",
         "estimates.json": "1a587edd1076012b71f234a9ab26f30e7a8b9509600e61074dffab84a2f2f689",
-        "spectrum.json": "fc06e8317c4edf493bbaf56f2c92f35fe485f9b17edd2eab15fbe0b69b1b04e3",
+        "spectrum.json": "9143c9d7838eed81deb90d7299f94b15be1a274afd38d951bb5a3903b7789389",
     }),
     ("certify", "certify-sweep-3"): (EXIT_OK, {
         "certificate.json": "ac706d616d42d38093c7c8265eec6e200e175c668ada331a33e7c20022afb447",
         "estimates.json": "3d26f197808de9f4622874e857aa7993ac48fa7785087de153c89d33fae6cacf",
-        "spectrum.json": "091a94cae164e54fd8902563507f599d3c50fb1bba8b4c23475dc4bd36a039d6",
+        "spectrum.json": "1b3f32a5675277b3d5327e11845ca1f20bb0c2627c0b244775dcb9fff6eb3f4e",
     }),
     ("certify", "certify-sweep-4"): (EXIT_OK, {
         "certificate.json": "78edc2557f9991498fc31ce8afc5eb55637eea46061361dbb0e217c1f147db01",
         "estimates.json": "3a2361df7d816b4c14e4a120b16aabc2d337b36e50894c7e10fa176eabc85420",
-        "spectrum.json": "f86fd9751310cd3d535e42486dcdd29c957e5b320feaf185a041ceda52c3e744",
+        "spectrum.json": "39a6c78b212c6a6be480278fe467ee51e07616064ce5e413b349e393f6c9e812",
     }),
     ("certify", "certify-sweep-5"): (EXIT_OK, {
         "certificate.json": "93d31a5bfa13eb825b9e9f383d83ca7f3a4459dfd3c313e63adfb6d4f391376e",
         "estimates.json": "6287c9973b39b5020805dbc5a16e5b9f5ac5643fd9f9d05fa2a59e8840e47b3c",
-        "spectrum.json": "9c831ef70679b34e3575e21273cf887364abd71e70e0aa94bd39d46c56374fde",
+        "spectrum.json": "2c5d71ad91fa3dbc7e298979e14f3117e1dd84990c5e0a010a1d0c6858c595bf",
     }),
     ("certify", "certify-sweep-6"): (EXIT_INFEASIBLE, {
         "certificate.json": "a58608dd661946569c1523d3f27002aa146e450a692b128996d1c1e3e1ec95b4",
         "estimates.json": "73d1b05927ed21e6bc8285e3bb00042ec1732def8317a1d249fabe7e47ea0e58",
-        "spectrum.json": "daf1472a3cddbb3634e2f37c97ceef5b2c45552261d7e8c93ed341357dd8a11e",
+        "spectrum.json": "22079c797382b2e7f040ed1eb91b071a5eca824c5bf0986c0bddb0c1e746ca44",
     }),
     ("spectrum", "base", "7"): (EXIT_OK, {
-        "spectrum.json": "bfac7e6f5b617f104936ab75b770287db5fb475496c400a925a41345e410f9df",
+        "spectrum.json": "c0407b4013b99d80dbf56fe53db8106e3ddebe3e481fe7cfdc9a80551f978d27",
     }),
     ("spectrum", "certify", "7"): (EXIT_OK, {
-        "spectrum.json": "69a5c772d5bfd2ee4ad2962a168ffc158e72ca86b3be9b02c049b854c1f4de51",
+        "spectrum.json": "e1de867c8f61580a2e2931801c8cf361805864a60fabd5709ee5fba865268d96",
     }),
 }
 
@@ -935,6 +937,9 @@ def test_incomplete_spectrum_exits_3(tmp_path, capsys, subcommand, radius):
                        "(residual above 1e-10)\n")
         assert not out.exists()
         return
+    if subcommand == "spectrum":
+        assert err == ("infeasible: mode 1: characteristic roots incomplete "
+                       "(residual above 1e-10)\n")
     spec = json.loads((out / "spectrum.json").read_text())
     assert spec["rho_m"] < 0 and spec["certificate_ok"] is False
     assert spec["K_m"] is None and "dichotomy" not in spec
@@ -1005,7 +1010,10 @@ def test_certify_and_squeeze_refuse_the_same_configs(tmp_path, capsys, case):
     only when the run's standing hypotheses hold, read from one gate: squeeze
     exits 3 without an output directory exactly when certify's
     certificate.json holds no search, and then prints certify's
-    ``infeasible:`` lines, one per failed hypothesis."""
+    ``infeasible:`` lines, one per failed hypothesis.  spectrum checks only
+    the spectral hypotheses (rho_m < 0, every mode complete): it exits 3
+    exactly when it prints a line, and its lines are certify's spectral
+    lines, in order."""
     if case in GATE_FAILURES:
         old, new, diagnostic = GATE_FAILURES[case]
         cfg = certify_config_with(tmp_path / "cfg.json", old, new)
@@ -1017,12 +1025,50 @@ def test_certify_and_squeeze_refuse_the_same_configs(tmp_path, capsys, case):
     cert = json.loads((certified / "certificate.json").read_text())
     refused = (main(["squeeze", "--config", cfg, "--out", str(squeezed)]) == EXIT_INFEASIBLE
                and not squeezed.exists())
+    squeeze_err = capsys.readouterr().err.splitlines()
     assert refused == ("hausdorff" not in cert)
     if refused:
-        assert capsys.readouterr().err.splitlines() == certify_err == [
-            f"infeasible: {line}" for line in cert["diagnostics"]]
+        assert squeeze_err == certify_err == [f"infeasible: {line}" for line in cert["diagnostics"]]
     if case in GATE_FAILURES:
         assert refused and any(diagnostic in line for line in cert["diagnostics"])
+    code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "spectrum")])
+    spectral = [line for line in certify_err
+                if line.startswith(("infeasible: spectral splitting", "infeasible: mode "))]
+    assert capsys.readouterr().err.splitlines() == spectral
+    assert code == (EXIT_INFEASIBLE if spectral else EXIT_OK)
+    if case == "incomplete-spectrum":
+        assert spectral == ["infeasible: mode 1: characteristic roots incomplete "
+                            "(residual above 1e-10)"]
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_squeeze_out_of_bounds_names_each_part(tmp_path, capsys, seed):
+    """squeeze-pairs breaks the P bound at seeds 0 and 2 (worst ratios 1.43
+    and 1.09): squeeze exits 3 with one ``infeasible:`` line per part over
+    1 + CERTIFICATE_TOLERANCE, naming its worst ratio, time and pair (in
+    draw order, from 1), on stderr only; stdout stays empty."""
+    out = tmp_path / "out"
+    assert main(["squeeze", "--config", str(PERFBENCH_CONFIGS / "squeeze-pairs.json"),
+                 "--out", str(out), "--seed", str(seed)]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads((out / "squeeze.json").read_text())
+    assert doc["within_bounds"] is False and doc["zero_difference"] == 0
+    over = [part for part in "PQR" if doc[f"worst_ratio_{part}"] > 1.05]
+    assert over == ["P"]
+    rows = [line.split(",") for line in (out / "contraction.csv").read_text().splitlines()[1:]]
+    lines = captured.err.splitlines()
+    assert len(lines) == len(over)
+    for part, line in zip(over, lines):
+        match = re.fullmatch(rf"infeasible: measured/bound {part} (\S+) > 1\.05 "
+                             r"at t = (\S+) \(pair (\d+)\)", line)
+        assert match, line
+        ratio, t, pair = float(match[1]), float(match[2]), int(match[3])
+        assert ratio == float(f"{doc[f'worst_ratio_{part}']:.4g}")
+        col = 1 + 2 * "PQR".index(part)
+        (row,) = [r for r in rows[(pair - 1) * len(doc["times"]):pair * len(doc["times"])]
+                  if float(r[0]) == t]
+        assert float(row[col]) / float(row[col + 1]) == doc[f"worst_ratio_{part}"]
 
 
 @pytest.mark.parametrize("subcommand", ["certify", "simulate", "spectrum", "squeeze"])

@@ -3,7 +3,9 @@
 makes a subcommand leave through anything but its documented exit codes,
 and no damaged artifact makes `report` leave other than by 0 or 2."""
 
+import contextlib
 import copy
+import io
 import json
 import pathlib
 import shutil
@@ -101,14 +103,20 @@ def test_parse_config_returns_typed_triple_or_config_error(text):
 @example([(("grid", "half_length"), 1e300)])
 def test_cli_exits_through_documented_codes(edits):
     """configs/base.json with one to three schema keys set from a palette
-    of edge values: every subcommand returns 0, 2, 3 or 4."""
+    of edge values: every subcommand returns 0, 2, 3 or 4, and every exit 3
+    names its cause: at least one stderr line, each ``infeasible: ...``."""
     doc = edited(json.loads(BASE.read_text()), edits)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = pathlib.Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(doc))
         for subcommand in ("certify", "spectrum", "simulate", "squeeze"):
-            code = main([subcommand, "--config", str(cfg), "--out", f"{tmp}/{subcommand}"])
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([subcommand, "--config", str(cfg), "--out", f"{tmp}/{subcommand}"])
             assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_DIVERGENCE), subcommand
+            if code == EXIT_INFEASIBLE:
+                lines = err.getvalue().splitlines()
+                assert lines and all(line.startswith("infeasible: ") for line in lines), \
+                    (subcommand, lines)
 
 
 REPORT_ARTIFACTS = ("estimates.json", "spectrum.json", "certificate.json")

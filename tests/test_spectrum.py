@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy.special import lambertw
 
-from delayrd import solver
+from delayrd import solver, spectrum
 from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters, parse_config
 from delayrd.solver import DivergenceError, history_from_function, integrate, march
 from delayrd.spectrum import (
     ROOT_RESIDUAL_TOL,
+    SplittingError,
     characteristic_roots,
     dichotomy_constant,
     dirichlet_eigenvalues,
@@ -19,7 +20,7 @@ from delayrd.spectrum import (
     spectral_partition,
 )
 
-from conftest import heat_only_params
+from conftest import heat_only_params, loop_mode_roots, loop_root_groups
 
 
 def linear_problem(mu=2.0, sigma=0.5, tau=1.0):
@@ -336,10 +337,11 @@ def loop_dichotomy_constant(p, spectral, samples, rng, steps_per_delay=64,
     reference loop, with per-step segment norms from a pure-Python loop
     over the segment rows (the reference for the batched evolution and the
     window reduction)."""
-    from delayrd.spectrum import _q_side_profiles
-
-    profiles = _q_side_profiles(spectral, spectral.rho_m)
     rho_m = spectral.rho_m
+    # (mode, eigenvalue, root) of every root below the cut, a conjugate
+    # handled with its partner
+    profiles = [(mr.mode, mr.eigenvalue, root) for mr in spectral.mode_roots
+                for root in mr.roots if root.imag >= 0 and root.real < rho_m - 1e-9]
     t_max = min(20.0, max(1.0, 8.0 / abs(rho_m)))
     dt = p.tau / steps_per_delay
     raw = np.geomspace(max(dt, t_max / 256.0), t_max, t_points)
@@ -491,18 +493,118 @@ def test_dichotomy_peak_stays_below_the_per_step_march(config):
 
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
 def test_stored_residuals_are_recomputed_residuals(config):
-    """A conjugate root carries its partner's residual: on every mode of
-    every shipped config each stored residual is |chi(root)| recomputed at
-    that root, bit for bit."""
-    from delayrd.spectrum import _char
-
+    """On every mode of every shipped config each stored residual of a root
+    with Im >= 0 is |chi(root)| recomputed by the array expression, bit for
+    bit, and a conjugate (Im < 0, right after its partner) carries its
+    partner's residual."""
     p, _, run = parse_config(config_path(config).read_text())
     spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)
     checked = 0
     for mr in spectral.mode_roots:
         a = p.mu + mr.eigenvalue
         assert len(mr.residuals) == len(mr.roots)
-        for root, residual in zip(mr.roots, mr.residuals):
-            assert residual == abs(_char(root, a, p.sigma, cmath.exp(-root * p.tau)))
-            checked += root.imag < 0
+        roots, residuals = np.array(mr.roots), np.array(mr.residuals)
+        chi = np.abs(roots + a - p.sigma * np.exp(-roots * p.tau))
+        upper = roots.imag >= 0
+        assert np.array_equal(residuals[upper], chi[upper])
+        for j in np.flatnonzero(~upper):
+            assert mr.roots[j - 1] == mr.roots[j].conjugate()
+            assert mr.residuals[j] == mr.residuals[j - 1]
+            checked += 1
     assert checked > 0
+
+
+def ulp_distance_ok(found, expected, ulps=4):
+    """Each complex root within ``ulps`` float64 ulp of its reference,
+    relative to the reference's modulus."""
+    found, expected = np.array(found), np.array(expected)
+    return np.all(np.abs(found - expected) <= ulps * np.finfo(float).eps * np.abs(expected))
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_root_table_matches_scalar_loop(config):
+    """The (mode, branch) array pass against the scalar Lambert W and
+    Newton loops it replaced, root by root: the same count, order and
+    ``complete`` flags, each root within 4 ulp (one array division may
+    round differently from cmath's), and identical rho_1, rho_m, k_m and
+    group multiplicities."""
+    p, _, run = parse_config(config_path(config).read_text())
+    spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)
+    loop = [loop_mode_roots(eig, p, m) for m, eig in enumerate(spectral.eigenvalues, start=1)]
+    for mr, ref in zip(spectral.mode_roots, loop, strict=True):
+        assert len(mr.roots) == len(ref.roots) and mr.complete == ref.complete, mr.mode
+        assert [r.imag > 0 for r in mr.roots] == [r.imag > 0 for r in ref.roots], mr.mode
+        assert ulp_distance_ok(mr.roots, ref.roots), mr.mode
+        assert all(type(r) is complex for r in mr.roots)
+        assert all(type(res) is float for res in mr.residuals)
+    groups = loop_root_groups(loop)
+    assert [m for _, m in spectral.root_groups] == [m for _, m in groups]
+    assert spectral.rho1 == groups[0][0]
+    assert spectral.rho_m == groups[run.m_cut - 1][0]
+    assert spectral.k_m == sum(m for _, m in groups[:run.m_cut])
+
+
+@pytest.mark.parametrize("mu,sigma,tau,eig,count", [
+    pytest.param(2.0, 0.0, 0.5, 1.3, 1, id="sigma-0"),
+    pytest.param(6.0, 5e-324, 0.1, 0.0, 1, id="w0-underflow"),  # W_0 = z = 0: the root -a
+    pytest.param(2.0, 2.3e-20, 0.5, 4.0, 13, id="window-drops-branches"),  # 7..10
+])
+def test_root_table_matches_scalar_loop_on_edge_cases(mu, sigma, tau, eig, count):
+    """The edge paths of the array pass, against the scalar loop: no delay
+    term, a W_0 start that underflows, and branches left of the window."""
+    p = linear_problem(mu=mu, sigma=sigma, tau=tau)
+    ref = loop_mode_roots(eig, p, 1)
+    found = characteristic_roots(eig, p, 100)
+    assert len(found) == len(ref.roots) == count
+    assert ulp_distance_ok(found, ref.roots)
+    assert [r.imag > 0 for r in found] == [r.imag > 0 for r in ref.roots]
+
+
+def test_root_table_overflow_names_the_scalar_loops_mode():
+    """K = 1e-8 on configs/base.json: the scalar polish raises OverflowError
+    first on a mode, and the array pass names that same mode."""
+    p, _, run = parse_config(config_path("base").read_text())
+    eigs = dirichlet_eigenvalues(1e-8, run.modes)
+    first = None
+    for m, eig in enumerate(eigs, start=1):
+        try:
+            loop_mode_roots(eig, p, m)
+        except OverflowError:
+            first = m
+            break
+    assert first is not None
+    with pytest.raises(SplittingError, match=f"^mode {first}: characteristic-root search "
+                                             "overflows a float"):
+        spectral_partition(p, 1e-8, run.m_cut, run.modes)
+
+
+def test_characteristic_roots_does_not_apply_the_residual_gate():
+    """Near a = 0.6, sigma = 1.55e-3, tau = 1.33e-3 the roots reach
+    |lambda| ~ 5e4, where one ulp of lambda alone gives a residual near
+    1e-10: characteristic_roots still returns all 21 window roots, some
+    above the gate, and `spectral_partition` reports the gate as
+    ``complete`` False (at K = 1e6 the mode's eigenvalue is 2.5e-12)."""
+    p = linear_problem(mu=0.599, sigma=1.55e-3, tau=1.33e-3)
+    roots = characteristic_roots(0.0, p, 100)
+    residuals = [abs(r + p.mu - p.sigma * cmath.exp(-r * p.tau)) for r in roots]
+    assert len(roots) == 21
+    assert max(residuals) > ROOT_RESIDUAL_TOL
+    (mr,) = spectral_partition(p, 1e6, 1, 1).mode_roots
+    assert len(mr.roots) == 21 and max(mr.residuals) > ROOT_RESIDUAL_TOL
+    assert mr.complete is False
+
+
+@pytest.mark.parametrize("reals", [
+    pytest.param([0.0, -0.6e-8, -1.2e-8, -1.8e-8, -2.4e-8], id="chain-of-small-gaps"),
+    pytest.param([1.0, 1.0, 1.0 - 1e-8, -3.0, -3.0 - 2e-8], id="ties-and-gaps"),
+    pytest.param([-5e-9 * j for j in range(12)], id="long-chain"),
+])
+def test_grouping_measures_from_each_groups_first_real_part(monkeypatch, reals):
+    """A run of neighbours each within 1e-8 but spanning more is split where
+    a member falls more than 1e-8 below its group's first real part, as the
+    root-by-root grouping did; the table is replaced to make such runs."""
+    roots = np.array([reals], dtype=complex)
+    monkeypatch.setattr(spectrum, "_root_table",
+                        lambda eigs, p: (roots, np.zeros(roots.shape), np.array([len(reals)])))
+    spectral = spectral_partition(linear_problem(), K=3.0, m_cut=1, modes=1)
+    assert list(spectral.root_groups) == loop_root_groups(spectral.mode_roots)
