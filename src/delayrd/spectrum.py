@@ -18,7 +18,7 @@ multiplicities n_j, cut index k_m) that feeds the squeezing bounds and the
 dimension certificates.  Every root is a Lambert W branch in closed form,
 polished by Newton on the characteristic equation and residual-checked,
 all (mode, branch) pairs as one array; the roots of every mode form one
-NaN-padded table, grouped by one sort and read by the dichotomy as a mask.
+NaN-padded table, and their real parts are grouped on one sort.
 
 The per-mode equation is stepped by the PDE integrator's `solver.march`
 with the scalar decay exp(-(mu + mu_{m,K}) dt) as propagator: one mode in
@@ -32,7 +32,7 @@ the max of the last S + 1 sums; only those sums are held.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,8 +239,6 @@ class SpectralData:
     status: str
     mode_roots: tuple
     K_m: float | None = None
-    #: the roots of mode_roots[i] in row i, padded with NaN (`_root_table`)
-    root_table: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -306,30 +304,27 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
     rho, mult = roots.real[upper][order], 1 + (roots.imag[upper][order] > 0)
     if not rho.size:
         raise SplittingError("no characteristic roots found in the search window")
-    # a group starts at a real part more than 1e-8 below its group's first: a
-    # gap between neighbours starts one for certain, and a run of small gaps
-    # is split at its first far member until no member is far
-    start = np.r_[True, ~(np.abs(rho[:-1] - rho[1:]) <= 1e-8)]
-    while (far := ~(np.abs(rho[start][np.cumsum(start) - 1] - rho) <= 1e-8) & ~start).any():
-        first_far = np.flatnonzero(far)
-        start[first_far[np.unique(np.cumsum(start)[far], return_index=True)[1]]] = True
-    group_rho, group_mult = rho[start], np.add.reduceat(mult, np.flatnonzero(start))
-    if group_rho.size < m_cut:
-        raise SplittingError(f"only {group_rho.size} distinct real parts in the window; "
+    groups = []  # [rho, multiplicity]; a real part within 1e-8 of its group's first joins it
+    for r, m in zip(rho.tolist(), mult.tolist()):
+        if groups and abs(groups[-1][0] - r) <= 1e-8:
+            groups[-1][1] += m
+        else:
+            groups.append([r, m])
+    if len(groups) < m_cut:
+        raise SplittingError(f"only {len(groups)} distinct real parts in the window; "
                              f"m_cut={m_cut}")
-    rho1, rho_m = group_rho[0].item(), group_rho[m_cut - 1].item()
+    rho1, rho_m = groups[0][0], groups[m_cut - 1][0]
     return SpectralData(
         K=K,
         m_cut=m_cut,
         eigenvalues=tuple(eigs),
-        root_groups=tuple(zip(group_rho.tolist(), group_mult.tolist())),
-        k_m=int(group_mult[:m_cut].sum()),
+        root_groups=tuple(map(tuple, groups)),
+        k_m=sum(m for _, m in groups[:m_cut]),
         rho1=rho1,
         rho_m=rho_m,
         certificate_ok=rho_m < 0 and bool(complete.all()),
-        status="no_splitting" if np.all(group_rho >= 0) else "ok",
+        status="no_splitting" if all(r >= 0 for r, _ in groups) else "ok",
         mode_roots=details,
-        root_table=roots,
     )
 
 
@@ -404,11 +399,11 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
     if samples < 1:
         raise ValueError("samples must be at least 1")
     # the roots beyond the cut with Im >= 0 (a conjugate goes with its partner)
-    table = spectral.root_table
-    beyond = (table.imag >= 0) & (table.real < spectral.rho_m - 1e-9)
-    rows, roots = np.nonzero(beyond)[0].tolist(), table[beyond]  # row i: mode i + 1
-    if not rows:
+    beyond = [(mr.mode - 1, root) for mr in spectral.mode_roots for root in mr.roots
+              if root.imag >= 0 and root.real < spectral.rho_m - 1e-9]
+    if not beyond:
         raise SplittingError("no roots beyond the cut inside the search window")
+    rows, roots = zip(*beyond)  # row i: mode i + 1
 
     rho_m = spectral.rho_m
     t_max = min(20.0, max(1.0, 8.0 / abs(rho_m)))
@@ -438,7 +433,7 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
     # every draw's term exp(re theta) (c1 cos(im theta) + c2 sin(im theta)) at
     # once, which is c1 exp(re theta) exactly at a real root, summed into its
     # column in draw order (np.add.at is unbuffered)
-    roots = roots[picks]
+    roots = np.array(roots)[picks]
     c1, c2 = np.concatenate(coeffs).T
     phases = np.outer(roots.imag, thetas)
     terms = np.exp(np.outer(roots.real, thetas)) * (c1[:, None] * np.cos(phases)

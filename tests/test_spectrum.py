@@ -12,6 +12,7 @@ from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters, pars
 from delayrd.solver import DivergenceError, history_from_function, integrate, march
 from delayrd.spectrum import (
     ROOT_RESIDUAL_TOL,
+    SpectralData,
     SplittingError,
     characteristic_roots,
     dichotomy_constant,
@@ -329,6 +330,16 @@ def test_dichotomy_requires_negative_cut(rng):
         dichotomy_constant(p, positive, samples=2, rng=rng)
     with pytest.raises(ValueError, match="samples"):
         dichotomy_constant(p, spectral, samples=0, rng=rng)
+
+
+def test_dichotomy_without_roots_beyond_the_cut_raises(rng):
+    """A hand-built SpectralData with no roots below rho_m has no profile
+    to sample from."""
+    spectral = SpectralData(
+        K=3.0, m_cut=1, eigenvalues=(), root_groups=((-2.0, 1),), k_m=1, rho1=-2.0,
+        rho_m=-2.0, certificate_ok=True, status="ok", mode_roots=())
+    with pytest.raises(SplittingError, match="no roots beyond the cut"):
+        dichotomy_constant(linear_problem(), spectral, samples=2, rng=rng)
 
 
 def loop_dichotomy_constant(p, spectral, samples, rng, steps_per_delay=64,
