@@ -48,7 +48,7 @@ import os
 import struct
 import sys
 import tempfile
-from itertools import chain, islice
+from itertools import chain, islice, takewhile
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -297,40 +297,40 @@ def random_history(rng: np.random.Generator, grid: Grid, tau: float,
 
 
 def random_pair(rng: np.random.Generator, grid: Grid, tau: float,
-                steps_per_delay: int, norm: float, separation: float,
-                modes: int = 10, support: float = None):
+                steps_per_delay: int, norm: float, separation: float):
     """A base history and a broadband perturbation of it, as two (S + 1, P)
     row arrays.
 
-    The perturbation mixes more (and higher) modes than the base so the
-    difference has content in all three projection ranges; ``support``
-    sets the Gaussian envelope width of the perturbation (default L/2.5).
+    The perturbation mixes 10 modes, more (and higher) than the base's 6,
+    under a wider Gaussian envelope (half-width L/2.5 against L/4), so the
+    difference has content in all three projection ranges.
     """
     phi = random_history(rng, grid, tau, steps_per_delay, norm)
-    support = grid.half_length / 2.5 if support is None else support
     bump = random_history(rng, grid, tau, steps_per_delay, separation,
-                          modes=modes, support=support)
+                          modes=10, support=grid.half_length / 2.5)
     return phi, phi + bump
 
 
 def eigenmode_pair(rng: np.random.Generator, grid: Grid, p: ProblemParameters,
-                   spectral, steps_per_delay: int, norm: float,
-                   separation: float, modes_used: int = 6):
+                   spectral, steps_per_delay: int, norm: float, separation: float):
     """A pair of (S + 1, P) history row arrays whose difference lies in the
     span of the inside modes.
 
-    The perturbation combines the first ``modes_used`` Dirichlet sine
-    modes of Omega_K (zero-extended), each carried backward in theta by
-    its own dominant decay rate, so the difference history is dynamically
-    consistent with the linear flow.  This is the regime the contraction
-    bounds describe; box-wide slowly-decaying content (which the inside
-    splitting never sees) is deliberately excluded.
+    The perturbation combines the leading Dirichlet sine modes of Omega_K
+    (zero-extended), among the first six, that have a root in the search
+    window (roots move left as the eigenvalue grows, so only trailing modes
+    lack one), each carried backward in theta by its own dominant decay
+    rate, so the difference history is dynamically consistent with the
+    linear flow.  This is the regime the contraction bounds describe;
+    box-wide slowly-decaying content (which the inside splitting never
+    sees) is deliberately excluded.
     """
     phi = random_history(rng, grid, p.tau, steps_per_delay, norm)
     thetas = np.linspace(-p.tau, 0.0, steps_per_delay + 1)
-    modes = inside_sines(grid, spectral.K, min(modes_used, len(spectral.mode_roots)))
+    rooted = list(takewhile(lambda mr: mr.roots, spectral.mode_roots[:6]))
+    modes = inside_sines(grid, spectral.K, len(rooted))
     bump = np.zeros((steps_per_delay + 1, grid.points))
-    for j, (mode, mr) in enumerate(zip(modes.T, spectral.mode_roots), start=1):
+    for j, (mode, mr) in enumerate(zip(modes.T, rooted), start=1):
         rho_j = mr.roots[0].real  # the rightmost root: branch 0, real whenever one is
         bump += (rng.standard_normal() / j) * np.outer(np.exp(rho_j * thetas), mode)
     scale = segment_norm(bump, grid)

@@ -40,8 +40,12 @@ NONLINEARITY_SHAPES = {"zero": np.zeros_like, "scaled_tanh": np.tanh, "scaled_si
                        "saturating_linear": lambda v: np.clip(v, -1.0, 1.0)}
 NONLINEARITY_KINDS = tuple(NONLINEARITY_SHAPES)
 FORCING_KINDS = ("zero", "gaussian_bump", "compact_bump")
-# Longest march, in steps, and the largest count or size a config may set.
+# Longest march, in steps, and the largest other count or size a config may set.
 MAX_MARCH_STEPS = 2**20
+# Most modes and most dichotomy samples: spectrum's time and memory grow
+# linearly in each (configs/certify.json with 65,536 modes: 17 s, 1.3 GB RSS
+# on a 2-vCPU x86-64 host).
+MAX_SPECTRAL_COUNT = 2**12
 # Most floats in one history segment, (steps_per_delay + 1) * points.
 MAX_SEGMENT_FLOATS = 2**24
 
@@ -69,10 +73,9 @@ def _nonnegative(**kwargs):
     return _rule(lambda v: v >= 0, "must be nonnegative", **kwargs)
 
 
-def _count(default: int):
-    """A loop count or array length, capped like the march."""
-    return _rule(lambda n: 1 <= n <= MAX_MARCH_STEPS,
-                 f"must be from 1 to {MAX_MARCH_STEPS}", default=default)
+def _count(default: int, cap: int):
+    """A loop count or array length, from 1 to ``cap``."""
+    return _rule(lambda n: 1 <= n <= cap, f"must be from 1 to {cap}", default=default)
 
 
 def _kind(catalog: tuple):
@@ -193,17 +196,17 @@ class RunOptions:
     """Knobs that shape a batch run but not the equation itself."""
 
     horizon: float = _nonnegative(default=10.0)
-    steps_per_delay: int = _count(32)
+    steps_per_delay: int = _count(32, MAX_MARCH_STEPS)
     cutoff_radius: float = _positive(default=3.0)
-    modes: int = _count(8)
-    m_cut: int = _count(3)
+    modes: int = _count(8, MAX_SPECTRAL_COUNT)
+    m_cut: int = _count(3, MAX_MARCH_STEPS)
     seed: int = _rule(lambda v: 0 <= v <= 2**64 - 1, "must be nonnegative and at most 2**64 - 1",
                       default=0)
-    ensemble: int = _count(20)
+    ensemble: int = _count(20, MAX_MARCH_STEPS)
     snapshot_every: int = _nonnegative(default=0)
     eps: float = _positive(default=1e-3)
     contraction_times: tuple[float, ...] = (1.0,)
-    dichotomy_samples: int = _count(16)
+    dichotomy_samples: int = _count(16, MAX_SPECTRAL_COUNT)
     history_norm: float = _nonnegative(default=1.0)
 
     def __post_init__(self):

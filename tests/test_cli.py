@@ -26,7 +26,7 @@ from delayrd.cli import (
     read_snapshot,
     write_snapshot,
 )
-from delayrd.model import MAX_SEGMENT_FLOATS, parse_config
+from delayrd.model import MAX_SEGMENT_FLOATS, MAX_SPECTRAL_COUNT, parse_config
 
 
 def write_config(path, **overrides):
@@ -615,11 +615,13 @@ def run_cli_subprocess(subcommand, cfg, out):
 @pytest.mark.parametrize("subcommand,old,new,cap", [
     ("certify", '"tau": 0.5', '"tau": 1e-300', MAX_MARCH_STEPS),
     ("spectrum", '"tau": 0.5', '"tau": 1e-300', MAX_MARCH_STEPS),
-    ("certify", '"modes": 8', f'"modes": {10**30}', MAX_MARCH_STEPS),
-    ("spectrum", '"modes": 8', f'"modes": {10**30}', MAX_MARCH_STEPS),
-    ("squeeze", '"modes": 8', f'"modes": {10**30}', MAX_MARCH_STEPS),
-    ("certify", '"dichotomy_samples": 8', f'"dichotomy_samples": {10**30}', MAX_MARCH_STEPS),
-    ("spectrum", '"dichotomy_samples": 8', f'"dichotomy_samples": {10**30}', MAX_MARCH_STEPS),
+    ("certify", '"modes": 8', f'"modes": {MAX_SPECTRAL_COUNT + 1}', MAX_SPECTRAL_COUNT),
+    ("spectrum", '"modes": 8', f'"modes": {MAX_SPECTRAL_COUNT + 1}', MAX_SPECTRAL_COUNT),
+    ("squeeze", '"modes": 8', f'"modes": {MAX_SPECTRAL_COUNT + 1}', MAX_SPECTRAL_COUNT),
+    ("certify", '"dichotomy_samples": 8', f'"dichotomy_samples": {MAX_SPECTRAL_COUNT + 1}',
+     MAX_SPECTRAL_COUNT),
+    ("spectrum", '"dichotomy_samples": 8', f'"dichotomy_samples": {MAX_SPECTRAL_COUNT + 1}',
+     MAX_SPECTRAL_COUNT),
     ("squeeze", '"ensemble": 3', f'"ensemble": {10**30}', MAX_MARCH_STEPS),
     ("simulate", '"points": 512', f'"points": {2**60}', MAX_MARCH_STEPS),
     ("certify", '"points": 512', f'"points": {2**60}', MAX_MARCH_STEPS),
@@ -632,10 +634,12 @@ def run_cli_subprocess(subcommand, cfg, out):
         "squeeze-ensemble", "simulate-points-2^60", "certify-points-2^60",
         "simulate-steps-per-delay-2^60", "simulate-segment-steps", "simulate-segment-points"])
 def test_loop_sizes_beyond_cap_exit_2(tmp_path, subcommand, old, new, cap):
-    """configs/base.json with a loop the config sizes set far past
+    """configs/base.json with a loop the config sizes set past its cap.
     MAX_MARCH_STEPS: tau = 1e-300 asks for about 1e302 dichotomy steps, and
-    10**30 modes, dichotomy samples or pairs once grew a Python list until
-    memory ran out; 2**60 points asked numpy for an array it refuses.  A
+    10**30 pairs once grew a Python list until memory ran out; 2**60 points
+    asked numpy for an array it refuses.  MAX_SPECTRAL_COUNT: spectrum's
+    time and memory grow linearly in the modes and the dichotomy samples,
+    so one past the cap (4,096; 65,536 modes once took 1.3 GB) exits.  A
     history segment of (steps_per_delay + 1) * points floats is capped at
     MAX_SEGMENT_FLOATS: 2**20 steps per delay on 512 points once asked for
     4 GiB with a zero horizon.  All are configuration errors found before

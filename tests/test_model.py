@@ -9,6 +9,7 @@ from delayrd.estimates import compute_estimates
 from delayrd.model import (
     MAX_MARCH_STEPS,
     MAX_SEGMENT_FLOATS,
+    MAX_SPECTRAL_COUNT,
     NONLINEARITY_KINDS,
     ConfigError,
     ForcingSpec,
@@ -103,12 +104,18 @@ def test_run_options_validation():
         RunOptions(eps=0.0)
 
 
-@pytest.mark.parametrize("key", ["modes", "ensemble", "dichotomy_samples"])
-def test_run_options_cap_loop_counts(key):
-    """Each of these sizes a loop or a list; the step cap bounds them."""
-    assert getattr(RunOptions(**{key: MAX_MARCH_STEPS}), key) == MAX_MARCH_STEPS
-    with pytest.raises(ConfigError, match=key):
-        RunOptions(**{key: MAX_MARCH_STEPS + 1})
+@pytest.mark.parametrize("key,cap", [
+    pytest.param("modes", MAX_SPECTRAL_COUNT, id="modes"),
+    pytest.param("ensemble", MAX_MARCH_STEPS, id="ensemble"),
+    pytest.param("dichotomy_samples", MAX_SPECTRAL_COUNT, id="dichotomy_samples"),
+])
+def test_run_options_cap_loop_counts(key, cap):
+    """Each of these sizes a loop or a list: the step cap bounds the pairs,
+    and the smaller spectral cap the modes and dichotomy samples, whose
+    time and memory grow linearly."""
+    assert getattr(RunOptions(**{key: cap}), key) == cap
+    with pytest.raises(ConfigError, match=f"{key} must be from 1 to {cap}"):
+        RunOptions(**{key: cap + 1})
     with pytest.raises(ConfigError, match=key):
         parse_config(make_config(run={key: 10**30}))
 

@@ -145,26 +145,31 @@ def test_pair_batch_matches_separate_integrations(grid, dissipative):
                                   for project in (project_P, project_Q, project_R)]
 
 
-def test_groups_of_pairs_match_separate_integrations(grid, dissipative):
-    """Six pairs, one full group and one partial, with a zero-difference
-    pair inside the first: every denominator and every measured ratio
-    equals the per-pair reference integrations, the zero-difference pair
-    gets a zero denominator and no ratios, and the ratios come pair by pair
-    in times order (out of order, t = 0, below tau, repeated)."""
+@pytest.mark.parametrize("count,identical", [
+    pytest.param(6, {1}, id="one-identical-pair"),
+    pytest.param(9, {4, 5, 6, 7}, id="identical-group"),
+])
+def test_groups_of_pairs_match_separate_integrations(grid, dissipative, count, identical):
+    """Pairs in full groups and one partial group, some of them identical:
+    a single pair inside the first group, or a whole group between two
+    that differ.  Every denominator and every measured ratio equals the
+    per-pair reference integrations, each identical pair gets a zero
+    denominator and no ratios, and the ratios come pair by pair in times
+    order (out of order, t = 0, below tau, repeated)."""
     p = dissipative
     rng = np.random.default_rng(78)
     spectral = _certified_spectral(p, rng=rng)
     ps = make_projections(grid, K=spectral.K, k_m=spectral.k_m)
     S = 16
     pairs = [eigenmode_pair(rng, grid, p, spectral, S, norm=1.0, separation=0.3)
-             for _ in range(6)]
-    pairs[1] = (pairs[1][0], pairs[1][0])
+             for _ in range(count)]
+    pairs = [(phi, phi) if i in identical else (phi, psi) for i, (phi, psi) in enumerate(pairs)]
     times = (1.0, 0.0, 0.25, 0.5, 0.25)
     denoms, measured = measure_contraction(iter(pairs), times, p, ps)
-    assert denoms[1] == 0.0
-    assert measured.shape == (len(pairs) - 1, len(times), 3)
-    differing = [pair for i, pair in enumerate(pairs) if i != 1]
-    for denom, (phi, psi), pair_measured in zip(np.delete(denoms, 1), differing, measured):
+    assert [i for i, d in enumerate(denoms) if d == 0.0] == sorted(identical)
+    assert measured.shape == (count - len(identical), len(times), 3)
+    differing = [pair for i, pair in enumerate(pairs) if i not in identical]
+    for denom, (phi, psi), pair_measured in zip(denoms[denoms != 0.0], differing, measured):
         rows = [np.concatenate([h[:-1], loop_integrate(h, max(times), p, grid)])
                 for h in (phi, psi)]
         assert denom == segment_norm(phi - psi, grid)
