@@ -14,7 +14,7 @@ The fractal companion is zeta(beta) = beta bP + bQ + bR (stated at unit
 elapsed time; a general t0 is an extension, labeled as such), free
 parameter beta > 0, and dim_f <= (ln k_m + k_m ln(2 + 2/beta)) / (-ln zeta).
 
-`optimize_certificate` grid-searches the free parameters (and the cut index)
+`optimize_certificate` grid-searches the free parameters of one spectral cut
 deterministically and refines coordinate by coordinate; infeasibility is
 returned as data with the best margin found, never raised.  The covering
 calculators provide the combinatorial ingredient m 2^m (1 + r1/r2)^m and a
@@ -141,39 +141,35 @@ def _scaled(x: float, step: float):
     return (x / step, x * step), math.sqrt(step)
 
 
-def optimize_certificate(p: ProblemParameters, spectral, est: EstimateSet,
+def optimize_certificate(p: ProblemParameters, spectral: SpectralData, est: EstimateSet,
                          mode: str = "hausdorff") -> DimensionCertificate:
     """Search the free parameters for the smallest finite dimension bound.
 
     Parameters
     ----------
     p, est : problem constants and estimate set.
-    spectral : SpectralData or sequence of SpectralData
-        One entry per candidate cut index m_cut (each with its own k_m and
-        K_m).  A single entry is accepted.
+    spectral : SpectralData
+        One cut index m_cut, with its k_m and K_m.  A cut with rho_m >= 0
+        or no K_m is infeasible at t0 = 1 and the first free value.
     mode : {"hausdorff", "fractal"}
         Hausdorff searches (t0, alpha); fractal searches (t0, beta_free)
         with the general-t0 extension of zeta.
 
-    The grid search (log t0 grid, linear alpha grid / log beta grid, all
-    cut indices) takes the contraction factors once per (cut, t0) and
-    evaluates every free value from them.  It is followed by three rounds
-    of coordinate refinement around the best point, through `eta` or
-    `zeta`: t0 and beta step by a factor that is square-rooted each round,
-    alpha by a shift that is halved.  Everything is deterministic; ties
-    are broken by grid order.  When no parameter choice is feasible the
-    certificate reports the smallest contraction number reached and
-    infinite bounds.
+    The grid search (log t0 grid, linear alpha grid / log beta grid) takes
+    the contraction factors once per t0 and evaluates every free value
+    from them.  It is followed by three rounds of coordinate refinement
+    around the best point, each trial scored from its own factors: t0 and
+    beta step by a factor that is square-rooted each round, alpha by a
+    shift that is halved.  Everything is deterministic; ties are broken by
+    grid order.  When no parameter choice is feasible the certificate
+    reports the smallest contraction number reached and infinite bounds.
     """
-    # the refinement looks eta and zeta up at call time: perfbench/tracing.py wraps them
     if mode == "hausdorff":
-        contraction = lambda sp, t0, free: eta(t0, free, p, sp, est)
         from_terms = _eta_of
         bound, free_grid, free_rule = hausdorff_bound, ALPHA_GRID, _shifted
         free_step = (ALPHA_GRID[1] - ALPHA_GRID[0]) / 2.0
         names, note = ("alpha", "eta", "hausdorff_bound"), ""
     elif mode == "fractal":
-        contraction = lambda sp, t0, free: zeta(free, p, sp, est, t0)
         from_terms = _zeta_of
         bound, free_grid, free_rule = fractal_bound, BETA_GRID, _scaled
         free_step = math.sqrt(BETA_GRID[1] / BETA_GRID[0])
@@ -181,31 +177,25 @@ def optimize_certificate(p: ProblemParameters, spectral, est: EstimateSet,
         note = "general-t0 extension of the unit-time contraction number"
     else:
         raise ValueError("mode must be 'hausdorff' or 'fractal'")
-    spectrals = [spectral] if isinstance(spectral, SpectralData) else list(spectral)
-    if not spectrals:
-        raise ValueError("at least one spectral partition is required")
 
-    best = None  # (bound, sp, t0, free, c_val)
-    best_c = (math.inf, None)
-    for sp in spectrals:
-        if sp.rho_m >= 0 or sp.K_m is None:
-            continue
-        for t0 in T0_GRID:
-            terms = contraction_terms(t0, p, sp, est)
-            for free in free_grid:
-                c_val = from_terms(terms, free)
-                if c_val < best_c[0]:
-                    best_c = (c_val, (sp, t0, free))
-                b = bound(free, sp.k_m, c_val)
-                if math.isfinite(b) and (best is None or b < best[0]):
-                    best = (b, sp, t0, free, c_val)
+    best = None  # (bound, t0, free, c_val)
+    best_c = (math.inf, 1.0, free_grid[0])
+    for t0 in T0_GRID if spectral.rho_m < 0 and spectral.K_m is not None else ():
+        terms = contraction_terms(t0, p, spectral, est)
+        for free in free_grid:
+            c_val = from_terms(terms, free)
+            if c_val < best_c[0]:
+                best_c = (c_val, t0, free)
+            b = bound(free, spectral.k_m, c_val)
+            if math.isfinite(b) and (best is None or b < best[0]):
+                best = (b, t0, free, c_val)
 
     if best is None:
-        b, c_val = math.inf, best_c[0]
-        sp, t0, free = best_c[1] or (spectrals[0], 1.0, free_grid[0])
+        b = math.inf
+        c_val, t0, free = best_c
         note = note or "no feasible contraction number below 1"
     else:
-        b, sp, t0, free, c_val = best
+        b, t0, free, c_val = best
         point, steps = [t0, free], [math.sqrt(T0_GRID[1] / T0_GRID[0]), free_step]
         for _ in range(3):
             for axis, grid, rule in ((0, T0_GRID, _scaled), (1, free_grid, free_rule)):
@@ -215,8 +205,8 @@ def optimize_certificate(p: ProblemParameters, spectral, est: EstimateSet,
                         continue
                     trial = point.copy()
                     trial[axis] = x
-                    c_new = contraction(sp, *trial)
-                    b_new = bound(trial[1], sp.k_m, c_new)
+                    c_new = from_terms(contraction_terms(trial[0], p, spectral, est), trial[1])
+                    b_new = bound(trial[1], spectral.k_m, c_new)
                     if b_new < b:
                         b, point, c_val = b_new, trial, c_new
         t0, free = point
@@ -224,8 +214,8 @@ def optimize_certificate(p: ProblemParameters, spectral, est: EstimateSet,
     fields = dict.fromkeys(("alpha", "beta_free", "eta", "zeta"))
     fields.update(hausdorff_bound=math.inf, fractal_bound=math.inf)
     fields.update(zip(names, (free, c_val, b)))
-    return DimensionCertificate(mode=mode, feasible=best is not None, k_m=sp.k_m, t0=t0,
-                                best_contraction=c_val, note=note, **fields)
+    return DimensionCertificate(mode=mode, feasible=best is not None, k_m=spectral.k_m,
+                                t0=t0, best_contraction=c_val, note=note, **fields)
 
 
 def covering_bound(m: int, r1: float, r2: float) -> int:

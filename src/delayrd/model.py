@@ -46,6 +46,9 @@ MAX_MARCH_STEPS = 2**20
 # linearly in each (configs/certify.json with 65,536 modes: 17 s, 1.3 GB RSS
 # on a 2-vCPU x86-64 host).
 MAX_SPECTRAL_COUNT = 2**12
+# Most pairs and contraction times: squeeze holds pairs * times * 10 floats.
+MAX_ENSEMBLE = 2**12
+MAX_CONTRACTION_TIMES = 64
 # Most floats in one history segment, (steps_per_delay + 1) * points.
 MAX_SEGMENT_FLOATS = 2**24
 
@@ -202,10 +205,12 @@ class RunOptions:
     m_cut: int = _count(3, MAX_MARCH_STEPS)
     seed: int = _rule(lambda v: 0 <= v <= 2**64 - 1, "must be nonnegative and at most 2**64 - 1",
                       default=0)
-    ensemble: int = _count(20, MAX_MARCH_STEPS)
+    ensemble: int = _count(20, MAX_ENSEMBLE)
     snapshot_every: int = _nonnegative(default=0)
     eps: float = _positive(default=1e-3)
-    contraction_times: tuple[float, ...] = (1.0,)
+    contraction_times: tuple[float, ...] = _rule(
+        lambda t: 1 <= len(t) <= MAX_CONTRACTION_TIMES,
+        f"must hold from 1 to {MAX_CONTRACTION_TIMES} times", default=(1.0,))
     dichotomy_samples: int = _count(16, MAX_SPECTRAL_COUNT)
     history_norm: float = _nonnegative(default=1.0)
 

@@ -53,6 +53,10 @@ __all__ = [
 #: Residual gate applied to every returned characteristic root.
 ROOT_RESIDUAL_TOL = 1e-10
 
+#: A real part this close to its group's first (largest) one joins the group;
+#: the dichotomy samples only roots farther below rho_m, the other side of the cut.
+ROOT_GROUP_TOL = 1e-8
+
 #: Note attached to spectrum reports: the equation is implemented in the
 #: form forced by the per-mode substitution; the variant with the squared
 #: eigenvalue that circulates in the literature on this problem
@@ -273,8 +277,8 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
     """Merge per-mode characteristic roots into the splitting data.
 
     Collects every window root of the first ``modes`` spatial modes,
-    groups coincident real parts (tolerance 1e-8 from the group's first,
-    largest, real part), sorts the groups descending, and accumulates
+    groups coincident real parts (within ``ROOT_GROUP_TOL`` of the group's
+    first, largest, real part), sorts the groups descending, and accumulates
     multiplicities into k_m over the first ``m_cut`` groups.  Certificate
     use requires rho_m < 0 and every mode ``complete`` (all its roots pass
     the residual gate); when either fails the data is still returned with
@@ -304,9 +308,9 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
     rho, mult = roots.real[upper][order], 1 + (roots.imag[upper][order] > 0)
     if not rho.size:
         raise SplittingError("no characteristic roots found in the search window")
-    groups = []  # [rho, multiplicity]; a real part within 1e-8 of its group's first joins it
+    groups = []  # [rho, multiplicity]; a real part within ROOT_GROUP_TOL of rho joins it
     for r, m in zip(rho.tolist(), mult.tolist()):
-        if groups and abs(groups[-1][0] - r) <= 1e-8:
+        if groups and abs(groups[-1][0] - r) <= ROOT_GROUP_TOL:
             groups[-1][1] += m
         else:
             groups.append([r, m])
@@ -400,7 +404,7 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
         raise ValueError("samples must be at least 1")
     # the roots beyond the cut with Im >= 0 (a conjugate goes with its partner)
     beyond = [(mr.mode - 1, root) for mr in spectral.mode_roots for root in mr.roots
-              if root.imag >= 0 and root.real < spectral.rho_m - 1e-9]
+              if root.imag >= 0 and spectral.rho_m - root.real > ROOT_GROUP_TOL]
     if not beyond:
         raise SplittingError("no roots beyond the cut inside the search window")
     rows, roots = zip(*beyond)  # row i: mode i + 1

@@ -26,7 +26,13 @@ from delayrd.cli import (
     read_snapshot,
     write_snapshot,
 )
-from delayrd.model import MAX_SEGMENT_FLOATS, MAX_SPECTRAL_COUNT, parse_config
+from delayrd.model import (
+    MAX_CONTRACTION_TIMES,
+    MAX_ENSEMBLE,
+    MAX_SEGMENT_FLOATS,
+    MAX_SPECTRAL_COUNT,
+    parse_config,
+)
 
 
 def write_config(path, **overrides):
@@ -622,7 +628,9 @@ def run_cli_subprocess(subcommand, cfg, out):
      MAX_SPECTRAL_COUNT),
     ("spectrum", '"dichotomy_samples": 8', f'"dichotomy_samples": {MAX_SPECTRAL_COUNT + 1}',
      MAX_SPECTRAL_COUNT),
-    ("squeeze", '"ensemble": 3', f'"ensemble": {10**30}', MAX_MARCH_STEPS),
+    ("squeeze", '"ensemble": 3', f'"ensemble": {MAX_ENSEMBLE + 1}', MAX_ENSEMBLE),
+    ("squeeze", '"contraction_times": [0.5, 1.0]',
+     f'"contraction_times": {[0.5] * (MAX_CONTRACTION_TIMES + 1)}', MAX_CONTRACTION_TIMES),
     ("simulate", '"points": 512', f'"points": {2**60}', MAX_MARCH_STEPS),
     ("certify", '"points": 512', f'"points": {2**60}', MAX_MARCH_STEPS),
     ("simulate", '"steps_per_delay": 16', f'"steps_per_delay": {2**60}', MAX_MARCH_STEPS),
@@ -631,16 +639,19 @@ def run_cli_subprocess(subcommand, cfg, out):
     ("simulate", '"points": 512', f'"points": {2**20}', MAX_SEGMENT_FLOATS),
 ], ids=["certify-tau-1e-300", "spectrum-tau-1e-300", "certify-modes", "spectrum-modes",
         "squeeze-modes", "certify-dichotomy-samples", "spectrum-dichotomy-samples",
-        "squeeze-ensemble", "simulate-points-2^60", "certify-points-2^60",
-        "simulate-steps-per-delay-2^60", "simulate-segment-steps", "simulate-segment-points"])
+        "squeeze-ensemble", "squeeze-contraction-times", "simulate-points-2^60",
+        "certify-points-2^60", "simulate-steps-per-delay-2^60", "simulate-segment-steps",
+        "simulate-segment-points"])
 def test_loop_sizes_beyond_cap_exit_2(tmp_path, subcommand, old, new, cap):
     """configs/base.json with a loop the config sizes set past its cap.
     MAX_MARCH_STEPS: tau = 1e-300 asks for about 1e302 dichotomy steps, and
-    10**30 pairs once grew a Python list until memory ran out; 2**60 points
-    asked numpy for an array it refuses.  MAX_SPECTRAL_COUNT: spectrum's
-    time and memory grow linearly in the modes and the dichotomy samples,
-    so one past the cap (4,096; 65,536 modes once took 1.3 GB) exits.  A
-    history segment of (steps_per_delay + 1) * points floats is capped at
+    2**60 points asked numpy for an array it refuses.  MAX_SPECTRAL_COUNT:
+    spectrum's time and memory grow linearly in the modes and the dichotomy
+    samples, so one past the cap (4,096; 65,536 modes once took 1.3 GB)
+    exits.  MAX_ENSEMBLE and MAX_CONTRACTION_TIMES: squeeze holds pairs x
+    times x 10 floats (10**30 pairs once grew a Python list until memory
+    ran out), so one pair or one time past its cap exits.  A history
+    segment of (steps_per_delay + 1) * points floats is capped at
     MAX_SEGMENT_FLOATS: 2**20 steps per delay on 512 points once asked for
     4 GiB with a zero horizon.  All are configuration errors found before
     the work."""

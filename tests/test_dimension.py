@@ -186,8 +186,6 @@ def test_optimizer_feasible_and_deterministic():
 
     with pytest.raises(ValueError):
         optimize_certificate(p, sp, est, mode="box-counting")
-    with pytest.raises(ValueError):
-        optimize_certificate(p, [], est)
 
 
 @pytest.mark.parametrize("lf,rho_m,mode,t0,free,bound", [
@@ -221,17 +219,6 @@ def test_optimizer_reports_infeasibility(grid):
     assert "no feasible" in cert.note
     payload = asdict(cert)
     assert payload["feasible"] is False
-
-
-def test_optimizer_picks_best_cut():
-    p = stiff_problem()
-    est = compute_estimates(p, norm_g=1.0)
-    shallow = synthetic_spectral(k_m=2, rho1=-2.0, rho_m=-4.0)
-    deep = synthetic_spectral(k_m=3, rho1=-2.0, rho_m=-6.0)
-    combined = optimize_certificate(p, [shallow, deep], est)
-    single_best = min(optimize_certificate(p, sp, est).hausdorff_bound
-                      for sp in (shallow, deep))
-    assert combined.hausdorff_bound == pytest.approx(single_best, rel=1e-12)
 
 
 def certified(config: str):
@@ -303,9 +290,9 @@ def test_optimizer_matches_a_search_through_eta_and_zeta(config, mode):
 
 @pytest.mark.parametrize("mode", ["hausdorff", "fractal"])
 def test_optimizer_takes_the_factors_once_per_t0(monkeypatch, mode):
-    """Before refinement the search takes `contraction_terms` at most once
-    per t0 of each usable cut; a cut without K_m costs nothing.  Only the
-    refinement (3 rounds x 2 axes x 2 neighbours) goes through eta/zeta."""
+    """The grid takes `contraction_terms` once per t0 and the refinement
+    once per trial point (3 rounds x 2 axes x 2 neighbours); no point goes
+    through eta/zeta, and a cut without K_m costs no call."""
     p, spectral, est = certified("certify")
     calls = {"terms": 0, "number": 0}
 
@@ -319,22 +306,29 @@ def test_optimizer_takes_the_factors_once_per_t0(monkeypatch, mode):
                         counted("terms", dimension.contraction_terms))
     monkeypatch.setattr(dimension, "eta", counted("number", dimension.eta))
     monkeypatch.setattr(dimension, "zeta", counted("number", dimension.zeta))
-    cuts = [spectral, replace(spectral, K_m=None), spectral]
-    cert = optimize_certificate(p, cuts, est, mode=mode)
+    cert = optimize_certificate(p, spectral, est, mode=mode)
     assert cert.feasible
-    assert calls["number"] <= 12
-    assert calls["terms"] - calls["number"] <= 2 * len(T0_GRID)
+    assert calls["number"] == 0
+    assert len(T0_GRID) <= calls["terms"] <= len(T0_GRID) + 12
+
+    calls["terms"] = 0
+    cert = optimize_certificate(p, replace(spectral, K_m=None), est, mode=mode)
+    assert (cert.feasible, cert.t0, cert.best_contraction) == (False, 1.0, math.inf)
+    assert calls == {"terms": 0, "number": 0}
 
 
 @pytest.mark.parametrize("mode", ["hausdorff", "fractal"])
 def test_optimizer_closed_gap_is_infeasible(mode):
     """A closed gap rho1 + lf = rho_m makes every grid value inf: the
-    search reports infeasibility instead of raising."""
+    search reports infeasibility at t0 = 1 and the first free value
+    instead of raising."""
     p = stiff_problem()
     est = compute_estimates(p, norm_g=1.0)
     cert = optimize_certificate(p, synthetic_spectral(rho1=-2.0, rho_m=-1.5), est, mode=mode)
     assert not cert.feasible
     assert math.isinf(cert.best_contraction)
+    free = cert.alpha if mode == "hausdorff" else cert.beta_free
+    assert (cert.t0, free) == (1.0, (ALPHA_GRID if mode == "hausdorff" else BETA_GRID)[0])
 
 
 def test_covering_bound_reference_values():

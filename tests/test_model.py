@@ -7,6 +7,8 @@ import pytest
 
 from delayrd.estimates import compute_estimates
 from delayrd.model import (
+    MAX_CONTRACTION_TIMES,
+    MAX_ENSEMBLE,
     MAX_MARCH_STEPS,
     MAX_SEGMENT_FLOATS,
     MAX_SPECTRAL_COUNT,
@@ -106,13 +108,13 @@ def test_run_options_validation():
 
 @pytest.mark.parametrize("key,cap", [
     pytest.param("modes", MAX_SPECTRAL_COUNT, id="modes"),
-    pytest.param("ensemble", MAX_MARCH_STEPS, id="ensemble"),
+    pytest.param("ensemble", MAX_ENSEMBLE, id="ensemble"),
     pytest.param("dichotomy_samples", MAX_SPECTRAL_COUNT, id="dichotomy_samples"),
 ])
 def test_run_options_cap_loop_counts(key, cap):
-    """Each of these sizes a loop or a list: the step cap bounds the pairs,
-    and the smaller spectral cap the modes and dichotomy samples, whose
-    time and memory grow linearly."""
+    """Each of these sizes a loop or a list: the spectral cap bounds the
+    modes and dichotomy samples, whose time and memory grow linearly, and
+    the ensemble cap the pairs, which size squeeze's ratio array."""
     assert getattr(RunOptions(**{key: cap}), key) == cap
     with pytest.raises(ConfigError, match=f"{key} must be from 1 to {cap}"):
         RunOptions(**{key: cap + 1})
@@ -254,6 +256,18 @@ def test_parse_contraction_times():
     assert run.contraction_times == (0.5, 1.0)
     with pytest.raises(ConfigError):
         parse_config(make_config(run={"contraction_times": []}))
+
+
+def test_run_options_cap_contraction_times():
+    """Squeeze's ratio array and CSV hold ensemble x times x 10 floats, so
+    the number of contraction times is capped like the ensemble."""
+    times = (1.0,) * MAX_CONTRACTION_TIMES
+    assert RunOptions(contraction_times=times).contraction_times == times
+    with pytest.raises(ConfigError, match=f"contraction_times must hold from 1 to "
+                                          f"{MAX_CONTRACTION_TIMES} times"):
+        RunOptions(contraction_times=times + (1.0,))
+    with pytest.raises(ConfigError, match="contraction_times"):
+        parse_config(make_config(run={"contraction_times": [1.0] * 20_000}))
 
 
 def test_serialize_round_trip():

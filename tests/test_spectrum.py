@@ -2,6 +2,7 @@ import cmath
 import math
 import pathlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from delayrd import solver, spectrum
 from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters, parse_config
 from delayrd.solver import DivergenceError, history_from_function, integrate, march
 from delayrd.spectrum import (
+    ROOT_GROUP_TOL,
     ROOT_RESIDUAL_TOL,
+    ModeRoots,
     SpectralData,
     SplittingError,
     characteristic_roots,
@@ -342,6 +345,39 @@ def test_dichotomy_without_roots_beyond_the_cut_raises(rng):
         dichotomy_constant(linear_problem(), spectral, samples=2, rng=rng)
 
 
+def test_dichotomy_leaves_the_mth_group_on_the_p_side(rng):
+    """A root within ROOT_GROUP_TOL below rho_m joins the m-th group, which
+    counts toward k_m, so the dichotomy must not sample it as a root beyond
+    the cut: with no other root below rho_m there is nothing to sample."""
+    near = -2.0 - ROOT_GROUP_TOL / 2
+    spectral = SpectralData(
+        K=3.0, m_cut=1, eigenvalues=(0.0,), root_groups=((-2.0, 2),), k_m=2, rho1=-2.0,
+        rho_m=-2.0, certificate_ok=True, status="ok",
+        mode_roots=(ModeRoots(mode=1, eigenvalue=0.0, roots=(-2.0 + 0j, near + 0j),
+                              residuals=(0.0, 0.0), complete=True),))
+    with pytest.raises(SplittingError, match="no roots beyond the cut"):
+        dichotomy_constant(linear_problem(), spectral, samples=2, rng=rng)
+
+
+def test_dichotomy_ignores_a_root_moved_into_the_mth_group():
+    """A mode-2 root added 5e-9 below rho_m (first in its mode's descending
+    list) and counted in the m-th group leaves K_m as it was: the sampled
+    profiles are the same."""
+    p = linear_problem()
+    spectral = spectral_partition(p, K=3.0, m_cut=1, modes=4)
+    first, second, *rest = spectral.mode_roots
+    second = replace(second, roots=(complex(spectral.rho_m - 5e-9, 0.0), *second.roots),
+                     residuals=(0.0, *second.residuals))
+    (rho, count), *groups = spectral.root_groups
+    moved = replace(spectral, mode_roots=(first, second, *rest),
+                    root_groups=((rho, count + 1), *groups), k_m=spectral.k_m + 1)
+
+    def k_m(sp):
+        return dichotomy_constant(p, sp, samples=16, rng=np.random.default_rng(0))["K_m"]
+
+    assert k_m(moved) == k_m(spectral)
+
+
 def loop_dichotomy_constant(p, spectral, samples, rng, steps_per_delay=64,
                             t_points=12, safety=1.25):
     """`dichotomy_constant` one sample at a time, each mode evolved by the
@@ -349,10 +385,10 @@ def loop_dichotomy_constant(p, spectral, samples, rng, steps_per_delay=64,
     over the segment rows (the reference for the batched evolution and the
     window reduction)."""
     rho_m = spectral.rho_m
-    # (mode, eigenvalue, root) of every root below the cut, a conjugate
-    # handled with its partner
+    # (mode, eigenvalue, root) of every root more than 1e-8 below the cut (the
+    # m-th group ends there), a conjugate handled with its partner
     profiles = [(mr.mode, mr.eigenvalue, root) for mr in spectral.mode_roots
-                for root in mr.roots if root.imag >= 0 and root.real < rho_m - 1e-9]
+                for root in mr.roots if root.imag >= 0 and rho_m - root.real > 1e-8]
     t_max = min(20.0, max(1.0, 8.0 / abs(rho_m)))
     dt = p.tau / steps_per_delay
     raw = np.geomspace(max(dt, t_max / 256.0), t_max, t_points)
