@@ -33,9 +33,10 @@ for m_cut in (1, 2, 3):
     print(f"m_cut={m_cut}: k_m={spectral.k_m}, rho_1={spectral.rho1:.4f}, "
           f"rho_m={spectral.rho_m:.4f}, K_m={spectral.K_m:.4f}")
 
+certificates = [optimize_certificate(p, spectral, est) for spectral in candidates]
 for mode in ("hausdorff", "fractal"):
     # the best cut: the smallest bound, then the smallest contraction number
-    cert = min((optimize_certificate(p, spectral, est, mode=mode) for spectral in candidates),
+    cert = min((c[mode] for c in certificates),
                key=lambda c: (getattr(c, f"{mode}_bound"), c.best_contraction))
     knob = (f"alpha={cert.alpha:g}" if cert.alpha is not None
             else f"beta_free={cert.beta_free:g}")

@@ -350,7 +350,7 @@ def _load_config(path: str, **flags):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     p, grid, run = parse_config(text)
     return p, grid, dataclasses.replace(run, **{k: v for k, v in flags.items() if v is not None})
@@ -428,14 +428,11 @@ def cmd_certify(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid
 
     cert_doc = {}
     if not diagnostics:
-        hausdorff = optimize_certificate(p, spectral, est, mode="hausdorff")
-        fractal = optimize_certificate(p, spectral, est, mode="fractal")
-        cert_doc["hausdorff"] = dataclasses.asdict(hausdorff)
-        cert_doc["fractal"] = dataclasses.asdict(fractal)
-        if not hausdorff.feasible:
-            diagnostics.append("no feasible Hausdorff certificate (eta >= 1 everywhere)")
-        if not fractal.feasible:
-            diagnostics.append("no feasible fractal certificate (zeta >= 1 everywhere)")
+        for mode, cert in optimize_certificate(p, spectral, est).items():
+            cert_doc[mode] = dataclasses.asdict(cert)
+            if not cert.feasible:
+                name, number = ("Hausdorff", "eta") if mode == "hausdorff" else ("fractal", "zeta")
+                diagnostics.append(f"no feasible {name} certificate ({number} >= 1 everywhere)")
     cert_doc["diagnostics"] = diagnostics
     cert_doc["feasible"] = not diagnostics
     manifest.save("certificate.json", write_json, cert_doc)

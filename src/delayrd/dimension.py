@@ -2,23 +2,23 @@
 
 The squeezing factors of `squeezing.analytic_bounds` (bound_63 form: bP,
 bQ, bR at elapsed time t0, all from `squeezing.contraction_terms`)
-assemble into the contraction number
+assemble into the contraction numbers
 
-    eta(t0, alpha) = 2 bQ + alpha bP + 2 bR,
+    eta(t0, alpha) = 2 bQ + alpha bP + 2 bR,    zeta(beta) = beta bP + bQ + bR
 
-and eta < 1 certifies the Hausdorff dimension bound
+(zeta is stated at unit elapsed time; a general t0 is an extension, labeled
+as such).  Either number c in (0, 1) certifies the bound
 
-    dim_H <= (-ln k_m - k_m ln(2 + 4/alpha)) / ln(eta).
+    dim <= (ln k_m + k_m ln(2 + s)) / (-ln c)
 
-The fractal companion is zeta(beta) = beta bP + bQ + bR (stated at unit
-elapsed time; a general t0 is an extension, labeled as such), free
-parameter beta > 0, and dim_f <= (ln k_m + k_m ln(2 + 2/beta)) / (-ln zeta).
+on dim_H with c = eta, s = 4/alpha, and on dim_f with c = zeta, s = 2/beta.
 
-`optimize_certificate` grid-searches the free parameters of one spectral cut
-deterministically and refines coordinate by coordinate; infeasibility is
-returned as data with the best margin found, never raised.  The covering
-calculators provide the combinatorial ingredient m 2^m (1 + r1/r2)^m and a
-constructive lattice covering to check it against.
+`optimize_certificate` takes the factors of one spectral cut once per grid
+t0, searches both certificates from them deterministically and refines
+coordinate by coordinate; infeasibility is returned as data with the best
+margin found, never raised.  The covering calculators provide the
+combinatorial ingredient m 2^m (1 + r1/r2)^m and a constructive lattice
+covering to check it against.
 """
 
 from __future__ import annotations
@@ -68,12 +68,17 @@ def _eta_of(terms: tuple, alpha: float) -> float:
 
 
 def hausdorff_bound(alpha: float, k_m: int, eta_val: float) -> float:
-    """Dimension bound from an eta value; inf when eta >= 1."""
+    """Dimension bound from an eta value; inf unless 0 < eta < 1."""
+    return _dimension_bound(k_m, 4.0 / alpha, eta_val)
+
+
+def _dimension_bound(k_m: int, spread: float, c_val: float) -> float:
+    """(ln k_m + k_m ln(2 + spread)) / -ln c; inf unless 0 < c < 1."""
     if k_m < 1:
         raise ValueError("k_m must be at least 1")
-    if not eta_val < 1.0:
+    if not 0.0 < c_val < 1.0:
         return math.inf
-    return (-math.log(k_m) - k_m * math.log(2.0 + 4.0 / alpha)) / math.log(eta_val)
+    return (math.log(k_m) + k_m * math.log(2.0 + spread)) / -math.log(c_val)
 
 
 def zeta(beta_free: float, p: ProblemParameters, spectral: SpectralData,
@@ -100,12 +105,8 @@ def _zeta_of(terms: tuple, beta_free: float) -> float:
 
 
 def fractal_bound(beta_free: float, k_m: int, zeta_val: float) -> float:
-    """Dimension bound from a zeta value; inf when zeta >= 1."""
-    if k_m < 1:
-        raise ValueError("k_m must be at least 1")
-    if not 0.0 < zeta_val < 1.0:
-        return math.inf
-    return (math.log(k_m) + k_m * math.log(2.0 + 2.0 / beta_free)) / (-math.log(zeta_val))
+    """Dimension bound from a zeta value; inf unless 0 < zeta < 1."""
+    return _dimension_bound(k_m, 2.0 / beta_free, zeta_val)
 
 
 @dataclass(frozen=True)
@@ -141,81 +142,73 @@ def _scaled(x: float, step: float):
     return (x / step, x * step), math.sqrt(step)
 
 
-def optimize_certificate(p: ProblemParameters, spectral: SpectralData, est: EstimateSet,
-                         mode: str = "hausdorff") -> DimensionCertificate:
-    """Search the free parameters for the smallest finite dimension bound.
+# One row per mode; `optimize_certificate` unpacks and names the columns.
+_MODES = (
+    ("hausdorff", _eta_of, ALPHA_GRID, _shifted, (ALPHA_GRID[1] - ALPHA_GRID[0]) / 2.0, 4.0,
+     ("alpha", "eta", "hausdorff_bound"), ""),
+    ("fractal", _zeta_of, BETA_GRID, _scaled, math.sqrt(BETA_GRID[1] / BETA_GRID[0]), 2.0,
+     ("beta_free", "zeta", "fractal_bound"),
+     "general-t0 extension of the unit-time contraction number"),
+)
 
-    Parameters
-    ----------
-    p, est : problem constants and estimate set.
-    spectral : SpectralData
-        One cut index m_cut, with its k_m and K_m.  A cut with rho_m >= 0
-        or no K_m is infeasible at t0 = 1 and the first free value.
-    mode : {"hausdorff", "fractal"}
-        Hausdorff searches (t0, alpha); fractal searches (t0, beta_free)
-        with the general-t0 extension of zeta.
 
-    The grid search (log t0 grid, linear alpha grid / log beta grid) takes
-    the contraction factors once per t0 and evaluates every free value
-    from them.  It is followed by three rounds of coordinate refinement
-    around the best point, each trial scored from its own factors: t0 and
-    beta step by a factor that is square-rooted each round, alpha by a
-    shift that is halved.  Everything is deterministic; ties are broken by
-    grid order.  When no parameter choice is feasible the certificate
+def optimize_certificate(p: ProblemParameters, spectral: SpectralData,
+                         est: EstimateSet) -> dict:
+    """Search the free parameters of one spectral cut (its k_m and K_m) for
+    the smallest finite dimension bounds; returns {"hausdorff": certificate,
+    "fractal": certificate}.  Hausdorff searches (t0, alpha), fractal
+    (t0, beta_free) with the general-t0 extension of zeta.
+
+    The contraction factors are taken once per point of the log t0 grid
+    and score both grid scans (linear alpha grid, log beta grid).  Each
+    scan is followed by three rounds of coordinate refinement around its
+    best point, each trial scored from its own factors: t0 and beta step
+    by a factor that is square-rooted each round, alpha by a shift that is
+    halved.  Everything is deterministic; ties are broken by grid order.
+    A cut with rho_m >= 0 or no K_m is infeasible at t0 = 1 and the first
+    free value; when no parameter choice is feasible the certificate
     reports the smallest contraction number reached and infinite bounds.
     """
-    if mode == "hausdorff":
-        from_terms = _eta_of
-        bound, free_grid, free_rule = hausdorff_bound, ALPHA_GRID, _shifted
-        free_step = (ALPHA_GRID[1] - ALPHA_GRID[0]) / 2.0
-        names, note = ("alpha", "eta", "hausdorff_bound"), ""
-    elif mode == "fractal":
-        from_terms = _zeta_of
-        bound, free_grid, free_rule = fractal_bound, BETA_GRID, _scaled
-        free_step = math.sqrt(BETA_GRID[1] / BETA_GRID[0])
-        names = ("beta_free", "zeta", "fractal_bound")
-        note = "general-t0 extension of the unit-time contraction number"
-    else:
-        raise ValueError("mode must be 'hausdorff' or 'fractal'")
+    grid_terms = [(t0, contraction_terms(t0, p, spectral, est)) for t0 in T0_GRID] \
+        if spectral.rho_m < 0 and spectral.K_m is not None else []
+    certificates = {}
+    for mode, from_terms, free_grid, free_rule, free_step, scale, names, note in _MODES:
+        spreads = [(free, scale / free) for free in free_grid]
+        best, best_c = None, (math.inf, 1.0, free_grid[0])  # best: (bound, t0, free, c_val)
+        for t0, terms in grid_terms:
+            for free, s in spreads:
+                c_val = from_terms(terms, free)
+                if c_val < best_c[0]:
+                    best_c = (c_val, t0, free)
+                b = _dimension_bound(spectral.k_m, s, c_val)
+                if math.isfinite(b) and (best is None or b < best[0]):
+                    best = (b, t0, free, c_val)
+        if best is None:
+            b, (c_val, t0, free) = math.inf, best_c
+            note = note or "no feasible contraction number below 1"
+        else:
+            b, t0, free, c_val = best
+            point, steps = [t0, free], [math.sqrt(T0_GRID[1] / T0_GRID[0]), free_step]
+            for _ in range(3):
+                for axis, grid, rule in ((0, T0_GRID, _scaled), (1, free_grid, free_rule)):
+                    neighbours, steps[axis] = rule(point[axis], steps[axis])
+                    for x in neighbours:
+                        if not grid[0] <= x <= grid[-1]:
+                            continue
+                        trial = point.copy()
+                        trial[axis] = x
+                        c_new = from_terms(contraction_terms(trial[0], p, spectral, est), trial[1])
+                        b_new = _dimension_bound(spectral.k_m, scale / trial[1], c_new)
+                        if b_new < b:
+                            b, point, c_val = b_new, trial, c_new
+            t0, free = point
 
-    best = None  # (bound, t0, free, c_val)
-    best_c = (math.inf, 1.0, free_grid[0])
-    for t0 in T0_GRID if spectral.rho_m < 0 and spectral.K_m is not None else ():
-        terms = contraction_terms(t0, p, spectral, est)
-        for free in free_grid:
-            c_val = from_terms(terms, free)
-            if c_val < best_c[0]:
-                best_c = (c_val, t0, free)
-            b = bound(free, spectral.k_m, c_val)
-            if math.isfinite(b) and (best is None or b < best[0]):
-                best = (b, t0, free, c_val)
-
-    if best is None:
-        b = math.inf
-        c_val, t0, free = best_c
-        note = note or "no feasible contraction number below 1"
-    else:
-        b, t0, free, c_val = best
-        point, steps = [t0, free], [math.sqrt(T0_GRID[1] / T0_GRID[0]), free_step]
-        for _ in range(3):
-            for axis, grid, rule in ((0, T0_GRID, _scaled), (1, free_grid, free_rule)):
-                neighbours, steps[axis] = rule(point[axis], steps[axis])
-                for x in neighbours:
-                    if not grid[0] <= x <= grid[-1]:
-                        continue
-                    trial = point.copy()
-                    trial[axis] = x
-                    c_new = from_terms(contraction_terms(trial[0], p, spectral, est), trial[1])
-                    b_new = bound(trial[1], spectral.k_m, c_new)
-                    if b_new < b:
-                        b, point, c_val = b_new, trial, c_new
-        t0, free = point
-
-    fields = dict.fromkeys(("alpha", "beta_free", "eta", "zeta"))
-    fields.update(hausdorff_bound=math.inf, fractal_bound=math.inf)
-    fields.update(zip(names, (free, c_val, b)))
-    return DimensionCertificate(mode=mode, feasible=best is not None, k_m=spectral.k_m,
-                                t0=t0, best_contraction=c_val, note=note, **fields)
+        fields = dict(alpha=None, beta_free=None, eta=None, zeta=None, hausdorff_bound=math.inf,
+                      fractal_bound=math.inf, t0=t0, best_contraction=c_val, note=note)
+        fields.update(zip(names, (free, c_val, b)))
+        certificates[mode] = DimensionCertificate(mode=mode, feasible=best is not None,
+                                                  k_m=spectral.k_m, **fields)
+    return certificates
 
 
 def covering_bound(m: int, r1: float, r2: float) -> int:

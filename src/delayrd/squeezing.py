@@ -144,17 +144,26 @@ def contraction_terms(t: float, p: ProblemParameters, spectral: SpectralData,
     elapsed time t: (K_m e^{rho_m t}, K_m lf / (rho1 + lf - rho_m),
     sqrt(c2) e^{rate t / 2}, e^{(lf + rho1) t}) with
     rate = c2 (sigma + lf^2) - (mu - sigma - 1).  A vanishing gap makes
-    the coupling inf.  Requires the dichotomy constant on ``spectral``."""
+    the coupling inf, and an exponential that overflows is inf.  Requires
+    the dichotomy constant on ``spectral``."""
     if spectral.K_m is None:
         raise ValueError("spectral data has no dichotomy constant (run dichotomy_constant)")
     K_m, rho1, rho_m = spectral.K_m, spectral.rho1, spectral.rho_m
     gap = rho1 + p.lf - rho_m
-    head = K_m * math.exp(rho_m * t)
+    head = K_m * _exp(rho_m * t)
     coupling = math.inf if gap == 0.0 else K_m * p.lf / gap
     rate = est.c2 * (p.sigma + p.lf * p.lf) - (p.mu - p.sigma - 1.0)
-    tail = math.sqrt(est.c2) * math.exp(0.5 * rate * t)
-    growth = math.exp((p.lf + rho1) * t)
+    tail = math.sqrt(est.c2) * _exp(0.5 * rate * t)
+    growth = _exp((p.lf + rho1) * t)
     return head, coupling, tail, growth
+
+
+def _exp(x: float) -> float:
+    """math.exp, inf where it overflows: a bound every measurement meets."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def analytic_bounds(t: float, p: ProblemParameters, spectral: SpectralData,

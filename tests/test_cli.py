@@ -124,6 +124,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["certify", "--config", missing, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff")
+    capsys.readouterr()
+    assert main(["certify", "--config", str(binary), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error: cannot read config:" in capsys.readouterr().err
+
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["certify", "--config", cfg, "--seed", "-1",
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -102,6 +102,9 @@ def test_parse_config_returns_typed_triple_or_config_error(text):
 @example([(("run", "cutoff_radius"), 1e-8)])
 @example([(("grid", "half_length"), 1e300)])
 @example([((None, "sigma"), 1e-30), (("run", "cutoff_radius"), 0.3927), (("run", "m_cut"), 1)])
+@example([((None, "mu"), 200), ((None, "tau"), 0.01)])  # eta underflows to 0 at t0 = 20
+@example([((None, "mu"), 200), ((None, "tau"), 0.05), ((None, "sigma"), 1e-5)])  # bR overflows
+@example([((None, "mu"), 20), ((None, "tau"), 0.05), ((None, "lf"), 10)])  # bR overflows
 def test_cli_exits_through_documented_codes(edits):
     """configs/base.json with one to three schema keys set from a palette
     of edge values: every subcommand returns 0, 2, 3 or 4, and every exit 3

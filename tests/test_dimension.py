@@ -104,6 +104,7 @@ def test_eta_validation_and_infeasible_values():
     assert math.isinf(eta(1.0, 0.5, p, closed, est))
 
     assert math.isinf(hausdorff_bound(0.5, 3, 1.0))
+    assert math.isinf(hausdorff_bound(0.5, 3, 0.0))  # eta underflowed to 0: no log(0)
     with pytest.raises(ValueError):
         hausdorff_bound(0.5, 0, 0.5)
 
@@ -156,6 +157,7 @@ def test_fractal_bound_formula():
     # k_m = 1, beta = 2, zeta = 1/2: (0 + ln 3) / ln 2
     assert fractal_bound(2.0, 1, 0.5) == pytest.approx(math.log(3) / math.log(2), rel=1e-15)
     assert math.isinf(fractal_bound(2.0, 1, 1.0))
+    assert math.isinf(fractal_bound(2.0, 1, 0.0))
     with pytest.raises(ValueError):
         fractal_bound(2.0, 0, 0.5)
 
@@ -165,7 +167,9 @@ def test_optimizer_feasible_and_deterministic():
     est = compute_estimates(p, norm_g=1.0)
     sp = synthetic_spectral()
 
-    cert = optimize_certificate(p, sp, est, mode="hausdorff")
+    both = optimize_certificate(p, sp, est)
+    assert list(both) == ["hausdorff", "fractal"]
+    cert = both["hausdorff"]
     assert cert.feasible and cert.mode == "hausdorff"
     assert cert.eta < 1.0
     # never worse than the hand-picked point (1.0, 0.5)
@@ -174,18 +178,14 @@ def test_optimizer_feasible_and_deterministic():
     assert T0_GRID[0] <= cert.t0 <= T0_GRID[-1]
     assert ALPHA_GRID[0] <= cert.alpha <= ALPHA_GRID[-1]
 
-    again = optimize_certificate(p, sp, est, mode="hausdorff")
-    assert again == cert
+    assert optimize_certificate(p, sp, est) == both
 
-    frac = optimize_certificate(p, sp, est, mode="fractal")
-    assert frac.feasible and frac.zeta < 1.0
+    frac = both["fractal"]
+    assert frac.feasible and frac.mode == "fractal" and frac.zeta < 1.0
     assert math.isfinite(frac.fractal_bound)
     assert T0_GRID[0] <= frac.t0 <= T0_GRID[-1]
     assert BETA_GRID[0] <= frac.beta_free <= BETA_GRID[-1]
     assert "extension" in frac.note
-
-    with pytest.raises(ValueError):
-        optimize_certificate(p, sp, est, mode="box-counting")
 
 
 @pytest.mark.parametrize("lf,rho_m,mode,t0,free,bound", [
@@ -198,8 +198,7 @@ def test_optimizer_refinement_leaves_the_grid(lf, rho_m, mode, t0, free, bound):
     p = ProblemParameters(mu=3.0, sigma=0.1, tau=0.1, lf=lf, forcing=ForcingSpec(),
                           nonlinearity=NonlinearitySpec(kind="scaled_tanh", scale=lf))
     est = compute_estimates(p, norm_g=1.0)
-    cert = optimize_certificate(p, synthetic_spectral(k_m=1, rho1=-0.5, rho_m=rho_m), est,
-                                mode=mode)
+    cert = optimize_certificate(p, synthetic_spectral(k_m=1, rho1=-0.5, rho_m=rho_m), est)[mode]
     got = cert.alpha if mode == "hausdorff" else cert.beta_free
     assert got not in (ALPHA_GRID if mode == "hausdorff" else BETA_GRID)
     assert (cert.t0, got) == (pytest.approx(t0, rel=1e-12), pytest.approx(free, rel=1e-12))
@@ -208,17 +207,18 @@ def test_optimizer_refinement_leaves_the_grid(lf, rho_m, mode, t0, free, bound):
 
 def test_optimizer_reports_infeasibility(grid):
     """The reference dissipative set has a positive tail rate, so no
-    (t0, alpha) makes the contraction number drop below 1."""
+    (t0, alpha) or (t0, beta) makes the contraction number drop below 1."""
     p = dissipative_params(grid)
     est = compute_estimates(p, norm_g=1.0)
     sp = synthetic_spectral(rho1=-0.5, rho_m=-1.0, K_m=2.0)
-    cert = optimize_certificate(p, sp, est, mode="hausdorff")
-    assert not cert.feasible
-    assert math.isinf(cert.hausdorff_bound) and math.isinf(cert.fractal_bound)
-    assert cert.best_contraction >= 1.0
-    assert "no feasible" in cert.note
-    payload = asdict(cert)
-    assert payload["feasible"] is False
+    both = optimize_certificate(p, sp, est)
+    for cert in both.values():
+        assert not cert.feasible
+        assert math.isinf(cert.hausdorff_bound) and math.isinf(cert.fractal_bound)
+        assert cert.best_contraction >= 1.0
+        assert asdict(cert)["feasible"] is False
+    assert "no feasible" in both["hausdorff"].note
+    assert "extension" in both["fractal"].note
 
 
 def certified(config: str):
@@ -279,7 +279,7 @@ def test_optimizer_matches_a_search_through_eta_and_zeta(config, mode):
     t0; the certificate equals a search that calls `eta`/`zeta` at every
     point, bit for bit."""
     p, spectral, est = certified(config)
-    cert = optimize_certificate(p, spectral, est, mode=mode)
+    cert = optimize_certificate(p, spectral, est)[mode]
     free = cert.alpha if mode == "hausdorff" else cert.beta_free
     contraction = cert.eta if mode == "hausdorff" else cert.zeta
     bound = cert.hausdorff_bound if mode == "hausdorff" else cert.fractal_bound
@@ -288,11 +288,11 @@ def test_optimizer_matches_a_search_through_eta_and_zeta(config, mode):
     assert cert.best_contraction == contraction
 
 
-@pytest.mark.parametrize("mode", ["hausdorff", "fractal"])
-def test_optimizer_takes_the_factors_once_per_t0(monkeypatch, mode):
-    """The grid takes `contraction_terms` once per t0 and the refinement
-    once per trial point (3 rounds x 2 axes x 2 neighbours); no point goes
-    through eta/zeta, and a cut without K_m costs no call."""
+def test_optimizer_takes_the_factors_once_per_t0(monkeypatch):
+    """One search takes `contraction_terms` once per grid t0 for both
+    certificates, and each refinement once per trial point (2 modes x
+    3 rounds x 2 axes x 2 neighbours); no point goes through eta/zeta, and
+    a cut without K_m costs no call."""
     p, spectral, est = certified("certify")
     calls = {"terms": 0, "number": 0}
 
@@ -306,14 +306,15 @@ def test_optimizer_takes_the_factors_once_per_t0(monkeypatch, mode):
                         counted("terms", dimension.contraction_terms))
     monkeypatch.setattr(dimension, "eta", counted("number", dimension.eta))
     monkeypatch.setattr(dimension, "zeta", counted("number", dimension.zeta))
-    cert = optimize_certificate(p, spectral, est, mode=mode)
-    assert cert.feasible
+    both = optimize_certificate(p, spectral, est)
+    assert all(cert.feasible for cert in both.values())
     assert calls["number"] == 0
-    assert len(T0_GRID) <= calls["terms"] <= len(T0_GRID) + 12
+    assert len(T0_GRID) <= calls["terms"] <= len(T0_GRID) + 24
 
     calls["terms"] = 0
-    cert = optimize_certificate(p, replace(spectral, K_m=None), est, mode=mode)
-    assert (cert.feasible, cert.t0, cert.best_contraction) == (False, 1.0, math.inf)
+    both = optimize_certificate(p, replace(spectral, K_m=None), est)
+    for cert in both.values():
+        assert (cert.feasible, cert.t0, cert.best_contraction) == (False, 1.0, math.inf)
     assert calls == {"terms": 0, "number": 0}
 
 
@@ -324,7 +325,7 @@ def test_optimizer_closed_gap_is_infeasible(mode):
     instead of raising."""
     p = stiff_problem()
     est = compute_estimates(p, norm_g=1.0)
-    cert = optimize_certificate(p, synthetic_spectral(rho1=-2.0, rho_m=-1.5), est, mode=mode)
+    cert = optimize_certificate(p, synthetic_spectral(rho1=-2.0, rho_m=-1.5), est)[mode]
     assert not cert.feasible
     assert math.isinf(cert.best_contraction)
     free = cert.alpha if mode == "hausdorff" else cert.beta_free

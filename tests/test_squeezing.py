@@ -10,12 +10,14 @@ from delayrd.estimates import compute_estimates
 from delayrd.model import ForcingSpec, Grid, NonlinearitySpec, ProblemParameters
 from delayrd.solver import constant_history, segment_norm
 from delayrd.spectrum import (
+    SpectralData,
     characteristic_roots,
     dichotomy_constant,
     spectral_partition,
 )
 from delayrd.squeezing import (
     analytic_bounds,
+    contraction_terms,
     make_projections,
     measure_contraction,
     project_P,
@@ -260,6 +262,31 @@ def test_analytic_bounds_at_time_zero(grid, dissipative):
         analytic_bounds(0.0, p, spectral_partition(p, 3.0, 3, 8), est)
     with pytest.raises(ValueError):
         analytic_bounds(-1.0, p, spectral, est)
+
+
+def test_overflowing_factors_are_infinite():
+    """An exponential that overflows a float makes its factor inf instead of
+    raising: a bound every measurement meets.  The factors that do not
+    overflow keep math.exp's value."""
+    p = ProblemParameters(mu=200.0, sigma=1e-5, tau=0.05, lf=1.0, forcing=ForcingSpec(),
+                          nonlinearity=NonlinearitySpec(kind="scaled_tanh", scale=1.0))
+    est = compute_estimates(p, norm_g=1.0)
+    spectral = SpectralData(K=3.0, m_cut=1, eigenvalues=(), root_groups=((-0.5, 1),), k_m=1,
+                            rho1=-0.5, rho_m=-0.5, certificate_ok=True, status="ok",
+                            mode_roots=(), K_m=2.0)
+    rate = est.c2 * (p.sigma + p.lf**2) - (p.mu - p.sigma - 1.0)
+    assert 0.5 * rate > 709.8  # e^{rate t / 2} overflows at t = 1
+
+    head, coupling, tail, growth = contraction_terms(1.0, p, spectral, est)
+    assert tail == math.inf
+    assert head == 2.0 * math.exp(-0.5) and growth == math.exp(0.5)
+    assert coupling == 2.0  # K_m lf / (rho1 + lf - rho_m), a unit gap
+    b = analytic_bounds(1.0, p, spectral, est)
+    assert b["feasible"] and b["bR"] == math.inf and b["bP"] == math.exp(0.5)
+
+    # at t = 2000 the growth e^{(lf + rho1) t} overflows too, and so does bQ
+    b = analytic_bounds(2000.0, p, spectral, est)
+    assert (b["bP"], b["bQ"], b["bR"]) == (math.inf, math.inf, math.inf)
 
 
 def test_bounds_without_nonlinearity_reduce_to_dichotomy():
