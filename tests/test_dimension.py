@@ -288,11 +288,13 @@ def test_optimizer_matches_a_search_through_eta_and_zeta(config, mode):
     assert cert.best_contraction == contraction
 
 
-def test_optimizer_takes_the_factors_once_per_t0(monkeypatch):
+@pytest.mark.parametrize("mode", ["hausdorff", "fractal"])
+def test_optimizer_takes_the_factors_once_per_t0(monkeypatch, mode):
     """One search takes `contraction_terms` once per grid t0 for both
     certificates, and each refinement once per trial point (2 modes x
     3 rounds x 2 axes x 2 neighbours); no point goes through eta/zeta, and
-    a cut without K_m costs no call."""
+    a cut without K_m costs no call. Each mode's certificate comes out of
+    that one search."""
     p, spectral, est = certified("certify")
     calls = {"terms": 0, "number": 0}
 
@@ -306,15 +308,14 @@ def test_optimizer_takes_the_factors_once_per_t0(monkeypatch):
                         counted("terms", dimension.contraction_terms))
     monkeypatch.setattr(dimension, "eta", counted("number", dimension.eta))
     monkeypatch.setattr(dimension, "zeta", counted("number", dimension.zeta))
-    both = optimize_certificate(p, spectral, est)
-    assert all(cert.feasible for cert in both.values())
+    cert = optimize_certificate(p, spectral, est)[mode]
+    assert cert.feasible and cert.mode == mode
     assert calls["number"] == 0
     assert len(T0_GRID) <= calls["terms"] <= len(T0_GRID) + 24
 
     calls["terms"] = 0
-    both = optimize_certificate(p, replace(spectral, K_m=None), est)
-    for cert in both.values():
-        assert (cert.feasible, cert.t0, cert.best_contraction) == (False, 1.0, math.inf)
+    cert = optimize_certificate(p, replace(spectral, K_m=None), est)[mode]
+    assert (cert.feasible, cert.mode, cert.t0, cert.best_contraction) == (False, mode, 1.0, math.inf)
     assert calls == {"terms": 0, "number": 0}
 
 
