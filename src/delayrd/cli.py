@@ -289,11 +289,13 @@ def random_history(rng: np.random.Generator, grid: Grid, tau: float,
     f0, f1 = draw_field(), draw_field()
     thetas = np.linspace(-tau, 0.0, steps_per_delay + 1)
     weight = 0.5 * (1.0 + np.cos(np.pi * (thetas + tau) / tau))  # 1 at -tau, 0 at 0
-    samples = np.outer(weight, f0) + np.outer(1.0 - weight, f1)
+    samples = np.multiply.outer(weight, f0)
+    samples += np.multiply.outer(1.0 - weight, f1)
     current = segment_norm(samples, grid)
     if current == 0.0 or norm == 0.0:
         return np.zeros_like(samples)
-    return samples * (norm / current)
+    samples *= norm / current
+    return samples
 
 
 def random_pair(rng: np.random.Generator, grid: Grid, tau: float,
@@ -328,15 +330,19 @@ def eigenmode_pair(rng: np.random.Generator, grid: Grid, p: ProblemParameters,
     phi = random_history(rng, grid, p.tau, steps_per_delay, norm)
     thetas = np.linspace(-p.tau, 0.0, steps_per_delay + 1)
     rooted = list(takewhile(lambda mr: mr.roots, spectral.mode_roots[:6]))
-    modes = inside_sines(grid, spectral.K, len(rooted))
+    modes = np.ascontiguousarray(inside_sines(grid, spectral.K, len(rooted)).T)
     bump = np.zeros((steps_per_delay + 1, grid.points))
-    for j, (mode, mr) in enumerate(zip(modes.T, rooted), start=1):
+    term = np.empty_like(bump)
+    for j, (mode, mr) in enumerate(zip(modes, rooted), start=1):
         rho_j = mr.roots[0].real  # the rightmost root: branch 0, real whenever one is
-        bump += (rng.standard_normal() / j) * np.outer(np.exp(rho_j * thetas), mode)
+        np.multiply.outer(np.exp(rho_j * thetas), mode, out=term)
+        term *= rng.standard_normal() / j
+        bump += term
     scale = segment_norm(bump, grid)
     if scale > 0:
-        bump = bump * (separation / scale)
-    return phi, phi + bump
+        bump *= separation / scale
+    bump += phi
+    return phi, bump
 
 
 # --- shared pipeline pieces ---------------------------------------------------

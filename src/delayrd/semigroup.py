@@ -84,7 +84,8 @@ class SemigroupStepper:
     """Cached one-step propagator for a fixed (grid, mu, dt).
 
     The integrator applies the same S(dt) thousands of times; caching the
-    mode multiplier avoids recomputing the exponential each step.
+    mode multiplier avoids recomputing the exponential each step.  It is
+    stored complex, so the rfft coefficients take it without a cast.
     """
 
     def __init__(self, grid: Grid, mu: float, dt: float):
@@ -94,10 +95,10 @@ class SemigroupStepper:
         self.mu = mu
         self.dt = dt
         xi = grid.frequencies
-        self._multiplier = np.exp(-(mu + xi * xi) * dt)
+        self.multiplier = np.exp(-(mu + xi * xi) * dt).astype(complex)
 
     def step(self, values: np.ndarray) -> np.ndarray:
         """Apply S(dt) to raw node values."""
         c = np.fft.rfft(values)
-        c *= self._multiplier
+        c *= self.multiplier
         return np.fft.irfft(c, n=self.grid.points)

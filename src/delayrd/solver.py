@@ -16,19 +16,20 @@ delayed read lands on a stored sample and the method of steps introduces no
 interpolation error.  The scheme is second order in dt (the linear part is
 exact; only the quadrature is approximate).
 
-`march` is the one implementation of this recurrence, with the propagator
-and the load as arguments.  It is the method of steps proper: on each delay
-interval the delayed terms are known from the interval before, so a small
-row (at most `INTERVAL_ROW_FLOATS` floats) takes the interval's S loads in
-one call and its S new rows in one array; a larger row steps one at a time.
-Either way the march yields blocks, fresh arrays of consecutive new rows
-that a caller may keep.  `evolve` is the equation's march: the FFT
-semigroup step on fields and the delayed load above, the only place that
-load is written.  The CLI stores no trajectory: `simulate` reduces the rows
-of `evolve` S at a time and `squeezing` takes the P/Q/R norms of the rows
-its contraction windows hold.  `integrate` stores every row, for tests,
-demos and the trajectory checks of `estimates`.  `spectrum` marches a
-scalar decay per Dirichlet mode.  Rows may carry a batch axis, so several
+`march` is the one implementation of this recurrence, with the semigroup (a
+multiplier between transforms) and the load as arguments.  It is the
+method of steps proper: on each delay interval the delayed terms are known
+from the interval before, so a small row (at most `INTERVAL_ROW_FLOATS`
+floats) takes the interval's S loads in one call and steps on its
+coefficients; a larger row steps one at a time.  Either way the march
+yields blocks, fresh arrays of consecutive new rows that a caller may
+keep.  `evolve` is the equation's march: the rfft pair with the S(dt)
+multiplier and the delayed load above, the only place that load is
+written.  The CLI stores no trajectory: `simulate` reduces the rows of
+`evolve` S at a time and `squeezing` takes the P/Q/R norms of the rows its
+contraction windows hold.  `integrate` stores every row, for tests, demos
+and the trajectory checks of `estimates`.  `spectrum` marches a scalar
+decay per Dirichlet mode.  Rows may carry a batch axis, so several
 histories or a set of modes advance as one array.
 
 A history is the array of its S + 1 rows u(theta_j), theta_j = -tau + j dt,
@@ -105,54 +106,53 @@ def _history_step(hist: np.ndarray, p: ProblemParameters, grid: Grid) -> float:
 
 
 #: Largest row, in floats, that `march` advances a whole delay interval at a
-#: time.  Per step at S = 64 (2 vCPU x86-64, numpy 2.4, best of 5), one step
-#: at a time vs an interval at a time: the scalar decay takes 10.7 vs 4.7 us
-#: on 64 floats, 12.7 vs 6.1 on 256 and 18.3 vs 12.8 on 1024; the FFT
-#: semigroup 57 vs 44 us on 1024.  From 2048 floats on the interval loop is
-#: no faster (8 x 1024 floats: 57 vs 66 us decay, 171 vs 167 us FFT), and on
-#: squeeze's groups of 8 x 1024 its blocks and loads took the traced peak
-#: from 2.1 to 5 history batches.
+#: time.  `evolve`, 512 steps at S = 64, per-step vs interval (ms, 2 vCPU
+#: x86-64, numpy 2.4): 15.6/6.2 on 1024 floats, 28.7/26.1 on 4 x 1024,
+#: 47.5/52.4 on squeeze's 8 x 1024; a raise would speed only partial groups.
 INTERVAL_ROW_FLOATS = 1024
 
 
-def march(hist, n_steps: int, dt: float, propagate, load):
+def march(hist, n_steps: int, dt: float, multiplier, transforms, load):
     """Step the trapezoid recurrence from a history, yielding its new rows.
 
     ``hist`` holds the history rows u_{-S} .. u_0 on its leading axis.
-    Step n computes
+    With (F, F^-1) = ``transforms`` and k_n = dt/2 * load(u_{n-S}), step n
+    computes u_n = F^-1(multiplier * F(u_{n-1} + k_{n-1})) + k_n; the march
+    yields u_1 .. u_{n_steps} as blocks of consecutive rows.  F, F^-1 (the
+    rfft pair, or identities) and ``load`` act on the last axis; ``load``
+    returns a fresh array and F^-1 a fresh array or its argument.
 
-        u_n = propagate(u_{n-1} + dt/2 * load(u_{n-1-S})) + dt/2 * load(u_{n-S})
+    Rows of at most `INTERVAL_ROW_FLOATS` floats march a delay interval at
+    a time on their coefficients: one ``load`` and one F call for the S
+    loads, c_n = multiplier * (c_{n-1} + F(k_{n-1})) + F(k_n) into one
+    fresh block, one F^-1 call for its rows (by Parseval max|c_n| >=
+    max|u_n|).  Larger rows step one at a time, as (1, *row) blocks.
 
-    and the march yields u_1 .. u_{n_steps} as blocks, arrays (m, *row
-    shape) of m consecutive rows.  ``propagate`` (S(dt)) and ``load`` (the
-    delayed terms) act on whole rows, and ``load`` row by row on a stack
-    of rows, so trailing batch axes pass through; ``propagate`` must return
-    a fresh array, since the step adds to it in place.  Each row's scaled
-    load dt/2 * load(u_{n-S}) is computed once and serves two steps.
-
-    A row of at most `INTERVAL_ROW_FLOATS` floats marches one delay
-    interval at a time, by the method of steps: the S delayed loads of
-    steps n + 1 .. n + S are one ``load`` call on rows n - S + 1 .. n,
-    which the previous interval made; the interval's rows go into one
-    fresh (S, *row shape) block (shorter for a last, partial interval),
-    checked for finiteness once and yielded.  Larger rows step one at a
-    time, holding the S + 1 rows u_{n-S} .. u_n, and are yielded as (1,
-    *row shape) blocks.  A yielded block is never written again, so a
-    caller may keep it; it must not write to it, as the next interval's
-    loads read it.  A non-finite entry raises `DivergenceError` with the
-    step index, after the rows before it are yielded, so the step arithmetic
+    A yielded block is never written again; a caller may keep it but must
+    not write to it.  A non-finite entry raises `DivergenceError` with the
+    step index, after the rows before it are yielded; the step arithmetic
     silences numpy's overflow and invalid warnings (never across a yield).
     """
     half = 0.5 * dt
+    forward, inverse = transforms
     quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
+
+    def scaled_load(rows):
+        k = load(rows)
+        k *= half
+        return k
+
     if hist[0].size > INTERVAL_ROW_FLOATS:
         rows = deque(hist, maxlen=len(hist))
         with quiet():
-            k_prev = half * load(rows[0])
+            k_prev = scaled_load(rows[0])
         for n in range(1, n_steps + 1):
             with quiet():
-                k_next = half * load(rows[1])
-                u = propagate(rows[-1] + k_prev)
+                k_next = scaled_load(rows[1])
+                c = forward(rows[-1] + k_prev)
+                c *= multiplier
+                u = inverse(c)
+                del c  # held longer, it raised squeeze's peak RSS 3 MB
                 u += k_next
             if not np.isfinite(u).all():
                 raise DivergenceError(n)
@@ -163,25 +163,30 @@ def march(hist, n_steps: int, dt: float, propagate, load):
 
     S = len(hist) - 1
     with quiet():
-        loads = half * load(hist)  # row j: dt/2 * load(u_{start + j - S})
-    u = hist[-1]
+        loads = forward(scaled_load(hist))  # row j: F(k) of u_{j - S}
+        c = forward(hist[-1])
+    last, loads = loads[0], loads[1:]  # steps start + 1 .. start + m take last, loads[:m]
     for start in range(0, n_steps, S):
         m = min(S, n_steps - start)
-        block = np.empty((m, *u.shape))
+        coeffs = np.empty((m, *c.shape), c.dtype)
         with quiet():
             for i in range(m):
-                u = propagate(u + loads[i])
-                u += loads[i + 1]
-                block[i] = u
+                c_new, k_new = coeffs[i, ...], loads[i]  # [i, ...] is a view even of 0-d rows
+                np.add(c, last, out=c_new)
+                c_new *= multiplier
+                c_new += k_new
+                c, last = c_new, k_new
+            block = inverse(coeffs)
         if not np.isfinite(block).all():
             bad = int(np.argmin(np.isfinite(block.reshape(m, -1)).all(axis=1)))
             if bad:
                 yield block[:bad]
             raise DivergenceError(start + bad + 1)
+        c, last = c.copy(), last.copy()  # coeffs and loads go before the next
+        del coeffs, loads
         yield block
-        loads[0] = loads[m]
         with quiet():
-            np.multiply(half, load(block), out=loads[1:m + 1])
+            loads = forward(scaled_load(block))
 
 
 def evolve(hist: np.ndarray, n_steps: int, p: ProblemParameters, grid: Grid):
@@ -192,6 +197,7 @@ def evolve(hist: np.ndarray, n_steps: int, p: ProblemParameters, grid: Grid):
     dt = _history_step(hist, p, grid)
     g = evaluate_forcing(p.forcing, grid.nodes)
     stepper = SemigroupStepper(grid, p.mu, dt)
+    transforms = (np.fft.rfft, functools.partial(np.fft.irfft, n=grid.points))
 
     def load(d: np.ndarray) -> np.ndarray:
         h = p.sigma * d
@@ -199,7 +205,7 @@ def evolve(hist: np.ndarray, n_steps: int, p: ProblemParameters, grid: Grid):
         h += g
         return h
 
-    return march(hist, n_steps, dt, stepper.step, load)
+    return march(hist, n_steps, dt, stepper.multiplier, transforms, load)
 
 
 def integrate(hist: np.ndarray, horizon: float, p: ProblemParameters,

@@ -21,9 +21,10 @@ all (mode, branch) pairs as one array; the roots of every mode form one
 NaN-padded table, and their real parts are grouped on one sort.
 
 The per-mode equation is stepped by the PDE integrator's `solver.march`
-with the scalar decay exp(-(mu + mu_{m,K}) dt) as propagator: one mode in
-`linear_delay_evolve`, all sampled modes as one batch in the dichotomy.
-Their rows are small, so the march advances a delay interval at a time.
+with the scalar decay exp(-(mu + mu_{m,K}) dt) as multiplier between
+identity transforms: one mode in `linear_delay_evolve`, all sampled modes
+as one batch in the dichotomy.  Their rows are small, so the march
+advances a delay interval at a time.
 The dichotomy reduces each marched block to per-row squared sums, one
 `reduceat`, and a segment norm at a read-out step is the square root of
 the max of the last S + 1 sums; only those sums are held.
@@ -334,6 +335,9 @@ def spectral_partition(p: ProblemParameters, K: float, m_cut: int, modes: int) -
 
 # --- per-mode linear evolution ---------------------------------------------
 
+#: `solver.march`'s transforms for a scalar decay per mode.
+IDENTITIES = (lambda v: v, lambda v: v)
+
 
 def linear_delay_evolve(mode_history, p: ProblemParameters, mode_eig: float,
                         horizon: float):
@@ -366,7 +370,7 @@ def linear_delay_evolve(mode_history, p: ProblemParameters, mode_eig: float,
     dt = p.tau / (hist.size - 1)
     decay = math.exp(-(p.mu + mode_eig) * dt)
     n_steps = step_count(horizon, dt)
-    blocks = march(hist, n_steps, dt, lambda v: decay * v, lambda d: p.sigma * d)
+    blocks = march(hist, n_steps, dt, decay, IDENTITIES, lambda d: p.sigma * d)
     return dt * np.arange(n_steps + 1), np.concatenate([hist[-1:], *blocks])
 
 
@@ -462,7 +466,8 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
     live = base != 0.0
     sample_max = max([0.0, *ratios(0, window)])
     n = 0
-    for block in march(batch, t_grid[-1], dt, lambda v: decay * v, lambda d: p.sigma * d):
+    for block in march(batch, t_grid[-1], dt, decay, IDENTITIES,
+                       lambda d: p.sigma * d):
         sums = np.concatenate([window, row_sums(block)])  # rows n - S .. n + len(block)
         for mark in t_grid:
             if n < mark <= n + len(block):

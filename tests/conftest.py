@@ -87,6 +87,65 @@ def loop_integrate(hist, horizon, p, grid):
     return values
 
 
+def loop_fourier_integrate(hist, horizon, p, grid):
+    """Reference trajectory values of the coefficient-space form of the same
+    recurrence, the form `delayrd.solver.march` takes on rows of at most
+    `INTERVAL_ROW_FLOATS` floats: with k_n = dt/2 * load(u_{n-S}),
+
+        c_0 = rfft(u_0),  c_n = E (c_{n-1} + rfft(k_{n-1})) + rfft(k_n),
+        u_n = irfft(c_n),
+
+    one step and one unbatched (S + 1, P) history at a time.  c_n is carried
+    from step to step, never recomputed from u_n.  Shares no stepping code
+    with `delayrd.solver`."""
+    S = len(hist) - 1
+    dt = p.tau / S
+    n_steps = max(0, int(math.ceil(horizon / dt - 1e-9)))
+    g = evaluate_forcing(p.forcing, grid.nodes)
+    xi = grid.frequencies
+    multiplier = np.exp(-(p.mu + xi * xi) * dt)
+    values = np.empty((n_steps + 1, grid.points))
+    values[0] = hist[-1]
+
+    def load_coeffs(n):
+        d = values[n - S] if n >= S else hist[n]
+        return np.fft.rfft(0.5 * dt * (p.sigma * d + evaluate_nonlinearity(p.nonlinearity, d) + g))
+
+    c = np.fft.rfft(hist[-1])
+    for n in range(n_steps):
+        c = multiplier * (c + load_coeffs(n)) + load_coeffs(n + 1)
+        values[n + 1] = np.fft.irfft(c, n=grid.points)
+    return values
+
+
+def fourier_rounding_bound(hist, values, p, grid):
+    """Bound, in the max norm, on how far `loop_fourier_integrate` and
+    `loop_integrate` may drift apart on the trajectory rows ``values``
+    marched from ``hist`` (neither form's own discretization error).
+
+    The two forms do the same recurrence and differ only in where the
+    transforms round.  A radix-2 FFT of length P has a relative 2-norm error
+    of at most log2(P) eta with eta = u + gamma_4 (sqrt 2 + u) < 7u, u the
+    unit roundoff (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., thm 24.2).  A step of either form takes two transforms of rows
+    no larger than M + dt/2 ((sigma + lf) M + max|g|), with M the largest
+    |u| of the history and the trajectory (|f(u)| <= lf |u|); since
+    |v|_inf <= |v|_2 <= sqrt(P) |v|_inf, one step moves the forms apart by
+    at most delta = 4 * 7u * log2(P) * sqrt(P) times that.  S(dt) does not
+    expand, and the load is (sigma + lf)-Lipschitz and scaled by dt/2 in
+    two places, so a difference grows by at most a factor 1 + (sigma + lf) dt
+    a step: after N steps it is at most N delta (1 + (sigma + lf) dt)^N.
+    """
+    S, n_steps = len(hist) - 1, len(values) - 1
+    dt, rate = p.tau / S, p.sigma + p.lf
+    M = max(np.max(np.abs(hist)), np.max(np.abs(values)))
+    g = np.max(np.abs(evaluate_forcing(p.forcing, grid.nodes)))
+    row = M + 0.5 * dt * (rate * M + g)
+    unit_roundoff = np.finfo(float).eps / 2
+    delta = 4 * 7 * unit_roundoff * math.log2(grid.points) * math.sqrt(grid.points) * row
+    return n_steps * delta * (1.0 + rate * dt) ** n_steps
+
+
 def far_field_sups(hist, values, grid, radii):
     """Segment tail-mass sups of a stored trajectory (history rows ``hist``,
     trajectory rows ``values``), one column per radius: the array

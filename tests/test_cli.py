@@ -456,9 +456,13 @@ def test_repeated_certify_sweeps_write_the_same_bytes(tmp_path):
 # array pass: numpy's complex division and exp/log round some roots
 # differently from cmath, by at most 2.2e-16 relative (1125 of the 7728
 # roots of the 11 shipped configs), while rho_1, rho_m, k_m, the group
-# multiplicities, the complete flags and K_m kept their bytes; the
-# simulate hashes from the pairwise (layout-independent) tail-mass sum, which
-# moved the far-field masses by at most 4e-15 relative.  The certify-sweep-0
+# multiplicities, the complete flags and K_m kept their bytes.  The
+# simulate hashes date from the march in coefficient space (one rfft of an
+# interval's loads, one irfft of its rows, the steps on the coefficients in
+# between): it rounds the transforms in other places than the per-step
+# S(dt), which moved norms.csv by at most 4e-14 and the far-field masses by
+# at most 1.5e-10 relative (the smallest tails, far below the eps they are
+# checked against).  The certify-sweep-0
 # certificate and estimates (perfbench/configs, 48 modes) were hashed with
 # the two-pass JSON writer (sanitize, then json.dumps) before the one-pass
 # writer replaced it.  The certify-sweep-1 to -6 entries were hashed before
@@ -467,14 +471,14 @@ def test_repeated_certify_sweeps_write_the_same_bytes(tmp_path):
 # points whose K_m depends on the flow, and sweep-6 is infeasible.
 GOLDEN = {
     ("simulate", "base"): (EXIT_OK, {
-        "farfield.csv": "5291a61eb1c9cb9cc6006e026aa9c52c1702942781649ebf9591b6249d20b269",
-        "farfield_check.json": "06fda6ba88cb7d31dfba31740500f4c467daea1e1852df4dc536a681cba79b75",
-        "norms.csv": "ee5dd9c5d7fd00fbecf633e6f2e09295be9f9f3171cc21f4c547cce64f508f98",
+        "farfield.csv": "a13ddfdfed991ef907da584916d8421e0570e501650a7760c6ddc7cabc8ee8b8",
+        "farfield_check.json": "7dabcc492eefac49071010499ada8e0e53121e69b270460e437f94346d5f6e1c",
+        "norms.csv": "3ca6b88a7fbbeb541c676e893dade30c265c0f29842a1d79cc66dc83380cb32d",
     }),
     ("simulate", "certify"): (EXIT_OK, {
-        "farfield.csv": "9effbb74b16df95f6906d779780acfc041df0120523b6b79e42c0e352cc479aa",
-        "farfield_check.json": "81584f4eae972430f0b6417eedfef5bd7c9ec0f2462f24a9311c6524823c963a",
-        "norms.csv": "2adf632666f97988d5a5778a0380f282f50959cb527c9c6eed5cc534b48e14fd",
+        "farfield.csv": "063a9e93be1d5e116c3eda4384153997278e05a8cc99b50d394a1e729ac0a724",
+        "farfield_check.json": "5fef8e1bd8fa50dcb1e371862b4088bb18f54827f3faa1631b83a9fd1b7e4c9d",
+        "norms.csv": "c8a1053f9b6c08a5bcacae8e4aca317bef543699642bc36d0c42eb7a3cf135fb",
     }),
     ("certify", "base"): (EXIT_INFEASIBLE, {
         "certificate.json": "5832ac9c450fd391b7c0ee64d9f16adf22632d87774037ba8464ab3ad7489394",
@@ -556,8 +560,13 @@ def test_golden_payload_hashes(tmp_path, key):
 
 def test_golden_squeeze_across_groups(tmp_path):
     """configs/base.json with ensemble 9: two full groups of pairs plus a
-    partial one.  Hashes made before squeeze marched pairs in groups, when
-    each pair was integrated on its own, on the platform noted at GOLDEN."""
+    partial one.  squeeze.json was hashed before squeeze marched pairs in
+    groups, when each pair was integrated on its own, on the platform noted
+    at GOLDEN.  contraction.csv was hashed again when the march moved to
+    coefficient space for rows of at most `solver.INTERVAL_ROW_FLOATS`
+    floats: the partial group's one pair has rows of 2 x 512 = 1024 floats
+    and takes that path (the full groups, 8 x 512, still step in physical
+    space, as every group of configs/base.json at ensemble 3 does)."""
     text = (CONFIGS / "base.json").read_text()
     assert '"ensemble": 3' in text
     cfg = tmp_path / "cfg.json"
@@ -566,7 +575,7 @@ def test_golden_squeeze_across_groups(tmp_path):
     assert main(["squeeze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["payload_sha256"] == {
-        "contraction.csv": "d1067d5aca9399f8b0f024529a99ba6b27266ddaf96309ed95edb2284ea51364",
+        "contraction.csv": "744837908cd4b9c1356f987224b509f2401889a57ccaf8fa497d61067c7ed40d",
         "squeeze.json": "6747c844361ba3fc17abb907b81cf8bc7c6ce8db1861cb3394b60d45e99e7e0f",
     }
 

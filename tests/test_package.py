@@ -69,3 +69,26 @@ def test_star_import_in_a_fresh_interpreter():
     assert names == delayrd.__all__
     assert "delayrd" in loaded
     assert [m for m in loaded if m != "delayrd"] == [module.__name__ for module in MODULES]
+
+
+def test_simulate_and_squeeze_load_no_scipy(tmp_path):
+    """The runtime is numpy-only: `simulate` and `squeeze` on
+    configs/base.json, run through `delayrd.cli.main` in a fresh
+    interpreter, exit 0 with no ``scipy`` module loaded (scipy is a
+    test-side oracle only)."""
+    code = ("import json, sys\n"
+            "from delayrd.cli import main\n"
+            "config, out = sys.argv[1:]\n"
+            "codes = [main([cmd, '--config', config, '--out', f'{out}/{cmd}'])"
+            " for cmd in ('simulate', 'squeeze')]\n"
+            "print(json.dumps([codes, [m for m in sys.modules"
+            " if m.partition('.')[0] == 'scipy']]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "configs" / "base.json"),
+                           str(tmp_path)], capture_output=True, text=True, timeout=120,
+                          env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert scipy_modules == []

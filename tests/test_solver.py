@@ -29,7 +29,12 @@ from delayrd.solver import (
     step_count,
 )
 
-from conftest import heat_only_params, loop_integrate
+from conftest import (
+    fourier_rounding_bound,
+    heat_only_params,
+    loop_fourier_integrate,
+    loop_integrate,
+)
 
 
 def scalar_dde_oracle(history, horizon, mu, sigma, tau, f, g):
@@ -159,11 +164,21 @@ def test_divergence_raises_with_step_index(grid):
     assert info.value.step >= 1
 
 
+def first_non_finite(values) -> int:
+    """Index of the first row of ``values`` with a non-finite entry."""
+    return int(np.argmin(np.isfinite(values).all(axis=1)))
+
+
 @pytest.mark.parametrize("batch", [1, 3])  # rows of 512 and 1536 floats: both loops
 def test_divergence_step_matches_loop_reference(rng, grid, batch):
-    """A history that grows past the float range diverges at the step where
-    the reference loop first holds a non-finite row, in the middle of a
-    delay interval; `march` yields every row before it, all finite."""
+    """A history that grows past the float range diverges at the first step
+    whose row is non-finite in the form its rows march in, in the middle of
+    a delay interval; `march` yields every row before it, all finite.  Rows
+    of three columns step in physical space, as `loop_integrate` does.  A
+    lone row marches in coefficient space, as `loop_fourier_integrate` does,
+    and goes non-finite no later than the physical loop: by Parseval the
+    coefficients c_n are at least as large as the row (c_0 is the row's
+    sum)."""
     p = ProblemParameters(
         mu=0.2, sigma=20.0, tau=0.5, lf=0.0,
         forcing=ForcingSpec(), nonlinearity=NonlinearitySpec(),
@@ -174,14 +189,16 @@ def test_divergence_step_matches_loop_reference(rng, grid, batch):
     assert (batch * grid.points > INTERVAL_ROW_FLOATS) == (batch > 1)
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):
-        refs = [loop_integrate(h, 8.0, p, grid) for h in hists]
+        physical = min(first_non_finite(loop_integrate(h, 8.0, p, grid)) for h in hists)
+        fourier = first_non_finite(loop_fourier_integrate(hists[0], 8.0, p, grid))
         with pytest.raises(DivergenceError) as info:
             integrate(stacked, 8.0, p, grid)
         with pytest.raises(DivergenceError) as marched:
             for block in evolve(stacked, step_count(8.0, p.tau / 8), p, grid):
                 rows.extend(block)
-    step = min(int(np.argmin(np.isfinite(ref).all(axis=1))) for ref in refs)
-    assert step > 8 and step % 8
+    step = fourier if batch == 1 else physical
+    assert 8 < fourier <= physical
+    assert step % 8
     assert info.value.step == marched.value.step == step
     assert len(rows) == step - 1 and np.isfinite(rows).all()
 
@@ -210,20 +227,30 @@ def test_divergence_warns_nothing_and_leaks_no_error_state(grid, batch):
 @pytest.mark.parametrize("batch", [2, 3])
 def test_batched_integrate_matches_loop_reference(rng, grid, dissipative, horizon, batch):
     """Each column of a batched run, and each run of one history alone,
-    equals the reference loop exactly (nonlinearity and forcing on).  Rows
-    of two columns hold exactly `INTERVAL_ROW_FLOATS` floats and march an
-    interval at a time, rows of three step one by one; a horizon of 1.25
-    ends in a partial interval (4 of its 8 steps)."""
+    equals the reference loop of its form exactly (nonlinearity and forcing
+    on).  Rows of at most `INTERVAL_ROW_FLOATS` floats (one column, or two,
+    which hold exactly that many) march an interval at a time in coefficient
+    space and equal `loop_fourier_integrate`; rows of three columns step one
+    by one in physical space and equal `loop_integrate`.  The two forms stay
+    within `fourier_rounding_bound` of each other.  A horizon of 1.25 ends
+    in a partial interval (4 of its 8 steps)."""
     assert 2 * grid.points == INTERVAL_ROW_FLOATS
     S = 8
     hists = [random_history(rng, grid, dissipative.tau, S, 1.0) for _ in range(batch)]
     stacked = np.stack(hists, axis=1)
     values = integrate(stacked, horizon, dissipative, grid)
-    assert values.shape == (step_count(horizon, dissipative.tau / S) + 1, batch, grid.points)
+    n_steps = step_count(horizon, dissipative.tau / S)
+    assert values.shape == (n_steps + 1, batch, grid.points)
     for b, hist in enumerate(hists):
         ref = loop_integrate(hist, horizon, dissipative, grid)
-        assert np.array_equal(values[:, b], ref)
-        assert np.array_equal(integrate(hist, horizon, dissipative, grid), ref)
+        fourier = loop_fourier_integrate(hist, horizon, dissipative, grid)
+        alone = integrate(hist, horizon, dissipative, grid)
+        assert np.array_equal(values[:, b], fourier if batch == 2 else ref)
+        assert np.array_equal(alone, fourier)
+        if batch == 2:
+            assert np.array_equal(values[:, b], alone)
+        bound = fourier_rounding_bound(hist, ref, dissipative, grid)
+        assert np.max(np.abs(fourier - ref)) <= bound
     seg = segment_at(stacked, values, len(values) - 1)
     assert seg.shape == (S + 1, batch, grid.points)
 

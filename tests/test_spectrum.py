@@ -12,6 +12,7 @@ from delayrd import solver, spectrum
 from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters, parse_config
 from delayrd.solver import DivergenceError, history_from_function, integrate, march
 from delayrd.spectrum import (
+    IDENTITIES,
     ROOT_GROUP_TOL,
     ROOT_RESIDUAL_TOL,
     ModeRoots,
@@ -287,7 +288,7 @@ def test_linear_evolve_divergence_step_matches_loop_reference(monkeypatch, row_f
         with pytest.raises(DivergenceError) as info:
             linear_delay_evolve(hist, p, 0.0, 4.0)
         with pytest.raises(DivergenceError) as marched:
-            for block in march(hist, 128, p.tau / 32, lambda v: decay * v, lambda d: p.sigma * d):
+            for block in march(hist, 128, p.tau / 32, decay, IDENTITIES, lambda d: p.sigma * d):
                 rows.extend(block)
     step = int(np.argmin(np.isfinite(ref)))
     assert step == 55

@@ -8,7 +8,7 @@ import pytest
 from delayrd.cli import eigenmode_pair, random_history, random_pair
 from delayrd.estimates import compute_estimates
 from delayrd.model import ForcingSpec, Grid, NonlinearitySpec, ProblemParameters
-from delayrd.solver import constant_history, segment_norm
+from delayrd.solver import INTERVAL_ROW_FLOATS, constant_history, segment_norm
 from delayrd.spectrum import (
     SpectralData,
     characteristic_roots,
@@ -16,6 +16,7 @@ from delayrd.spectrum import (
     spectral_partition,
 )
 from delayrd.squeezing import (
+    _GROUP_PAIRS,
     analytic_bounds,
     contraction_terms,
     make_projections,
@@ -25,7 +26,12 @@ from delayrd.squeezing import (
     project_R,
 )
 
-from conftest import dissipative_params, loop_integrate, unit_forcing_amplitude
+from conftest import (
+    dissipative_params,
+    loop_fourier_integrate,
+    loop_integrate,
+    unit_forcing_amplitude,
+)
 
 
 def test_projections_reassemble_and_idempotent(rng, grid):
@@ -126,7 +132,9 @@ def test_modal_difference_contracts_at_its_own_rate(rng, grid):
 
 def test_pair_batch_matches_separate_integrations(grid, dissipative):
     """One batched run of the pair, read at several times, equals
-    integrating phi and psi separately to each time (reference loop)."""
+    integrating phi and psi separately to each time.  The pair's rows hold
+    2 x 512 floats, at most `INTERVAL_ROW_FLOATS`, so the reference is the
+    coefficient-space loop."""
     p = dissipative
     rng = np.random.default_rng(77)
     spectral = _certified_spectral(p, rng=rng)
@@ -140,7 +148,7 @@ def test_pair_batch_matches_separate_integrations(grid, dissipative):
     assert measured.shape == (1, len(times), 3)
     for t, parts in zip(times, measured[0]):
         n = round(t * S / p.tau)
-        rows = [np.concatenate([h[:-1], loop_integrate(h, t, p, grid)])[n:]
+        rows = [np.concatenate([h[:-1], loop_fourier_integrate(h, t, p, grid)])[n:]
                 for h in (phi, psi)]
         diff = rows[0] - rows[1]
         assert parts.tolist() == [segment_norm(project(diff, ps), grid) / denom
@@ -157,7 +165,11 @@ def test_groups_of_pairs_match_separate_integrations(grid, dissipative, count, i
     that differ.  Every denominator and every measured ratio equals the
     per-pair reference integrations, each identical pair gets a zero
     denominator and no ratios, and the ratios come pair by pair in times
-    order (out of order, t = 0, below tau, repeated)."""
+    order (out of order, t = 0, below tau, repeated).  A group whose
+    differing pairs hold at most `INTERVAL_ROW_FLOATS` floats a row (one
+    pair of 512-float rows) marches in coefficient space, and its
+    reference is `loop_fourier_integrate`; a larger group steps in physical
+    space, as `loop_integrate` does."""
     p = dissipative
     rng = np.random.default_rng(78)
     spectral = _certified_spectral(p, rng=rng)
@@ -170,9 +182,14 @@ def test_groups_of_pairs_match_separate_integrations(grid, dissipative, count, i
     denoms, measured = measure_contraction(iter(pairs), times, p, ps)
     assert [i for i, d in enumerate(denoms) if d == 0.0] == sorted(identical)
     assert measured.shape == (count - len(identical), len(times), 3)
-    differing = [pair for i, pair in enumerate(pairs) if i not in identical]
-    for denom, (phi, psi), pair_measured in zip(denoms[denoms != 0.0], differing, measured):
-        rows = [np.concatenate([h[:-1], loop_integrate(h, max(times), p, grid)])
+    def reference(i):  # the loop of the form pair i's group marches in
+        group = range(i - i % _GROUP_PAIRS, min(i - i % _GROUP_PAIRS + _GROUP_PAIRS, count))
+        floats = 2 * grid.points * sum(j not in identical for j in group)
+        return loop_fourier_integrate if floats <= INTERVAL_ROW_FLOATS else loop_integrate
+
+    differing = [(i, pair) for i, pair in enumerate(pairs) if i not in identical]
+    for denom, (i, (phi, psi)), pair_measured in zip(denoms[denoms != 0.0], differing, measured):
+        rows = [np.concatenate([h[:-1], reference(i)(h, max(times), p, grid)])
                 for h in (phi, psi)]
         assert denom == segment_norm(phi - psi, grid)
         for t, parts in zip(times, pair_measured):
