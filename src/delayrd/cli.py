@@ -330,14 +330,11 @@ def eigenmode_pair(rng: np.random.Generator, grid: Grid, p: ProblemParameters,
     phi = random_history(rng, grid, p.tau, steps_per_delay, norm)
     thetas = np.linspace(-p.tau, 0.0, steps_per_delay + 1)
     rooted = list(takewhile(lambda mr: mr.roots, spectral.mode_roots[:6]))
-    modes = np.ascontiguousarray(inside_sines(grid, spectral.K, len(rooted)).T)
-    bump = np.zeros((steps_per_delay + 1, grid.points))
-    term = np.empty_like(bump)
-    for j, (mode, mr) in enumerate(zip(modes, rooted), start=1):
-        rho_j = mr.roots[0].real  # the rightmost root: branch 0, real whenever one is
-        np.multiply.outer(np.exp(rho_j * thetas), mode, out=term)
-        term *= rng.standard_normal() / j
-        bump += term
+    # the rightmost root: branch 0, real whenever one is
+    rates = np.array([mr.roots[0].real for mr in rooted])
+    weights = np.exp(np.multiply.outer(thetas, rates))
+    weights *= rng.standard_normal(len(rooted)) / np.arange(1, len(rooted) + 1)
+    bump = weights @ inside_sines(grid, spectral.K, len(rooted)).T
     scale = segment_norm(bump, grid)
     if scale > 0:
         bump *= separation / scale

@@ -230,7 +230,8 @@ def evaluate_nonlinearity(spec: NonlinearitySpec, value):
     if spec.kind == "zero" or spec.scale == 0.0:  # +0.0 where 0.0 * shape(v) gives -0.0
         out = np.zeros_like(v)
     else:
-        out = spec.scale * NONLINEARITY_SHAPES[spec.kind](v)
+        out = NONLINEARITY_SHAPES[spec.kind](v)
+        out *= spec.scale
     return out if out.ndim else float(out)
 
 

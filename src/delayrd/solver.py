@@ -17,20 +17,14 @@ interpolation error.  The scheme is second order in dt (the linear part is
 exact; only the quadrature is approximate).
 
 `march` is the one implementation of this recurrence, with the semigroup (a
-multiplier between transforms) and the load as arguments.  It is the
-method of steps proper: on each delay interval the delayed terms are known
-from the interval before, so a small row (at most `INTERVAL_ROW_FLOATS`
-floats) takes the interval's S loads in one call and steps on its
-coefficients; a larger row steps one at a time.  Either way the march
-yields blocks, fresh arrays of consecutive new rows that a caller may
-keep.  `evolve` is the equation's march: the rfft pair with the S(dt)
-multiplier and the delayed load above, the only place that load is
-written.  The CLI stores no trajectory: `simulate` reduces the rows of
-`evolve` S at a time and `squeezing` takes the P/Q/R norms of the rows its
-contraction windows hold.  `integrate` stores every row, for tests, demos
-and the trajectory checks of `estimates`.  `spectrum` marches a scalar
-decay per Dirichlet mode.  Rows may carry a batch axis, so several
-histories or a set of modes advance as one array.
+multiplier between transforms) and the load as arguments: the method of
+steps on coefficients, a block of rows at a time.  `evolve` is the
+equation's march (the rfft pair, the S(dt) multiplier and the delayed load
+above, written only there).  The CLI stores no trajectory: `simulate` and
+`squeezing` reduce `evolve`'s rows as they come; `integrate` stores every
+row, for tests, demos and `estimates`.  `spectrum` marches a scalar decay
+per Dirichlet mode.  Rows may carry a batch axis, so several histories or
+a set of modes advance as one array.
 
 A history is the array of its S + 1 rows u(theta_j), theta_j = -tau + j dt,
 shaped (S + 1, [B,] P), and a trajectory the (N + 1, [B,] P) array of rows
@@ -105,11 +99,13 @@ def _history_step(hist: np.ndarray, p: ProblemParameters, grid: Grid) -> float:
     return p.tau / (len(hist) - 1)
 
 
-#: Largest row, in floats, that `march` advances a whole delay interval at a
-#: time.  `evolve`, 512 steps at S = 64, per-step vs interval (ms, 2 vCPU
-#: x86-64, numpy 2.4): 15.6/6.2 on 1024 floats, 28.7/26.1 on 4 x 1024,
-#: 47.5/52.4 on squeeze's 8 x 1024; a raise would speed only partial groups.
-INTERVAL_ROW_FLOATS = 1024
+#: Most floats in a block of rows `march` steps on its coefficients (at
+#: least one row).  `evolve`, 512 steps at S = 64, best of 15 ms (2 vCPU
+#: x86-64, numpy 2.4), whole interval/16k/32k: 9.0/7.3/7.5 on 1024 floats,
+#: 18.0/14.0/13.4 on 2 x 1024, 35.5/27.7/25.7 on 4 x 1024, 69.5/54.9/51.1 on
+#: 8 x 1024 (52.4 step by step).  On squeeze's 4 x 1024 rows 32k took 7% off
+#: its wall for 0.45 MB more peak RSS than 16k.
+BLOCK_FLOATS = 32768
 
 
 def march(hist, n_steps: int, dt: float, multiplier, transforms, load):
@@ -122,56 +118,40 @@ def march(hist, n_steps: int, dt: float, multiplier, transforms, load):
     rfft pair, or identities) and ``load`` act on the last axis; ``load``
     returns a fresh array and F^-1 a fresh array or its argument.
 
-    Rows of at most `INTERVAL_ROW_FLOATS` floats march a delay interval at
-    a time on their coefficients: one ``load`` and one F call for the S
-    loads, c_n = multiplier * (c_{n-1} + F(k_{n-1})) + F(k_n) into one
-    fresh block, one F^-1 call for its rows (by Parseval max|c_n| >=
-    max|u_n|).  Larger rows step one at a time, as (1, *row) blocks.
+    Coefficients c_n = multiplier * (c_{n-1} + F(k_{n-1})) + F(k_n) fill
+    a fresh block of at most `BLOCK_FLOATS` floats, and one F^-1 call gives
+    its rows (by Parseval max|c_n| >= max|u_n|).  Once yielded, the block
+    takes one ``load`` and one F call for the loads a step S later reads,
+    so at most S rows of load coefficients are pending.  F acts row by
+    row: the rows do not depend on the block size.
 
     A yielded block is never written again; a caller may keep it but must
     not write to it.  A non-finite entry raises `DivergenceError` with the
     step index, after the rows before it are yielded; the step arithmetic
     silences numpy's overflow and invalid warnings (never across a yield).
     """
-    half = 0.5 * dt
     forward, inverse = transforms
     quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
-    def scaled_load(rows):
-        k = load(rows)
-        k *= half
-        return k
-
-    if hist[0].size > INTERVAL_ROW_FLOATS:
-        rows = deque(hist, maxlen=len(hist))
+    def loads(rows):  # F(k) of each row
         with quiet():
-            k_prev = scaled_load(rows[0])
-        for n in range(1, n_steps + 1):
-            with quiet():
-                k_next = scaled_load(rows[1])
-                c = forward(rows[-1] + k_prev)
-                c *= multiplier
-                u = inverse(c)
-                del c  # held longer, it raised squeeze's peak RSS 3 MB
-                u += k_next
-            if not np.isfinite(u).all():
-                raise DivergenceError(n)
-            rows.append(u)
-            k_prev = k_next
-            yield u[np.newaxis]
-        return
+            k = load(rows)
+            k *= 0.5 * dt
+            return forward(k)
 
-    S = len(hist) - 1
+    S, size = len(hist) - 1, max(1, BLOCK_FLOATS // hist[0].size)
     with quiet():
-        loads = forward(scaled_load(hist))  # row j: F(k) of u_{j - S}
-        c = forward(hist[-1])
-    last, loads = loads[0], loads[1:]  # steps start + 1 .. start + m take last, loads[:m]
-    for start in range(0, n_steps, S):
-        m = min(S, n_steps - start)
+        last, c = loads(hist[:1])[0], forward(hist[-1])  # F(k_0), c_0
+    pending = deque(loads(hist[j:j + size])  # the history chunks a step reads
+                    for j in range(1, min(S, n_steps) + 1, size))
+    n = 0
+    while n < n_steps:
+        ahead = pending.popleft()  # F(k_{n+1}) .., one per step
+        m = min(len(ahead), n_steps - n)
         coeffs = np.empty((m, *c.shape), c.dtype)
         with quiet():
             for i in range(m):
-                c_new, k_new = coeffs[i, ...], loads[i]  # [i, ...] is a view even of 0-d rows
+                c_new, k_new = coeffs[i, ...], ahead[i]  # [i, ...] is a view even of 0-d rows
                 np.add(c, last, out=c_new)
                 c_new *= multiplier
                 c_new += k_new
@@ -181,12 +161,13 @@ def march(hist, n_steps: int, dt: float, multiplier, transforms, load):
             bad = int(np.argmin(np.isfinite(block.reshape(m, -1)).all(axis=1)))
             if bad:
                 yield block[:bad]
-            raise DivergenceError(start + bad + 1)
-        c, last = c.copy(), last.copy()  # coeffs and loads go before the next
-        del coeffs, loads
+            raise DivergenceError(n + bad + 1)
+        c, last = c.copy(), last.copy()  # coeffs and ahead go before the next
+        del coeffs, ahead
         yield block
-        with quiet():
-            loads = forward(scaled_load(block))
+        if n + S < n_steps:  # a step still reads these rows' loads
+            pending.append(loads(block))
+        n += m
 
 
 def evolve(hist: np.ndarray, n_steps: int, p: ProblemParameters, grid: Grid):
@@ -200,8 +181,8 @@ def evolve(hist: np.ndarray, n_steps: int, p: ProblemParameters, grid: Grid):
     transforms = (np.fft.rfft, functools.partial(np.fft.irfft, n=grid.points))
 
     def load(d: np.ndarray) -> np.ndarray:
-        h = p.sigma * d
-        h += evaluate_nonlinearity(p.nonlinearity, d)
+        h = evaluate_nonlinearity(p.nonlinearity, d)  # a fresh array
+        h += p.sigma * d
         h += g
         return h
 

@@ -9,13 +9,13 @@ contraction bound in the segment norm:
 
 with
 
-    bP = exp((lf + rho1) t)                     (unit-coefficient form; a
-                                                 coefficient-2 variant is
-                                                 also in circulation and is
-                                                 exposed under a flag),
+    bP = exp((lf + rho1) t),
     bQ = K_m exp(rho_m t)
          + K_m lf / (rho1 + lf - rho_m) * exp((lf + rho1) t),
-    bR = sqrt(c2) exp([c2 (sigma + lf^2) - (mu - sigma - 1)] t / 2).
+    bR = sqrt(c2) exp([c2 (sigma + lf^2) - (mu - sigma - 1)] t / 2);
+
+``analytic_bounds(which="bound_316")`` doubles bP, a variant also in
+circulation.
 
 `contraction_terms` is the one place these exponentials are written:
 `analytic_bounds` assembles bP, bQ and bR from its four factors, and
@@ -27,16 +27,14 @@ is two of them; `project_P`, `project_Q` and `project_R` return the part of
 an array of rows.  `measure_contraction` is one loop over groups of
 pairs: each pair that differs is written into the group's batch right
 after its denominator, the batch marches once, and no segment is
-materialized: each difference row gets its P, Q and R norms once, as it
-arrives (only rows inside some measured window), and the sup at a
-contraction step n is the max of those row norms over the window of rows
-n - S .. n.
+materialized: the difference rows of each block that some measured window
+holds get their P, Q and R norms in one `ProjectionSet.norms` call, and
+the sups at step n are the max of those over the rows n - S .. n.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -44,7 +42,7 @@ import numpy as np
 
 from .estimates import EstimateSet
 from .model import ConfigError, Grid, ProblemParameters
-from .solver import evolve, grid_step, row_norms, segment_norm
+from .solver import BLOCK_FLOATS, evolve, grid_step, segment_norm
 from .solver import integrate, segment_at  # noqa: F401  (names looked up by perfbench/tracing.py)
 from .spectrum import SpectralData
 
@@ -85,6 +83,20 @@ class ProjectionSet:
         coeff = self.grid.spacing * np.matmul(self.basis.T, restricted[..., None])
         p_part = np.matmul(self.basis, coeff)[..., 0]
         return np.stack([p_part, restricted - p_part, np.where(self.inside, 0.0, rows)])
+
+    def norms(self, rows: np.ndarray) -> np.ndarray:
+        """The P, Q and R grid norms of rows shaped (m, B, P), as one (m, 3, B)
+        array: P from basis products on the nodes inside Omega_K, Q the
+        inside nodes minus P, R the outside nodes."""
+        basis = np.compress(self.inside, self.basis, axis=0)
+        inside = np.compress(self.inside, rows, axis=-1)
+        coeff = self.grid.spacing * np.matmul(basis.T, inside[..., None])
+        p_part = np.matmul(basis, coeff)[..., 0]
+        inside -= p_part
+        parts = (p_part, inside, np.compress(~self.inside, rows, axis=-1))
+        for part in parts:
+            np.square(part, out=part)
+        return np.sqrt(self.grid.spacing * np.stack([part.sum(axis=-1) for part in parts], axis=1))
 
 
 def inside_sines(grid: Grid, K: float, count: int) -> np.ndarray:
@@ -190,11 +202,10 @@ def analytic_bounds(t: float, p: ProblemParameters, spectral: SpectralData,
 
 
 # Pairs marched as one batch.  squeeze on perfbench/configs/squeeze-pairs.json
-# (16 pairs, P = 1024, S = 64; fresh process, 2 vCPU x86-64, numpy 2.4) at
-# 1/2/4/8/16 pairs per group, median of 3: peak RSS 41/44/47/55/73 MB, wall
-# 0.85/0.60/0.47/0.41/0.56 s.  Four pairs take about half the time of one
-# for 5 MB more; eight save a further 0.06 s for 9 MB more.
-_GROUP_PAIRS = 4
+# (16 pairs, P = 1024, S = 64; 2 vCPU x86-64, numpy 2.4) at 1/2/4/8/16 pairs
+# per group: peak RSS 41.5/43.3/47.2/55.0/72.5 MB, wall 0.31/0.30/0.29/0.31/
+# 0.31 s.  Past two pairs a wider batch gains no time and costs 2 MB a pair.
+_GROUP_PAIRS = 2
 
 
 def measure_contraction(pairs, times, p: ProblemParameters, ps: ProjectionSet):
@@ -221,23 +232,23 @@ def measure_contraction(pairs, times, p: ProblemParameters, ps: ProjectionSet):
                 differing.append(denoms[-1])
         del phi, psi  # no pair outlives the draw
         if differing:
-            # a difference row gets its part norms as it arrives if a measured
-            # window n - S .. n holds it; a step's sups are the max over its window
+            # a slot for the norms of each row in a window n - S .. n, taken a
+            # block at a time (the history in blocks of the march's size)
             batch, S = batch[:, :2 * len(differing)], len(batch) - 1
             steps = [grid_step(t, p.tau / S) for t in times]
-            measured = {r for n in steps for r in range(n - S, n + 1)}
-            norms, sups = deque(maxlen=S + 1), {}
-            rows = chain(batch, chain.from_iterable(evolve(batch, max(steps), p, ps.grid)))
-            for r, row in enumerate(rows, start=-S):
-                norms.append(row_norms(ps.parts(row[0::2] - row[1::2]), ps.grid)
-                             if r in measured else None)
-                if r in steps:
-                    sups[r] = np.max(norms, axis=0)
-            ratios.append(np.stack([sups[n].T for n in steps], axis=1)
-                          / np.array(differing)[:, None, None])
-            # the march's last block (row is a view of it) and the row norms go
-            # before the next group is drawn; held over, they raised the
-            # simulate-squeeze benchmark's peak RSS by 1.4 MB
-            del row, norms, sups
+            windows = sorted({r for n in steps for r in range(n - S, n + 1)})
+            slot = dict(zip(windows, range(len(windows))))
+            norms = np.empty((len(slot), 3, len(differing)))
+            size, start = max(1, BLOCK_FLOATS // batch[0].size), -S  # start: block[0]'s row
+            for block in chain((batch[j:j + size] for j in range(0, S + 1, size)),
+                               evolve(batch, max(steps), p, ps.grid)):
+                if held := [r for r in range(start, start + len(block)) if r in slot]:
+                    rows = block[held[0] - start:held[-1] - start + 1]
+                    norms[[slot[r] for r in held]] = ps.norms(rows[:, 0::2] - rows[:, 1::2])[
+                        np.subtract(held, held[0])]
+                start += len(block)
+            sups = [norms[slot[n] - S:slot[n] + 1].max(axis=0) for n in steps]
+            ratios.append(np.transpose(sups, (2, 0, 1)) / np.array(differing)[:, None, None])
+            del block, rows  # the march's last block, before the next draw
         del batch  # released before the next group's batch is allocated
     return np.array(denoms), np.concatenate(ratios)

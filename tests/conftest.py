@@ -89,8 +89,8 @@ def loop_integrate(hist, horizon, p, grid):
 
 def loop_fourier_integrate(hist, horizon, p, grid):
     """Reference trajectory values of the coefficient-space form of the same
-    recurrence, the form `delayrd.solver.march` takes on rows of at most
-    `INTERVAL_ROW_FLOATS` floats: with k_n = dt/2 * load(u_{n-S}),
+    recurrence, the form `delayrd.solver.march` takes on rows of every size:
+    with k_n = dt/2 * load(u_{n-S}),
 
         c_0 = rfft(u_0),  c_n = E (c_{n-1} + rfft(k_{n-1})) + rfft(k_n),
         u_n = irfft(c_n),
@@ -144,6 +144,51 @@ def fourier_rounding_bound(hist, values, p, grid):
     unit_roundoff = np.finfo(float).eps / 2
     delta = 4 * 7 * unit_roundoff * math.log2(grid.points) * math.sqrt(grid.points) * row
     return n_steps * delta * (1.0 + rate * dt) ** n_steps
+
+
+def loop_projections(rows, ps):
+    """Reference P, Q, R of an (m, P) array of rows, one row at a time."""
+    h = ps.grid.spacing
+    P, Q, R = [], [], []
+    for row in rows:
+        restricted = np.where(ps.inside, row, 0.0)
+        P.append(ps.basis @ (h * (ps.basis.T @ restricted)))
+        Q.append(restricted - P[-1])
+        R.append(np.where(ps.inside, 0.0, row))
+    return np.array(P), np.array(Q), np.array(R)
+
+
+def loop_part_norms(rows, ps):
+    """Reference grid norms of the P, Q and R parts of each row of an (m, P)
+    array, as an (m, 3) array: the parts of `loop_projections`, each row
+    reduced alone."""
+    return np.sqrt(ps.grid.spacing * np.sum(np.square(loop_projections(rows, ps)), axis=-1)).T
+
+
+def part_norm_rounding_bound(rows, ps):
+    """Bound on how far two computations of the P, Q and R norms of each row
+    (the grid on the last axis) may differ in rounding alone, when both
+    project with the same stored basis but sum in different orders or over
+    different zero entries (`ProjectionSet.norms` against `parts`).
+
+    With u the unit roundoff, n = P nodes, k = k_m and ||x|| the row's grid
+    norm (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 3.1 and 4.2): a sum of n squares is within gamma_n = n u / (1 - n u)
+    of its value in any order, so a norm, with the h-scaling and the square
+    root, within (n / 2 + 2) u of it.  A coefficient c_j = h <b_j, x> is
+    within (n + 1) u ||b_j|| ||x|| = (n + 1) u ||x|| of its value
+    (Cauchy-Schwarz; the columns are orthonormal), and P x = sum_j c_j b_j
+    adds gamma_k sum_j |c_j| <= k sqrt(k) u ||x||, so the P part is within
+    k (n + 1 + sqrt k) u ||x|| of its value, and Q = x_in - P the same plus
+    u ||x||.  Each computed norm is then within
+    (k (n + 1 + sqrt k) + n / 2 + 3) u ||x|| of the exact one, and two
+    computations within twice that; a further factor 2 covers the stored
+    basis's own departure from orthonormality (QR, O(n u)).
+    """
+    n, k = ps.grid.points, ps.k_m
+    unit_roundoff = np.finfo(float).eps / 2
+    norms = np.sqrt(ps.grid.spacing * np.sum(np.square(rows), axis=-1))
+    return 4 * (k * (n + 1 + math.sqrt(k)) + n / 2 + 3) * unit_roundoff * norms
 
 
 def far_field_sups(hist, values, grid, radii):

@@ -468,7 +468,13 @@ def test_repeated_certify_sweeps_write_the_same_bytes(tmp_path):
 # writer replaced it.  The certify-sweep-1 to -6 entries were hashed before
 # the certificate search took the contraction factors once per t0 and the
 # dichotomy summed per-sample norms by reduceat; sweep-1 and sweep-4 are the
-# points whose K_m depends on the flow, and sweep-6 is infeasible.
+# points whose K_m depends on the flow, and sweep-6 is infeasible.  The
+# squeeze hashes date from one march form for every row size (squeeze's
+# groups of 8 x 512 floats had stepped in physical space), P/Q/R norms taken
+# a block of rows at a time from the nodes inside and outside Omega_K, and
+# eigenmode bumps formed as one (S + 1, k) @ (k, P) product: all three round
+# differently, which moved contraction.csv by at most 6.9e-14 and the worst
+# ratios in squeeze.json by at most 9.4e-15 relative.
 GOLDEN = {
     ("simulate", "base"): (EXIT_OK, {
         "farfield.csv": "a13ddfdfed991ef907da584916d8421e0570e501650a7760c6ddc7cabc8ee8b8",
@@ -491,12 +497,12 @@ GOLDEN = {
         "spectrum.json": "ad1b86e06574ad3270198790e73d2f4e6e8acf9b058ce662b6451b00e198f51b",
     }),
     ("squeeze", "base"): (EXIT_OK, {
-        "contraction.csv": "f52de95be7d2b8e5328b287034309b482339af28a04955cfff61a17e22ad9fc6",
-        "squeeze.json": "98b00dab44c33c6635f636f2ad3dd2bc3ed892f1917b10bbb767456a33ce8da6",
+        "contraction.csv": "28426dbeabd81d778bc327839b84c8784caac9f628d08a10cf720c431cd00800",
+        "squeeze.json": "89b403278222a8f4d4c2d07702331375ba02af3ed5163561466755faa1df58cc",
     }),
     ("squeeze", "certify"): (EXIT_OK, {
-        "contraction.csv": "25f6e2ee845e3eb324bf91638751a67b51be829fba9174d7955896641c6bd1da",
-        "squeeze.json": "debdc5fce22f84b2d2298c7b94def3a527064e7143c93ec4fd4354e1d7460a6c",
+        "contraction.csv": "f671ddd4e5863d0bd718749ed43f609b75432ad36f10705c74e9f7e1d811cf6b",
+        "squeeze.json": "8b5efd8fd2e952ee16aa766ba51968605ba047ce67e66cbaed138a386aedc898",
     }),
     ("certify", "certify-sweep-0"): (EXIT_OK, {
         "certificate.json": "753b64d3bffca41181e23fb2701d9c60d9b2434c6856713a3ea4cc9b11c51c38",
@@ -559,14 +565,13 @@ def test_golden_payload_hashes(tmp_path, key):
 
 
 def test_golden_squeeze_across_groups(tmp_path):
-    """configs/base.json with ensemble 9: two full groups of pairs plus a
-    partial one.  squeeze.json was hashed before squeeze marched pairs in
-    groups, when each pair was integrated on its own, on the platform noted
-    at GOLDEN.  contraction.csv was hashed again when the march moved to
-    coefficient space for rows of at most `solver.INTERVAL_ROW_FLOATS`
-    floats: the partial group's one pair has rows of 2 x 512 = 1024 floats
-    and takes that path (the full groups, 8 x 512, still step in physical
-    space, as every group of configs/base.json at ensemble 3 does)."""
+    """configs/base.json with ensemble 9: four full groups of pairs plus a
+    partial one.  Both files were hashed again, with the squeeze entries of
+    GOLDEN and for the same reasons, when every group came to march in
+    coefficient space (groups of four pairs, 8 x 512 floats, had stepped in
+    physical space), the P/Q/R norms came a block of rows at a time and the
+    eigenmode bumps as one product.  Pairs march two to a group since; the
+    group size moves no byte, as each row is stepped and reduced alone."""
     text = (CONFIGS / "base.json").read_text()
     assert '"ensemble": 3' in text
     cfg = tmp_path / "cfg.json"
@@ -575,8 +580,8 @@ def test_golden_squeeze_across_groups(tmp_path):
     assert main(["squeeze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["payload_sha256"] == {
-        "contraction.csv": "744837908cd4b9c1356f987224b509f2401889a57ccaf8fa497d61067c7ed40d",
-        "squeeze.json": "6747c844361ba3fc17abb907b81cf8bc7c6ce8db1861cb3394b60d45e99e7e0f",
+        "contraction.csv": "55979ed75c69d42b67931878a70ae490105de31b1f7d4d5404cded2cfd99a4a2",
+        "squeeze.json": "3fee8cd9abb6ac3d4ea8b80224a11b602ad9ba906344dcf9f51c45f0b9b128bf",
     }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,8 +16,8 @@ from delayrd.model import (
     RunOptions,
 )
 from delayrd.semigroup import apply_semigroup
+from delayrd import solver
 from delayrd.solver import (
-    INTERVAL_ROW_FLOATS,
     DivergenceError,
     constant_history,
     evolve,
@@ -24,12 +25,14 @@ from delayrd.solver import (
     grid_step,
     history_from_function,
     integrate,
+    march,
     segment_at,
     segment_norm,
     step_count,
 )
 
 from conftest import (
+    dissipative_params,
     fourier_rounding_bound,
     heat_only_params,
     loop_fourier_integrate,
@@ -169,16 +172,15 @@ def first_non_finite(values) -> int:
     return int(np.argmin(np.isfinite(values).all(axis=1)))
 
 
-@pytest.mark.parametrize("batch", [1, 3])  # rows of 512 and 1536 floats: both loops
+@pytest.mark.parametrize("batch", [1, 3])  # rows of 512 and 1536 floats
 def test_divergence_step_matches_loop_reference(rng, grid, batch):
     """A history that grows past the float range diverges at the first step
-    whose row is non-finite in the form its rows march in, in the middle of
-    a delay interval; `march` yields every row before it, all finite.  Rows
-    of three columns step in physical space, as `loop_integrate` does.  A
-    lone row marches in coefficient space, as `loop_fourier_integrate` does,
-    and goes non-finite no later than the physical loop: by Parseval the
-    coefficients c_n are at least as large as the row (c_0 is the row's
-    sum)."""
+    whose row is non-finite in the coefficient-space form the march takes,
+    `loop_fourier_integrate`'s, in the middle of a delay interval; `march`
+    yields every row before it, all finite.  A batch diverges at its first
+    column's step.  The coefficient form goes non-finite no later than the
+    physical loop, `loop_integrate`: by Parseval the coefficients c_n are at
+    least as large as the row (c_0 is the row's sum)."""
     p = ProblemParameters(
         mu=0.2, sigma=20.0, tau=0.5, lf=0.0,
         forcing=ForcingSpec(), nonlinearity=NonlinearitySpec(),
@@ -186,24 +188,23 @@ def test_divergence_step_matches_loop_reference(rng, grid, batch):
     hists = [constant_history(np.full(grid.points, 1e300 * (1.0 + rng.random())), 8)
              for _ in range(batch)]
     stacked = np.stack(hists, axis=1)
-    assert (batch * grid.points > INTERVAL_ROW_FLOATS) == (batch > 1)
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):
-        physical = min(first_non_finite(loop_integrate(h, 8.0, p, grid)) for h in hists)
-        fourier = first_non_finite(loop_fourier_integrate(hists[0], 8.0, p, grid))
+        physical = [first_non_finite(loop_integrate(h, 8.0, p, grid)) for h in hists]
+        fourier = [first_non_finite(loop_fourier_integrate(h, 8.0, p, grid)) for h in hists]
         with pytest.raises(DivergenceError) as info:
             integrate(stacked, 8.0, p, grid)
         with pytest.raises(DivergenceError) as marched:
             for block in evolve(stacked, step_count(8.0, p.tau / 8), p, grid):
                 rows.extend(block)
-    step = fourier if batch == 1 else physical
-    assert 8 < fourier <= physical
+    step = min(fourier)
+    assert all(8 < f <= ph for f, ph in zip(fourier, physical))
     assert step % 8
     assert info.value.step == marched.value.step == step
     assert len(rows) == step - 1 and np.isfinite(rows).all()
 
 
-@pytest.mark.parametrize("batch", [1, 3])  # rows of 512 and 1536 floats: both loops
+@pytest.mark.parametrize("batch", [1, 3])  # rows of 512 and 1536 floats
 def test_divergence_warns_nothing_and_leaks_no_error_state(grid, batch):
     """The march's overflow and invalid values raise DivergenceError and no
     numpy warning, even where warnings are errors; between the blocks it
@@ -227,14 +228,11 @@ def test_divergence_warns_nothing_and_leaks_no_error_state(grid, batch):
 @pytest.mark.parametrize("batch", [2, 3])
 def test_batched_integrate_matches_loop_reference(rng, grid, dissipative, horizon, batch):
     """Each column of a batched run, and each run of one history alone,
-    equals the reference loop of its form exactly (nonlinearity and forcing
-    on).  Rows of at most `INTERVAL_ROW_FLOATS` floats (one column, or two,
-    which hold exactly that many) march an interval at a time in coefficient
-    space and equal `loop_fourier_integrate`; rows of three columns step one
-    by one in physical space and equal `loop_integrate`.  The two forms stay
-    within `fourier_rounding_bound` of each other.  A horizon of 1.25 ends
-    in a partial interval (4 of its 8 steps)."""
-    assert 2 * grid.points == INTERVAL_ROW_FLOATS
+    equals `loop_fourier_integrate`, the coefficient-space loop, exactly
+    (nonlinearity and forcing on), whatever the row size: two or three
+    columns of 512 floats.  The physical loop, `loop_integrate`, stays
+    within `fourier_rounding_bound` of it.  A horizon of 1.25 ends in a
+    partial interval (4 of its 8 steps)."""
     S = 8
     hists = [random_history(rng, grid, dissipative.tau, S, 1.0) for _ in range(batch)]
     stacked = np.stack(hists, axis=1)
@@ -244,15 +242,96 @@ def test_batched_integrate_matches_loop_reference(rng, grid, dissipative, horizo
     for b, hist in enumerate(hists):
         ref = loop_integrate(hist, horizon, dissipative, grid)
         fourier = loop_fourier_integrate(hist, horizon, dissipative, grid)
-        alone = integrate(hist, horizon, dissipative, grid)
-        assert np.array_equal(values[:, b], fourier if batch == 2 else ref)
-        assert np.array_equal(alone, fourier)
-        if batch == 2:
-            assert np.array_equal(values[:, b], alone)
+        assert np.array_equal(values[:, b], fourier)
+        assert np.array_equal(integrate(hist, horizon, dissipative, grid), fourier)
         bound = fourier_rounding_bound(hist, ref, dissipative, grid)
         assert np.max(np.abs(fourier - ref)) <= bound
     seg = segment_at(stacked, values, len(values) - 1)
     assert seg.shape == (S + 1, batch, grid.points)
+
+
+@pytest.mark.parametrize("columns", [1, 8])
+def test_block_budget_does_not_change_the_march(monkeypatch, rng, columns):
+    """`evolve` gives the same rows, bit for bit, whether its blocks hold one
+    row, a row count that does not divide S, or a whole delay interval: the
+    transforms and the load act row by row.  Rows of 1024 floats, alone and
+    as squeeze's batch of 8 columns, S = 16, over 2.5 intervals."""
+    grid = Grid(half_length=16.0, points=1024)
+    p = dissipative_params(grid)
+    S = 16
+    hist = np.stack([random_history(rng, grid, p.tau, S, 1.0) for _ in range(columns)], axis=1)
+    marched = []
+    for rows in (1, 5, S):
+        monkeypatch.setattr(solver, "BLOCK_FLOATS", rows * hist[0].size)
+        blocks = list(evolve(hist, 40, p, grid))
+        assert max(map(len, blocks)) == rows
+        marched.append(np.concatenate(blocks))
+    assert all(np.array_equal(marched[0], rows) for rows in marched[1:])
+
+
+def test_block_budget_does_not_change_the_divergence_step(monkeypatch, grid):
+    """A blow-up raises `DivergenceError` with the same step, after the same
+    rows were yielded, for every block size from one row to a whole
+    interval: in the middle of a block for some sizes and at a block's
+    first row for others."""
+    p = ProblemParameters(
+        mu=0.2, sigma=20.0, tau=0.5, lf=0.0,
+        forcing=ForcingSpec(), nonlinearity=NonlinearitySpec(),
+    )
+    S = 8
+    hist = constant_history(np.full(grid.points, 1.5e300), S)  # diverges at step 55
+    outcomes, positions = [], set()
+    for rows in range(1, S + 1):
+        monkeypatch.setattr(solver, "BLOCK_FLOATS", rows * grid.points)
+        yielded = []
+        with pytest.raises(DivergenceError) as info, np.errstate(over="ignore", invalid="ignore"):
+            for block in evolve(hist, 8 * S, p, grid):
+                yielded.append(block)
+        outcomes.append((info.value.step, np.concatenate(yielded)))
+        positions.add((info.value.step - 1) % S % rows == 0)  # at a block's first row
+    step, rows = outcomes[0]
+    assert step == 55 and positions == {True, False}
+    assert len(rows) == step - 1 and np.isfinite(rows).all()
+    assert all(s == step and np.array_equal(r, rows) for s, r in outcomes[1:])
+
+
+def test_march_loads_only_the_rows_a_step_reads(monkeypatch):
+    """Step n reads the loads of rows n - 1 - S and n - S, so n_steps steps
+    read those of the n_steps + 1 rows u_{-S} .. u_{n_steps - S}: with
+    one-row blocks the march loads exactly those, for a march shorter than
+    the delay, one delay long, and longer."""
+    monkeypatch.setattr(solver, "BLOCK_FLOATS", 1)
+    hist = np.linspace(0.0, 1.0, 9)  # S = 8
+    for n_steps in (0, 3, 8, 20):
+        loaded = []
+
+        def load(rows):
+            loaded.append(len(rows))
+            return 0.5 * rows
+
+        blocks = list(march(hist, n_steps, 0.1, 0.9, (lambda v: v, lambda v: v), load))
+        assert sum(map(len, blocks)) == n_steps
+        assert sum(loaded) == n_steps + 1
+
+
+def test_march_peak_stays_near_one_history(rng):
+    """The march holds S rows of pending load coefficients and one block of
+    rows in flight.  Over 512 steps of `evolve` on rows of squeeze-pairs'
+    size (8 x 1024 floats, S = 64) the traced peak stays within 1.5 history
+    batches: about 1.3 with 32k-float blocks, against 1.1 for the per-step
+    loop and 4.1 for a whole interval per block."""
+    grid = Grid(half_length=16.0, points=1024)
+    p = dissipative_params(grid)
+    hist = np.stack([random_history(rng, grid, p.tau, 64, 1.0) for _ in range(8)], axis=1)
+    tracemalloc.start()
+    try:
+        for block in evolve(hist, 512, p, grid):
+            pass
+        del block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * hist.nbytes
 
 
 def test_segment_at_mixes_history_and_solution(grid, dissipative):

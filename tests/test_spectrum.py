@@ -251,19 +251,21 @@ def loop_linear_delay_evolve(hist, p, mode_eig, horizon):
     return values
 
 
-@pytest.mark.parametrize("horizon,row_floats", [
+@pytest.mark.parametrize("horizon,block_floats", [
     pytest.param(0.3, None, id="0.3"),  # below tau = 1
     pytest.param(4.0, None, id="4.0"),  # whole intervals
     pytest.param(2.7, None, id="2.7"),  # a partial last interval
     pytest.param(2.7, 1, id="2.7-rows-at-threshold"),
     pytest.param(2.7, 0, id="2.7-rows-above-threshold"),
+    pytest.param(2.7, 5, id="2.7-blocks-of-5-rows"),
 ])
-def test_linear_evolve_matches_loop_reference(monkeypatch, horizon, row_floats):
-    """Equal to the loop exactly, marched an interval at a time (the rows of
-    one float are at or below `solver.INTERVAL_ROW_FLOATS`) or, with the
-    threshold lowered below them, step by step."""
-    if row_floats is not None:
-        monkeypatch.setattr(solver, "INTERVAL_ROW_FLOATS", row_floats)
+def test_linear_evolve_matches_loop_reference(monkeypatch, horizon, block_floats):
+    """Equal to the loop exactly, marched in blocks of a whole interval (the
+    default `solver.BLOCK_FLOATS` holds 32 rows of one float), of one row
+    (a budget of one float, at the row size, or of none, below it), or of
+    5 rows, which do not divide the interval's 32 steps."""
+    if block_floats is not None:
+        monkeypatch.setattr(solver, "BLOCK_FLOATS", block_floats)
     p = linear_problem(mu=1.5, sigma=0.7, tau=1.0)
     hist = np.cos(3.0 * np.linspace(-1.0, 0.0, 33)) + 0.2
     for eig in (0.0, 2.3):
@@ -272,13 +274,15 @@ def test_linear_evolve_matches_loop_reference(monkeypatch, horizon, row_floats):
         assert np.array_equal(times, p.tau / 32 * np.arange(values.size))
 
 
-@pytest.mark.parametrize("row_floats", [None, 0], ids=["interval", "per-step"])
-def test_linear_evolve_divergence_step_matches_loop_reference(monkeypatch, row_floats):
+@pytest.mark.parametrize("block_floats", [None, 0, 5], ids=["interval", "per-step", "blocks-of-5"])
+def test_linear_evolve_divergence_step_matches_loop_reference(monkeypatch, block_floats):
     """A 1e308 history with sigma > mu grows past the float range at the
     step where the loop first holds inf, 55, inside the second interval of
-    32 steps; `march` yields every row before it, all finite."""
-    if row_floats is not None:
-        monkeypatch.setattr(solver, "INTERVAL_ROW_FLOATS", row_floats)
+    32 steps; `march` yields every row before it, all finite, whether its
+    blocks hold the whole interval, one row (step by step) or 5 rows (55 is
+    the third row of a block of 5)."""
+    if block_floats is not None:
+        monkeypatch.setattr(solver, "BLOCK_FLOATS", block_floats)
     p = linear_problem(mu=0.2, sigma=0.7, tau=1.0)
     hist = np.full(33, 1e308)
     decay = math.exp(-p.mu * p.tau / 32)
@@ -472,7 +476,7 @@ def test_a_real_root_is_sorted_first(config):
         assert not real or (mr.roots[0].imag == 0 and mr.roots[0].real == max(real)), mr.mode
 
 
-@pytest.mark.parametrize("config,seed,samples,row_floats", [
+@pytest.mark.parametrize("config,seed,samples,block_floats", [
     pytest.param("base", 1, 32, None, id="1-32"),
     pytest.param("base", 2, 16, None, id="2-16"),
     pytest.param("certify-sweep-1", 0, 64, None, id="certify-sweep-1"),
@@ -484,7 +488,7 @@ def test_a_real_root_is_sorted_first(config):
       for name in SHIPPED_CONFIGS for seed in (0, 7)
       if (name, seed) not in {("certify-sweep-1", 0), ("certify-sweep-4", 0)}),
 ])
-def test_dichotomy_batch_matches_per_sample_loop(monkeypatch, config, seed, samples, row_floats):
+def test_dichotomy_batch_matches_per_sample_loop(monkeypatch, config, seed, samples, block_floats):
     """The batch sums each sample's modes only with each other: over many
     samples of differing mode counts the estimate equals the per-sample
     reference loop exactly.  On certify-sweep-1 and -4 (at the seed and
@@ -493,11 +497,12 @@ def test_dichotomy_batch_matches_per_sample_loop(monkeypatch, config, seed, samp
     ``dichotomy_samples``, as certify runs it at that seed.  The batched
     draws take exactly the loop's stream: `take` pairs of normals at once
     are the `take` single pairs the loop draws, so both generators end in
-    the same state.  The march takes whole intervals (rows of at most 256
-    floats, the last interval partial), or single steps once
-    ``row_floats`` lowers `solver.INTERVAL_ROW_FLOATS` below the rows."""
-    if row_floats is not None:
-        monkeypatch.setattr(solver, "INTERVAL_ROW_FLOATS", row_floats)
+    the same state.  The march takes whole intervals (the rows, at most 247
+    floats, fit 64 steps in `solver.BLOCK_FLOATS`; the last interval
+    partial), or single steps once ``block_floats`` lowers the budget
+    below one row."""
+    if block_floats is not None:
+        monkeypatch.setattr(solver, "BLOCK_FLOATS", block_floats)
     p, _, run = parse_config(config_path(config).read_text())
     samples = run.dichotomy_samples if samples is None else samples
     spectral = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes)

@@ -8,7 +8,7 @@ import pytest
 from delayrd.cli import eigenmode_pair, random_history, random_pair
 from delayrd.estimates import compute_estimates
 from delayrd.model import ForcingSpec, Grid, NonlinearitySpec, ProblemParameters
-from delayrd.solver import INTERVAL_ROW_FLOATS, constant_history, segment_norm
+from delayrd.solver import constant_history, row_norms, segment_norm
 from delayrd.spectrum import (
     SpectralData,
     characteristic_roots,
@@ -29,7 +29,9 @@ from delayrd.squeezing import (
 from conftest import (
     dissipative_params,
     loop_fourier_integrate,
-    loop_integrate,
+    loop_part_norms,
+    loop_projections,
+    part_norm_rounding_bound,
     unit_forcing_amplitude,
 )
 
@@ -53,18 +55,6 @@ def test_projections_reassemble_and_idempotent(rng, grid):
         assert np.all(R[:, ps.inside] == 0)
 
 
-def loop_projections(rows, ps):
-    """Reference P, Q, R of an (S + 1, P) array, one row at a time."""
-    h = ps.grid.spacing
-    P, Q, R = [], [], []
-    for row in rows:
-        restricted = np.where(ps.inside, row, 0.0)
-        P.append(ps.basis @ (h * (ps.basis.T @ restricted)))
-        Q.append(restricted - P[-1])
-        R.append(np.where(ps.inside, 0.0, row))
-    return np.array(P), np.array(Q), np.array(R)
-
-
 def test_projections_match_per_row_loop(rng, grid):
     """The stacked projections give the per-row products' bytes, for one
     segment and for a batch of segments."""
@@ -75,6 +65,28 @@ def test_projections_match_per_row_loop(rng, grid):
                                      loop_projections(samples[:, j], ps)):
             assert np.array_equal(project(samples[:, j], ps), expected)
             assert np.array_equal(project(samples, ps)[:, j], expected)
+
+
+@pytest.mark.parametrize("support", ["inside", "outside", "mixed"])
+def test_block_norms_match_parts(rng, grid, support):
+    """The P, Q and R norms of a block of rows, taken from the nodes inside
+    and outside Omega_K, equal the row norms of `parts` within
+    `conftest.part_norm_rounding_bound`, for rows wholly inside Omega_K,
+    wholly outside it, and on both sides."""
+    ps = make_projections(grid, K=3.0, k_m=4)
+    rows = rng.standard_normal((5, 3, grid.points))
+    if support != "mixed":
+        rows[..., ps.inside if support == "outside" else ~ps.inside] = 0.0
+    norms = ps.norms(rows)
+    assert norms.shape == (5, 3, 3)
+    expected = np.moveaxis(row_norms(ps.parts(rows), grid), 0, -2)
+    bound = part_norm_rounding_bound(rows, ps)[:, None, :]
+    assert np.all(np.abs(norms - expected) <= bound)
+    assert np.all(bound < 1e-11 * np.max(norms))
+    if support == "inside":
+        assert np.all(norms[:, 2] == 0.0)
+    if support == "outside":
+        assert np.all(norms[:, :2] == 0.0)
 
 
 def test_projection_basis_is_orthonormal(grid):
@@ -132,9 +144,11 @@ def test_modal_difference_contracts_at_its_own_rate(rng, grid):
 
 def test_pair_batch_matches_separate_integrations(grid, dissipative):
     """One batched run of the pair, read at several times, equals
-    integrating phi and psi separately to each time.  The pair's rows hold
-    2 x 512 floats, at most `INTERVAL_ROW_FLOATS`, so the reference is the
-    coefficient-space loop."""
+    integrating phi and psi separately to each time: the rows are
+    `loop_fourier_integrate`'s, and each measured ratio is the per-row
+    norm oracle's sup over the window within
+    `conftest.part_norm_rounding_bound` of the window's rows (a max moves
+    no further than its entries)."""
     p = dissipative
     rng = np.random.default_rng(77)
     spectral = _certified_spectral(p, rng=rng)
@@ -151,8 +165,8 @@ def test_pair_batch_matches_separate_integrations(grid, dissipative):
         rows = [np.concatenate([h[:-1], loop_fourier_integrate(h, t, p, grid)])[n:]
                 for h in (phi, psi)]
         diff = rows[0] - rows[1]
-        assert parts.tolist() == [segment_norm(project(diff, ps), grid) / denom
-                                  for project in (project_P, project_Q, project_R)]
+        expected = np.max(loop_part_norms(diff, ps), axis=0) / denom
+        assert np.all(np.abs(parts - expected) <= np.max(part_norm_rounding_bound(diff, ps)) / denom)
 
 
 @pytest.mark.parametrize("count,identical", [
@@ -162,14 +176,13 @@ def test_pair_batch_matches_separate_integrations(grid, dissipative):
 def test_groups_of_pairs_match_separate_integrations(grid, dissipative, count, identical):
     """Pairs in full groups and one partial group, some of them identical:
     a single pair inside the first group, or a whole group between two
-    that differ.  Every denominator and every measured ratio equals the
-    per-pair reference integrations, each identical pair gets a zero
-    denominator and no ratios, and the ratios come pair by pair in times
-    order (out of order, t = 0, below tau, repeated).  A group whose
-    differing pairs hold at most `INTERVAL_ROW_FLOATS` floats a row (one
-    pair of 512-float rows) marches in coefficient space, and its
-    reference is `loop_fourier_integrate`; a larger group steps in physical
-    space, as `loop_integrate` does."""
+    that differ.  Every denominator equals the per-pair reference, each
+    identical pair gets a zero denominator and no ratios, and the ratios
+    come pair by pair in times order (out of order, t = 0, below tau,
+    repeated).  Every group marches in coefficient space, whatever its
+    size, so each pair's rows are `loop_fourier_integrate`'s, and each
+    ratio is the per-row norm oracle's sup over the window within
+    `conftest.part_norm_rounding_bound` of the window's rows."""
     p = dissipative
     rng = np.random.default_rng(78)
     spectral = _certified_spectral(p, rng=rng)
@@ -182,22 +195,18 @@ def test_groups_of_pairs_match_separate_integrations(grid, dissipative, count, i
     denoms, measured = measure_contraction(iter(pairs), times, p, ps)
     assert [i for i, d in enumerate(denoms) if d == 0.0] == sorted(identical)
     assert measured.shape == (count - len(identical), len(times), 3)
-    def reference(i):  # the loop of the form pair i's group marches in
-        group = range(i - i % _GROUP_PAIRS, min(i - i % _GROUP_PAIRS + _GROUP_PAIRS, count))
-        floats = 2 * grid.points * sum(j not in identical for j in group)
-        return loop_fourier_integrate if floats <= INTERVAL_ROW_FLOATS else loop_integrate
 
-    differing = [(i, pair) for i, pair in enumerate(pairs) if i not in identical]
-    for denom, (i, (phi, psi)), pair_measured in zip(denoms[denoms != 0.0], differing, measured):
-        rows = [np.concatenate([h[:-1], reference(i)(h, max(times), p, grid)])
+    differing = [pair for i, pair in enumerate(pairs) if i not in identical]
+    for denom, (phi, psi), pair_measured in zip(denoms[denoms != 0.0], differing, measured):
+        rows = [np.concatenate([h[:-1], loop_fourier_integrate(h, max(times), p, grid)])
                 for h in (phi, psi)]
         assert denom == segment_norm(phi - psi, grid)
         for t, parts in zip(times, pair_measured):
             n = round(t * S / p.tau)
             diff = rows[0][n:n + S + 1] - rows[1][n:n + S + 1]
-            assert parts.tolist() == [
-                np.max(np.sqrt(grid.spacing * np.sum(part * part, axis=1))) / denom
-                for part in loop_projections(diff, ps)]
+            expected = np.max(loop_part_norms(diff, ps), axis=0) / denom
+            bound = np.max(part_norm_rounding_bound(diff, ps)) / denom
+            assert np.all(np.abs(parts - expected) <= bound)
 
 
 def test_contraction_memory_does_not_grow_with_ensemble(grid, dissipative):
@@ -220,18 +229,20 @@ def test_contraction_memory_does_not_grow_with_ensemble(grid, dissipative):
 
 
 def test_contraction_peak_is_about_two_batches():
-    """One group of 4 pairs at P = 1024, S = 64: the pairs go into one
-    (S + 1, 8, P) batch, the march holds about one batch of new rows, and
-    the P/Q/R sups come from per-row norms, so the traced peak stays within
-    3 batches (measured 2.1; a stacked difference segment with its three
+    """One group of `_GROUP_PAIRS` pairs at P = 1024, S = 64: the pairs go
+    into one (S + 1, 2 _GROUP_PAIRS, P) batch, the march holds about one
+    batch of pending load coefficients, and the P/Q/R sups come from row
+    norms taken a block at a time, so the traced peak stays within 3
+    batches (measured 2.7; a stacked difference segment with its three
     projections and temporaries at each contraction step reached 4.1)."""
     grid = Grid(half_length=16.0, points=1024)
     p = dissipative_params(grid)
     S = 64
     ps = make_projections(grid, K=3.0, k_m=4)
     rng = np.random.default_rng(5)
-    pairs = [random_pair(rng, grid, p.tau, S, norm=1.0, separation=0.3) for _ in range(4)]
-    batch_bytes = (S + 1) * 8 * grid.points * 8
+    pairs = [random_pair(rng, grid, p.tau, S, norm=1.0, separation=0.3)
+             for _ in range(_GROUP_PAIRS)]
+    batch_bytes = (S + 1) * 2 * _GROUP_PAIRS * grid.points * 8
     tracemalloc.start()
     try:
         measure_contraction(iter(pairs), (0.5, 4.0), p, ps)
