@@ -1,8 +1,8 @@
 """Attractor-dimension certificates.
 
-The squeezing factors of `squeezing.analytic_bounds` (bound_63 form: bP,
-bQ, bR at elapsed time t0, all from `squeezing.contraction_terms`)
-assemble into the contraction numbers
+The squeezing factors of `squeezing.analytic_bounds` (bP, bQ, bR at
+elapsed time t0, all from `squeezing.contraction_terms`) assemble into the
+contraction numbers
 
     eta(t0, alpha) = 2 bQ + alpha bP + 2 bR,    zeta(beta) = beta bP + bQ + bR
 

@@ -154,10 +154,11 @@ def _entry_gap(p: ProblemParameters, est: EstimateSet, norm_D: float, T: float) 
 
     Entry holds once exp(mu (tau - T)) D + exp(mu tau) D exp((beta - mu) T)
     drops below c3 / 2; the left side is strictly decreasing in T whenever
-    the configuration is dissipative.
+    the configuration is dissipative.  Each term has one exponential, so
+    no overflowing factor meets an underflowing one (inf * 0 = NaN).
     """
-    lhs = (math.exp(p.mu * (p.tau - T)) * norm_D
-           + math.exp(p.mu * p.tau) * norm_D * math.exp((est.beta - p.mu) * T))
+    lhs = norm_D * (math.exp(p.mu * (p.tau - T))
+                    + math.exp(p.mu * p.tau + (est.beta - p.mu) * T))
     return lhs - 0.5 * est.c3
 
 

@@ -30,11 +30,9 @@ A history is the array of its S + 1 rows u(theta_j), theta_j = -tau + j dt,
 shaped (S + 1, [B,] P), and a trajectory the (N + 1, [B,] P) array of rows
 u(0) .. u(N dt); the grid and the parameters travel next to them, so
 ``evolve(hist, n_steps, p, grid)`` takes dt = p.tau / S from the row count.
-A segment u_t is a window of S + 1 consecutive history/solution rows, so
-every segment sup (norm, far-field mass, gradient sup) is a per-row quantity
-reduced by one sliding-window max, `segment_sups`; `segment_at` copies out
-one segment.  Per-row quantities reduce each row on its own, so a row gives
-the same bytes alone, in a block of rows or in a batch.
+A segment u_t is S + 1 consecutive rows, so every segment sup is a per-row
+quantity reduced by a window max: `segment_sups` at every step of stored
+rows, `window_sups` at some steps of marched ones.
 """
 
 from __future__ import annotations
@@ -42,7 +40,9 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,6 +65,7 @@ __all__ = [
     "segment_norm",
     "segment_sups",
     "step_count",
+    "window_sups",
 ]
 
 
@@ -247,6 +248,30 @@ def segment_sups(hist_q, traj_q) -> np.ndarray:
     """
     rows = np.concatenate([hist_q[:-1], traj_q])
     return sliding_window_view(rows, len(hist_q), axis=0).max(axis=-1)
+
+
+def window_sups(hist, blocks, steps, quantity) -> np.ndarray:
+    """Entry i is the max of ``quantity(rows)`` (per row, on the leading
+    axis) over rows steps[i] - S .. steps[i], where ``hist``'s S + 1 rows
+    are rows -S .. 0 and `march`'s ``blocks`` yield rows 1, 2, ....  The
+    history goes in chunks of the march's block size, ``quantity`` sees only
+    rows some window holds, and no block after row max(steps) is drawn."""
+    S, size = len(hist) - 1, max(1, BLOCK_FLOATS // hist[0].size)
+    marks, sups, start = sorted(set(steps)), {}, -S  # start: the chunk's first row
+    rows = [r for m, n in zip([-S - 1, *marks], marks)  # the held rows, ascending
+            for r in range(max(n - S, m + 1), n + 1)]
+    for chunk in chain((hist[j:j + size] for j in range(0, S + 1, size)), blocks):
+        end = start + len(chunk)
+        if held := rows[bisect_left(rows, start):bisect_left(rows, end)]:
+            a, b = held[0] - start, held[-1] - start + 1
+            q = quantity(chunk[a:b] if b - a == len(held) else chunk[np.subtract(held, start)])
+            for n in marks[bisect_left(marks, start):bisect_left(marks, end + S)]:
+                top = q[bisect_left(held, n - S):bisect_right(held, n)].max(axis=0)
+                sups[n] = np.maximum(sups[n], top) if n in sups else top
+        if end > marks[-1]:
+            return np.stack([sups[n] for n in steps])
+        start = end
+    raise ValueError(f"the blocks end at row {start}, before step {marks[-1]}")
 
 
 def row_norms(samples: np.ndarray, grid: Grid) -> np.ndarray:

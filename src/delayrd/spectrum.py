@@ -23,11 +23,8 @@ NaN-padded table, and their real parts are grouped on one sort.
 The per-mode equation is stepped by the PDE integrator's `solver.march`
 with the scalar decay exp(-(mu + mu_{m,K}) dt) as multiplier between
 identity transforms: one mode in `linear_delay_evolve`, all sampled modes
-as one batch in the dichotomy.  Their rows are small, so the march
-advances a delay interval at a time.
-The dichotomy reduces each marched block to per-row squared sums, one
-`reduceat`, and a segment norm at a read-out step is the square root of
-the max of the last S + 1 sums; only those sums are held.
+as one batch in the dichotomy, whose segment norms are square roots of
+`solver.window_sups` of per-row squared sums.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MAX_MARCH_STEPS, ConfigError, ProblemParameters
-from .solver import march, step_count
+from .solver import march, step_count, window_sups
 
 __all__ = [
     "ModeRoots",
@@ -456,24 +453,14 @@ def dichotomy_constant(p: ProblemParameters, spectral: SpectralData,
         # row by row; a segment norm is the square root of their max
         return np.add.reduceat(rows * rows, starts, axis=1)
 
-    def ratios(n, sums) -> list:
-        # the overshoot at step n from the sums of its segment's rows
-        norms = np.sqrt(sums.max(axis=0))
-        return (norms[live] / (math.exp(rho_m * (n * dt)) * base[live])).tolist()
-
-    window = row_sums(batch)  # the sums of the segment's rows n - S .. n, at n = 0 first
-    base = np.sqrt(window.max(axis=0))
+    sums = window_sups(batch, march(batch, t_grid[-1], dt, decay, IDENTITIES,
+                                    lambda d: p.sigma * d), t_grid, row_sums)
+    base = np.sqrt(sums[0])  # t_grid[0] = 0
     live = base != 0.0
-    sample_max = max([0.0, *ratios(0, window)])
-    n = 0
-    for block in march(batch, t_grid[-1], dt, decay, IDENTITIES,
-                       lambda d: p.sigma * d):
-        sums = np.concatenate([window, row_sums(block)])  # rows n - S .. n + len(block)
-        for mark in t_grid:
-            if n < mark <= n + len(block):
-                sample_max = max([sample_max, *ratios(mark, sums[mark - n:mark - n + S + 1])])
-        n += len(block)
-        window = sums[-(S + 1):]
+    # the overshoots in t_grid order; max keeps its running value past a NaN
+    ratios = [np.sqrt(s)[live] / (math.exp(rho_m * (n * dt)) * base[live])
+              for n, s in zip(t_grid, sums)]
+    sample_max = max([0.0, *np.concatenate(ratios).tolist()])
 
     return {
         "K_m": DICHOTOMY_SAFETY * sample_max,

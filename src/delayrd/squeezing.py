@@ -12,10 +12,7 @@ with
     bP = exp((lf + rho1) t),
     bQ = K_m exp(rho_m t)
          + K_m lf / (rho1 + lf - rho_m) * exp((lf + rho1) t),
-    bR = sqrt(c2) exp([c2 (sigma + lf^2) - (mu - sigma - 1)] t / 2);
-
-``analytic_bounds(which="bound_316")`` doubles bP, a variant also in
-circulation.
+    bR = sqrt(c2) exp([c2 (sigma + lf^2) - (mu - sigma - 1)] t / 2).
 
 `contraction_terms` is the one place these exponentials are written:
 `analytic_bounds` assembles bP, bQ and bR from its four factors, and
@@ -24,12 +21,9 @@ the same four.
 
 A history is the (S + 1, P) array of its rows on ``ps.grid``, and a pair
 is two of them; `project_P`, `project_Q` and `project_R` return the part of
-an array of rows.  `measure_contraction` is one loop over groups of
-pairs: each pair that differs is written into the group's batch right
-after its denominator, the batch marches once, and no segment is
-materialized: the difference rows of each block that some measured window
-holds get their P, Q and R norms in one `ProjectionSet.norms` call, and
-the sups at step n are the max of those over the rows n - S .. n.
+an array of rows.  `measure_contraction` marches each group of pairs once
+and takes the P, Q and R segment norms of the differences through
+`solver.window_sups`.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ import numpy as np
 
 from .estimates import EstimateSet
 from .model import ConfigError, Grid, ProblemParameters
-from .solver import BLOCK_FLOATS, evolve, grid_step, segment_norm
+from .solver import evolve, grid_step, segment_norm, window_sups
 from .solver import integrate, segment_at  # noqa: F401  (names looked up by perfbench/tracing.py)
 from .spectrum import SpectralData
 
@@ -179,26 +173,21 @@ def _exp(x: float) -> float:
 
 
 def analytic_bounds(t: float, p: ProblemParameters, spectral: SpectralData,
-                    est: EstimateSet, which: str = "bound_63") -> dict:
+                    est: EstimateSet) -> dict:
     """The three contraction factors at elapsed time t, from
-    `contraction_terms`: bP = coefficient growth, bQ = head + coupling
-    growth, bR = tail.
+    `contraction_terms`: bP = growth, bQ = head + coupling growth,
+    bR = tail.
 
-    ``which`` selects the P coefficient: "bound_63" (coefficient 1,
-    default) or "bound_316" (coefficient 2).  Requires the dichotomy
-    constant on ``spectral``.  A vanishing gap rho1 + lf - rho_m makes the
-    Q bound infeasible (returned as inf with ``feasible`` False).
+    Requires the dichotomy constant on ``spectral``.  A vanishing gap
+    rho1 + lf - rho_m makes the Q bound infeasible (returned as inf with
+    ``feasible`` False).
     """
-    if which not in ("bound_63", "bound_316"):
-        raise ValueError("which must be 'bound_63' or 'bound_316'")
     if t < 0:
         raise ValueError("t must be nonnegative")
     head, coupling, tail, growth = contraction_terms(t, p, spectral, est)
-    coefficient = 1.0 if which == "bound_63" else 2.0
     feasible = not math.isinf(coupling)
     bQ = head + coupling * growth if feasible else math.inf
-    return {"bP": coefficient * growth, "bQ": bQ, "bR": tail,
-            "feasible": feasible, "which": which}
+    return {"bP": growth, "bQ": bQ, "bR": tail, "feasible": feasible}
 
 
 # Pairs marched as one batch.  squeeze on perfbench/configs/squeeze-pairs.json
@@ -232,23 +221,10 @@ def measure_contraction(pairs, times, p: ProblemParameters, ps: ProjectionSet):
                 differing.append(denoms[-1])
         del phi, psi  # no pair outlives the draw
         if differing:
-            # a slot for the norms of each row in a window n - S .. n, taken a
-            # block at a time (the history in blocks of the march's size)
             batch, S = batch[:, :2 * len(differing)], len(batch) - 1
             steps = [grid_step(t, p.tau / S) for t in times]
-            windows = sorted({r for n in steps for r in range(n - S, n + 1)})
-            slot = dict(zip(windows, range(len(windows))))
-            norms = np.empty((len(slot), 3, len(differing)))
-            size, start = max(1, BLOCK_FLOATS // batch[0].size), -S  # start: block[0]'s row
-            for block in chain((batch[j:j + size] for j in range(0, S + 1, size)),
-                               evolve(batch, max(steps), p, ps.grid)):
-                if held := [r for r in range(start, start + len(block)) if r in slot]:
-                    rows = block[held[0] - start:held[-1] - start + 1]
-                    norms[[slot[r] for r in held]] = ps.norms(rows[:, 0::2] - rows[:, 1::2])[
-                        np.subtract(held, held[0])]
-                start += len(block)
-            sups = [norms[slot[n] - S:slot[n] + 1].max(axis=0) for n in steps]
+            sups = window_sups(batch, evolve(batch, max(steps), p, ps.grid), steps,
+                               lambda rows: ps.norms(rows[:, 0::2] - rows[:, 1::2]))
             ratios.append(np.transpose(sups, (2, 0, 1)) / np.array(differing)[:, None, None])
-            del block, rows  # the march's last block, before the next draw
         del batch  # released before the next group's batch is allocated
     return np.array(denoms), np.concatenate(ratios)

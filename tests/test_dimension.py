@@ -139,7 +139,7 @@ def test_contraction_numbers_are_assembled_from_the_squeezing_bounds(rho1, rho_m
     p = stiff_problem()
     est = compute_estimates(p, norm_g=1.0)
     sp = synthetic_spectral(rho1=rho1, rho_m=rho_m)
-    b = analytic_bounds(t, p, sp, est, "bound_63")
+    b = analytic_bounds(t, p, sp, est)
     if rho1 + p.lf == rho_m:
         assert not b["feasible"]
         assert math.isinf(eta(t, alpha, p, sp, est)) and math.isinf(b["bQ"])

@@ -1,9 +1,11 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters
+from delayrd.model import ForcingSpec, NonlinearitySpec, ProblemParameters, parse_config
 from delayrd.solver import constant_history, history_from_function, integrate
 from delayrd.estimates import (
     absorbing_time,
@@ -15,6 +17,8 @@ from delayrd.estimates import (
 )
 
 from conftest import far_field_sups, gradient_sups, heat_only_params, norm_sups
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_constants_against_hand_formulas(dissipative):
@@ -110,6 +114,27 @@ def test_absorbing_time_entry_inequality(dissipative):
 
     assert lhs(T) <= 0.5 * est.c3 * (1 + 1e-9)
     assert lhs(T * (1 - 1e-6)) > 0.5 * est.c3
+
+
+def test_absorbing_time_does_not_enter_on_overflow():
+    """On configs/base.json with mu = 40, sigma = 1e-17, tau = 1 and
+    D = 1e308, exp(mu tau) D overflows while exp((beta - mu) T) underflows;
+    the entry inequality, evaluated in logs, holds at T and fails just
+    before it."""
+    with open(CONFIGS / "base.json") as fh:
+        doc = json.load(fh)
+    doc.update(mu=40.0, sigma=1e-17, tau=1.0)
+    p = parse_config(json.dumps(doc))[0]
+    est = compute_estimates(p, norm_g=1.0)
+    D = 1e308
+    T = absorbing_time(p, est, D)
+
+    def log_gap(t):  # log(left side) - log(c3 / 2)
+        exponents = (p.mu * (p.tau - t), p.mu * p.tau + (est.beta - p.mu) * t)
+        return math.log(D) + np.logaddexp(*exponents) - math.log(0.5 * est.c3)
+
+    assert log_gap(T) <= 1e-12
+    assert log_gap(T * (1 - 1e-9)) > 1e-12
 
 
 def test_absorbing_time_doubling_bound(dissipative):

@@ -18,6 +18,7 @@ from delayrd.estimates import (
     verify_energy_integral,
     verify_far_field,
 )
+from delayrd import solver
 from delayrd.semigroup import gradient_norm
 from delayrd.solver import (
     far_field_mass,
@@ -27,6 +28,7 @@ from delayrd.solver import (
     segment_at,
     segment_norm,
     segment_sups,
+    window_sups,
 )
 
 from conftest import far_field_sups, gradient_sups, heat_only_params, norm_sups
@@ -212,3 +214,64 @@ def test_far_field_masses_do_not_depend_on_layout(grid, K):
         assert np.array_equal(block, np.concatenate(
             [far_field_masses(rows[i:i + chunk], grid, K) for i in range(0, 1281, chunk)]))
     assert np.array_equal(block, far_field_masses(rows[:, None, :], grid, K)[:, 0])
+
+
+# S = 7 (8 history rows) and 40 marched rows of (B, P) = (3, 5) floats in
+# blocks of 1 to 10 rows: windows at 12 and 23 leave rows 13 .. 15 to no
+# window, inside the block of rows 10 .. 19
+WINDOW_S, WINDOW_N, WINDOW_ROW = 7, 40, (3, 5)
+WINDOW_STEPS = [23, 0, 5, 23, 40, 12, 5]
+
+
+def window_rows():
+    """History rows, marched rows 1 .. N and those rows as march-like blocks."""
+    rng = np.random.default_rng(27)
+    hist = rng.standard_normal((WINDOW_S + 1, *WINDOW_ROW))
+    rows = rng.standard_normal((WINDOW_N, *WINDOW_ROW))
+    return hist, rows, np.split(rows, [1, 5, 9, 19, 26, 33])
+
+
+def two_per_row(rows):
+    """A per-row quantity with a trailing axis: (m, B, 2)."""
+    return np.stack([rows.max(axis=-1), np.sum(rows * rows, axis=-1)], axis=-1)
+
+
+@pytest.mark.parametrize("history_rows", [1, 3, WINDOW_S + 1],
+                         ids=["one-row", "three-rows", "whole-history"])
+def test_window_sups_equal_segment_sups_at_the_steps(monkeypatch, history_rows):
+    """Unsorted and repeated steps, step 0 and steps below S, with history
+    chunks of one row, of three rows (not dividing S + 1) and of all rows:
+    the same bytes as `segment_sups` of the stored rows at those steps,
+    trailing axes kept."""
+    monkeypatch.setattr(solver, "BLOCK_FLOATS", history_rows * math.prod(WINDOW_ROW))
+    hist, rows, blocks = window_rows()
+    every = segment_sups(two_per_row(hist), two_per_row(np.concatenate([hist[-1:], rows])))
+    sups = window_sups(hist, iter(blocks), WINDOW_STEPS, two_per_row)
+    assert sups.shape == (len(WINDOW_STEPS), WINDOW_ROW[0], 2)
+    assert np.array_equal(sups, every[WINDOW_STEPS])
+    assert np.array_equal(window_sups(hist, iter(blocks), [3], two_per_row), every[[3]])
+
+
+def test_window_sups_reduce_only_held_rows_and_stop_at_the_last_window():
+    """``quantity`` sees each row some window holds once and no other row,
+    and no block after the one holding row max(steps) is drawn."""
+    hist, rows, blocks = window_rows()
+    seen, drawn = [], []
+
+    def quantity(chunk):
+        seen.extend(chunk[:, 0, 0].tolist())
+        return two_per_row(chunk)
+
+    def counted(blocks):
+        for block in blocks:
+            drawn.append(len(block))
+            yield block
+
+    steps = [12, 5, 23]
+    window_sups(hist, counted(blocks), steps, quantity)
+    labels = np.concatenate([hist[:, 0, 0], rows[:, 0, 0]]).tolist()  # row r at r + S
+    held = sorted({r for n in steps for r in range(n - WINDOW_S, n + 1)})
+    assert seen == [labels[r + WINDOW_S] for r in held]
+    assert sum(drawn[:-1]) < 23 <= sum(drawn)
+    with pytest.raises(ValueError, match="before step 41"):
+        window_sups(hist, iter(blocks), [41], quantity)

@@ -281,11 +281,6 @@ def test_analytic_bounds_at_time_zero(grid, dissipative):
     assert b["bR"] == pytest.approx(math.sqrt(est.c2), rel=1e-12)
     assert b["feasible"]
 
-    wide = analytic_bounds(0.0, p, spectral, est, which="bound_316")
-    assert wide["bP"] == 2.0
-
-    with pytest.raises(ValueError, match="which"):
-        analytic_bounds(0.0, p, spectral, est, which="bound_99")
     with pytest.raises(ValueError, match="dichotomy"):
         analytic_bounds(0.0, p, spectral_partition(p, 3.0, 3, 8), est)
     with pytest.raises(ValueError):
