@@ -517,7 +517,7 @@ def cmd_squeeze(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid
     ps = make_projections(grid, run.cutoff_radius, spectral.k_m)
     manifest = RunManifest(config_path, run.seed, "squeeze", out_dir)
 
-    # drawn lazily, a group at a time; integrating draws nothing from rng
+    # drawn lazily, a pair at a time; integrating draws nothing from rng
     rng = np.random.default_rng(np.random.PCG64(run.seed))
     pairs = (eigenmode_pair(rng, grid, p, spectral, run.steps_per_delay,
                             norm=run.history_norm,

@@ -21,16 +21,14 @@ the same four.
 
 A history is the (S + 1, P) array of its rows on ``ps.grid``, and a pair
 is two of them; `project_P`, `project_Q` and `project_R` return the part of
-an array of rows.  `measure_contraction` marches each group of pairs once
-and takes the P, Q and R segment norms of the differences through
-`solver.window_sups`.
+an array of rows.  `measure_contraction` marches each pair once and takes
+the P, Q and R segment norms of its difference through `solver.window_sups`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
@@ -190,41 +188,26 @@ def analytic_bounds(t: float, p: ProblemParameters, spectral: SpectralData,
     return {"bP": growth, "bQ": bQ, "bR": tail, "feasible": feasible}
 
 
-# Pairs marched as one batch.  squeeze on perfbench/configs/squeeze-pairs.json
-# (16 pairs, P = 1024, S = 64; 2 vCPU x86-64, numpy 2.4) at 1/2/4/8/16 pairs
-# per group: peak RSS 41.5/43.3/47.2/55.0/72.5 MB, wall 0.31/0.30/0.29/0.31/
-# 0.31 s.  Past two pairs a wider batch gains no time and costs 2 MB a pair.
-_GROUP_PAIRS = 2
-
-
 def measure_contraction(pairs, times, p: ProblemParameters, ps: ProjectionSet):
     """Integrate pairs of histories and measure projected contraction.
 
-    ``pairs`` yields (phi, psi) history pairs, taken `_GROUP_PAIRS` at a
-    time; each group marches as one batch, once, to its largest step in
-    ``times``.  Returns the denominators ||phi - psi||_C of every pair and,
-    for the pairs that differ (identical inputs are not integrated), the
-    measured ||P d_t||_C, ||Q d_t||_C, ||R d_t||_C over the denominator as
-    one (differing pairs, len(times), 3) array in pair order (d_t is the
-    difference segment at time t).  The bounds to compare against come
-    from `analytic_bounds`.
+    Each (phi, psi) pair that ``pairs`` yields marches as one batch, once,
+    to its largest step in ``times``.  Returns the denominators
+    ||phi - psi||_C of every pair and, for the pairs that differ (identical
+    inputs are not integrated), the measured ||P d_t||_C, ||Q d_t||_C,
+    ||R d_t||_C over the denominator as one (differing pairs, len(times), 3)
+    array in pair order (d_t is the difference segment at time t).  The
+    bounds to compare against come from `analytic_bounds`.
     """
-    pairs, denoms, ratios = iter(pairs), [], [np.empty((0, len(times), 3))]
+    denoms, ratios = [], []
     for phi, psi in pairs:
-        # the group's first pair sizes its (S + 1, 2 _GROUP_PAIRS, P) batch;
-        # the pairs that differ fill its columns phi0, psi0, phi1, psi1, ...
-        batch, differing = np.empty((len(phi), 2 * _GROUP_PAIRS, ps.grid.points)), []
-        for phi, psi in chain([(phi, psi)], islice(pairs, _GROUP_PAIRS - 1)):
-            denoms.append(segment_norm(phi - psi, ps.grid))
-            if denoms[-1] != 0.0:
-                batch[:, 2 * len(differing)], batch[:, 2 * len(differing) + 1] = phi, psi
-                differing.append(denoms[-1])
-        del phi, psi  # no pair outlives the draw
-        if differing:
-            batch, S = batch[:, :2 * len(differing)], len(batch) - 1
-            steps = [grid_step(t, p.tau / S) for t in times]
-            sups = window_sups(batch, evolve(batch, max(steps), p, ps.grid), steps,
-                               lambda rows: ps.norms(rows[:, 0::2] - rows[:, 1::2]))
-            ratios.append(np.transpose(sups, (2, 0, 1)) / np.array(differing)[:, None, None])
-        del batch  # released before the next group's batch is allocated
-    return np.array(denoms), np.concatenate(ratios)
+        denoms.append(segment_norm(phi - psi, ps.grid))
+        if denoms[-1] == 0.0:
+            continue
+        batch = np.stack([phi, psi], axis=1)  # (S + 1, 2, P)
+        del phi, psi  # the batch holds their rows
+        steps = [grid_step(t, p.tau / (len(batch) - 1)) for t in times]
+        sups = window_sups(batch, evolve(batch, max(steps), p, ps.grid), steps,
+                           lambda rows: ps.norms(rows[:, :1] - rows[:, 1:]))
+        ratios.append(sups[..., 0] / denoms[-1])
+    return np.array(denoms), np.reshape(ratios, (len(ratios), len(times), 3))

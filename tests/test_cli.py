@@ -565,13 +565,14 @@ def test_golden_payload_hashes(tmp_path, key):
 
 
 def test_golden_squeeze_across_groups(tmp_path):
-    """configs/base.json with ensemble 9: four full groups of pairs plus a
-    partial one.  Both files were hashed again, with the squeeze entries of
-    GOLDEN and for the same reasons, when every group came to march in
-    coefficient space (groups of four pairs, 8 x 512 floats, had stepped in
-    physical space), the P/Q/R norms came a block of rows at a time and the
-    eigenmode bumps as one product.  Pairs march two to a group since; the
-    group size moves no byte, as each row is stepped and reduced alone."""
+    """configs/base.json with ensemble 9: nine pairs, which once marched as
+    four full groups of pairs plus a partial one.  Both files were hashed
+    again, with the squeeze entries of GOLDEN and for the same reasons, when
+    every group came to march in coefficient space (groups of four pairs,
+    8 x 512 floats, had stepped in physical space), the P/Q/R norms came a
+    block of rows at a time and the eigenmode bumps as one product.  Groups
+    of two pairs and then one pair at a time kept both hashes: each row is
+    stepped and reduced alone, so the batch width moves no byte."""
     text = (CONFIGS / "base.json").read_text()
     assert '"ensemble": 3' in text
     cfg = tmp_path / "cfg.json"

@@ -8,7 +8,7 @@ import pytest
 from delayrd.cli import eigenmode_pair, random_history, random_pair
 from delayrd.estimates import compute_estimates
 from delayrd.model import ForcingSpec, Grid, NonlinearitySpec, ProblemParameters
-from delayrd.solver import constant_history, row_norms, segment_norm
+from delayrd.solver import BLOCK_FLOATS, constant_history, row_norms, segment_norm
 from delayrd.spectrum import (
     SpectralData,
     characteristic_roots,
@@ -16,7 +16,6 @@ from delayrd.spectrum import (
     spectral_partition,
 )
 from delayrd.squeezing import (
-    _GROUP_PAIRS,
     analytic_bounds,
     contraction_terms,
     make_projections,
@@ -174,14 +173,14 @@ def test_pair_batch_matches_separate_integrations(grid, dissipative):
     pytest.param(9, {4, 5, 6, 7}, id="identical-group"),
 ])
 def test_groups_of_pairs_match_separate_integrations(grid, dissipative, count, identical):
-    """Pairs in full groups and one partial group, some of them identical:
-    a single pair inside the first group, or a whole group between two
-    that differ.  Every denominator equals the per-pair reference, each
-    identical pair gets a zero denominator and no ratios, and the ratios
-    come pair by pair in times order (out of order, t = 0, below tau,
-    repeated).  Every group marches in coefficient space, whatever its
-    size, so each pair's rows are `loop_fourier_integrate`'s, and each
-    ratio is the per-row norm oracle's sup over the window within
+    """Pairs marched one at a time, some of them identical: a single
+    pair among differing ones, or a run of four (the ids date from groups
+    of pairs marching as one batch).  Every denominator equals the
+    per-pair reference, each identical pair gets a zero denominator and no
+    ratios, and the ratios come pair by pair in times order (out of order,
+    t = 0, below tau, repeated).  Each pair marches in coefficient space,
+    so its rows are `loop_fourier_integrate`'s, and each ratio is the
+    per-row norm oracle's sup over the window within
     `conftest.part_norm_rounding_bound` of the window's rows."""
     p = dissipative
     rng = np.random.default_rng(78)
@@ -210,7 +209,7 @@ def test_groups_of_pairs_match_separate_integrations(grid, dissipative, count, i
 
 
 def test_contraction_memory_does_not_grow_with_ensemble(grid, dissipative):
-    """Pairs are drawn lazily and marched a group at a time, so 16 pairs
+    """Pairs are drawn lazily and marched one at a time, so 16 pairs
     peak no higher than 4 (a small margin for the results)."""
     ps = make_projections(grid, K=3.0, k_m=4)
 
@@ -229,27 +228,32 @@ def test_contraction_memory_does_not_grow_with_ensemble(grid, dissipative):
 
 
 def test_contraction_peak_is_about_two_batches():
-    """One group of `_GROUP_PAIRS` pairs at P = 1024, S = 64: the pairs go
-    into one (S + 1, 2 _GROUP_PAIRS, P) batch, the march holds about one
-    batch of pending load coefficients, and the P/Q/R sups come from row
-    norms taken a block at a time, so the traced peak stays within 3
-    batches (measured 2.7; a stacked difference segment with its three
-    projections and temporaries at each contraction step reached 4.1)."""
+    """Three pairs drawn lazily at P = 1024, S = 64.  Each pair marches
+    alone as one (S + 1, 2, P) batch, and the march holds S rows of its
+    pending load coefficients, (2, P/2 + 1) complex each: together about
+    two batches.  On top come block temporaries of at most `BLOCK_FLOATS`
+    // 2P rows: the block `window_sups` still holds, the next block's
+    coefficients, their inverse transform and the transform's work copy,
+    with two more for the loads and the P/Q/R norms of a block.  Six
+    coefficient blocks bound them, so the traced peak stays within 3.47
+    batches (measured 3.03; two pairs marched as one (S + 1, 4, P) batch
+    read 5.05)."""
     grid = Grid(half_length=16.0, points=1024)
     p = dissipative_params(grid)
     S = 64
     ps = make_projections(grid, K=3.0, k_m=4)
     rng = np.random.default_rng(5)
-    pairs = [random_pair(rng, grid, p.tau, S, norm=1.0, separation=0.3)
-             for _ in range(_GROUP_PAIRS)]
-    batch_bytes = (S + 1) * 2 * _GROUP_PAIRS * grid.points * 8
+    pairs = (random_pair(rng, grid, p.tau, S, norm=1.0, separation=0.3) for _ in range(3))
+    coeff_row = 2 * (grid.points // 2 + 1) * 16  # one row of a pair's coefficients
+    bound = ((S + 1) * 2 * grid.points * 8 + S * coeff_row
+             + 6 * (BLOCK_FLOATS // (2 * grid.points)) * coeff_row)
     tracemalloc.start()
     try:
-        measure_contraction(iter(pairs), (0.5, 4.0), p, ps)
+        measure_contraction(pairs, (0.5, 4.0), p, ps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * batch_bytes
+    assert peak <= bound
 
 
 def test_zero_difference_status(grid, dissipative):
