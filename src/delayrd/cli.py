@@ -24,15 +24,17 @@ one gate on the standing hypotheses, `_certification`.
 Reproducibility contract: all randomness flows through a single
 ``numpy.random.Generator`` seeded with PCG64 (documented, counter-based,
 cross-platform stable); JSON is the text of ``json.dumps(sort_keys=True,
-indent=2)``, built in one pass by ``_json_text``: a list's records of one
-key set and exact int or finite float values are written from one ``%r``
-template per key set and indent (``_record_template``, a 64-entry LRU memo:
-the 1008 root records of a 48-mode spectrum.json share one); CSV
-uses repr floats with '.' decimals and LF line endings; files are written
-atomically (temp file + rename).  Rerunning a subcommand with the same
-manifest produces byte-identical payloads; the manifest records the sha256
-of the bytes each writer wrote (no artifact is read back to hash it) and
-carries the only timestamp, which is excluded from hashing.
+indent=2)``, built in one pass by ``_json_text``: a list whose dicts all
+have one key set and whose values are exact ints or floats with a finite
+sum is written by one ``%`` over its records' joined ``%r`` templates
+(``_record_template``, a 64-entry LRU memo), so a 48-mode spectrum.json
+takes 48 such calls for its 21-record root lists and one for its 528 root
+groups; any other list writes item by item; CSV uses repr floats with '.'
+decimals and LF line endings; files are written atomically (temp file +
+rename).  Rerunning a subcommand with the same manifest produces
+byte-identical payloads; the manifest records the sha256 of the bytes each
+writer wrote (no artifact is read back to hash it) and carries the only
+timestamp, which is excluded from hashing.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ from .estimates import (CERTIFICATE_TOLERANCE, DISSIPATIVITY_CONDITION, absorbin
 from .model import (
     MAX_MARCH_STEPS,
     ConfigError,
+    ForcingSpec,
     Grid,
     ProblemParameters,
     RunOptions,
-    evaluate_forcing,
     parse_config,
 )
 from .semigroup import field_norm
@@ -130,7 +132,8 @@ def _record_template(keys: tuple, pad: str) -> str:
 
 
 def _plain(values: tuple) -> bool:
-    """Exact ints and floats with a finite sum (an overflow costs the template)."""
+    """Exact ints and floats with a finite sum (an overflow, even of a list of
+    records that each sum to a finite float, costs the template)."""
     try:
         return {int, float}.issuperset(map(type, values)) and math.isfinite(sum(values))
     except OverflowError:  # an int beyond the float range
@@ -140,8 +143,10 @@ def _plain(values: tuple) -> bool:
 def _json_text(obj, pad: str = "") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` built in one pass, with
     non-finite floats as "nan"/"inf"/"-inf" and numpy scalars as floats and
-    ints; ``pad`` indents its line.  Exact-type dispatch, hot cases first;
-    a list's dicts of its first dict's keys and `_plain` values take its template."""
+    ints; ``pad`` indents its line.  Exact-type dispatch, hot cases first.
+    A list of dicts that all have its first dict's 2+ keys, and whose values
+    together pass `_plain`, is one ``%`` on its joined templates; any other
+    list takes the general path item by item."""
     kind = type(obj)
     if kind is float:
         if math.isfinite(obj):
@@ -155,13 +160,17 @@ def _json_text(obj, pad: str = "") -> str:
             items = [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner)
                      for key in sorted(obj)]
             return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
-        if type(head := obj[0]) is dict and len(head) > 1:  # itemgetter: 2+ keys for a tuple
+        if (type(head := obj[0]) is dict and len(head) > 1  # itemgetter: 2+ keys for a tuple
+                and all(type(d) is dict and len(d) == len(head) for d in obj)):
             keys = tuple(sorted(head))
-            template, pick, shape = _record_template(keys, inner), itemgetter(*keys), head.keys()
-            items = [template % values if type(d) is dict and d.keys() == shape
-                     and _plain(values := pick(d)) else _json_text(d, inner) for d in obj]
-        else:
-            items = [_json_text(v, inner) for v in obj]
+            try:
+                values = tuple(chain.from_iterable(map(itemgetter(*keys), obj)))
+            except KeyError:  # another key set of the same size
+                values = None
+            if values is not None and _plain(values):
+                records = f",\n{inner}".join([_record_template(keys, inner)] * len(obj))
+                return "[\n" + inner + records % values + f"\n{pad}]"
+        items = [_json_text(v, inner) for v in obj]
         return "[\n" + inner + f",\n{inner}".join(items) + f"\n{pad}]"
     if kind is str:
         return encode_basestring_ascii(obj)
@@ -359,8 +368,24 @@ def _load_config(path: str, **flags):
     return p, grid, dataclasses.replace(run, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _forcing_norm(p: ProblemParameters, grid: Grid) -> float:
-    return field_norm(evaluate_forcing(p.forcing, grid.nodes), grid)
+# I = integral over [-1, 1] of exp(2 - 2 / (1 - r^2)) dr = 0.98338081291272...,
+# the squared L2 norm of the compact bump of unit amplitude and width, by the
+# trapezoidal rule with h = 1/128 (the end nodes add 0).  Every derivative of
+# the integrand vanishes at r = +-1, so the Euler-Maclaurin corrections are 0
+# and the error falls faster than any power of h: h = 1/32 is 8e-10 off,
+# h = 1/64 is 5e-14 off, and h = 1/128 to 1/2048 agree within an ulp.
+_COMPACT_BUMP_SQUARE = float(np.exp(2.0 - 2.0 / (1.0 - (np.arange(-127, 128) / 128.0) ** 2))
+                             .sum()) / 128.0
+
+
+def _forcing_norm(forcing: ForcingSpec) -> float:
+    """||g|| in L2 of the whole line, in closed form: |A| (w sqrt(pi))^(1/2)
+    for the Gaussian bump and |A| (w I)^(1/2) for the compact bump (A the
+    amplitude, w the width), so it does not depend on the box or the centre."""
+    if forcing.kind == "zero" or forcing.amplitude == 0.0:  # 0 * inf for the widest bumps
+        return 0.0
+    square = math.sqrt(math.pi) if forcing.kind == "gaussian_bump" else _COMPACT_BUMP_SQUARE
+    return abs(forcing.amplitude) * math.sqrt(forcing.width * square)
 
 
 def _spectral_bundle(p: ProblemParameters, grid: Grid, run: RunOptions):
@@ -382,7 +407,7 @@ def _certification(p: ProblemParameters, grid: Grid, run: RunOptions):
     line per failed standing hypothesis, in order dissipativity beta < mu,
     rho_m < 0, every mode complete, energy gap mu - sigma - 1 > 0.  Empty
     exactly when the run is dissipative, energy-feasible and has a K_m."""
-    est = compute_estimates(p, _forcing_norm(p, grid), norm_phi0=run.history_norm)
+    est = compute_estimates(p, _forcing_norm(p.forcing), norm_phi0=run.history_norm)
     spectral, spec_doc = _spectral_bundle(p, grid, run)
     diagnostics = []
     if not est.dissipative:
@@ -592,8 +617,9 @@ def cmd_report(directory: str) -> int:
     """Merge the JSON artifacts of a directory into summary.csv/summary.txt.
     Every artifact is read, checked against manifest.json's payload_sha256
     when the manifest lists it, and formatted before anything is written.
-    A missing, edited or malformed artifact exits 2 and removes the summary
-    files of an earlier report, so no summary outlives its artifacts."""
+    A missing, edited or malformed artifact (nested too deep to parse
+    included) exits 2 and removes the summary files of an earlier report, so
+    no summary outlives its artifacts."""
 
     def refuse(message: str) -> int:
         print(message, file=sys.stderr)
@@ -622,7 +648,7 @@ def cmd_report(directory: str) -> int:
             else:
                 sections[name] = (_certificate_summary(doc) if name == "certificate.json" else
                                   [line.format_map(doc) for line in _REPORT_LINES[name]])
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             return refuse(f"malformed artifact {name}: {exc!r}")
     rows, certificates, diagnostics = sections["certificate.json"]
     lines = ["certification summary", "=====================", *sections["estimates.json"],

@@ -91,7 +91,8 @@ def compute_estimates(p: ProblemParameters, norm_g: float, norm_phi0: float = 0.
     ----------
     p : ProblemParameters
     norm_g : float
-        L2 norm of the forcing (as realized on the working grid).
+        L2 norm of the forcing over the whole line, not on the periodic
+        box (the CLI passes the closed form of its forcing bump).
     norm_phi0 : float, optional
         Norm of the history endpoint phi(0); enters only c4.
 

@@ -336,15 +336,16 @@ def parse_config(text: str):
     Raises
     ------
     ConfigError
-        On malformed JSON (including NaN/Infinity and numbers that overflow
-        a float), unknown/missing keys, values of the wrong type, values
+        On malformed JSON (including NaN/Infinity, numbers that overflow
+        a float and nesting deeper than the parser's recursion limit),
+        unknown/missing keys, values of the wrong type, values
         that break a field's rule, sigma <= 0, mu*tau so large that
         exp(mu*tau) overflows a float, or a history segment of more than
         MAX_SEGMENT_FLOATS floats.
     """
     try:
         doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
-    except ValueError as exc:  # JSONDecodeError or a rejected number
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, a rejected number, deep nesting
         raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top-level document must be a JSON object")

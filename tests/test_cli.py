@@ -31,8 +31,12 @@ from delayrd.model import (
     MAX_ENSEMBLE,
     MAX_SEGMENT_FLOATS,
     MAX_SPECTRAL_COUNT,
+    ForcingSpec,
+    Grid,
+    evaluate_forcing,
     parse_config,
 )
+from delayrd.semigroup import field_norm
 
 
 def write_config(path, **overrides):
@@ -331,7 +335,8 @@ def test_report_malformed_artifact_exits_2(tmp_path, capsys, name, damage):
 
 
 @pytest.mark.parametrize("damage", ["truncated-spectrum", "missing-estimates",
-                                    "edited-certificate", "truncated-manifest"])
+                                    "edited-certificate", "truncated-manifest",
+                                    "nested-manifest"])
 def test_report_exit_2_removes_the_previous_summary(tmp_path, damage):
     """A summary written before an artifact was damaged once stayed on disk
     after `report` exited 2.  Every exit-2 path removes both files."""
@@ -346,6 +351,8 @@ def test_report_exit_2_removes_the_previous_summary(tmp_path, damage):
         (out / "estimates.json").unlink()
     elif damage == "truncated-manifest":
         (out / "manifest.json").write_text('{"payload_sha256"')
+    elif damage == "nested-manifest":  # once a RecursionError from json.loads, exit 1
+        (out / "manifest.json").write_text("[" * 100_000 + "]" * 100_000)
     else:
         text = (out / "certificate.json").read_text()
         (out / "certificate.json").write_text(text.replace('"feasible": true', '"feasible": false'))
@@ -609,13 +616,14 @@ def test_golden_squeeze_across_groups(tmp_path):
     ('"steps_per_delay": 16', '"steps_per_delay": true'),
     ('"kind": "scaled_tanh"', '"kind": ["scaled_tanh"]'),
     ('"contraction_times": [0.5, 1.0]', '"contraction_times": []'),
+    ('"mu": 2.0', '"mu": ' + "[" * 100_000 + "]" * 100_000),
 ], ids=["nan", "infinity", "float-overflow", "int-overflow", "horizon-type",
         "seed-type", "seed-negative", "no-dichotomy-samples", "amplitude-type",
         "mu-tau-overflow-mu", "mu-tau-overflow-tau", "cutoff-radius-L/4",
         "steps-per-delay-fraction", "ensemble-fraction", "points-fraction",
         "history-norm-negative", "points-2^60", "segment-beyond-cap",
         "snapshot-every-negative", "steps-per-delay-bool", "kind-type",
-        "contraction-times-empty"])
+        "contraction-times-empty", "nested-100000-deep"])
 def test_bad_config_exits_2_without_hanging(tmp_path, old, new):
     """Run in a subprocess with a timeout, so an input that makes the
     pipeline spin fails the test instead of hanging the suite."""
@@ -1130,3 +1138,37 @@ def test_seed_is_a_64_bit_integer(tmp_path, capsys):
     assert main(["spectrum", "--config", cfg, "--out", str(out),
                  "--seed", "18446744073709551615"]) == EXIT_OK
     assert json.loads((out / "manifest.json").read_text())["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("kind", ["gaussian_bump", "compact_bump"])
+def test_estimates_do_not_move_with_the_forcing_centre(tmp_path, kind):
+    """certify's constants use ||g|| over the whole line, which a translation
+    keeps.  On configs/certify.json (L = 16) the box's grid norm of a bump at
+    15.5 was once 14% (Gaussian) or 5% (compact) below the bump at 0, and so
+    were c3, c1, c4, c5 and T_D.  estimates.json is the same bytes for a
+    bump anywhere in the box, cut by its edge or not."""
+    base = (CONFIGS / "certify.json").read_text()
+    texts = set()
+    for center in (0.0, -9.75, 15.5, -15.9):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(base.replace('"forcing": {"kind": "gaussian_bump", "amplitude": 0.5}',
+                                    f'"forcing": {{"kind": "{kind}", "amplitude": 0.5, '
+                                    f'"center": {center}}}'))
+        out = tmp_path / f"out-{center}"
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        texts.add((out / "estimates.json").read_text())
+    (text,) = texts
+    assert f'"norm_g": {cli._forcing_norm(ForcingSpec(kind=kind, amplitude=0.5))!r},' in text
+
+
+@pytest.mark.parametrize("center,width", [(0.0, 1.0), (15.5, 1.0), (-3.3, 2.5), (0.0, 30.0)])
+@pytest.mark.parametrize("kind", ["gaussian_bump", "compact_bump"])
+def test_forcing_norm_matches_a_grid_sum_on_a_larger_box(kind, center, width):
+    """The closed forms A (w sqrt(pi))^(1/2) and A (w I)^(1/2) against the
+    grid L2 norm on a box 16 times as long as configs/certify.json's
+    (L = 256) at an eighth of its spacing (h = 1/128), where neither the
+    box nor the spacing cuts a bump of these widths by 1e-13."""
+    forcing = ForcingSpec(kind=kind, amplitude=-0.6, center=center, width=width)
+    grid = Grid(half_length=256.0, points=2**15)
+    box = field_norm(evaluate_forcing(forcing, grid.nodes), grid)
+    assert cli._forcing_norm(forcing) == pytest.approx(box, rel=1e-13, abs=0.0)

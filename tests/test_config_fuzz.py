@@ -38,6 +38,11 @@ SCHEMA_KEYS = [(None, f.name) for f in fields(ProblemParameters)] + [(None, "gri
 PALETTE = [0, -1, 16.7, 1e-300, 1e-8, 1e300, 2**60, 10**30, True, None, "x", [], {}]
 # Python type of each annotation, as the parser must store it
 STORED = {"float": float, "int": int, "str": str}
+# JSON nested deeper than the parser's recursion limit, which json.dumps and
+# copy.deepcopy cannot build either: `config_text` writes it where `edited`
+# put the DEEP placeholder
+NESTED = "[" * 100_000 + "]" * 100_000
+DEEP = "<JSON array nested 100000 deep>"
 
 leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=8),
                    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(PALETTE))
@@ -60,6 +65,10 @@ def edited(doc: dict, edits) -> dict:
         if isinstance(target, dict):
             target[key] = copy.deepcopy(value)  # the palette's [] and {} are shared
     return doc
+
+
+def config_text(doc: dict) -> str:
+    return json.dumps(doc).replace(json.dumps(DEEP), NESTED)
 
 
 def assert_stored_types(obj) -> None:
@@ -105,6 +114,7 @@ def test_parse_config_returns_typed_triple_or_config_error(text):
 @example([((None, "mu"), 200), ((None, "tau"), 0.01)])  # eta underflows to 0 at t0 = 20
 @example([((None, "mu"), 200), ((None, "tau"), 0.05), ((None, "sigma"), 1e-5)])  # bR overflows
 @example([((None, "mu"), 20), ((None, "tau"), 0.05), ((None, "lf"), 10)])  # bR overflows
+@example([((None, "mu"), DEEP)])  # once a RecursionError from json.loads, exit 1
 def test_cli_exits_through_documented_codes(edits):
     """configs/base.json with one to three schema keys set from a palette
     of edge values: every subcommand returns 0, 2, 3 or 4, and every exit 3
@@ -112,7 +122,7 @@ def test_cli_exits_through_documented_codes(edits):
     doc = edited(json.loads(BASE.read_text()), edits)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = pathlib.Path(tmp) / "cfg.json"
-        cfg.write_text(json.dumps(doc))
+        cfg.write_text(config_text(doc))
         for subcommand in ("certify", "spectrum", "simulate", "squeeze"):
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main([subcommand, "--config", str(cfg), "--out", f"{tmp}/{subcommand}"])
@@ -171,6 +181,7 @@ def damaged_text(text: str, damage) -> str:
 @example("spectrum.json", '{"broken')
 @example("certificate.json", "[]")
 @example("estimates.json", [(("beta",), DELETE)])
+@example("spectrum.json", NESTED)  # once a RecursionError from json.loads, exit 1
 def test_report_exits_0_or_2_on_a_damaged_artifact(certify_run, name, damage):
     """A real certify directory with one artifact replaced by any JSON
     value, any text, or the real document with keys deleted or set: report

@@ -4,6 +4,7 @@ oracle.  The bytes must be equal for every document the oracle accepts."""
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayrd import cli
-from delayrd.cli import _record_template, write_json
+from delayrd.cli import _load_config, _record_template, write_json
+from delayrd.spectrum import spectral_partition
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _sanitize(obj):
@@ -135,15 +139,18 @@ def _records(values, keys=("re", "im", "multiplicity", "residual")):
     return records
 
 
-# (records, how many of them take the general path)
+# (records, how many of them take the general path): a list is written from
+# one template or wholly by the general path
 TEMPLATE_CASES = {
     "plain": (_records([0.1, -0.0, 5e-324, 1e-300, 3, -7, 2**62, 1e16]), 0),
     "overflowing-sum": (_records([1e308, 1.5e308]), 12),
-    "huge-int": ([{"a": 10**400, "b": 1.0}, {"a": 1, "b": 1.0}, {"a": 10**400, "b": 1}], 2),
+    "overflowing-list-sum": (_records([1e308, 1.0, -0.5, 2]), 12),
+    "huge-int": ([{"a": 10**400, "b": 1.0}, {"a": 1, "b": 1.0}, {"a": 10**400, "b": 1}], 3),
     "bool": (_records([0.5, True, 2]), 12),
     "numpy-float64": (_records([np.float64(0.5), 1.0, 2]), 12),
     "special-keys": (_records([0.5, -1, 2.0], keys=("%s", "100%", '"q"', "é☃")), 0),
-    "mixed-key-sets": ([{"x": 1.0, "y": 2}, {"x": 3.0}, {"y": 4, "x": 5.0}, {}], 2),
+    "mixed-key-sets": ([{"x": 1.0, "y": 2}, {"x": 3.0}, {"y": 4, "x": 5.0}, {}], 4),
+    "same-size-key-sets": ([{"x": 1.0, "y": 2}, {"x": 3.0, "z": 4}, {"y": 5, "x": 6.0}], 3),
     "empty-first": ([{}, {"x": 1.0}, {"x": 2.0}], 3),
     "non-finite": (_records([math.nan, 1.0, math.inf, -math.inf]), 12),
 }
@@ -151,16 +158,37 @@ TEMPLATE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(TEMPLATE_CASES))
 def test_record_templates_match_oracle(tmp_path, monkeypatch, case):
-    """A list's dicts with its first dict's key set and exact int or finite
-    float values are written from one template; the rest (bool, numpy
-    scalars, non-finite values or a sum that overflows, ints beyond the
-    float range, other key sets) take the general path.  Both give the
+    """A list whose dicts all have its first dict's key set and whose values
+    are exact ints or floats with a finite sum is written from one template.
+    Any other list (bool, numpy scalars, non-finite values, a sum over the
+    whole list that overflows, ints beyond the float range, another key
+    set) sends every item through the general path.  Both give the
     oracle's bytes."""
     records, general = TEMPLATE_CASES[case]
     doc = {"records": records, "nested": [records[:3], records[3:]]}
     write_json(str(tmp_path / "doc.json"), doc)
     assert (tmp_path / "doc.json").read_bytes() == oracle_bytes(doc)
     assert _general_records(monkeypatch, {"records": records}) == general
+
+
+def test_overflowing_list_sum_has_finite_record_sums():
+    """Each record of the "overflowing-list-sum" case sums to a finite float;
+    only the sum over the whole list overflows."""
+    records, _ = TEMPLATE_CASES["overflowing-list-sum"]
+    assert all(math.isfinite(sum(record.values())) for record in records)
+    assert not math.isfinite(sum(value for record in records for value in record.values()))
+
+
+@pytest.mark.parametrize("path", sorted([*ROOT.glob("configs/*.json"),
+                                         *ROOT.glob("perfbench/configs/*.json")]),
+                         ids=lambda path: str(path.relative_to(ROOT)))
+def test_shipped_spectra_match_oracle(tmp_path, path):
+    """The spectrum document of every shipped config, whose root and group
+    records are what the templates are for, gives the oracle's bytes."""
+    p, _, run = _load_config(str(path))
+    doc = spectral_partition(p, run.cutoff_radius, run.m_cut, run.modes).as_dict()
+    write_json(str(tmp_path / "spectrum.json"), doc)
+    assert (tmp_path / "spectrum.json").read_bytes() == oracle_bytes(doc)
 
 
 @settings(max_examples=200, deadline=None)
