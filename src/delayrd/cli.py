@@ -49,7 +49,6 @@ import math
 import os
 import struct
 import sys
-import tempfile
 from itertools import chain, islice, takewhile
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -109,17 +108,19 @@ SNAPSHOT_VERSION = 1
 
 
 def _atomic_write_bytes(path: str, payload: bytes) -> str:
-    """Write ``payload`` to ``path`` atomically; returns its sha256."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    """Write ``payload`` to ``path`` atomically, by way of a temp file named
+    for the process, with the mode `open` gives; returns its sha256.  An
+    OSError is a ConfigError naming ``path``, and no temp file is left."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.getpid()}~")
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with open(tmp, "wb") as handle:
             handle.write(payload)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -243,29 +244,19 @@ class RunManifest:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
-        self.config_path = config_path
-        self.seed = seed
-        self.subcommand = subcommand
-        self.out_dir = out_dir
-        self.version = __version__
+        self.doc = {"config_path": config_path, "seed": seed, "subcommand": subcommand,
+                    "out_dir": out_dir, "version": __version__}
         self.payloads: dict = {}
 
     def save(self, name: str, writer, *args) -> None:
         """Write artifact ``name`` into the run directory and record the
         sha256 that ``writer`` returns for the bytes it wrote."""
-        self.payloads[name] = writer(os.path.join(self.out_dir, name), *args)
+        self.payloads[name] = writer(os.path.join(self.doc["out_dir"], name), *args)
 
     def write(self) -> None:
-        doc = {
-            "config_path": self.config_path,
-            "seed": self.seed,
-            "subcommand": self.subcommand,
-            "out_dir": self.out_dir,
-            "version": self.version,
-            "payload_sha256": dict(sorted(self.payloads.items())),
-            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        }
-        write_json(os.path.join(self.out_dir, "manifest.json"), doc)
+        write_json(os.path.join(self.doc["out_dir"], "manifest.json"), dict(
+            self.doc, payload_sha256=dict(sorted(self.payloads.items())),
+            generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat()))
 
 
 # --- seeded ensembles --------------------------------------------------------

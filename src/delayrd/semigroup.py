@@ -92,8 +92,6 @@ class SemigroupStepper:
         if dt <= 0:
             raise ValueError("stepper dt must be positive")
         self.grid = grid
-        self.mu = mu
-        self.dt = dt
         xi = grid.frequencies
         self.multiplier = np.exp(-(mu + xi * xi) * dt).astype(complex)
 

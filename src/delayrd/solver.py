@@ -22,9 +22,9 @@ steps on coefficients, a block of rows at a time.  `evolve` is the
 equation's march (the rfft pair, the S(dt) multiplier and the delayed load
 above, written only there).  The CLI stores no trajectory: `simulate` and
 `squeezing` reduce `evolve`'s rows as they come; `integrate` stores every
-row, for tests, demos and `estimates`.  `spectrum` marches a scalar decay
-per Dirichlet mode.  Rows may carry a batch axis, so several histories or
-a set of modes advance as one array.
+row, for tests and demos.  `spectrum` marches a scalar decay per Dirichlet
+mode.  Rows may carry a batch axis, so several histories or a set of modes
+advance as one array.
 
 A history is the array of its S + 1 rows u(theta_j), theta_j = -tau + j dt,
 shaped (S + 1, [B,] P), and a trajectory the (N + 1, [B,] P) array of rows
@@ -254,13 +254,13 @@ def window_sups(hist, blocks, steps, quantity) -> np.ndarray:
     """Entry i is the max of ``quantity(rows)`` (per row, on the leading
     axis) over rows steps[i] - S .. steps[i], where ``hist``'s S + 1 rows
     are rows -S .. 0 and `march`'s ``blocks`` yield rows 1, 2, ....  The
-    history goes in chunks of the march's block size, ``quantity`` sees only
+    history is one chunk and each block another; ``quantity`` sees only
     rows some window holds, and no block after row max(steps) is drawn."""
-    S, size = len(hist) - 1, max(1, BLOCK_FLOATS // hist[0].size)
+    S = len(hist) - 1
     marks, sups, start = sorted(set(steps)), {}, -S  # start: the chunk's first row
     rows = [r for m, n in zip([-S - 1, *marks], marks)  # the held rows, ascending
             for r in range(max(n - S, m + 1), n + 1)]
-    for chunk in chain((hist[j:j + size] for j in range(0, S + 1, size)), blocks):
+    for chunk in chain([hist], blocks):
         end = start + len(chunk)
         if held := rows[bisect_left(rows, start):bisect_left(rows, end)]:
             a, b = held[0] - start, held[-1] - start + 1

@@ -20,9 +20,10 @@ with
 the same four.
 
 A history is the (S + 1, P) array of its rows on ``ps.grid``, and a pair
-is two of them; `project_P`, `project_Q` and `project_R` return the part of
-an array of rows.  `measure_contraction` marches each pair once and takes
-the P, Q and R segment norms of its difference through `solver.window_sups`.
+is two of them; `project_P`, `project_Q` and `project_R` each build only
+their own part of an array of rows.  `measure_contraction` marches each
+pair once and takes the P, Q and R segment norms of its difference through
+`solver.window_sups`.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class ProjectionSet:
     ``basis`` holds k_m columns, orthonormal under the h-weighted inner
     product and supported on the nodes inside Omega_K; P is the induced
     orthogonal projection, Q the inside complement, R the outside
-    restriction.  P + Q + R reassembles the identity exactly.
+    restriction.  P + Q + R reassembles the identity exactly; `norms` takes
+    the three parts' grid norms of a block of rows.
     """
 
     grid: Grid
@@ -66,15 +68,6 @@ class ProjectionSet:
     k_m: int
     basis: np.ndarray
     inside: np.ndarray
-
-    def parts(self, rows: np.ndarray) -> np.ndarray:
-        """P, Q and R parts of each row (grid on the last axis), stacked on a
-        new leading axis of length 3.  P comes from stacked matrix-vector
-        products, so a row gives the same bytes alone as in a segment."""
-        restricted = np.where(self.inside, rows, 0.0)
-        coeff = self.grid.spacing * np.matmul(self.basis.T, restricted[..., None])
-        p_part = np.matmul(self.basis, coeff)[..., 0]
-        return np.stack([p_part, restricted - p_part, np.where(self.inside, 0.0, rows)])
 
     def norms(self, rows: np.ndarray) -> np.ndarray:
         """The P, Q and R grid norms of rows shaped (m, B, P), as one (m, 3, B)
@@ -128,18 +121,22 @@ def make_projections(grid: Grid, K: float, k_m: int) -> ProjectionSet:
 
 
 def project_P(samples: np.ndarray, ps: ProjectionSet) -> np.ndarray:
-    """Restrict to Omega_K, expand in the sine basis, keep modes 1..k_m."""
-    return ps.parts(samples)[0]
+    """Restrict to Omega_K, expand in the sine basis, keep modes 1..k_m.
+    The coefficients are stacked matrix-vector products, so a row gives the
+    same bytes alone as in a segment."""
+    restricted = np.where(ps.inside, samples, 0.0)
+    coeff = ps.grid.spacing * np.matmul(ps.basis.T, restricted[..., None])
+    return np.matmul(ps.basis, coeff)[..., 0]
 
 
 def project_Q(samples: np.ndarray, ps: ProjectionSet) -> np.ndarray:
     """Inside complement: restriction to Omega_K minus the P part."""
-    return ps.parts(samples)[1]
+    return np.where(ps.inside, samples, 0.0) - project_P(samples, ps)
 
 
 def project_R(samples: np.ndarray, ps: ProjectionSet) -> np.ndarray:
     """Outside restriction: multiply by the indicator of Omega_K^C."""
-    return ps.parts(samples)[2]
+    return np.where(ps.inside, 0.0, samples)
 
 
 def contraction_terms(t: float, p: ProblemParameters, spectral: SpectralData,

@@ -169,7 +169,8 @@ def part_norm_rounding_bound(rows, ps):
     """Bound on how far two computations of the P, Q and R norms of each row
     (the grid on the last axis) may differ in rounding alone, when both
     project with the same stored basis but sum in different orders or over
-    different zero entries (`ProjectionSet.norms` against `parts`).
+    different zero entries (`ProjectionSet.norms` against `project_P`,
+    `project_Q` and `project_R`).
 
     With u the unit roundoff, n = P nodes, k = k_m and ||x|| the row's grid
     norm (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,

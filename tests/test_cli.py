@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -397,6 +398,44 @@ def test_out_on_an_existing_file_exits_2(tmp_path, capsys, subcommand, under):
     assert main([subcommand, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: cannot create output directory")
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("subcommand,blocked", [("certify", "spectrum.json"),
+                                                ("report", "summary.csv")])
+def test_unwritable_artifact_exits_2(tmp_path, capsys, subcommand, blocked):
+    """A directory where an artifact goes once left through
+    `_atomic_write_bytes` with an IsADirectoryError traceback (exit 1).  It
+    is a configuration error that names the path, and no temp file is left."""
+    cfg = feasible_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    certify = ["certify", "--config", cfg, "--out", str(out)]
+    if subcommand == "report":
+        assert main(certify) == EXIT_OK
+    (out / blocked).mkdir(parents=True)
+    argv = ["report", "--dir", str(out)] if subcommand == "report" else certify
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / blocked}: ") and err.count("\n") == 1
+    assert not [path.name for path in out.iterdir() if path.name.startswith(".tmp-")]
+    assert (out / blocked).is_dir()
+
+
+def test_artifacts_get_the_mode_open_gives(tmp_path):
+    """Artifacts were once made by `tempfile.mkstemp`, mode 0600, so the
+    group could not read a shared results directory.  Every file a certify
+    and report run writes has mode 0o666 & ~umask."""
+    cfg = feasible_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    umask = os.umask(0o027)
+    try:
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert main(["report", "--dir", str(out)]) == EXIT_OK
+    finally:
+        os.umask(umask)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+    assert sorted(modes) == ["certificate.json", "estimates.json", "manifest.json",
+                             "spectrum.json", "summary.csv", "summary.txt"]
+    assert set(modes.values()) == {0o666 & ~0o027}
 
 
 def test_parser_requires_subcommand():
@@ -995,23 +1034,36 @@ def test_incomplete_spectrum_exits_3(tmp_path, capsys, subcommand, radius):
         assert "infeasible: mode 1:" in err
 
 
-@pytest.mark.parametrize("subcommand,radius,code", [
-    pytest.param(subcommand, radius, code, id=f"{prefix}{case}")
+@pytest.mark.parametrize("subcommand,radius,sigma,code,line", [
+    pytest.param(subcommand, radius, sigma, code, line, id=f"{prefix}{case}")
     for subcommand, prefix in (("certify", ""), ("spectrum", "spectrum-"), ("squeeze", "squeeze-"))
-    for radius, code, case in (("1e-8", EXIT_INFEASIBLE, "root-overflow-exit-3"),
-                               ("4.0", EXIT_CONFIG, "cut-at-L/4-exit-2"))])
-def test_certify_spectral_failure_writes_nothing(tmp_path, subcommand, radius, code):
+    for radius, sigma, code, line, case in (
+        ("1e-8", "0.1", EXIT_INFEASIBLE,
+         "infeasible: mode 3: characteristic-root search overflows", "root-overflow-exit-3"),
+        ("4.0", "0.1", EXIT_CONFIG,
+         "config error: run.cutoff_radius must satisfy K < L/4", "cut-at-L/4-exit-2"),
+        ("0.2", "1e-30", EXIT_INFEASIBLE,
+         "infeasible: only 1 distinct real parts in the window; m_cut=3", "one-real-part-exit-3"),
+        ("0.1", "1e-30", EXIT_INFEASIBLE,
+         "infeasible: no characteristic roots found in the search window", "no-roots-exit-3"))])
+def test_certify_spectral_failure_writes_nothing(tmp_path, subcommand, radius, sigma, code, line):
     """A certify run that fails in its spectral stage once left an
     estimates.json with no manifest to hash it, which `report` then
     refused, and spectrum and squeeze left an empty output directory; the
-    spectral stage now runs before the output directory is made."""
+    spectral stage now runs before the output directory is made.  Each
+    failure is one stderr line."""
     text = (CONFIGS / "base.json").read_text()
-    assert '"cutoff_radius": 3.0' in text
+    edits = [('"cutoff_radius": 3.0', f'"cutoff_radius": {radius}'),
+             ('"sigma": 0.1', f'"sigma": {sigma}')]
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(text.replace('"cutoff_radius": 3.0', f'"cutoff_radius": {radius}'))
+    cfg.write_text(text)
     out = tmp_path / "out"
     proc = run_cli_subprocess(subcommand, cfg, out)
     assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(line) and proc.stderr.count("\n") == 1, proc.stderr
     assert not (out / "estimates.json").exists()
     assert not out.exists()
 

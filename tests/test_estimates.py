@@ -98,6 +98,12 @@ def test_absorbing_time_edges(dissipative):
     )
     assert math.isinf(absorbing_time(loud, compute_estimates(loud, norm_g=1.0), 1.0))
 
+    # zero forcing: the ball radius c3 is 0, which no history of norm > 0 enters
+    still = compute_estimates(dissipative, norm_g=0.0)
+    assert still.dissipative and still.c3 == 0.0
+    assert math.isinf(absorbing_time(dissipative, still, 1.0))
+    assert absorbing_time(dissipative, still, 0.0) == 0.0
+
 
 def test_absorbing_time_entry_inequality(dissipative):
     """The returned T solves the entry inequality: the exponential left

@@ -18,7 +18,6 @@ from delayrd.estimates import (
     verify_energy_integral,
     verify_far_field,
 )
-from delayrd import solver
 from delayrd.semigroup import gradient_norm
 from delayrd.solver import (
     far_field_mass,
@@ -236,14 +235,10 @@ def two_per_row(rows):
     return np.stack([rows.max(axis=-1), np.sum(rows * rows, axis=-1)], axis=-1)
 
 
-@pytest.mark.parametrize("history_rows", [1, 3, WINDOW_S + 1],
-                         ids=["one-row", "three-rows", "whole-history"])
-def test_window_sups_equal_segment_sups_at_the_steps(monkeypatch, history_rows):
-    """Unsorted and repeated steps, step 0 and steps below S, with history
-    chunks of one row, of three rows (not dividing S + 1) and of all rows:
-    the same bytes as `segment_sups` of the stored rows at those steps,
-    trailing axes kept."""
-    monkeypatch.setattr(solver, "BLOCK_FLOATS", history_rows * math.prod(WINDOW_ROW))
+def test_window_sups_equal_segment_sups_at_the_steps():
+    """Unsorted and repeated steps, step 0 and steps below S: the same bytes
+    as `segment_sups` of the stored rows at those steps, trailing axes
+    kept."""
     hist, rows, blocks = window_rows()
     every = segment_sups(two_per_row(hist), two_per_row(np.concatenate([hist[-1:], rows])))
     sups = window_sups(hist, iter(blocks), WINDOW_STEPS, two_per_row)

@@ -69,16 +69,17 @@ def test_projections_match_per_row_loop(rng, grid):
 @pytest.mark.parametrize("support", ["inside", "outside", "mixed"])
 def test_block_norms_match_parts(rng, grid, support):
     """The P, Q and R norms of a block of rows, taken from the nodes inside
-    and outside Omega_K, equal the row norms of `parts` within
-    `conftest.part_norm_rounding_bound`, for rows wholly inside Omega_K,
-    wholly outside it, and on both sides."""
+    and outside Omega_K, equal the row norms of `project_P`, `project_Q`
+    and `project_R` within `conftest.part_norm_rounding_bound`, for rows
+    wholly inside Omega_K, wholly outside it, and on both sides."""
     ps = make_projections(grid, K=3.0, k_m=4)
     rows = rng.standard_normal((5, 3, grid.points))
     if support != "mixed":
         rows[..., ps.inside if support == "outside" else ~ps.inside] = 0.0
     norms = ps.norms(rows)
     assert norms.shape == (5, 3, 3)
-    expected = np.moveaxis(row_norms(ps.parts(rows), grid), 0, -2)
+    parts = np.stack([project(rows, ps) for project in (project_P, project_Q, project_R)])
+    expected = np.moveaxis(row_norms(parts, grid), 0, -2)
     bound = part_norm_rounding_bound(rows, ps)[:, None, :]
     assert np.all(np.abs(norms - expected) <= bound)
     assert np.all(bound < 1e-11 * np.max(norms))
