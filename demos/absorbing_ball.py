@@ -14,7 +14,7 @@ from delayrd.cli import random_history
 from delayrd.estimates import absorbing_time, compute_estimates, verify_absorption
 from delayrd.model import ForcingSpec, Grid, NonlinearitySpec, ProblemParameters, evaluate_forcing
 from delayrd.semigroup import field_norm
-from delayrd.solver import integrate, row_norms, segment_at, segment_norm, segment_sups
+from delayrd.solver import integrate, segment_at, segment_norm, segment_sups
 
 grid = Grid(half_length=16.0, points=512)
 raw = evaluate_forcing(ForcingSpec(kind="gaussian_bump", amplitude=1.0), grid.nodes)
@@ -48,7 +48,7 @@ values = integrate(phi, T_D + 2.0 + p.tau, p, grid)
 dt = p.tau / S
 
 print(f"\nstart norm {segment_norm(phi, grid):.4f}, certified entry by T_D = {T_D:.4f}")
-sups = segment_sups(row_norms(phi, grid), row_norms(values, grid))
+sups = segment_sups(field_norm(phi, grid), field_norm(values, grid))
 report = verify_absorption(sups, dt, est, T_D)
 print(f"measured sup after T_D: {report['max_segment_norm']:.4f} "
       f"(threshold {report['threshold']:.4f}, ok={report['ok']})")

@@ -49,7 +49,7 @@ import math
 import os
 import struct
 import sys
-from itertools import chain, islice, takewhile
+from itertools import chain, takewhile
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -249,12 +249,17 @@ class RunManifest:
         self.payloads: dict = {}
 
     def save(self, name: str, writer, *args) -> None:
-        """Write artifact ``name`` into the run directory and record the
-        sha256 that ``writer`` returns for the bytes it wrote."""
-        self.payloads[name] = writer(os.path.join(self.doc["out_dir"], name), *args)
+        """Write artifact ``name`` into the run directory and record the sha256 that
+        ``writer`` returns for its bytes.  A ConfigError first removes what this run saved."""
+        try:
+            self.payloads[name] = writer(os.path.join(self.doc["out_dir"], name), *args)
+        except ConfigError:
+            for saved in self.payloads:
+                os.remove(os.path.join(self.doc["out_dir"], saved))
+            raise
 
     def write(self) -> None:
-        write_json(os.path.join(self.doc["out_dir"], "manifest.json"), dict(
+        self.save("manifest.json", write_json, dict(
             self.doc, payload_sha256=dict(sorted(self.payloads.items())),
             generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat()))
 
@@ -462,10 +467,10 @@ def cmd_certify(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid
 
 def cmd_simulate(config_path: str, out_dir: str, p: ProblemParameters, grid: Grid,
                  run: RunOptions) -> int:
-    """Integrate one trajectory from a ``run.seed`` history; export norm and
-    far-field CSVs, a snapshot every ``run.snapshot_every`` steps and the
-    far-field verdict at ``run.eps``.  Rows are reduced S = steps_per_delay
-    at a time as `evolve` yields them, so memory is O(S P) plus O(N) scalars."""
+    """Integrate one trajectory from a ``run.seed`` history; export norm and far-field
+    CSVs, a snapshot every ``run.snapshot_every`` steps and the far-field verdict at
+    ``run.eps``.  Each block `evolve` yields is reduced whole, so memory is O(S P) plus
+    O(N) scalars; the reductions ignore overflow, so only the march decides divergence."""
     S, dt = run.steps_per_delay, p.tau / run.steps_per_delay
     steps = step_count(run.horizon, dt)
     if steps > MAX_MARCH_STEPS:
@@ -476,18 +481,18 @@ def cmd_simulate(config_path: str, out_dir: str, p: ProblemParameters, grid: Gri
     radii = far_field_radii(grid.half_length)
 
     def tails(rows):  # one column per radius: the cutoff, then `radii`
-        return np.stack([far_field_masses(rows, grid, K)
-                         for K in (run.cutoff_radius, *radii)], axis=-1)
+        return np.stack([far_field_masses(rows, grid, K) for K in (run.cutoff_radius, *radii)], -1)
 
-    rows = chain([phi[-1]], chain.from_iterable(evolve(phi, steps, p, grid)))
-    norms, masses = [], []
-    while block := list(islice(rows, S)):
-        for n, row in enumerate(block, start=len(norms)):
-            norms.append(field_norm(row, grid))
-            if run.snapshot_every > 0 and n % run.snapshot_every == 0:
-                manifest.save(f"field_{n:08d}.bin", write_snapshot, row, grid.half_length, n * dt)
-        masses.append(tails(np.stack(block)))
-    sups = segment_sups(tails(phi), np.concatenate(masses))
+    every, n, norms, masses = run.snapshot_every, 0, [], []  # n: the block's first step
+    with np.errstate(over="ignore"):
+        for block in chain([phi[-1:]], evolve(phi, steps, p, grid)):  # u(0), then the march
+            norms.append(field_norm(block, grid))
+            masses.append(tails(block))
+            for j in range(n + -n % every, n + len(block), every) if every else ():
+                manifest.save(f"field_{j:08d}.bin", write_snapshot, block[j - n],
+                              grid.half_length, j * dt)
+            n += len(block)
+        norms, sups = np.concatenate(norms), segment_sups(tails(phi), np.concatenate(masses))
 
     manifest.save("norms.csv", write_csv, ("t", "norm_u", "farfield_mass"),
                   [(n * dt, norm, sups[n, 0]) for n, norm in enumerate(norms)])

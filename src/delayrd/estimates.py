@@ -198,7 +198,7 @@ def absorbing_time(p: ProblemParameters, est: EstimateSet, norm_D: float) -> flo
 def verify_absorption(sups, dt: float, est: EstimateSet, T: float) -> dict:
     """Measure sup_{t >= T} ||u_t||_C on a trajectory and compare to c3.
 
-    ``sups[n]`` is ||u_{n dt}||_C, the `segment_sups` of `row_norms`.  T is
+    ``sups[n]`` is ||u_{n dt}||_C, the `segment_sups` of `field_norm`.  T is
     rounded up to the step grid and must not lie past the horizon
     (ValueError); at T = horizon only the last segment is measured.
     Returns a report with the measured maximum, the certified threshold

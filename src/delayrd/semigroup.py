@@ -13,9 +13,9 @@ Key properties (each covered by tests):
 * positivity:         phi >= 0  implies  S(t) phi >= 0 (up to roundoff).
 
 A field is a row of node values with the `Grid` it is sampled on, passed
-as the pair ``(values, grid)``: `field_norm` and `gradient_norm` reduce one
-row, as `solver.row_norms` reduces many, and `apply_semigroup` returns the
-evolved row.
+as the pair ``(values, grid)``: `field_norm` reduces one row or a block of
+rows on any leading axes (the package's one L2 row norm), `gradient_norm`
+reduces one row, and `apply_semigroup` returns the evolved row.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ __all__ = [
 ]
 
 
-def field_norm(values: np.ndarray, grid: Grid) -> float:
-    """Grid-weighted L2 norm of one row, sqrt(h * sum(values^2))."""
-    return math.sqrt(grid.spacing * float(np.dot(values, values)))
+def field_norm(values: np.ndarray, grid: Grid):
+    """Grid-weighted L2 norm sqrt(h * sum(values^2)) of each row, the grid on
+    the last axis: a scalar for one row, an array over any leading axes."""
+    return np.sqrt(grid.spacing * np.sum(values * values, axis=-1))
 
 
 def gradient_norm(values: np.ndarray, grid: Grid) -> float:

@@ -48,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ProblemParameters, Grid, evaluate_forcing, evaluate_nonlinearity
-from .semigroup import SemigroupStepper
+from .semigroup import SemigroupStepper, field_norm
 
 __all__ = [
     "DivergenceError",
@@ -60,7 +60,6 @@ __all__ = [
     "history_from_function",
     "integrate",
     "march",
-    "row_norms",
     "segment_at",
     "segment_norm",
     "segment_sups",
@@ -274,14 +273,9 @@ def window_sups(hist, blocks, steps, quantity) -> np.ndarray:
     raise ValueError(f"the blocks end at row {start}, before step {marks[-1]}")
 
 
-def row_norms(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Grid L2 norm of each row of ``samples`` (the grid on the last axis)."""
-    return np.sqrt(grid.spacing * np.sum(samples * samples, axis=-1))
-
-
 def segment_norm(samples: np.ndarray, grid: Grid) -> float:
-    """Segment sup-norm: max over the rows of ``samples`` of the grid L2 norm."""
-    return float(np.max(row_norms(samples, grid)))
+    """Segment sup-norm: max over the rows of ``samples`` of their `field_norm`."""
+    return float(np.max(field_norm(samples, grid)))
 
 
 def far_field_masses(samples: np.ndarray, grid: Grid, K: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from delayrd.model import (
 )
 from delayrd.model import evaluate_forcing, evaluate_nonlinearity
 from delayrd.semigroup import field_norm, gradient_norm
-from delayrd.solver import far_field_masses, row_norms, segment_sups
+from delayrd.solver import far_field_masses, segment_sups
 from delayrd.spectrum import ROOT_RESIDUAL_TOL, ModeRoots
 
 
@@ -204,7 +204,7 @@ def far_field_sups(hist, values, grid, radii):
 def norm_sups(hist, values, grid):
     """Segment norms of a stored trajectory, one per step: the array
     `verify_absorption` takes."""
-    return segment_sups(row_norms(hist, grid), row_norms(values, grid))
+    return segment_sups(field_norm(hist, grid), field_norm(values, grid))
 
 
 def gradient_sups(hist, values, grid):

@@ -38,6 +38,7 @@ from delayrd.model import (
     parse_config,
 )
 from delayrd.semigroup import field_norm
+from delayrd.solver import integrate
 
 
 def write_config(path, **overrides):
@@ -181,17 +182,35 @@ def test_simulate_divergence_exits_4(tmp_path, capsys):
     assert "divergence at step" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("points", [512, 2048])  # rows of 512 and 2048 floats: both loops
-def test_simulate_divergence_prints_one_line(tmp_path, points):
-    """A diverging run says so once, with no numpy warning from the step
-    arithmetic before it: march checks every new row for finiteness."""
-    cfg = write_config(
-        tmp_path / "cfg.json", mu=0.2, sigma=2.0,
-        nonlinearity={"kind": "zero"}, forcing={"kind": "zero"},
-        grid={"points": points}, run={"history_norm": 1e307},
-    )
+@pytest.mark.parametrize("case", ["512", "2048", "base-sigma-1e50"])
+def test_simulate_divergence_prints_one_line(tmp_path, monkeypatch, case):
+    """A diverging run says so once, with no numpy warning before it, even
+    when RuntimeWarnings are errors: march checks every new row for
+    finiteness, and simulate's reductions ignore overflow.  Rows of 512 and
+    2048 floats (both loops) diverge at step 1.  configs/base.json with
+    sigma = 1e50 diverges at step 97, after rows that are finite but whose
+    squares overflow (they once printed two RuntimeWarnings); the snapshots
+    of every step before it stay, step 96 included, which was once lost
+    with the unfinished group of S rows it belonged to."""
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    if case == "base-sigma-1e50":
+        doc = json.loads((CONFIGS / "base.json").read_text())
+        doc["sigma"] = 1e50
+        doc["run"].update(horizon=20.0, snapshot_every=4)
+        cfg, step, kept = tmp_path / "cfg.json", 97, range(0, 97, 4)
+        cfg.write_text(json.dumps(doc))
+    else:
+        cfg = write_config(
+            tmp_path / "cfg.json", mu=0.2, sigma=2.0,
+            nonlinearity={"kind": "zero"}, forcing={"kind": "zero"},
+            grid={"points": int(case)}, run={"history_norm": 1e307},
+        )
+        step, kept = 1, []
     proc = run_cli_subprocess("simulate", cfg, tmp_path / "out")
-    assert (proc.returncode, proc.stderr) == (EXIT_DIVERGENCE, "divergence at step 1\n")
+    assert (proc.returncode, proc.stderr) == (EXIT_DIVERGENCE, f"divergence at step {step}\n")
+    snapshots = sorted(path.name for path in (tmp_path / "out").glob("field_*.bin"))
+    assert snapshots == [f"field_{n:08d}.bin" for n in kept]
+    assert len(snapshots) == (25 if kept else 0)
 
 
 def test_snapshot_roundtrip_and_cli_snapshots(tmp_path):
@@ -215,6 +234,32 @@ def test_snapshot_roundtrip_and_cli_snapshots(tmp_path):
     assert len(snaps) == 16 * 2 // 8 + 1
     vals, L, t0 = read_snapshot(str(snaps[0]))
     assert L == 16.0 and t0 == 0.0 and vals.size == 512
+
+
+@pytest.mark.parametrize("every", [1, 7, 33, 97])  # 97: one past the last step
+def test_simulate_snapshots_at_every_stride(tmp_path, every):
+    """Snapshots at strides that do not divide the march's blocks of 16 rows
+    (or reach past the last step): the files are exactly the steps 0, every,
+    2 every, ... up to the last step, each holding that row of `integrate`
+    from the same history bit for bit, and norm_u is `field_norm` of each
+    row on its own."""
+    cfg = write_config(tmp_path / "cfg.json", run={"horizon": 3.0, "snapshot_every": every})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    p, grid, run = _load_config(cfg)
+    rng = np.random.default_rng(np.random.PCG64(run.seed))
+    hist = cli.random_history(rng, grid, p.tau, run.steps_per_delay, run.history_norm)
+    values = integrate(hist, run.horizon, p, grid)
+    assert len(values) == 97
+    steps = range(0, len(values), every)
+    assert sorted(path.name for path in out.glob("field_*.bin")) == [
+        f"field_{n:08d}.bin" for n in steps]
+    dt = p.tau / run.steps_per_delay
+    for n in steps:
+        got, half_length, t = read_snapshot(str(out / f"field_{n:08d}.bin"))
+        assert np.array_equal(got, values[n]) and (half_length, t) == (grid.half_length, n * dt)
+    norm_u = [row.split(",")[1] for row in (out / "norms.csv").read_text().splitlines()[1:]]
+    assert norm_u == [repr(float(field_norm(row, grid))) for row in values]
 
 
 def test_read_snapshot_rejects_truncated_files(tmp_path):
@@ -418,6 +463,26 @@ def test_unwritable_artifact_exits_2(tmp_path, capsys, subcommand, blocked):
     assert err.startswith(f"config error: cannot write {out / blocked}: ") and err.count("\n") == 1
     assert not [path.name for path in out.iterdir() if path.name.startswith(".tmp-")]
     assert (out / blocked).is_dir()
+    if subcommand == "certify":  # written before spectrum.json, then removed with no manifest
+        assert sorted(path.name for path in out.iterdir()) == [blocked]
+
+
+def test_failed_rerun_leaves_a_directory_report_refuses(tmp_path, capsys):
+    """A certify run that fails part-way into the directory of an earlier
+    complete run removes what it wrote, so the earlier manifest no longer
+    vouches for the directory: `report` refuses it (exit 2)."""
+    cfg = feasible_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    certify = ["certify", "--config", cfg, "--out", str(out)]
+    assert main(certify) == EXIT_OK
+    (out / "spectrum.json").unlink()
+    (out / "spectrum.json").mkdir()
+    assert main(certify) == EXIT_CONFIG
+    assert sorted(path.name for path in out.iterdir()) == ["certificate.json", "manifest.json",
+                                                           "spectrum.json"]
+    capsys.readouterr()
+    assert main(["report", "--dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "missing artifacts: estimates.json\n"
 
 
 def test_artifacts_get_the_mode_open_gives(tmp_path):
@@ -508,7 +573,10 @@ def test_repeated_certify_sweeps_write_the_same_bytes(tmp_path):
 # between): it rounds the transforms in other places than the per-step
 # S(dt), which moved norms.csv by at most 4e-14 and the far-field masses by
 # at most 1.5e-10 relative (the smallest tails, far below the eps they are
-# checked against).  The certify-sweep-0
+# checked against).  The two norms.csv hashes date from norm_u as field_norm of
+# each whole block: the pairwise sum that every other row norm takes, not a
+# BLAS dot of one row, which moved norm_u by at most 2 ulp (farfield.csv and
+# farfield_check.json kept their bytes).  The certify-sweep-0
 # certificate and estimates (perfbench/configs, 48 modes) were hashed with
 # the two-pass JSON writer (sanitize, then json.dumps) before the one-pass
 # writer replaced it.  The certify-sweep-1 to -6 entries were hashed before
@@ -525,12 +593,12 @@ GOLDEN = {
     ("simulate", "base"): (EXIT_OK, {
         "farfield.csv": "a13ddfdfed991ef907da584916d8421e0570e501650a7760c6ddc7cabc8ee8b8",
         "farfield_check.json": "7dabcc492eefac49071010499ada8e0e53121e69b270460e437f94346d5f6e1c",
-        "norms.csv": "3ca6b88a7fbbeb541c676e893dade30c265c0f29842a1d79cc66dc83380cb32d",
+        "norms.csv": "68db9793a552990f75b16f915c201a65700b7f877ab927ab93e004d1ee613dfe",
     }),
     ("simulate", "certify"): (EXIT_OK, {
         "farfield.csv": "063a9e93be1d5e116c3eda4384153997278e05a8cc99b50d394a1e729ac0a724",
         "farfield_check.json": "5fef8e1bd8fa50dcb1e371862b4088bb18f54827f3faa1631b83a9fd1b7e4c9d",
-        "norms.csv": "c8a1053f9b6c08a5bcacae8e4aca317bef543699642bc36d0c42eb7a3cf135fb",
+        "norms.csv": "6b5ae19fe4b0026d82ebd64fd0b5004618c01cde78185451ae5333f4fc4e8aa7",
     }),
     ("certify", "base"): (EXIT_INFEASIBLE, {
         "certificate.json": "5832ac9c450fd391b7c0ee64d9f16adf22632d87774037ba8464ab3ad7489394",

@@ -79,6 +79,23 @@ def test_field_norm_matches_analytic(grid):
     assert field_norm(phi, grid) == pytest.approx(math.sqrt(grid.half_length), rel=1e-12)
 
 
+@pytest.mark.parametrize("points", [512, 2048])
+def test_field_norm_of_a_block_equals_its_rows(rng, points):
+    """The one L2 row norm: `field_norm` of an (m, B, P) block, of a strided
+    view of it and of one row give the same bits for each row, and equal
+    sqrt(h sum(u^2)) of the row within rounding."""
+    grid = Grid(half_length=16.0, points=points)
+    block = rng.standard_normal((5, 3, points)) * rng.uniform(1e-3, 1e3, (5, 3, 1))
+    norms = field_norm(block, grid)
+    assert norms.shape == (5, 3)
+    rows = np.array([[field_norm(block[i, j], grid) for j in range(3)] for i in range(5)])
+    assert np.array_equal(norms, rows)
+    assert np.array_equal(field_norm(block[::2, ::-1], grid), norms[::2, ::-1])
+    assert np.array_equal(field_norm(block.reshape(15, points), grid), norms.reshape(15))
+    exact = np.sqrt(grid.spacing * np.einsum("ijk,ijk->ij", block, block))
+    np.testing.assert_allclose(norms, exact, rtol=1e-14)
+
+
 def test_gradient_norm_analytic_and_fd(grid):
     xi = 4 * math.pi / grid.half_length
     phi = np.sin(xi * grid.nodes)

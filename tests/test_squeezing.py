@@ -8,7 +8,8 @@ import pytest
 from delayrd.cli import eigenmode_pair, random_history, random_pair
 from delayrd.estimates import compute_estimates
 from delayrd.model import ForcingSpec, Grid, NonlinearitySpec, ProblemParameters
-from delayrd.solver import BLOCK_FLOATS, constant_history, row_norms, segment_norm
+from delayrd.semigroup import field_norm
+from delayrd.solver import BLOCK_FLOATS, constant_history, segment_norm
 from delayrd.spectrum import (
     SpectralData,
     characteristic_roots,
@@ -79,7 +80,7 @@ def test_block_norms_match_parts(rng, grid, support):
     norms = ps.norms(rows)
     assert norms.shape == (5, 3, 3)
     parts = np.stack([project(rows, ps) for project in (project_P, project_Q, project_R)])
-    expected = np.moveaxis(row_norms(parts, grid), 0, -2)
+    expected = np.moveaxis(field_norm(parts, grid), 0, -2)
     bound = part_norm_rounding_bound(rows, ps)[:, None, :]
     assert np.all(np.abs(norms - expected) <= bound)
     assert np.all(bound < 1e-11 * np.max(norms))
